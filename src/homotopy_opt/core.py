@@ -37,13 +37,14 @@ class ConfigurationError(ValueError):
 
 
 class NonFiniteError(RuntimeError):
-    """A gradient or iterate became NaN/Inf; carries the offending step index."""
+    """A gradient or iterate became NaN/Inf; carries the offending step and repeat."""
 
-    def __init__(self, message, step=None, homotopy_iteration=None, lam=None):
+    def __init__(self, message, step=None, homotopy_iteration=None, lam=None, repeat=None):
         super().__init__(message)
         self.step = step
         self.homotopy_iteration = homotopy_iteration
         self.lam = lam
+        self.repeat = repeat
 
 
 @dataclass
@@ -163,63 +164,98 @@ def _draw_minibatch(rng, sample_count, minibatch):
     return rng.choice(sample_count, size=minibatch, replace=False)
 
 
+def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
+    """Raise NonFiniteError naming the first repeat whose gradient or iterate has a NaN/Inf.
+
+    ``grad`` and ``w`` are the step's gradient and the iterate it produced,
+    one repeat per row (a 1-D pair is one repeat).
+    """
+    for what, block in (("gradient", grad), ("iterate", w)):
+        bad = np.flatnonzero(~np.isfinite(np.atleast_2d(block)).all(axis=1))
+        if bad.size:
+            where = f"repeat {bad[0]}"
+            if homotopy_iteration is not None:
+                where += f", homotopy iteration {homotopy_iteration}, lambda={lam}"
+            raise NonFiniteError(f"non-finite {what} at step {step} ({where})", step=step,
+                                 homotopy_iteration=homotopy_iteration, lam=lam,
+                                 repeat=int(bad[0]))
+
+
 def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_iteration=None):
     """Run exactly cfg.steps iterates of w <- w - alpha * g(w, xi, lambda).
 
-    Each g is the mean gradient over a minibatch of cfg.minibatch distinct
-    sample indices drawn from ``rng``. ``sink``, when present, is called as
-    sink(global_step, lam, w, full_objective) at multiples of cfg.record_every.
-    Raises NonFiniteError naming the step on NaN/Inf gradients or iterates.
+    The SGD engine. ``w0`` is one start point of shape (d,) with its
+    generator ``rng``, or an (R, d) block of R repeats with a sequence of R
+    generators, all stepped in lockstep. Each step, every repeat draws a
+    minibatch of cfg.minibatch distinct sample indices from its own stream,
+    in repeat order, so a repeat's trajectory does not depend on R. A block
+    goes through the batched oracle (``problem.gradient``,
+    ``problem.epoch_metrics``); one point through the single-point one
+    (``minibatch_value_and_gradient``, ``full_objective``), one call per
+    step and per record, as a sequential solver makes them.
+
+    ``sink``, when present, is called as sink(global_step, lam, w, f) at
+    multiples of cfg.record_every. f is the full objective of a point; for
+    a block it is ``problem.epoch_metrics(w, lam)``, each repeat's objective
+    and second metric. Every step checks the whole gradient and iterate
+    block and raises NonFiniteError naming the step and the repeat on a
+    NaN/Inf.
     """
-    w = np.asarray(w0, dtype=float).copy()
-    if w.ndim != 1 or w.shape[0] != problem.dimension:
+    single = isinstance(rng, np.random.Generator)
+    rngs = None if single else list(rng)
+    w0 = np.asarray(w0, dtype=float)
+    expected = (problem.dimension,) if single else (len(rngs), problem.dimension)
+    if w0.shape != expected:
         raise ConfigurationError(
-            f"initial point has shape {w.shape}, problem dimension is {problem.dimension}"
+            f"initial point has shape {w0.shape}, expected {expected} "
+            f"for {'one generator' if single else f'{len(rngs)} generators'}"
         )
     if cfg.minibatch > problem.sample_count:
         raise ConfigurationError(
             f"minibatch size {cfg.minibatch} exceeds sample count {problem.sample_count}"
         )
-    where = "" if homotopy_iteration is None else f" (homotopy iteration {homotopy_iteration}, lambda={lam})"
-    alpha = cfg.alpha
-    minibatch = cfg.minibatch
     sample_count = problem.sample_count
-    value_and_gradient = problem.minibatch_value_and_gradient
+    minibatch = cfg.minibatch
+    if single:
+        def draw():
+            return _draw_minibatch(rng, sample_count, minibatch)
+
+        def gradient(w, lam, idx):
+            return problem.minibatch_value_and_gradient(w, lam, idx)[1]
+
+        metrics = problem.full_objective
+    else:
+        def draw():
+            return np.stack([_draw_minibatch(g, sample_count, minibatch) for g in rngs])
+
+        gradient, metrics = problem.gradient, problem.epoch_metrics
+    w = w0
+    alpha = cfg.alpha
     record = sink is not None and cfg.record_every is not None
     for t in range(1, cfg.steps + 1):
-        indices = _draw_minibatch(rng, sample_count, minibatch)
-        _, grad = value_and_gradient(w, lam, indices)
-        # Cheap screen first: a finite squared norm certifies a finite vector,
-        # so the elementwise isfinite scan only runs on suspect steps.
-        if not math.isfinite(float(grad @ grad)) and not np.all(np.isfinite(grad)):
-            raise NonFiniteError(
-                f"non-finite gradient at step {step_offset + t}{where}",
-                step=step_offset + t,
-                homotopy_iteration=homotopy_iteration,
-                lam=lam,
-            )
+        step = step_offset + t
+        grad = gradient(w, lam, draw())
         w = w - alpha * grad
-        if not math.isfinite(float(w @ w)) and not np.all(np.isfinite(w)):
-            raise NonFiniteError(
-                f"non-finite iterate at step {step_offset + t}{where}",
-                step=step_offset + t,
-                homotopy_iteration=homotopy_iteration,
-                lam=lam,
-            )
-        if record:
-            global_step = step_offset + t
-            if global_step % cfg.record_every == 0:
-                sink(global_step, lam, w, problem.full_objective(w, lam))
+        # A NaN/Inf in the gradient reaches the iterate, so one screen of the
+        # iterate covers both. A finite sum certifies a finite block, so the
+        # row scan only runs on suspect steps; a sum never calls threaded BLAS.
+        if not math.isfinite(w.sum()):
+            _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam)
+        if record and step % cfg.record_every == 0:
+            sink(step, lam, w, metrics(w, lam))
     return w
 
 
-def hsgd_run(w0, schedule, cfg, problem, rng, sink=None):
+def hsgd_run(w0, schedule, cfg, problem, rng, sink=None, stage_hook=None):
     """Outer homotopy loop: lambda_0 = 0, lambda_i += h(i), warm-started SGD.
 
-    Returns w_n, the approximate solution of the lambda = 1 problem. The same
-    continuing ``rng`` stream feeds all inner solves.
+    Returns w_n, the approximate solution of the lambda = 1 problem. ``w0``
+    and ``rng`` are one point and its generator, or a block and one
+    generator per repeat, as for sgd_run; each continuing stream feeds all
+    inner solves of its repeat. ``stage_hook(i, lam, w)``, when present, is
+    called with the iterate(s) at the end of homotopy iteration i.
     """
-    w = np.asarray(w0, dtype=float).copy()
+    w = w0
     lam = 0.0
     step_offset = 0
     for i, dlam in enumerate(schedule.increments, start=1):
@@ -229,6 +265,8 @@ def hsgd_run(w0, schedule, cfg, problem, rng, sink=None):
             sink=sink, step_offset=step_offset, homotopy_iteration=i,
         )
         step_offset += cfg.steps
+        if stage_hook is not None:
+            stage_hook(i, lam, w)
     if abs(lam - 1.0) > SUM_TOL:
         raise ConfigurationError(f"final homotopy parameter {lam!r} differs from 1")
     return w

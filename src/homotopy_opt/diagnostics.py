@@ -72,22 +72,20 @@ def estimate_sigma2(problem, lam, w_samples, minibatch, draws, rng):
     """Max over w samples of the Monte-Carlo mean of ||g - grad f||^2."""
     if draws < 2:
         raise ConfigurationError("need at least two draws")
+    n = problem.sample_count
     worst = 0.0
     for w in w_samples:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         full = problem.full_gradient(w, lam)
-        acc = 0.0
-        for _ in range(draws):
-            if minibatch == problem.sample_count:
-                # Ordered indices keep the summation identical to the full
-                # gradient, so the full-batch estimate is exactly zero.
-                idx = np.arange(problem.sample_count)
-            else:
-                idx = rng.choice(problem.sample_count, size=minibatch, replace=False)
-            _, g = problem.minibatch_value_and_gradient(w, lam, idx)
-            diff = g - full
-            acc += float(np.dot(diff, diff))
-        worst = max(worst, acc / draws)
+        if minibatch == n:
+            # Ordered indices keep the summation identical to the full
+            # gradient, so the full-batch estimate is exactly zero.
+            idx = np.tile(np.arange(n), (draws, 1))
+        else:
+            idx = np.stack([rng.choice(n, size=minibatch, replace=False) for _ in range(draws)])
+        # All draws at once through the batched oracle, one row per draw.
+        diff = problem.gradient(np.tile(w, (draws, 1)), lam, idx) - full
+        worst = max(worst, sum(np.einsum("rk,rk->r", diff, diff).tolist()) / draws)
     return worst
 
 
@@ -104,12 +102,8 @@ def _grid_fstar(problem, lam, lo, hi, step):
         raise ConfigurationError("empty search grid")
     # Chunked evaluation keeps the grid x samples product bounded in memory.
     best_val, best_w = np.inf, grid[0]
-    batched = getattr(problem, "objective_on_grid", None)
     for chunk in np.array_split(grid, max(1, grid.size // 20000)):
-        if batched is not None:
-            vals = np.asarray(batched(chunk, lam))
-        else:
-            vals = np.array([problem.full_objective(np.array([w]), lam) for w in chunk])
+        vals = problem.objective(chunk[:, None], lam)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val, best_w = float(vals[j]), float(chunk[j])
@@ -154,7 +148,7 @@ def estimate_fstar(problem, lam, search_spec):
     """Estimate f*(lambda).
 
     search_spec kinds:
-      {"kind": "grid", "lo": -10, "hi": 10, "step": 1e-4}  (1-D problems)
+      {"kind": "grid", "lo": -10, "hi": 10, "step": 1e-2}  (1-D problems)
       {"kind": "multistart", "restarts": 10, "steps": 2000, "alpha": 0.1,
        "seed": 0[, "init_radius", "init_center"]}           (upper bound only)
     """

@@ -3,15 +3,14 @@
 A single JSON config drives everything; every default is materialized into the
 emitted metadata so a run can be replayed bit-identically from its metadata
 file. Repeats use per-repeat PRNG streams seeded by master_seed XOR
-repeat_index; arms (sgd vs hsgd) share the dataset and the initial point.
+repeat_index and all repeats of an arm step in lockstep, in this process;
+arms (sgd vs hsgd) share the dataset and the initial point.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,8 +21,6 @@ from .core import (
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
-    _draw_minibatch,
-    clamp_lambda,
     hsgd_run,
     make_rng,
     make_schedule,
@@ -32,8 +29,6 @@ from .core import (
     stream_seed,
 )
 from .problems import (
-    MLP_HIDDEN,
-    MlpRegressionProblem,
     cubic_logistic_problem,
     erf_problem,
     mlp_sine_problem,
@@ -55,7 +50,7 @@ DEFAULTS = {
         "optimizer": {"alpha": "auto", "minibatch": 100, "k": 10, "n": 40,
                       "schedule": "exponential", "eta": 0.3, "sgd_budget_factor": 1},
         "problem": {"w0": -4.0, "L_radius": 10.0, "L_pairs": 2000,
-                    "fstar_grid": {"lo": -10.0, "hi": 10.0, "step": 1e-4}},
+                    "fstar_grid": {"lo": -10.0, "hi": 10.0, "step": 1e-2}},
         "threshold": None,
         "threshold_metric": "gap",
     },
@@ -83,6 +78,17 @@ DEFAULTS = {
         "threshold": None,
         "threshold_metric": "gap",
     },
+}
+
+
+# Curves a threshold can be read from: every run has its mean objective, "gap"
+# needs an f* oracle (the sine-mlp gap column holds its raw target loss) and
+# "error" a classifier.
+THRESHOLD_METRICS = {
+    "toy-erf": ("objective", "gap"),
+    "sine-mlp": ("objective", "gap"),
+    "moons-logistic": ("objective", "error"),
+    "synthetic-lq": ("objective", "gap"),
 }
 
 
@@ -126,6 +132,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown method {cfg.method!r}")
         if cfg.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
+        if cfg.threshold_metric not in THRESHOLD_METRICS[experiment]:
+            raise ConfigurationError(
+                f"threshold_metric {cfg.threshold_metric!r} is unavailable for {experiment}; "
+                f"expected one of {THRESHOLD_METRICS[experiment]}"
+            )
         cfg.dataset.setdefault("seed", cfg.master_seed)
         return cfg
 
@@ -199,16 +210,13 @@ def resolve_alpha(cfg: ExperimentConfig, problem):
 
 
 def _fstar_table(cfg: ExperimentConfig, problem, lambdas):
-    """f*(lambda) per visited lambda where an oracle exists, else None."""
+    """f*(lambda) per distinct visited lambda where an oracle exists, else None."""
     if cfg.experiment == "synthetic-lq":
         return {float(lam): 0.0 for lam in lambdas}
     if cfg.experiment == "toy-erf":
-        grid = cfg.problem["fstar_grid"]
-        table = {}
-        for lam in lambdas:
-            est = diagnostics.estimate_fstar(problem, float(lam), {"kind": "grid", **grid})
-            table[float(lam)] = est.value
-        return table
+        spec = {"kind": "grid", **cfg.problem["fstar_grid"]}
+        return {lam: diagnostics.estimate_fstar(problem, lam, spec).value
+                for lam in dict.fromkeys(map(float, lambdas))}
     return None
 
 
@@ -217,154 +225,37 @@ def _sgd_total_steps(cfg_sgd, schedule, budget_factor=1):
     return int(round(cfg_sgd.steps * schedule.n * budget_factor))
 
 
-def _run_repeat(problem, w0, method, schedule, cfg_sgd, seed, aux_fn=None, budget_factor=1):
-    """One seeded repeat; returns (lambdas, objectives[, aux]) per epoch.
+def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, stage_hook=None):
+    """Every repeat of one arm in lockstep; returns (lambdas, objectives, aux) per epoch.
 
-    ``aux_fn(w, lam)`` records a second per-epoch metric (classification error
-    for the moons model, raw target-problem loss for the MLP).
+    Repeat r runs on the stream seeded by ``seeds[r]``. objectives and aux
+    are (R, epochs + 1), from ``problem.epoch_metrics``; aux is None for a
+    family without a second metric.
     """
-    rng = make_rng(seed)
+    W0 = np.tile(w0, (len(seeds), 1))
+    rngs = [make_rng(seed) for seed in seeds]
     every = cfg_sgd.record_every
     total_steps = cfg_sgd.steps * schedule.n if method == "hsgd" else \
         _sgd_total_steps(cfg_sgd, schedule, budget_factor)
-    n_epochs = total_steps // every
-    lambdas = np.empty(n_epochs + 1)
-    objectives = np.empty(n_epochs + 1)
-    aux = np.empty(n_epochs + 1) if aux_fn is not None else None
+    lambdas = np.empty(total_steps // every + 1)
+    objectives = np.empty((len(seeds), lambdas.size))
+    aux = np.empty_like(objectives) if problem.aux_metric else None
 
-    def sink(step, lam, w, fval):
+    def sink(step, lam, W, metrics):
         e = step // every
         lambdas[e] = lam
-        objectives[e] = fval
+        objectives[:, e] = metrics[0]
         if aux is not None:
-            aux[e] = aux_fn(w, lam)
+            aux[:, e] = metrics[1]
 
     if method == "hsgd":
-        lambdas[0] = 0.0
-        objectives[0] = problem.full_objective(w0, 0.0)
-        if aux is not None:
-            aux[0] = aux_fn(w0, 0.0)
-        hsgd_run(w0, schedule, cfg_sgd, problem, rng, sink=sink)
+        sink(0, 0.0, W0, problem.epoch_metrics(W0, 0.0))
+        hsgd_run(W0, schedule, cfg_sgd, problem, rngs, sink=sink, stage_hook=stage_hook)
     else:
-        lambdas[0] = 1.0
-        objectives[0] = problem.full_objective(w0, 1.0)
-        if aux is not None:
-            aux[0] = aux_fn(w0, 1.0)
+        sink(0, 1.0, W0, problem.epoch_metrics(W0, 1.0))
         flat = SgdConfig(cfg_sgd.alpha, total_steps, cfg_sgd.minibatch, record_every=every)
-        sgd_run(w0, flat, problem, 1.0, rng, sink=sink)
+        sgd_run(W0, flat, problem, 1.0, rngs, sink=sink)
     return lambdas, objectives, aux
-
-
-def _run_repeats_mlp_batched(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1):
-    """All repeats of one MLP arm at once, vectorized across repeats.
-
-    Each repeat keeps its own PRNG stream and draws the same per-step
-    minibatches as the sequential path; only the arithmetic is batched, so the
-    trajectories agree with ``_run_repeat`` up to matmul rounding. Divergence
-    is detected at epoch granularity (the recorded objectives go non-finite).
-    Returns the same list of (lambdas, objectives, aux) tuples.
-    """
-    R = len(seeds)
-    N = problem.sample_count
-    M = cfg_sgd.minibatch
-    every = cfg_sgd.record_every
-    alpha = cfg_sgd.alpha
-    h = MLP_HIDDEN
-    xs = problem.xs
-    W1s, b1s, W2s, b2s, W3s, b3s = problem.unpack(np.asarray(w0, dtype=float))
-    W1 = np.tile(W1s.ravel(), (R, 1))
-    b1 = np.tile(b1s, (R, 1))
-    W2 = np.tile(W2s, (R, 1, 1))
-    b2 = np.tile(b2s, (R, 1))
-    w3 = np.tile(W3s.ravel(), (R, 1))
-    b3 = np.tile(b3s, (R, 1))
-    rngs = [make_rng(s) for s in seeds]
-
-    if method == "hsgd":
-        segments = [(float(lam), cfg_sgd.steps) for lam in schedule.lambdas()]
-        lam0 = 0.0
-    else:
-        segments = [(1.0, _sgd_total_steps(cfg_sgd, schedule, budget_factor))]
-        lam0 = 1.0
-    total_steps = sum(k for _, k in segments)
-    n_epochs = total_steps // every
-    lambdas = np.empty(n_epochs + 1)
-    objectives = np.empty((R, n_epochs + 1))
-    aux = np.empty((R, n_epochs + 1))
-    y_target = problem.labels.y_target
-
-    def batched_losses(y_cur):
-        a1f = np.tanh(np.multiply.outer(xs, W1).transpose(1, 0, 2) + b1[:, None, :])
-        a2f = np.tanh(a1f @ W2.transpose(0, 2, 1) + b2[:, None, :])
-        outf = (a2f @ w3[:, :, None])[:, :, 0] + b3
-        cur = np.mean((outf - y_cur) ** 2, axis=1)
-        tgt = np.mean((outf - y_target) ** 2, axis=1)
-        return cur, tgt
-
-    lambdas[0] = lam0
-    y0 = problem._interpolated_labels(lam0)
-    objectives[:, 0], aux[:, 0] = batched_losses(y0)
-    step = 0
-    for lam, k in segments:
-        y = problem._interpolated_labels(lam).copy()
-        for _ in range(k):
-            idx = np.stack([_draw_minibatch(rngs[r], N, M) for r in range(R)])
-            xb = xs[idx]                                   # (R, M)
-            yb = y[idx]
-            a1 = np.tanh(xb[:, :, None] * W1[:, None, :] + b1[:, None, :])
-            a2 = np.tanh(a1 @ W2.transpose(0, 2, 1) + b2[:, None, :])
-            out = (a2 @ w3[:, :, None])[:, :, 0] + b3
-            d_out = (2.0 / M) * (out - yb)                 # (R, M)
-            d_a2 = d_out[:, :, None] * w3[:, None, :]
-            d_a2 *= 1.0 - a2 * a2
-            d_a1 = d_a2 @ W2
-            d_a1 *= 1.0 - a1 * a1
-            W1 -= alpha * (xb[:, None, :] @ d_a1)[:, 0, :]
-            b1 -= alpha * d_a1.sum(axis=1)
-            W2 -= alpha * (d_a2.transpose(0, 2, 1) @ a1)
-            b2 -= alpha * d_a2.sum(axis=1)
-            w3 -= alpha * (d_out[:, None, :] @ a2)[:, 0, :]
-            b3 -= alpha * d_out.sum(axis=1, keepdims=True)
-            step += 1
-            if step % every == 0:
-                e = step // every
-                lambdas[e] = lam
-                objectives[:, e], aux[:, e] = batched_losses(y)
-                if not np.all(np.isfinite(objectives[:, e])):
-                    bad = int(np.nonzero(~np.isfinite(objectives[:, e]))[0][0])
-                    raise NonFiniteError(
-                        f"non-finite objective by epoch {e} (repeat {bad})",
-                        step=step, lam=lam,
-                    )
-    return [(lambdas, objectives[r], aux[r]) for r in range(R)]
-
-
-def _thread_cap():
-    raw = os.environ.get("HOMOTOPY_OPT_THREADS")
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
-
-
-def _map_repeats(fn, seeds):
-    workers = min(_thread_cap(), len(seeds))
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
-
-
-class _RepeatTask:
-    """Picklable per-repeat closure for the process pool."""
-
-    def __init__(self, problem, w0, method, schedule, cfg_sgd, aux_fn, budget_factor):
-        self.args = (problem, w0, method, schedule, cfg_sgd)
-        self.aux_fn = aux_fn
-        self.budget_factor = budget_factor
-
-    def __call__(self, seed):
-        return _run_repeat(*self.args, seed, aux_fn=self.aux_fn,
-                           budget_factor=self.budget_factor)
 
 
 def _fmt(value):
@@ -450,14 +341,7 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
     budget_factor = float(opt.get("sgd_budget_factor", 1))
     # Second per-epoch metric: 0/1 error for classification, raw target-problem
     # loss for the MLP (it has no f* oracle; the gap column holds raw loss).
-    aux_role = None
-    aux_fn = None
-    if hasattr(problem, "classification_error"):
-        aux_role = "error"
-        aux_fn = problem.classification_error
-    elif cfg.experiment == "sine-mlp":
-        aux_role = "target_objective"
-        aux_fn = lambda w, lam: problem.full_objective(w, 1.0)  # noqa: E731
+    aux_role = problem.aux_metric
     fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], schedule.lambdas(), [1.0]]))
 
     methods = ["sgd", "hsgd"] if cfg.method == "both" else [cfg.method]
@@ -465,24 +349,21 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
     arms = {}
     arm_summaries = {}
     for method in methods:
+        # Per-homotopy-iteration snapshots of repeat 0, from the engine's stage hook.
+        snapshots = []
+        stage_hook = None
+        if method == "hsgd" and cfg.experiment in ("toy-erf", "sine-mlp"):
+            def stage_hook(i, lam, W):
+                snapshots.append((i, lam, problem.full_objective(W[0], lam), W[0].copy()))
         try:
-            if isinstance(problem, MlpRegressionProblem):
-                results = _run_repeats_mlp_batched(
-                    problem, w0, method, schedule, cfg_sgd, seeds,
-                    budget_factor=budget_factor)
-            else:
-                task = _RepeatTask(problem, w0, method, schedule, cfg_sgd,
-                                   aux_fn, budget_factor)
-                results = _map_repeats(task, seeds)
-        except Exception as exc:  # arm failure leaves other arms unaffected
+            lambdas, objs, auxs = _run_arm(problem, w0, method, schedule, cfg_sgd, seeds,
+                                           budget_factor, stage_hook)
+        except NonFiniteError as exc:  # a diverged arm leaves other arms unaffected
             arms[method] = ArmResult(method, np.array([]), np.array([]), np.array([]),
                                      np.array([]), None, None, np.array([]),
                                      failed=True, failure=str(exc))
             arm_summaries[method] = {"failed": True, "failure": str(exc)}
             continue
-        lambdas = results[0][0]
-        objs = np.stack([r[1] for r in results])
-        auxs = np.stack([r[2] for r in results]) if aux_fn is not None else None
         epochs = np.arange(objs.shape[1])
         mean_obj = objs.mean(axis=0)
         std_obj = objs.std(axis=0)
@@ -514,9 +395,8 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
             if hit is None:
                 summary["censoring_epoch"] = int(epochs[-1])
         arm_summaries[method] = summary
-        if method == "hsgd" and cfg.experiment in ("toy-erf", "sine-mlp"):
-            _write_snapshots(out / "hsgd_snapshots.csv", problem, w0, schedule,
-                             cfg_sgd, seeds[0])
+        if snapshots:
+            _write_snapshots(out / "hsgd_snapshots.csv", snapshots)
 
     speedup = None
     note = ""
@@ -550,17 +430,8 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
     return arms, report
 
 
-def _write_snapshots(path, problem, w0, schedule, cfg_sgd, seed):
-    """Per-homotopy-iteration snapshot of (lambda, objective, iterate), repeat 0."""
-    rng = make_rng(seed)
-    w = np.asarray(w0, dtype=float).copy()
-    lam = 0.0
-    rows = []
-    quiet_cfg = SgdConfig(cfg_sgd.alpha, cfg_sgd.steps, cfg_sgd.minibatch)
-    for i, dlam in enumerate(schedule.increments, start=1):
-        lam = clamp_lambda(lam + dlam)
-        w = sgd_run(w, quiet_cfg, problem, lam, rng, homotopy_iteration=i)
-        rows.append((i, lam, problem.full_objective(w, lam), w.copy()))
+def _write_snapshots(path, rows):
+    """Write (homotopy_iteration, lambda, objective, iterate) rows, one per iteration."""
     d = len(rows[0][3])
     header = "homotopy_iteration,lambda,objective," + ",".join(f"w{j}" for j in range(d))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

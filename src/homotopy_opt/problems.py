@@ -1,14 +1,20 @@
 """Parametric problem families with analytic gradients and homotopy maps.
 
-All families expose the same surface: ``full_objective(w, lam)`` and
-``minibatch_value_and_gradient(w, lam, indices)``; the minibatch gradient over
-all N indices equals the full gradient and minibatch gradients are unbiased
-estimates of it. Instances are immutable after construction and all
-evaluations are pure, so they are safe to share across concurrent runs.
+Every family implements one batched oracle over an (R, d) block ``W`` of
+iterates, one row per repeat: ``gradient(W, lam, idx)`` is each row's mean
+gradient over the samples ``idx[r]`` of row r, or over all N samples when
+``idx`` is None, and ``objective(W, lam)`` each row's full objective. The
+single-point surface, ``full_objective(w, lam)``, ``full_gradient(w, lam)``
+and ``minibatch_value_and_gradient(w, lam, indices)``, derives from it. The
+minibatch gradient over all N indices equals the full gradient and minibatch
+gradients are unbiased estimates of it. Instances are immutable after
+construction and all evaluations are pure, so they are safe to share across
+concurrent runs.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,11 @@ def _check_lambda(lam):
         raise DomainError(f"homotopy parameter must lie in [0, 1], got {lam}")
 
 
+def _block(w):
+    """One point as a 1-row block."""
+    return np.asarray(w, dtype=float).reshape(1, -1)
+
+
 @dataclass(frozen=True)
 class LabelInterpolationMap:
     """Affine label deformation: lambda * y_target + (1 - lambda) * y_source."""
@@ -47,13 +58,16 @@ class LabelInterpolationMap:
         object.__setattr__(self, "y_target", yt)
         object.__setattr__(self, "y_source", ys)
 
-    def at(self, lam):
+    def at(self, lam, idx=None):
+        """Labels at lambda, of every sample or of the samples ``idx`` (any index shape)."""
         _check_lambda(lam)
+        yt = self.y_target if idx is None else self.y_target[idx]
+        ys = self.y_source if idx is None else self.y_source[idx]
         if lam == 0.0:
-            return self.y_source.copy()
+            return ys.copy()
         if lam == 1.0:
-            return self.y_target.copy()
-        return lam * self.y_target + (1.0 - lam) * self.y_source
+            return yt.copy()
+        return lam * yt + (1.0 - lam) * ys
 
 
 def interpolate_labels(label_map: LabelInterpolationMap, lam):
@@ -62,20 +76,44 @@ def interpolate_labels(label_map: LabelInterpolationMap, lam):
 
 
 class HomotopyProblem:
-    """Base interface for a parametric objective family f(w, lambda)."""
+    """Base interface for a parametric objective family f(w, lambda).
+
+    A subclass implements either the batched pair (``objective``,
+    ``gradient``) or the single-point pair (``full_objective``,
+    ``minibatch_value_and_gradient``); each pair defaults to the other, row
+    by row or as a 1-row block. ``epoch_metrics`` is what a run records per
+    epoch for a block; a family with a second per-epoch metric names it in
+    ``aux_metric``.
+    """
 
     dimension: int
     sample_count: int
+    aux_metric: str | None = None
+
+    def epoch_metrics(self, W, lam):
+        """Full objective of each row of W, and the second metric of each row (or None)."""
+        return self.objective(W, lam), None
+
+    def objective(self, W, lam):
+        return np.array([self.full_objective(w, lam) for w in W])
+
+    def gradient(self, W, lam, idx=None, with_value=False):
+        """Mean gradient of each row, and first its mean loss over the same samples if asked."""
+        if idx is None:
+            idx = itertools.repeat(np.arange(self.sample_count))
+        pairs = [self.minibatch_value_and_gradient(w, lam, i) for w, i in zip(W, idx)]
+        grads = np.array([g for _, g in pairs])
+        return (np.array([v for v, _ in pairs]), grads) if with_value else grads
 
     def full_objective(self, w, lam):
-        raise NotImplementedError
+        return float(self.objective(_block(w), lam)[0])
 
     def minibatch_value_and_gradient(self, w, lam, indices):
-        raise NotImplementedError
+        values, grads = self.gradient(_block(w), lam, np.asarray(indices)[None], with_value=True)
+        return float(values[0]), grads[0]
 
     def full_gradient(self, w, lam):
-        _, grad = self.minibatch_value_and_gradient(w, lam, np.arange(self.sample_count))
-        return grad
+        return self.gradient(_block(w), lam)[0]
 
 
 class ErfRegressionProblem(HomotopyProblem):
@@ -96,31 +134,19 @@ class ErfRegressionProblem(HomotopyProblem):
         self.dimension = 1
         self.sample_count = xs.size
 
-    def _residuals(self, w, lam, idx):
-        u = w[0] * self.xs[idx]
-        y = lam * self.labels.y_target[idx] + (1.0 - lam) * self.labels.y_source[idx]
-        return u, erf(u) - y
+    def _residuals(self, W, lam, idx):
+        x = self.xs if idx is None else self.xs[idx]
+        y = self.labels.at(lam, idx)
+        u = W[:, :1] * x
+        return x, u, erf(u) - y
 
-    def full_objective(self, w, lam):
-        _check_lambda(lam)
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        _, res = self._residuals(w, lam, slice(None))
-        return float(np.mean(res**2))
+    def objective(self, W, lam):
+        return np.mean(self._residuals(W, lam, None)[2] ** 2, axis=1)
 
-    def minibatch_value_and_gradient(self, w, lam, indices):
-        _check_lambda(lam)
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        u, res = self._residuals(w, lam, indices)
-        value = float(np.mean(res**2))
-        grad = np.mean(2.0 * res * TWO_OVER_SQRT_PI * np.exp(-(u**2)) * self.xs[indices])
-        return value, np.array([grad])
-
-    def objective_on_grid(self, ws, lam):
-        """Vectorized full objective over a 1-D grid of w values."""
-        _check_lambda(lam)
-        y = lam * self.labels.y_target + (1.0 - lam) * self.labels.y_source
-        res = erf(np.outer(np.asarray(ws, dtype=float), self.xs)) - y
-        return np.mean(res**2, axis=1)
+    def gradient(self, W, lam, idx=None, with_value=False):
+        x, u, res = self._residuals(W, lam, idx)
+        grad = np.mean(2.0 * res * TWO_OVER_SQRT_PI * np.exp(-(u**2)) * x, axis=1, keepdims=True)
+        return (np.mean(res**2, axis=1), grad) if with_value else grad
 
 
 def erf_problem(xs, ys_target, ys_source):
@@ -137,8 +163,11 @@ class MlpRegressionProblem(HomotopyProblem):
     """Two-hidden-layer tanh network under MSE, gradients by hand-derived backprop.
 
     Parameters are packed as [W1 (10x1), b1 (10), W2 (10x10), b2 (10),
-    W3 (1x10), b3 (1)] into a flat vector of length 141.
+    W3 (1x10), b3 (1)] into a flat vector of length 141. It has no f*
+    oracle, so runs record its raw target-problem loss instead.
     """
+
+    aux_metric = "target_objective"
 
     def __init__(self, xs, ys_target, ys_source, init_seed=0):
         xs = np.asarray(xs, dtype=float)
@@ -151,27 +180,19 @@ class MlpRegressionProblem(HomotopyProblem):
         self.dimension = MLP_DIMENSION
         self.sample_count = xs.size
         self.init_seed = init_seed
-        self._label_cache_lam = None
-        self._label_cache = None
-        self._scratch_by_m = {}
-
-    def _interpolated_labels(self, lam):
-        """Full interpolated label vector, cached per lambda (pure in (w, lam, idx))."""
-        if self._label_cache_lam != lam:
-            self._label_cache = lam * self.labels.y_target + (1.0 - lam) * self.labels.y_source
-            self._label_cache_lam = lam
-        return self._label_cache
 
     @staticmethod
     def unpack(w):
+        """Views of the six parameter arrays in w, keeping any leading block axes."""
         h = MLP_HIDDEN
+        lead = w.shape[:-1]
         o = 0
-        W1 = w[o:o + h].reshape(h, 1); o += h
-        b1 = w[o:o + h]; o += h
-        W2 = w[o:o + h * h].reshape(h, h); o += h * h
-        b2 = w[o:o + h]; o += h
-        W3 = w[o:o + h].reshape(1, h); o += h
-        b3 = w[o:o + 1]
+        W1 = w[..., o:o + h].reshape(*lead, h, 1); o += h
+        b1 = w[..., o:o + h]; o += h
+        W2 = w[..., o:o + h * h].reshape(*lead, h, h); o += h * h
+        b2 = w[..., o:o + h]; o += h
+        W3 = w[..., o:o + h].reshape(*lead, 1, h); o += h
+        b3 = w[..., o:o + 1]
         return W1, b1, W2, b2, W3, b3
 
     @staticmethod
@@ -187,63 +208,59 @@ class MlpRegressionProblem(HomotopyProblem):
         W3 = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), (1, h))
         return self.pack(W1, np.zeros(h), W2, np.zeros(h), W3, np.zeros(1))
 
-    def predict(self, w, xs):
-        W1, b1, W2, b2, W3, b3 = self.unpack(np.asarray(w, dtype=float))
-        x = np.asarray(xs, dtype=float).reshape(-1, 1)
-        a1 = np.tanh(x @ W1.T + b1)
-        a2 = np.tanh(a1 @ W2.T + b2)
-        return (a2 @ W3.T + b3).ravel()
-
-    def full_objective(self, w, lam):
-        _check_lambda(lam)
-        y = lam * self.labels.y_target + (1.0 - lam) * self.labels.y_source
-        res = self.predict(w, self.xs) - y
-        return float(np.mean(res**2))
-
-    def minibatch_value_and_gradient(self, w, lam, indices):
-        _check_lambda(lam)
-        w = np.asarray(w, dtype=float)
-        W1, b1, W2, b2, W3, b3 = self.unpack(w)
-        x = self.xs[indices]
-        y = self._interpolated_labels(lam)[indices]
-        m = x.shape[0]
-        scratch = self._scratch_by_m.get(m)
-        if scratch is None:
-            scratch = self._scratch_by_m[m] = [np.empty((m, MLP_HIDDEN)) for _ in range(5)]
-        a1, a2, d_a2, d_a1, t = scratch
-
+    def _forward(self, layers, x):
+        """Hidden activations and output of each block row's layers at inputs x, (N,) or (R, M)."""
+        W1, b1, W2, b2, W3, b3 = layers
         # Input dimension is 1, so the first layer is a broadcast, not a matmul.
-        w1 = W1.ravel()
-        np.multiply.outer(x, w1, out=a1)       # (m, 10)
-        a1 += b1
+        a1 = x[..., None] * W1[:, None, :, 0]
+        a1 += b1[:, None, :]
         np.tanh(a1, out=a1)
-        np.dot(a1, W2.T, out=a2)
-        a2 += b2
+        a2 = a1 @ W2.transpose(0, 2, 1)
+        a2 += b2[:, None, :]
         np.tanh(a2, out=a2)
-        w3 = W3.ravel()
-        res = a2 @ w3 - (y - b3[0])            # (m,)
-        value = float(res @ res) / m
+        out = (a2 @ W3[:, 0, :, None])[:, :, 0] + b3
+        return a1, a2, out
 
+    def predict(self, w, xs):
+        return self._forward(self.unpack(_block(w)), np.asarray(xs, dtype=float))[2][0]
+
+    def objective(self, W, lam):
+        out = self._forward(self.unpack(W), self.xs)[2]
+        return np.mean((out - self.labels.at(lam)) ** 2, axis=1)
+
+    def epoch_metrics(self, W, lam):
+        """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
+        out = self._forward(self.unpack(W), self.xs)[2]
+        return (np.mean((out - self.labels.at(lam)) ** 2, axis=1),
+                np.mean((out - self.labels.y_target) ** 2, axis=1))
+
+    def gradient(self, W, lam, idx=None, with_value=False):
+        # Sums over the sample axis go through einsum: the same sequential
+        # order as ndarray.sum(axis=1), without its per-row loop overhead.
+        x = self.xs[None] if idx is None else self.xs[idx]
+        layers = self.unpack(W)
+        a1, a2, out = self._forward(layers, x)
+        W2, w3 = layers[2], layers[4][:, 0, :]
+        res = out - self.labels.at(lam, idx)                   # (R, m)
         # MSE backprop: dL/dout = 2 res / m
-        d_out = (2.0 / m) * res                # (m,)
-        np.multiply.outer(d_out, w3, out=d_a2)
-        np.multiply(a2, a2, out=t)
+        d_out = (2.0 / res.shape[1]) * res
+        d_a2 = d_out[:, :, None] * w3[:, None, :]
+        t = a2 * a2
         np.subtract(1.0, t, out=t)
-        d_a2 *= t                              # (m, 10)
-        np.dot(d_a2, W2, out=d_a1)
-        np.multiply(a1, a1, out=t)
+        d_a2 *= t                                              # (R, m, 10)
+        d_a1 = d_a2 @ W2
+        t = a1 * a1
         np.subtract(1.0, t, out=t)
-        d_a1 *= t                              # (m, 10)
-        h = MLP_HIDDEN
-        grad = np.empty(self.dimension)
-        o = 0
-        grad[o:o + h] = x @ d_a1; o += h                     # gW1
-        grad[o:o + h] = d_a1.sum(axis=0); o += h             # gb1
-        grad[o:o + h * h] = (d_a2.T @ a1).ravel(); o += h * h  # gW2
-        grad[o:o + h] = d_a2.sum(axis=0); o += h             # gb2
-        grad[o:o + h] = d_out @ a2; o += h                   # gW3
-        grad[o] = d_out.sum()                                # gb3
-        return value, grad
+        d_a1 *= t                                              # (R, m, 10)
+        grad = np.concatenate([
+            (x[:, None, :] @ d_a1)[:, 0, :],                   # gW1
+            np.einsum("rmk->rk", d_a1),                        # gb1
+            (d_a2.transpose(0, 2, 1) @ a1).reshape(len(W), -1),  # gW2
+            np.einsum("rmk->rk", d_a2),                        # gb2
+            (d_out[:, None, :] @ a2)[:, 0, :],                 # gW3
+            d_out.sum(axis=1, keepdims=True),                  # gb3
+        ], axis=1)
+        return (np.mean(res**2, axis=1), grad) if with_value else grad
 
 
 def mlp_sine_problem(xs, ys_target, ys_source, init_spec=0):
@@ -277,8 +294,11 @@ class CubicLogisticProblem(HomotopyProblem):
     """Binary cross-entropy of sigmoid(score) for the lambda-gated cubic model.
 
     The loss uses the log-sum-exp form log(1 + e^z) - y z, which is stable for
-    large |z|.
+    large |z|. Products over the design matrix go through ``einsum``, which
+    never calls the threaded BLAS.
     """
+
+    aux_metric = "error"
 
     def __init__(self, features, labels01):
         X = np.asarray(features, dtype=float)
@@ -288,35 +308,50 @@ class CubicLogisticProblem(HomotopyProblem):
         if y.shape != (X.shape[0],) or not np.all(np.isin(y, (0.0, 1.0))):
             raise DataError("labels must be 0/1 with one entry per sample")
         x1, x2 = X[:, 0], X[:, 1]
-        # Design blocks: nonlinear terms carry the lambda factor, linear part does not.
-        self.phi_nl = np.column_stack([x1**3, x2**3, x1**2, x2**2, x1**2 * x2, x1 * x2**2])
-        self.phi_lin = np.column_stack([x1, x2, np.ones_like(x1)])
+        # Design matrix: the six nonlinear terms carry the lambda gate, the linear part does not.
+        self.phi = np.column_stack([x1**3, x2**3, x1**2, x2**2, x1**2 * x2, x1 * x2**2,
+                                    x1, x2, np.ones_like(x1)])
+        self.phi_lin = self.phi[:, 6:]
         self.labels01 = y
         self.dimension = 9
         self.sample_count = X.shape[0]
 
-    def scores(self, w, lam, idx=slice(None)):
-        w = np.asarray(w, dtype=float)
-        return lam * (self.phi_nl[idx] @ w[:6]) + self.phi_lin[idx] @ w[6:]
+    @staticmethod
+    def _gate(lam):
+        return np.array([lam] * 6 + [1.0] * 3)
 
-    def full_objective(self, w, lam):
-        _check_lambda(lam)
-        z = self.scores(w, lam)
-        return float(np.mean(np.logaddexp(0.0, z) - self.labels01 * z))
+    def scores(self, w, lam):
+        """Scores of every sample: (N,) under one point w, (R, N) under an (R, 9) block."""
+        gated = np.asarray(w, dtype=float) * self._gate(lam)
+        return np.einsum("...k,...k->...", self.phi, gated[..., None, :])
 
-    def minibatch_value_and_gradient(self, w, lam, indices):
+    @staticmethod
+    def _loss(z, y):
+        return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
+
+    def objective(self, W, lam):
         _check_lambda(lam)
-        z = self.scores(w, lam, indices)
-        y = self.labels01[indices]
-        value = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[0]
-        grad = np.concatenate([lam * (d @ self.phi_nl[indices]), d @ self.phi_lin[indices]])
-        return value, grad
+        return self._loss(self.scores(W, lam), self.labels01)
+
+    def epoch_metrics(self, W, lam):
+        """Objective and 0/1 classification error of each row, from one pass over the scores."""
+        _check_lambda(lam)
+        z = self.scores(W, lam)
+        return self._loss(z, self.labels01), np.mean((z >= 0.0) != (self.labels01 == 1.0), axis=1)
+
+    def gradient(self, W, lam, idx=None, with_value=False):
+        _check_lambda(lam)
+        phi = self.phi if idx is None else self.phi[idx]
+        y = self.labels01 if idx is None else self.labels01[idx]
+        gate = self._gate(lam)
+        z = np.einsum("...k,...k->...", phi, (W * gate)[:, None, :])
+        d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
+        grad = np.einsum("...m,...mk->...k", d, phi) * gate
+        return (self._loss(z, y), grad) if with_value else grad
 
     def classification_error(self, w, lam):
         """Mean 0/1 misclassification at decision threshold sigmoid(z) >= 0.5."""
-        z = self.scores(w, lam)
-        return float(np.mean((z >= 0.0) != (self.labels01 == 1.0)))
+        return float(self.epoch_metrics(_block(w), lam)[1][0])
 
 
 def cubic_logistic_problem(features, labels01):
@@ -343,17 +378,16 @@ class QuadraticTrackingProblem(HomotopyProblem):
         self.dimension = 1
         self.sample_count = b.size
 
-    def full_objective(self, w, lam):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        return float(0.5 * self.mu * (w[0] - lam) ** 2)
+    def objective(self, W, lam):
+        _check_lambda(lam)
+        return 0.5 * self.mu * (W[:, 0] - lam) ** 2
 
-    def minibatch_value_and_gradient(self, w, lam, indices):
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        d = w[0] - lam
-        b = self.offsets[indices]
-        value = float(0.5 * self.mu * d**2 + self.mu * np.mean(b) * d)
-        grad = np.array([self.mu * d + self.mu * np.mean(b)])
-        return value, grad
+    def gradient(self, W, lam, idx=None, with_value=False):
+        _check_lambda(lam)
+        d = W[:, :1] - lam
+        b = np.mean(self.offsets if idx is None else self.offsets[idx], axis=-1, keepdims=True)
+        grad = self.mu * d + self.mu * b
+        return ((0.5 * self.mu * d**2 + self.mu * b * d)[:, 0], grad) if with_value else grad
 
     def oracle_variance(self, minibatch):
         """Exact E||g - grad f||^2 for sampling without replacement."""

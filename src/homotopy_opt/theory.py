@@ -10,7 +10,9 @@ formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+
+from .core import ConfigurationError
 
 
 class InfeasibleError(ValueError):
@@ -61,6 +63,9 @@ class TheoryConstants:
         unknown = set(data) - known
         if unknown:
             raise InfeasibleError(f"unknown constant names: {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        if missing:
+            raise ConfigurationError(f"missing constants: {sorted(missing)}")
         return cls(**data)
 
 

@@ -105,6 +105,21 @@ def test_theory_unknown_constant_is_config_error(tmp_path):
     assert cli.main(["theory", "--constants", path]) == cli.EXIT_CONFIG
 
 
+def test_theory_missing_constant_is_config_error(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", {"L": 1.0, "mu": 1.0})
+    assert cli.main(["theory", "--constants", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "missing constants" in err and "'sigma2'" in err and "'n'" in err
+
+
+def test_run_unusable_threshold_metric_is_config_error(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "moons-logistic", "threshold": 0.1, "threshold_metric": "gap"})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_gen_data_subcommand(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"experiment": "moons-logistic",
                                              "dataset": {"N": 20}})

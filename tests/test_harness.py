@@ -1,18 +1,27 @@
-"""Experiment orchestration: configs, traces, metadata replay, batched runs."""
+"""Experiment orchestration: configs, traces, metadata replay, lockstep runs."""
 
 import json
-import math
+import pickle
 
 import numpy as np
 import pytest
 
-from homotopy_opt import harness
-from homotopy_opt.core import ConfigurationError, SgdConfig, make_schedule, steps_per_epoch
+from homotopy_opt import diagnostics, harness
+from homotopy_opt.core import (
+    ConfigurationError,
+    NonFiniteError,
+    SgdConfig,
+    hsgd_run,
+    make_rng,
+    make_schedule,
+    sgd_run,
+    steps_per_epoch,
+)
 from homotopy_opt.harness import (
     CSV_HEADER,
     ExperimentConfig,
-    _run_repeat,
-    _run_repeats_mlp_batched,
+    _fstar_table,
+    _run_arm,
     _sgd_total_steps,
     epochs_to_threshold,
     run_experiment,
@@ -39,6 +48,22 @@ def test_config_rejects_unknown_values(tmp_path):
         ExperimentConfig.from_dict({"experiment": "toy-erf", "method": "adam"})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"experiment": "toy-erf", "repeats": 0})
+
+
+@pytest.mark.parametrize("experiment, metric", [
+    ("moons-logistic", "gap"),       # no f* oracle
+    ("toy-erf", "error"),            # no classifier
+    ("sine-mlp", "error"),
+    ("synthetic-lq", "error"),
+    ("toy-erf", "gpa"),              # not a metric at all
+])
+def test_config_rejects_unusable_threshold_metric(tmp_path, experiment, metric):
+    raw = {"experiment": experiment, "threshold": 0.1, "threshold_metric": metric,
+           "out_dir": str(tmp_path / "run")}
+    with pytest.raises(ConfigurationError, match="threshold_metric"):
+        ExperimentConfig.from_dict(raw)
+    # Rejected before any compute: the run never starts, so it writes nothing.
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_merges_defaults_and_overrides():
@@ -156,25 +181,108 @@ def test_moons_error_metric_and_csv(tmp_path):
 # ----------------------------------------------------------------- MLP arm
 
 
-def test_mlp_batched_matches_sequential(tmp_path):
-    cfg = tiny_config(tmp_path, "sine-mlp", repeats=3,
-                      dataset={"N": 40}, optimizer={"k": 30, "n": 4})
-    dataset = harness.build_dataset(cfg)
-    problem, w0 = harness.build_problem(cfg, dataset)
+LOCKSTEP_CASES = {
+    "toy-erf": {"dataset": {"N": 40}, "optimizer": {"minibatch": 10}},
+    "sine-mlp": {"dataset": {"N": 40}},
+    "moons-logistic": {"dataset": {"N": 100}},
+    "synthetic-lq": {},
+}
+
+# The second per-epoch metric of each family, at a single point.
+POINT_AUX = {
+    "sine-mlp": lambda p: lambda w, lam: p.full_objective(w, 1.0),
+    "moons-logistic": lambda p: p.classification_error,
+}
+
+
+def sequential_arm(problem, w0, method, sched, cfg_sgd, seed, aux_fn, budget_factor):
+    """One repeat through the single-point sgd_run / hsgd_run, recorded like an arm."""
+    lam0 = 0.0 if method == "hsgd" else 1.0
+    lams, objs = [lam0], [problem.full_objective(w0, lam0)]
+    auxs = [aux_fn(w0, lam0)] if aux_fn else []
+
+    def sink(step, lam, w, fval):
+        lams.append(lam)
+        objs.append(fval)
+        if aux_fn:
+            auxs.append(aux_fn(w, lam))
+
+    rng = make_rng(seed)
+    if method == "hsgd":
+        hsgd_run(w0, sched, cfg_sgd, problem, rng, sink=sink)
+    else:
+        total = _sgd_total_steps(cfg_sgd, sched, budget_factor)
+        flat = SgdConfig(cfg_sgd.alpha, total, cfg_sgd.minibatch,
+                         record_every=cfg_sgd.record_every)
+        sgd_run(w0, flat, problem, 1.0, rng, sink=sink)
+    return np.array(lams), np.array(objs), np.array(auxs)
+
+
+@pytest.mark.parametrize("experiment", sorted(LOCKSTEP_CASES))
+def test_lockstep_engine_matches_single_repeat_runs(tmp_path, experiment):
+    cfg = tiny_config(tmp_path, experiment, **LOCKSTEP_CASES[experiment])
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    minibatch = int(cfg.optimizer["minibatch"])
+    alpha = cfg.optimizer["alpha"]
+    alpha = 0.05 if alpha == "auto" else float(alpha)
+    cfg_sgd = SgdConfig(alpha, 30, minibatch,
+                        record_every=steps_per_epoch(problem.sample_count, minibatch))
     sched = make_schedule("exponential", 4, eta=0.5)
-    every = steps_per_epoch(40, 5)
-    cfg_sgd = SgdConfig(0.05, 30, 5, record_every=every)
+    point_aux = POINT_AUX[experiment](problem) if experiment in POINT_AUX else None
     seeds = [11, 12, 13]
-    aux_fn = lambda w, lam: problem.full_objective(w, 1.0)  # noqa: E731
     for method in ("sgd", "hsgd"):
-        batched = _run_repeats_mlp_batched(problem, w0, method, sched, cfg_sgd, seeds,
-                                           budget_factor=2)
-        for seed, (lam_b, obj_b, aux_b) in zip(seeds, batched):
-            lam_s, obj_s, aux_s = _run_repeat(problem, w0, method, sched, cfg_sgd,
-                                              seed, aux_fn=aux_fn, budget_factor=2)
+        lam_b, obj_b, aux_b = _run_arm(problem, w0, method, sched, cfg_sgd, seeds,
+                                       budget_factor=2)
+        assert (aux_b is None) == (point_aux is None)
+        for r, seed in enumerate(seeds):
+            lam_s, obj_s, aux_s = sequential_arm(problem, w0, method, sched, cfg_sgd, seed,
+                                                 point_aux, budget_factor=2)
             assert np.array_equal(lam_b, lam_s)
-            assert np.max(np.abs(obj_b - obj_s)) < 1e-9
-            assert np.max(np.abs(aux_b - aux_s)) < 1e-9
+            assert np.max(np.abs(obj_b[r] - obj_s)) < 1e-9
+            if point_aux is not None:
+                assert np.max(np.abs(aux_b[r] - aux_s)) < 1e-9
+
+
+def test_nonfinite_block_names_the_repeat(tmp_path):
+    cfg = tiny_config(tmp_path, "toy-erf")
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    W0 = np.array([w0, [np.nan], w0])
+    rngs = [make_rng(seed) for seed in (1, 2, 3)]
+    with pytest.raises(NonFiniteError, match=r"step 1 \(repeat 1\)") as err:
+        sgd_run(W0, SgdConfig(0.1, 5, 10), problem, 1.0, rngs)
+    assert (err.value.step, err.value.repeat) == (1, 1)
+
+
+@pytest.mark.parametrize("experiment", sorted(LOCKSTEP_CASES))
+def test_runs_leave_the_problem_unmutated(tmp_path, experiment):
+    cfg = tiny_config(tmp_path, experiment, **LOCKSTEP_CASES[experiment])
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    before = pickle.dumps(vars(problem))
+    cfg_sgd = SgdConfig(0.05, 6, int(cfg.optimizer["minibatch"]), record_every=1)
+    sched = make_schedule("constant", 2)
+    for method in ("sgd", "hsgd"):
+        _run_arm(problem, w0, method, sched, cfg_sgd, [1, 2])
+    hsgd_run(w0, sched, cfg_sgd, problem, make_rng(3), sink=lambda *_: None)
+    diagnostics.estimate_sigma2(problem, 0.5, [w0], cfg_sgd.minibatch, 5, make_rng(4))
+    assert pickle.dumps(vars(problem)) == before
+
+
+def test_fstar_coarse_grid_equals_fine_grid():
+    # The 1e-2 grid only has to bracket the minimum for the bisection
+    # refine; on the experiment's own lambda set it lands on the same bits
+    # as the 1e-4 grid it replaced as the default.
+    cfg = ExperimentConfig.from_dict({"experiment": "toy-erf"})
+    assert cfg.problem["fstar_grid"]["step"] == 1e-2
+    fine = ExperimentConfig.from_dict({"experiment": "toy-erf", "problem": {
+        "fstar_grid": {"lo": -10.0, "hi": 10.0, "step": 1e-4}}})
+    problem, _ = harness.build_problem(cfg, harness.build_dataset(cfg))
+    opt = cfg.optimizer
+    sched = make_schedule(opt["schedule"], int(opt["n"]), eta=opt["eta"])
+    lambdas = np.concatenate([[0.0], sched.lambdas(), [1.0]])
+    coarse_table = _fstar_table(cfg, problem, lambdas)
+    fine_table = _fstar_table(fine, problem, lambdas)
+    assert len(coarse_table) == len(set(lambdas.tolist()))
+    assert coarse_table == fine_table
 
 
 def test_mlp_gap_column_is_target_loss(tmp_path):

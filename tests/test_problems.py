@@ -97,9 +97,9 @@ def test_erf_zero_residual_dataset():
     assert abs(grad[0]) < 1e-15
 
 
-def test_erf_objective_on_grid_matches_scalar(small_erf):
+def test_erf_batched_objective_matches_scalar(small_erf):
     ws = np.linspace(-3, 3, 11)
-    grid_vals = small_erf.objective_on_grid(ws, 0.4)
+    grid_vals = small_erf.objective(ws[:, None], 0.4)
     for w, v in zip(ws, grid_vals):
         assert abs(v - small_erf.full_objective(np.array([w]), 0.4)) < 1e-14
 
@@ -218,6 +218,14 @@ def test_quadratic_tracking_objective_and_offsets():
     assert abs(prob.offsets.mean()) < 1e-15
     assert prob.full_objective(np.array([0.5]), 0.5) == 0.0
     assert prob.full_objective(np.array([1.5]), 0.5) == 1.0
+
+
+def test_quadratic_tracking_validates_lambda():
+    prob = quadratic_tracking_problem(1.0, np.array([0.5, -0.5]))
+    with pytest.raises(DomainError):
+        prob.full_objective(np.array([0.0]), 1.2)
+    with pytest.raises(DomainError):
+        prob.minibatch_value_and_gradient(np.array([0.0]), -0.1, np.array([0]))
 
 
 def test_quadratic_oracle_variance_matches_enumeration():
