@@ -1,6 +1,6 @@
 """Homotopy-continuation SGD: optimizer, problem families, diagnostics and theory calculators."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     ConfigurationError,

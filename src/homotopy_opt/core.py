@@ -17,6 +17,14 @@ import numpy as np
 
 SUM_TOL = 1e-12
 
+# The minibatch stream contract recorded in every run's metadata; a replay
+# under another contract would silently produce different traces.
+SAMPLER = "floyd-block-v1"
+# Steps whose minibatches are drawn in one call. Not part of the contract:
+# the indices do not depend on it. 64 keeps the (R, 64, M) int64 block of a
+# lockstep run near 1 MB (moons-logistic: R = 100, M = 20).
+SAMPLER_BLOCK = 64
+
 
 def clamp_lambda(lam):
     """Snap an accumulated homotopy parameter onto [0, 1].
@@ -157,11 +165,30 @@ def make_schedule(kind, n, eta=None, explicit=None, epsilon1=None):
     raise ConfigurationError(f"unknown schedule kind {kind!r}")
 
 
-def _draw_minibatch(rng, sample_count, minibatch):
+def _draw_minibatch(rng, sample_count, minibatch, steps):
+    """The next ``steps`` minibatches of one generator, or of each of a sequence of R.
+
+    Returns a (steps, minibatch) block of index rows for one generator and
+    a (steps, R, minibatch) block for R, each row a uniform subset of
+    range(sample_count). Floyd's algorithm (Bentley & Floyd, "A sample of
+    brilliance", CACM 1987) on every row at once: column c draws t uniformly
+    from [0, hi_c], with hi_c = N - M + c, and takes hi_c instead when t
+    already occurs earlier in its row. Each generator makes one ``integers``
+    call, which numpy fills element by element in C order, so a stream's rows
+    do not depend on how its steps are cut into blocks nor on R. A full batch
+    (M = N) draws nothing and returns None.
+    """
     if minibatch == sample_count:
-        # Still consumes one draw so the stream advances identically for all M.
-        return rng.permutation(sample_count)
-    return rng.choice(sample_count, size=minibatch, replace=False)
+        return None
+    hi = np.arange(sample_count - minibatch, sample_count)
+    if isinstance(rng, np.random.Generator):
+        block = rng.integers(0, hi + 1, size=(steps, minibatch))
+    else:
+        block = np.stack([g.integers(0, hi + 1, size=(steps, minibatch)) for g in rng], axis=1)
+    for c in range(1, minibatch):
+        dup = (block[..., :c] == block[..., c:c + 1]).any(axis=-1)
+        block[..., c][dup] = hi[c]
+    return block
 
 
 def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
@@ -186,13 +213,14 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
 
     The SGD engine. ``w0`` is one start point of shape (d,) with its
     generator ``rng``, or an (R, d) block of R repeats with a sequence of R
-    generators, all stepped in lockstep. Each step, every repeat draws a
-    minibatch of cfg.minibatch distinct sample indices from its own stream,
-    in repeat order, so a repeat's trajectory does not depend on R. A block
-    goes through the batched oracle (``problem.gradient``,
-    ``problem.epoch_metrics``); one point through the single-point one
-    (``minibatch_value_and_gradient``, ``full_objective``), one call per
-    step and per record, as a sequential solver makes them.
+    generators, all stepped in lockstep. Every SAMPLER_BLOCK steps, each
+    repeat draws the next block of minibatches (cfg.minibatch distinct
+    sample indices per step) from its own stream, in repeat order, so a
+    repeat's trajectory does not depend on R; a full batch passes
+    ``idx=None`` and draws nothing. A block goes through the batched oracle
+    (``problem.gradient``, ``problem.epoch_metrics``); one point through the
+    single-point one (``minibatch_value_and_gradient``, ``full_objective``),
+    one call per step and per record, as a sequential solver makes them.
 
     ``sink``, when present, is called as sink(global_step, lam, w, f) at
     multiples of cfg.record_every. f is the full objective of a point; for
@@ -202,47 +230,45 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
     NaN/Inf.
     """
     single = isinstance(rng, np.random.Generator)
-    rngs = None if single else list(rng)
+    if not single:
+        rng = list(rng)
     w0 = np.asarray(w0, dtype=float)
-    expected = (problem.dimension,) if single else (len(rngs), problem.dimension)
+    expected = (problem.dimension,) if single else (len(rng), problem.dimension)
     if w0.shape != expected:
         raise ConfigurationError(
             f"initial point has shape {w0.shape}, expected {expected} "
-            f"for {'one generator' if single else f'{len(rngs)} generators'}"
+            f"for {'one generator' if single else f'{len(rng)} generators'}"
         )
     if cfg.minibatch > problem.sample_count:
         raise ConfigurationError(
             f"minibatch size {cfg.minibatch} exceeds sample count {problem.sample_count}"
         )
-    sample_count = problem.sample_count
-    minibatch = cfg.minibatch
     if single:
-        def draw():
-            return _draw_minibatch(rng, sample_count, minibatch)
-
         def gradient(w, lam, idx):
             return problem.minibatch_value_and_gradient(w, lam, idx)[1]
 
         metrics = problem.full_objective
     else:
-        def draw():
-            return np.stack([_draw_minibatch(g, sample_count, minibatch) for g in rngs])
-
         gradient, metrics = problem.gradient, problem.epoch_metrics
     w = w0
     alpha = cfg.alpha
     record = sink is not None and cfg.record_every is not None
-    for t in range(1, cfg.steps + 1):
-        step = step_offset + t
-        grad = gradient(w, lam, draw())
-        w = w - alpha * grad
-        # A NaN/Inf in the gradient reaches the iterate, so one screen of the
-        # iterate covers both. A finite sum certifies a finite block, so the
-        # row scan only runs on suspect steps; a sum never calls threaded BLAS.
-        if not math.isfinite(w.sum()):
-            _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam)
-        if record and step % cfg.record_every == 0:
-            sink(step, lam, w, metrics(w, lam))
+    step = step_offset
+    for start in range(0, cfg.steps, SAMPLER_BLOCK):
+        steps = min(SAMPLER_BLOCK, cfg.steps - start)
+        block = _draw_minibatch(rng, problem.sample_count, cfg.minibatch, steps)
+        for idx in [None] * steps if block is None else block:
+            step += 1
+            grad = gradient(w, lam, idx)
+            w = w - alpha * grad
+            # A NaN/Inf in the gradient reaches the iterate, so one screen of
+            # the iterate covers both. A finite sum certifies a finite block,
+            # so the row scan only runs on suspect steps; a sum never calls
+            # threaded BLAS.
+            if not math.isfinite(w.sum()):
+                _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam)
+            if record and step % cfg.record_every == 0:
+                sink(step, lam, w, metrics(w, lam))
     return w
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigurationError, make_rng
+from .core import ConfigurationError, _draw_minibatch, make_rng
 
 
 class EstimationError(RuntimeError):
@@ -77,12 +77,11 @@ def estimate_sigma2(problem, lam, w_samples, minibatch, draws, rng):
     for w in w_samples:
         w = np.atleast_1d(np.asarray(w, dtype=float))
         full = problem.full_gradient(w, lam)
-        if minibatch == n:
+        idx = _draw_minibatch(rng, n, minibatch, draws)
+        if idx is None:
             # Ordered indices keep the summation identical to the full
             # gradient, so the full-batch estimate is exactly zero.
             idx = np.tile(np.arange(n), (draws, 1))
-        else:
-            idx = np.stack([rng.choice(n, size=minibatch, replace=False) for _ in range(draws)])
         # All draws at once through the batched oracle, one row per draw.
         diff = problem.gradient(np.tile(w, (draws, 1)), lam, idx) - full
         worst = max(worst, sum(np.einsum("rk,rk->r", diff, diff).tolist()) / draws)

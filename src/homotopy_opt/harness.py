@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, datasets, diagnostics
 from .core import (
+    SAMPLER,
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
@@ -91,6 +92,29 @@ THRESHOLD_METRICS = {
     "synthetic-lq": ("objective", "gap"),
 }
 
+# Keys a config section may hold beyond those of DEFAULTS[experiment]: the
+# ones the harness reads with a fallback of its own. Any other key is an error.
+OPTIONAL_KEYS = {
+    "dataset": {"seed"},
+    "optimizer": {"explicit"},
+    "problem": {"L_pairs", "L_radius"},
+}
+
+
+def _check_keys(raw, experiment):
+    """Reject a key nothing reads: a misspelt one would silently run on defaults."""
+    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+    for section, optional in OPTIONAL_KEYS.items():
+        given = raw.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigurationError(f"config section {section!r} must be an object")
+        allowed = set(DEFAULTS[experiment][section]) | optional
+        if section == "problem" and experiment == "sine-mlp":
+            allowed.add("init_seed")
+        unknown += [f"{section}.{key}" for key in sorted(set(given) - allowed)]
+    if unknown:
+        raise ConfigurationError(f"unknown config keys for {experiment}: {', '.join(unknown)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -109,12 +133,21 @@ class ExperimentConfig:
     def from_dict(cls, raw):
         raw = copy.deepcopy(raw)
         if "config" in raw:  # metadata file: replay its materialized config
+            recorded = raw.get("sampler")
+            if recorded != SAMPLER:
+                written = (f"sampler {recorded!r}" if recorded else
+                           "no sampler (the per-step sampler before version 0.2.0)")
+                raise ConfigurationError(
+                    f"metadata records {written} but this library draws minibatches with "
+                    f"sampler {SAMPLER!r}; a replay would not reproduce its traces"
+                )
             raw = raw["config"]
         experiment = raw.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
             )
+        _check_keys(raw, experiment)
         defaults = copy.deepcopy(DEFAULTS[experiment])
         cfg = cls(
             experiment=experiment,
@@ -415,6 +448,7 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
     metadata = {
         "config": cfg.to_dict(),
         "library_version": __version__,
+        "sampler": SAMPLER,
         "L_tilde": L_tilde,
         "alpha_resolved": alpha,
         "steps_per_epoch": every,

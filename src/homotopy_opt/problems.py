@@ -5,11 +5,11 @@ iterates, one row per repeat: ``gradient(W, lam, idx)`` is each row's mean
 gradient over the samples ``idx[r]`` of row r, or over all N samples when
 ``idx`` is None, and ``objective(W, lam)`` each row's full objective. The
 single-point surface, ``full_objective(w, lam)``, ``full_gradient(w, lam)``
-and ``minibatch_value_and_gradient(w, lam, indices)``, derives from it. The
-minibatch gradient over all N indices equals the full gradient and minibatch
-gradients are unbiased estimates of it. Instances are immutable after
-construction and all evaluations are pure, so they are safe to share across
-concurrent runs.
+and ``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples),
+derives from it. The minibatch gradient over all N indices equals the full
+gradient and minibatch gradients are unbiased estimates of it. Instances are
+immutable after construction and all evaluations are pure, so they are safe
+to share across concurrent runs.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ class HomotopyProblem:
         return float(self.objective(_block(w), lam)[0])
 
     def minibatch_value_and_gradient(self, w, lam, indices):
-        values, grads = self.gradient(_block(w), lam, np.asarray(indices)[None], with_value=True)
+        idx = None if indices is None else np.asarray(indices)[None]
+        values, grads = self.gradient(_block(w), lam, idx, with_value=True)
         return float(values[0]), grads[0]
 
     def full_gradient(self, w, lam):

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from homotopy_opt import cli
+from homotopy_opt.core import SAMPLER
 
 LQ_CONSTANTS = {
     "L": 1.0, "mu": 1.0, "sigma2": 0.11746318454690335, "delta": 1.0, "gamma": 1.0,
@@ -118,6 +121,39 @@ def test_run_unusable_threshold_metric_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "synthetic-lq", "optimiser": {"k": 3}},    # misspelt section
+    {"experiment": "synthetic-lq", "optimizer": {"kk": 3}},   # misspelt key
+])
+def test_run_unknown_config_key_is_config_error(tmp_path, capsys, raw):
+    cfg = write_json(tmp_path / "cfg.json", raw)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replaying_pre_sampler_metadata_is_config_error(tmp_path, capsys):
+    # A metadata file written before the sampler contract was versioned:
+    # its traces came from another minibatch stream, so replay must refuse.
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "repeats": 2, "optimizer": {"k": 4, "n": 2}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    meta = json.loads((tmp_path / "a" / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["sampler"] == SAMPLER
+    del meta["sampler"]
+    meta["library_version"] = "0.1.0"
+    meta["config"]["out_dir"] = str(tmp_path / "b")
+    old = write_json(tmp_path / "old-metadata.json", meta)
+    assert cli.main(["run", "--config", old]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "no sampler" in err and repr(SAMPLER) in err
+    assert not (tmp_path / "b").exists()
+    other = write_json(tmp_path / "other-metadata.json", {**meta, "sampler": "floyd-block-v0"})
+    assert cli.main(["run", "--config", other]) == cli.EXIT_CONFIG
+    assert "'floyd-block-v0'" in capsys.readouterr().err
 
 
 def test_gen_data_subcommand(tmp_path):

@@ -7,9 +7,11 @@ import pytest
 
 from homotopy_opt import diagnostics
 from homotopy_opt.core import (
+    SAMPLER_BLOCK,
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
+    _draw_minibatch,
     clamp_lambda,
     hsgd_run,
     make_rng,
@@ -54,6 +56,24 @@ class BlowupProblem(HomotopyProblem):
         self.calls += 1
         g = np.inf if self.calls >= self.bad_step else 1.0
         return 0.0, np.array([g])
+
+
+class IndexRecorder(HomotopyProblem):
+    """Zero gradient; keeps the index block of every oracle call."""
+
+    dimension = 1
+
+    def __init__(self, samples):
+        self.sample_count = samples
+        self.blocks = []
+
+    def objective(self, W, lam):
+        return np.zeros(len(W))
+
+    def gradient(self, W, lam, idx=None, with_value=False):
+        self.blocks.append(None if idx is None else np.array(idx))
+        grads = np.zeros_like(W)
+        return (np.zeros(len(W)), grads) if with_value else grads
 
 
 def test_single_half_step_on_quadratic():
@@ -230,3 +250,68 @@ def test_final_lambda_contract_enforced():
     object.__setattr__(bad, "increments", np.array([0.25, 0.25, 0.25, 0.2]))
     with pytest.raises(ConfigurationError, match="differs from 1"):
         hsgd_run(np.array([1.0]), bad, SgdConfig(0.1, 1, 4), prob, make_rng(0))
+
+
+# ------------------------------------------------------------------- sampler
+
+
+def test_sampler_rows_do_not_depend_on_block_size():
+    N, M = 500, 5
+    whole = _draw_minibatch(make_rng(3), N, M, 1000)
+    rng = make_rng(3)
+    one_by_one = np.concatenate([_draw_minibatch(rng, N, M, 1) for _ in range(1000)])
+    assert np.array_equal(whole, one_by_one)
+    rng = make_rng(3)
+    uneven = np.concatenate([_draw_minibatch(rng, N, M, b) for b in (37, 1, SAMPLER_BLOCK, 898)])
+    assert np.array_equal(whole, uneven)
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_engine_indices_do_not_depend_on_block_or_stage_length(repeats):
+    # k = 100 is not a multiple of SAMPLER_BLOCK, so every stage ends on a
+    # clipped block; each repeat's rows still read as one draw of n * k rows.
+    N, M, k = 50, 4, 100
+    assert k % SAMPLER_BLOCK
+    seeds = [stream_seed(7, r) for r in range(repeats)]
+    prob = IndexRecorder(N)
+    sched = make_schedule("constant", 2)
+    if repeats == 1:
+        hsgd_run(np.zeros(1), sched, SgdConfig(0.1, k, M), prob, make_rng(seeds[0]))
+    else:
+        hsgd_run(np.zeros((repeats, 1)), sched, SgdConfig(0.1, k, M), prob,
+                 [make_rng(s) for s in seeds])
+    seen = np.stack(prob.blocks)
+    assert seen.shape == (2 * k, repeats, M)
+    for r, seed in enumerate(seeds):
+        assert np.array_equal(seen[:, r], _draw_minibatch(make_rng(seed), N, M, 2 * k))
+
+
+@pytest.mark.parametrize("N, M", [(500, 5), (1000, 20), (64, 8), (10, 9), (7, 1)])
+def test_sampler_rows_are_distinct_indices_in_range(N, M):
+    rows = _draw_minibatch(make_rng(11), N, M, 2000)
+    assert rows.shape == (2000, M)
+    assert rows.min() >= 0 and rows.max() < N
+    assert all(len(set(row)) == M for row in rows.tolist())
+
+
+def test_sampler_subsets_are_uniform():
+    # Every one of the C(5, 3) = 10 subsets is equally likely. At this fixed
+    # seed the chi-square statistic (9 degrees of freedom) must stay below
+    # 27.88, which a uniform sampler exceeds with probability 0.001.
+    draws = 100_000
+    rows = np.sort(_draw_minibatch(make_rng(2024), 5, 3, draws), axis=1)
+    subsets, counts = np.unique(rows, axis=0, return_counts=True)
+    assert len(subsets) == 10
+    expected = draws / 10
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    assert chi2 < 27.88, chi2
+
+
+def test_full_batch_draws_nothing():
+    rng = make_rng(5)
+    state = rng.bit_generator.state
+    assert _draw_minibatch(rng, 100, 100, SAMPLER_BLOCK) is None
+    assert rng.bit_generator.state == state
+    prob = IndexRecorder(6)
+    sgd_run(np.zeros((2, 1)), SgdConfig(0.1, 3, 6), prob, 1.0, [make_rng(0), make_rng(1)])
+    assert prob.blocks == [None] * 3

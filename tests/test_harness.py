@@ -8,6 +8,7 @@ import pytest
 
 from homotopy_opt import diagnostics, harness
 from homotopy_opt.core import (
+    SAMPLER,
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
@@ -76,7 +77,8 @@ def test_config_merges_defaults_and_overrides():
 
 
 def test_config_accepts_metadata_wrapper():
-    meta = {"config": {"experiment": "synthetic-lq", "repeats": 7}, "library_version": "x"}
+    meta = {"config": {"experiment": "synthetic-lq", "repeats": 7}, "library_version": "x",
+            "sampler": SAMPLER}
     cfg = ExperimentConfig.from_dict(meta)
     assert cfg.experiment == "synthetic-lq" and cfg.repeats == 7
 
