@@ -20,10 +20,17 @@ SUM_TOL = 1e-12
 # The minibatch stream contract recorded in every run's metadata; a replay
 # under another contract would silently produce different traces.
 SAMPLER = "floyd-block-v1"
-# Steps whose minibatches are drawn in one call. Not part of the contract:
-# the indices do not depend on it. 64 keeps the (R, 64, M) int64 block of a
-# lockstep run near 1 MB (moons-logistic: R = 100, M = 20).
-SAMPLER_BLOCK = 64
+# Index elements (steps x repeats x minibatch) drawn in one sampler call: a
+# run draws the minibatches of B = max(1, SAMPLER_BLOCK_ELEMENTS // (R * M))
+# steps at once, clipped to the stage. Not part of the contract: the indices
+# do not depend on B. 128,000 int64 elements are 1 MB, the block of 64 steps
+# of moons-logistic (R = 100, M = 20); sine-mlp (M = 5) gets 256 steps.
+SAMPLER_BLOCK_ELEMENTS = 128_000
+# Matrix elements (rows x samples) one epoch-metrics evaluation works on: a
+# record evaluates problem.epoch_metrics on max(1, EPOCH_CHUNK_ELEMENTS // N)
+# rows at a time. The per-sample temporaries of a whole block (sine-mlp:
+# R x N x 10) spill out of cache; each row's arithmetic does not change.
+EPOCH_CHUNK_ELEMENTS = 25_000
 
 
 def clamp_lambda(lam):
@@ -181,14 +188,37 @@ def _draw_minibatch(rng, sample_count, minibatch, steps):
     if minibatch == sample_count:
         return None
     hi = np.arange(sample_count - minibatch, sample_count)
-    if isinstance(rng, np.random.Generator):
-        block = rng.integers(0, hi + 1, size=(steps, minibatch))
-    else:
-        block = np.stack([g.integers(0, hi + 1, size=(steps, minibatch)) for g in rng], axis=1)
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    # Column-major copy: column c of every row of every repeat is one
+    # contiguous slab cols[c], compared with all earlier (already resolved)
+    # columns at once and reduced over the leading axis.
+    cols = np.empty((minibatch, steps, len(rngs)), dtype=np.int64)
+    for r, g in enumerate(rngs):
+        cols[:, :, r] = g.integers(0, hi + 1, size=(steps, minibatch)).T
     for c in range(1, minibatch):
-        dup = (block[..., :c] == block[..., c:c + 1]).any(axis=-1)
-        block[..., c][dup] = hi[c]
-    return block
+        dup = (cols[:c] == cols[c]).any(axis=0)
+        np.copyto(cols[c], hi[c], where=dup)
+    # Back to row-major: a gather's result takes the layout of its index
+    # array, and a family's reductions over it must see the same layout.
+    block = np.ascontiguousarray(np.moveaxis(cols, 0, -1))
+    return block[:, 0] if single else block
+
+
+def epoch_metrics_in_chunks(problem, W, lam):
+    """``problem.epoch_metrics(W, lam)``, evaluated EPOCH_CHUNK_ELEMENTS at a time.
+
+    Rows are evaluated in chunks of max(1, EPOCH_CHUNK_ELEMENTS // N); the
+    objectives and second metrics (None when the family has none) are
+    concatenated in row order.
+    """
+    rows = max(1, EPOCH_CHUNK_ELEMENTS // problem.sample_count)
+    if len(W) <= rows:
+        return problem.epoch_metrics(W, lam)
+    parts = [problem.epoch_metrics(W[i:i + rows], lam) for i in range(0, len(W), rows)]
+    objective = np.concatenate([obj for obj, _ in parts])
+    aux = None if parts[0][1] is None else np.concatenate([a for _, a in parts])
+    return objective, aux
 
 
 def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
@@ -213,12 +243,12 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
 
     The SGD engine. ``w0`` is one start point of shape (d,) with its
     generator ``rng``, or an (R, d) block of R repeats with a sequence of R
-    generators, all stepped in lockstep. Every SAMPLER_BLOCK steps, each
-    repeat draws the next block of minibatches (cfg.minibatch distinct
-    sample indices per step) from its own stream, in repeat order, so a
-    repeat's trajectory does not depend on R; a full batch passes
-    ``idx=None`` and draws nothing. A block goes through the batched oracle
-    (``problem.gradient``, ``problem.epoch_metrics``); one point through the
+    generators, all stepped in lockstep. Every B steps (see
+    SAMPLER_BLOCK_ELEMENTS), each repeat draws the next block of minibatches
+    (cfg.minibatch distinct sample indices per step) from its own stream, in
+    repeat order, so a repeat's trajectory does not depend on R; a full
+    batch passes ``idx=None`` and draws nothing. A block goes through the batched oracle
+    (``problem.gradient``, ``epoch_metrics_in_chunks``); one point through the
     single-point one (``minibatch_value_and_gradient``, ``full_objective``),
     one call per step and per record, as a sequential solver makes them.
 
@@ -249,13 +279,18 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
 
         metrics = problem.full_objective
     else:
-        gradient, metrics = problem.gradient, problem.epoch_metrics
+        gradient = problem.gradient
+
+        def metrics(W, lam):
+            return epoch_metrics_in_chunks(problem, W, lam)
+    repeats = 1 if single else len(rng)
+    block_steps = max(1, SAMPLER_BLOCK_ELEMENTS // (repeats * cfg.minibatch))
     w = w0
     alpha = cfg.alpha
     record = sink is not None and cfg.record_every is not None
     step = step_offset
-    for start in range(0, cfg.steps, SAMPLER_BLOCK):
-        steps = min(SAMPLER_BLOCK, cfg.steps - start)
+    for start in range(0, cfg.steps, block_steps):
+        steps = min(block_steps, cfg.steps - start)
         block = _draw_minibatch(rng, problem.sample_count, cfg.minibatch, steps)
         for idx in [None] * steps if block is None else block:
             step += 1

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from .core import (
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
+    epoch_metrics_in_chunks,
     hsgd_run,
     make_rng,
     make_schedule,
@@ -101,6 +104,79 @@ OPTIONAL_KEYS = {
 }
 
 
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    # A chained comparison, unlike math.isfinite, never overflows on a huge int.
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
+def _is_positive(v):
+    return _is_real(v) and v > 0
+
+
+def _is_grid(v):
+    return (isinstance(v, dict) and set(v) == {"lo", "hi", "step"}
+            and all(map(_is_real, v.values())) and v["lo"] < v["hi"] and v["step"] > 0)
+
+
+_INT_POSITIVE = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_INT_SEED = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_REAL = ("a finite number", _is_real)
+_REAL_NONNEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
+_REAL_POSITIVE = ("a finite number > 0", _is_positive)
+
+# Type and range of every config value, as (description, predicate). Integer
+# fields reject bools and non-integral numbers: a run would otherwise
+# truncate 2.5 to 2 steps or read true as one repeat.
+VALUE_RULES = {
+    "repeats": _INT_POSITIVE,
+    "master_seed": _INT_SEED,
+    "threshold": ("null or a finite number", lambda v: v is None or _is_real(v)),
+    "dataset.N": _INT_POSITIVE,
+    "dataset.seed": _INT_SEED,
+    "dataset.slope": _REAL,
+    "dataset.noise_std": _REAL_NONNEGATIVE,
+    "dataset.freq": _REAL,
+    "dataset.offset_std": _REAL_NONNEGATIVE,
+    "optimizer.alpha": ('"auto" or a finite number > 0', lambda v: v == "auto" or _is_positive(v)),
+    "optimizer.minibatch": _INT_POSITIVE,
+    "optimizer.k": _INT_POSITIVE,
+    "optimizer.n": _INT_POSITIVE,
+    "optimizer.schedule": ('"constant", "exponential" or "explicit"',
+                           lambda v: v in ("constant", "exponential", "explicit")),
+    "optimizer.eta": _REAL_NONNEGATIVE,
+    "optimizer.sgd_budget_factor": _REAL_POSITIVE,
+    "optimizer.explicit": ("a list of finite numbers > 0",
+                           lambda v: isinstance(v, list) and all(map(_is_positive, v))),
+    "problem.w0": _REAL,
+    "problem.L_radius": _REAL_POSITIVE,
+    "problem.L_pairs": _INT_POSITIVE,
+    "problem.mu": _REAL_POSITIVE,
+    "problem.init_seed": _INT_SEED,
+    "problem.fstar_grid": ("an object of finite numbers lo < hi and step > 0", _is_grid),
+}
+
+
+def _check_values(cfg):
+    """Reject a config value of the wrong type or out of range, before any compute."""
+    values = {"repeats": cfg.repeats, "master_seed": cfg.master_seed,
+              "threshold": cfg.threshold}
+    for section in ("dataset", "optimizer", "problem"):
+        values.update((f"{section}.{key}", v) for key, v in getattr(cfg, section).items())
+    bad = [f"{name} = {values[name]!r} (expected {what})"
+           for name, (what, ok) in VALUE_RULES.items() if name in values and not ok(values[name])]
+    if bad:
+        raise ConfigurationError(f"invalid config values for {cfg.experiment}: {'; '.join(bad)}")
+    if cfg.optimizer["minibatch"] > cfg.dataset["N"]:
+        raise ConfigurationError(
+            f"optimizer.minibatch = {cfg.optimizer['minibatch']} exceeds dataset.N = "
+            f"{cfg.dataset['N']}"
+        )
+
+
 def _check_keys(raw, experiment):
     """Reject a key nothing reads: a misspelt one would silently run on defaults."""
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
@@ -155,22 +231,21 @@ class ExperimentConfig:
             dataset={**defaults["dataset"], **raw.get("dataset", {})},
             optimizer={**defaults["optimizer"], **raw.get("optimizer", {})},
             problem={**defaults["problem"], **raw.get("problem", {})},
-            repeats=int(raw.get("repeats", 100)),
-            master_seed=int(raw.get("master_seed", 20240)),
+            repeats=raw.get("repeats", 100),
+            master_seed=raw.get("master_seed", 20240),
             threshold=raw.get("threshold", defaults["threshold"]),
             threshold_metric=raw.get("threshold_metric", defaults["threshold_metric"]),
             out_dir=raw.get("out_dir", "runs"),
         )
         if cfg.method not in ("sgd", "hsgd", "both"):
             raise ConfigurationError(f"unknown method {cfg.method!r}")
-        if cfg.repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
         if cfg.threshold_metric not in THRESHOLD_METRICS[experiment]:
             raise ConfigurationError(
                 f"threshold_metric {cfg.threshold_metric!r} is unavailable for {experiment}; "
                 f"expected one of {THRESHOLD_METRICS[experiment]}"
             )
         cfg.dataset.setdefault("seed", cfg.master_seed)
+        _check_values(cfg)
         return cfg
 
     def to_dict(self):
@@ -233,7 +308,7 @@ def resolve_alpha(cfg: ExperimentConfig, problem):
     rng = make_rng(cfg.master_seed ^ L_ESTIMATE_SALT)
     L_tilde = diagnostics.estimate_L(
         problem, 1.0,
-        num_pairs=int(cfg.problem.get("L_pairs", 500)),
+        num_pairs=cfg.problem.get("L_pairs", 500),
         radius=float(cfg.problem.get("L_radius", 3.0)),
         rng=rng,
     )
@@ -262,7 +337,8 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
     """Every repeat of one arm in lockstep; returns (lambdas, objectives, aux) per epoch.
 
     Repeat r runs on the stream seeded by ``seeds[r]``. objectives and aux
-    are (R, epochs + 1), from ``problem.epoch_metrics``; aux is None for a
+    are (R, epochs + 1), from ``problem.epoch_metrics``, evaluated in row
+    chunks (``epoch_metrics_in_chunks``); aux is None for a
     family without a second metric.
     """
     W0 = np.tile(w0, (len(seeds), 1))
@@ -282,10 +358,10 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
             aux[:, e] = metrics[1]
 
     if method == "hsgd":
-        sink(0, 0.0, W0, problem.epoch_metrics(W0, 0.0))
+        sink(0, 0.0, W0, epoch_metrics_in_chunks(problem, W0, 0.0))
         hsgd_run(W0, schedule, cfg_sgd, problem, rngs, sink=sink, stage_hook=stage_hook)
     else:
-        sink(0, 1.0, W0, problem.epoch_metrics(W0, 1.0))
+        sink(0, 1.0, W0, epoch_metrics_in_chunks(problem, W0, 1.0))
         flat = SgdConfig(cfg_sgd.alpha, total_steps, cfg_sgd.minibatch, record_every=every)
         sgd_run(W0, flat, problem, 1.0, rngs, sink=sink)
     return lambdas, objectives, aux
@@ -365,11 +441,11 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
     problem, w0 = build_problem(cfg, dataset)
     alpha, L_tilde = resolve_alpha(cfg, problem)
     opt = cfg.optimizer
-    minibatch = int(opt["minibatch"])
+    minibatch = opt["minibatch"]
     every = steps_per_epoch(problem.sample_count, minibatch)
-    cfg_sgd = SgdConfig(alpha, int(opt["k"]), minibatch, record_every=every)
+    cfg_sgd = SgdConfig(alpha, opt["k"], minibatch, record_every=every)
     cfg_sgd.warn_if_out_of_range(L_tilde)
-    schedule = make_schedule(opt["schedule"], int(opt["n"]),
+    schedule = make_schedule(opt["schedule"], opt["n"],
                              eta=opt.get("eta"), explicit=opt.get("explicit"))
     budget_factor = float(opt.get("sgd_budget_factor", 1))
     # Second per-epoch metric: 0/1 error for classification, raw target-problem
@@ -482,11 +558,11 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0, out_dir=None):
     problem, w0 = build_problem(cfg, dataset)
     est = diagnostics.LandscapeEstimates()
     rng = make_rng(cfg.master_seed ^ L_ESTIMATE_SALT)
-    minibatch = int(cfg.optimizer["minibatch"])
+    minibatch = cfg.optimizer["minibatch"]
 
     try:
         est.L_hat = diagnostics.estimate_L(
-            problem, lam, int(cfg.problem.get("L_pairs", 500)),
+            problem, lam, cfg.problem.get("L_pairs", 500),
             float(cfg.problem.get("L_radius", 3.0)), rng)
     except Exception as exc:
         est.errors["L_hat"] = str(exc)

@@ -8,8 +8,9 @@ single-point surface, ``full_objective(w, lam)``, ``full_gradient(w, lam)``
 and ``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples),
 derives from it. The minibatch gradient over all N indices equals the full
 gradient and minibatch gradients are unbiased estimates of it. Instances are
-immutable after construction and all evaluations are pure, so they are safe
-to share across concurrent runs.
+immutable after construction: constructors copy their arrays and mark the
+copies read-only, and all evaluations are pure, so they are safe to share
+across concurrent runs.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _block(w):
     return np.asarray(w, dtype=float).reshape(1, -1)
 
 
+def _frozen(a):
+    """A read-only float copy of ``a``: a problem shares no writable array with its caller."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LabelInterpolationMap:
     """Affine label deformation: lambda * y_target + (1 - lambda) * y_source."""
@@ -51,8 +59,8 @@ class LabelInterpolationMap:
     y_source: np.ndarray
 
     def __post_init__(self):
-        yt = np.asarray(self.y_target, dtype=float)
-        ys = np.asarray(self.y_source, dtype=float)
+        yt = _frozen(self.y_target)
+        ys = _frozen(self.y_source)
         if yt.shape != ys.shape or yt.ndim != 1:
             raise DataError("target and source label vectors must be equal-length 1-D arrays")
         object.__setattr__(self, "y_target", yt)
@@ -125,7 +133,7 @@ class ErfRegressionProblem(HomotopyProblem):
     """
 
     def __init__(self, xs, ys_target, ys_source):
-        xs = np.asarray(xs, dtype=float)
+        xs = _frozen(xs)
         if xs.ndim != 1 or xs.size == 0:
             raise ConfigurationError("erf problem needs a non-empty 1-D sample vector")
         self.xs = xs
@@ -171,7 +179,7 @@ class MlpRegressionProblem(HomotopyProblem):
     aux_metric = "target_objective"
 
     def __init__(self, xs, ys_target, ys_source, init_seed=0):
-        xs = np.asarray(xs, dtype=float)
+        xs = _frozen(xs)
         if xs.ndim != 1 or xs.size == 0:
             raise ConfigurationError("mlp problem needs a non-empty 1-D sample vector")
         self.xs = xs
@@ -310,10 +318,10 @@ class CubicLogisticProblem(HomotopyProblem):
             raise DataError("labels must be 0/1 with one entry per sample")
         x1, x2 = X[:, 0], X[:, 1]
         # Design matrix: the six nonlinear terms carry the lambda gate, the linear part does not.
-        self.phi = np.column_stack([x1**3, x2**3, x1**2, x2**2, x1**2 * x2, x1 * x2**2,
-                                    x1, x2, np.ones_like(x1)])
-        self.phi_lin = self.phi[:, 6:]
-        self.labels01 = y
+        self.phi = _frozen(np.column_stack([x1**3, x2**3, x1**2, x2**2, x1**2 * x2,
+                                            x1 * x2**2, x1, x2, np.ones_like(x1)]))
+        self.phi_lin = self.phi[:, 6:]  # a view of a read-only array is read-only
+        self.labels01 = _frozen(y)
         self.dimension = 9
         self.sample_count = X.shape[0]
 
@@ -375,7 +383,7 @@ class QuadraticTrackingProblem(HomotopyProblem):
         if b.ndim != 1 or b.size < 1:
             raise ConfigurationError("offsets must be a non-empty 1-D array")
         self.mu = float(mu)
-        self.offsets = b - b.mean()
+        self.offsets = _frozen(b - b.mean())
         self.dimension = 1
         self.sample_count = b.size
 

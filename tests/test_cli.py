@@ -172,3 +172,19 @@ def test_diagnose_subcommand(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert "L_hat" in out
     assert (tmp_path / "d" / "mu_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"optimizer": {"k": "ten"}},       # a string: int() raised ValueError mid-run
+    {"repeats": "abc"},
+    {"optimizer": {"minibatch": 0}},   # steps_per_epoch divided by zero
+    {"threshold": "x"},                # failed after the sgd arm had written its trace
+    {"optimizer": {"k": 2.5}},         # ran silently as k = 2
+    {"repeats": True},                 # ran silently as one repeat
+])
+def test_run_mistyped_config_value_is_config_error(tmp_path, capsys, raw):
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq", **raw})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "invalid config values" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from homotopy_opt import diagnostics
+from homotopy_opt import core, diagnostics
 from homotopy_opt.core import (
-    SAMPLER_BLOCK,
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
@@ -255,6 +254,38 @@ def test_final_lambda_contract_enforced():
 # ------------------------------------------------------------------- sampler
 
 
+def floyd_reference(rng, sample_count, minibatch, steps):
+    """Floyd's rule one column at a time over the row-major block, reduced over the last axis."""
+    hi = np.arange(sample_count - minibatch, sample_count)
+    if isinstance(rng, np.random.Generator):
+        block = rng.integers(0, hi + 1, size=(steps, minibatch))
+    else:
+        block = np.stack([g.integers(0, hi + 1, size=(steps, minibatch)) for g in rng], axis=1)
+    for c in range(1, minibatch):
+        dup = (block[..., :c] == block[..., c:c + 1]).any(axis=-1)
+        block[..., c][dup] = hi[c]
+    return block
+
+
+@pytest.mark.parametrize("N, M", [(1000, 20), (500, 5), (64, 8), (100, 99), (10, 9), (5, 3),
+                                  (2, 1), (7, 1)])
+def test_sampler_matches_the_reference_collision_pass(N, M):
+    for repeats in (1, 2, 7):
+        for steps in (1, 37, 300):
+            seeds = [stream_seed(19, r) for r in range(repeats)]
+            ours, theirs = [make_rng(s) for s in seeds], [make_rng(s) for s in seeds]
+            one = repeats == 1  # a lone generator, not a sequence of one
+            block = _draw_minibatch(ours[0] if one else ours, N, M, steps)
+            expected = floyd_reference(theirs[0] if one else theirs, N, M, steps)
+            assert block.shape == expected.shape and block.dtype == expected.dtype
+            assert np.array_equal(block, expected), (repeats, steps)
+            # Gathers take their index array's layout, and the families'
+            # reductions over a gathered block depend on it.
+            assert block.flags.c_contiguous
+            for a, b in zip(ours, theirs):
+                assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_sampler_rows_do_not_depend_on_block_size():
     N, M = 500, 5
     whole = _draw_minibatch(make_rng(3), N, M, 1000)
@@ -262,28 +293,37 @@ def test_sampler_rows_do_not_depend_on_block_size():
     one_by_one = np.concatenate([_draw_minibatch(rng, N, M, 1) for _ in range(1000)])
     assert np.array_equal(whole, one_by_one)
     rng = make_rng(3)
-    uneven = np.concatenate([_draw_minibatch(rng, N, M, b) for b in (37, 1, SAMPLER_BLOCK, 898)])
+    uneven = np.concatenate([_draw_minibatch(rng, N, M, b) for b in (37, 1, 64, 898)])
     assert np.array_equal(whole, uneven)
 
 
 @pytest.mark.parametrize("repeats", [1, 3])
-def test_engine_indices_do_not_depend_on_block_or_stage_length(repeats):
-    # k = 100 is not a multiple of SAMPLER_BLOCK, so every stage ends on a
-    # clipped block; each repeat's rows still read as one draw of n * k rows.
+def test_engine_indices_do_not_depend_on_block_or_stage_length(repeats, monkeypatch):
+    # k = 100 is not a multiple of the block size B, so every stage ends on a
+    # clipped block: at the default budget a stage is one block clipped to
+    # the stage, at a budget of 30 steps four blocks (30, 30, 30, 10). Each
+    # repeat's rows still read as one draw of n * k rows.
     N, M, k = 50, 4, 100
-    assert k % SAMPLER_BLOCK
     seeds = [stream_seed(7, r) for r in range(repeats)]
-    prob = IndexRecorder(N)
     sched = make_schedule("constant", 2)
-    if repeats == 1:
-        hsgd_run(np.zeros(1), sched, SgdConfig(0.1, k, M), prob, make_rng(seeds[0]))
-    else:
-        hsgd_run(np.zeros((repeats, 1)), sched, SgdConfig(0.1, k, M), prob,
-                 [make_rng(s) for s in seeds])
-    seen = np.stack(prob.blocks)
-    assert seen.shape == (2 * k, repeats, M)
-    for r, seed in enumerate(seeds):
-        assert np.array_equal(seen[:, r], _draw_minibatch(make_rng(seed), N, M, 2 * k))
+    draw = core._draw_minibatch
+    for budget, blocks_per_stage in ((core.SAMPLER_BLOCK_ELEMENTS, 1), (30 * repeats * M, 4)):
+        monkeypatch.setattr(core, "SAMPLER_BLOCK_ELEMENTS", budget)
+        assert k % max(1, budget // (repeats * M))
+        calls = []
+        monkeypatch.setattr(core, "_draw_minibatch",
+                            lambda *args: calls.append(args[3]) or draw(*args))
+        prob = IndexRecorder(N)
+        if repeats == 1:
+            hsgd_run(np.zeros(1), sched, SgdConfig(0.1, k, M), prob, make_rng(seeds[0]))
+        else:
+            hsgd_run(np.zeros((repeats, 1)), sched, SgdConfig(0.1, k, M), prob,
+                     [make_rng(s) for s in seeds])
+        assert len(calls) == 2 * blocks_per_stage and sum(calls) == 2 * k
+        seen = np.stack(prob.blocks)
+        assert seen.shape == (2 * k, repeats, M)
+        for r, seed in enumerate(seeds):
+            assert np.array_equal(seen[:, r], draw(make_rng(seed), N, M, 2 * k))
 
 
 @pytest.mark.parametrize("N, M", [(500, 5), (1000, 20), (64, 8), (10, 9), (7, 1)])
@@ -310,7 +350,7 @@ def test_sampler_subsets_are_uniform():
 def test_full_batch_draws_nothing():
     rng = make_rng(5)
     state = rng.bit_generator.state
-    assert _draw_minibatch(rng, 100, 100, SAMPLER_BLOCK) is None
+    assert _draw_minibatch(rng, 100, 100, 64) is None
     assert rng.bit_generator.state == state
     prob = IndexRecorder(6)
     sgd_run(np.zeros((2, 1)), SgdConfig(0.1, 3, 6), prob, 1.0, [make_rng(0), make_rng(1)])

@@ -6,12 +6,13 @@ import pickle
 import numpy as np
 import pytest
 
-from homotopy_opt import diagnostics, harness
+from homotopy_opt import core, diagnostics, harness
 from homotopy_opt.core import (
     SAMPLER,
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
+    epoch_metrics_in_chunks,
     hsgd_run,
     make_rng,
     make_schedule,
@@ -49,6 +50,23 @@ def test_config_rejects_unknown_values(tmp_path):
         ExperimentConfig.from_dict({"experiment": "toy-erf", "method": "adam"})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"experiment": "toy-erf", "repeats": 0})
+
+
+@pytest.mark.parametrize("experiment, raw", [
+    ("synthetic-lq", {"optimizer": {"minibatch": 65}}),        # more than N = 64
+    ("synthetic-lq", {"master_seed": -1}),                     # PCG64 needs a seed >= 0
+    ("synthetic-lq", {"optimizer": {"alpha": 0}}),
+    ("toy-erf", {"optimizer": {"alpha": "fast"}}),
+    ("synthetic-lq", {"optimizer": {"schedule": "cosine"}}),
+    ("synthetic-lq", {"optimizer": {"explicit": [1.0, -1.0]}}),
+    ("toy-erf", {"problem": {"fstar_grid": {"lo": 1.0, "hi": -1.0, "step": 0.1}}}),
+    ("moons-logistic", {"dataset": {"noise_std": -0.1}}),
+    ("sine-mlp", {"problem": {"L_pairs": 0.5}}),
+    ("synthetic-lq", {"problem": {"mu": float("nan")}}),
+])
+def test_config_rejects_out_of_range_values(experiment, raw):
+    with pytest.raises(ConfigurationError, match="optimizer.minibatch|invalid config values"):
+        ExperimentConfig.from_dict({"experiment": experiment, **raw})
 
 
 @pytest.mark.parametrize("experiment, metric", [
@@ -267,6 +285,25 @@ def test_runs_leave_the_problem_unmutated(tmp_path, experiment):
     hsgd_run(w0, sched, cfg_sgd, problem, make_rng(3), sink=lambda *_: None)
     diagnostics.estimate_sigma2(problem, 0.5, [w0], cfg_sgd.minibatch, 5, make_rng(4))
     assert pickle.dumps(vars(problem)) == before
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_chunked_epoch_metrics_equal_one_block(experiment, monkeypatch):
+    cfg = ExperimentConfig.from_dict({"experiment": experiment})
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    rng = make_rng(8)
+    n = problem.sample_count
+    # A budget of 3 rows splits R = 4 into chunks of 3 and 1; the default
+    # budget splits 100 repeats as a run does (25 rows on moons, 50 on the MLP).
+    for budget, repeats in ((3 * n, 4), (core.EPOCH_CHUNK_ELEMENTS, 100)):
+        monkeypatch.setattr(core, "EPOCH_CHUNK_ELEMENTS", budget)
+        W = w0 + 0.3 * rng.standard_normal((repeats, problem.dimension))
+        for lam in (0.0, 0.37, 1.0):
+            obj, aux = epoch_metrics_in_chunks(problem, W, lam)
+            ref_obj, ref_aux = problem.epoch_metrics(W, lam)
+            assert np.array_equal(obj, ref_obj)
+            assert (aux is None) == (ref_aux is None)
+            assert aux is None or np.array_equal(aux, ref_aux)
 
 
 def test_fstar_coarse_grid_equals_fine_grid():

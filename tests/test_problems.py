@@ -306,3 +306,38 @@ def test_endpoint_consistency(small_erf, small_mlp, small_moons):
         z0 = small_moons.scores(w, 0.0)
         lin = small_moons.phi_lin @ w[6:]
         assert np.allclose(z0, lin, rtol=0, atol=1e-15)
+
+
+# Every array a family holds, by attribute path.
+FAMILY_ARRAYS = {
+    "erf": ("xs", "labels.y_target", "labels.y_source"),
+    "mlp": ("xs", "labels.y_target", "labels.y_source"),
+    "moons": ("phi", "phi_lin", "labels01"),
+    "quadratic": ("offsets",),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_ARRAYS))
+def test_problem_arrays_are_read_only_copies(family):
+    xs = np.array([0.1, -0.5, 0.8, 0.3, -0.9, 0.6])
+    X = np.column_stack([xs, xs**2])
+    y01 = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    build = {
+        "erf": lambda: erf_problem(xs, np.sin(xs), -2.0 * xs),
+        "mlp": lambda: mlp_sine_problem(xs, np.sin(10 * xs), xs**2, init_spec=7),
+        "moons": lambda: cubic_logistic_problem(X, y01),
+        "quadratic": lambda: quadratic_tracking_problem(1.0, xs),
+    }[family]
+    prob = build()
+    w = 0.3 * np.ones(prob.dimension)
+    before = prob.full_objective(w, 0.5)
+    for path in FAMILY_ARRAYS[family]:
+        array = prob
+        for name in path.split("."):
+            array = getattr(array, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99.0
+    # The caller's arrays are copied, so writing to them moves nothing.
+    for source in (xs, X, y01):
+        source[0] += 1.0
+    assert prob.full_objective(w, 0.5) == before
