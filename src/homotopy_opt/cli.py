@@ -27,13 +27,9 @@ def _load_json(path):
 
 def _load_config(args):
     raw = _load_json(args.config)
-    if args.repeats is not None:
-        raw.setdefault("repeats", args.repeats)
-        raw["repeats"] = args.repeats
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        raw["out_dir"] = args.out
+    overrides = {"repeats": args.repeats, "master_seed": args.seed, "out_dir": args.out}
+    if isinstance(raw, dict):  # anything else is rejected by from_dict
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     return harness.ExperimentConfig.from_dict(raw)
 
 

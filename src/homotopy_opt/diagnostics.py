@@ -5,6 +5,11 @@ the pointwise PL modulus mu_hat(w), the oracle variance sigma2_hat, the
 lambda-Lipschitz witness delta_hat, and grid / multi-start estimates of the
 optimal value f*(lambda). The finite-difference checker guards the
 hand-derived gradients of the problem families.
+
+An estimator draws its random points in a fixed stream order, then evaluates
+them as one block through the batched ``problem.gradient`` and
+``problem.objective``, a few rows at a time (``core.in_row_chunks``); each
+row's value is the one a single-point evaluation gives.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigurationError, _draw_minibatch, make_rng
+from .core import ConfigurationError, _draw_minibatch, in_row_chunks, make_rng
 
 
 class EstimationError(RuntimeError):
@@ -41,51 +46,49 @@ def estimate_L(problem, lam, num_pairs, radius, rng, center=None):
     if radius <= 0:
         raise ConfigurationError("radius must be positive")
     center = np.zeros(problem.dimension) if center is None else np.asarray(center, dtype=float)
-    best = 0.0
-    usable = 0
-    for _ in range(num_pairs):
-        w1 = _sample_in_ball(rng, problem.dimension, center, radius)
-        w2 = _sample_in_ball(rng, problem.dimension, center, radius)
-        gap = np.linalg.norm(w1 - w2)
-        if gap < 1e-14:
-            continue
-        usable += 1
-        g1 = problem.full_gradient(w1, lam)
-        g2 = problem.full_gradient(w2, lam)
-        best = max(best, float(np.linalg.norm(g1 - g2) / gap))
-    if usable == 0:
+    # Pair i is rows 2i and 2i + 1; a coincident pair is evaluated but not used.
+    W = np.empty((2 * num_pairs, problem.dimension))
+    for row in W:
+        row[:] = _sample_in_ball(rng, problem.dimension, center, radius)
+    gaps = [np.linalg.norm(w1 - w2) for w1, w2 in zip(W[0::2], W[1::2])]
+    if max(gaps) < 1e-14:
         raise EstimationError("all sampled pairs were coincident")
-    return best
+    grads = in_row_chunks(problem, problem.gradient, W, lam)
+    return max(0.0, *(float(np.linalg.norm(g1 - g2) / gap)
+                      for g1, g2, gap in zip(grads[0::2], grads[1::2], gaps) if gap >= 1e-14))
 
 
 def estimate_mu(problem, lam, w, fstar_lambda, tol=1e-12):
     """Pointwise PL modulus ||grad f||^2 / (2 (f - f*)); undefined at the optimum."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    gap = problem.full_objective(w, lam) - fstar_lambda
-    if gap <= tol:
-        raise EstimationError(f"objective gap {gap} is below tolerance; mu is undefined at the optimum")
-    grad = problem.full_gradient(w, lam)
-    return float(np.dot(grad, grad) / (2.0 * gap))
+    mu, gap = pl_moduli(problem, lam, np.asarray(w, dtype=float).reshape(1, -1), fstar_lambda, tol)
+    if gap[0] <= tol:
+        raise EstimationError(f"objective gap {gap[0]} is below tolerance; mu is undefined at the optimum")
+    return float(mu[0])
+
+
+def pl_moduli(problem, lam, W, fstar_lambda, tol=1e-12):
+    """``estimate_mu`` at each row of W, and each row's gap f - f*; mu is NaN where gap <= tol."""
+    gaps = in_row_chunks(problem, problem.objective, W, lam) - fstar_lambda
+    grads = in_row_chunks(problem, problem.gradient, W, lam)
+    mu = np.full(len(W), np.nan)
+    for r in np.flatnonzero(gaps > tol):
+        mu[r] = np.dot(grads[r], grads[r]) / (2.0 * gaps[r])
+    return mu, gaps
 
 
 def estimate_sigma2(problem, lam, w_samples, minibatch, draws, rng):
     """Max over w samples of the Monte-Carlo mean of ||g - grad f||^2."""
     if draws < 2:
         raise ConfigurationError("need at least two draws")
-    n = problem.sample_count
-    worst = 0.0
-    for w in w_samples:
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        full = problem.full_gradient(w, lam)
-        idx = _draw_minibatch(rng, n, minibatch, draws)
-        if idx is None:
-            # Ordered indices keep the summation identical to the full
-            # gradient, so the full-batch estimate is exactly zero.
-            idx = np.tile(np.arange(n), (draws, 1))
-        # All draws at once through the batched oracle, one row per draw.
-        diff = problem.gradient(np.tile(w, (draws, 1)), lam, idx) - full
-        worst = max(worst, sum(np.einsum("rk,rk->r", diff, diff).tolist()) / draws)
-    return worst
+    W = np.array(w_samples, dtype=float).reshape(len(w_samples), problem.dimension)
+    full = np.repeat(in_row_chunks(problem, problem.gradient, W, lam), draws, axis=0)
+    # The draws of each w sample in turn, one row per draw; the sampler's rows
+    # do not depend on how they are cut into calls. A full batch (idx None)
+    # gives each row the exact full gradient, so its estimate is zero.
+    idx = _draw_minibatch(rng, problem.sample_count, minibatch, len(W) * draws)
+    diff = in_row_chunks(problem, problem.gradient, np.repeat(W, draws, axis=0), lam, idx) - full
+    sq = np.einsum("rk,rk->r", diff, diff).reshape(len(W), draws)
+    return max(0.0, *(sum(row.tolist()) / draws for row in sq))
 
 
 @dataclass
@@ -99,13 +102,9 @@ def _grid_fstar(problem, lam, lo, hi, step):
     grid = np.arange(lo, hi + step / 2, step)
     if grid.size == 0:
         raise ConfigurationError("empty search grid")
-    # Chunked evaluation keeps the grid x samples product bounded in memory.
-    best_val, best_w = np.inf, grid[0]
-    for chunk in np.array_split(grid, max(1, grid.size // 20000)):
-        vals = problem.objective(chunk[:, None], lam)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val, best_w = float(vals[j]), float(chunk[j])
+    vals = in_row_chunks(problem, problem.objective, grid[:, None], lam)
+    j = int(np.argmin(vals))
+    best_val, best_w = float(vals[j]), float(grid[j])
     # Refine by bisection on the gradient sign inside the bracketing cell.
     a, b = best_w - step, best_w + step
     ga = problem.full_gradient(np.array([a]), lam)[0]
@@ -125,19 +124,25 @@ def _grid_fstar(problem, lam, lo, hi, step):
 
 
 def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_radius=1.0, init_center=None):
+    if restarts < 1:
+        raise ConfigurationError("need at least one restart")
     rng = make_rng(seed)
-    best_val, best_w = np.inf, None
     center = np.zeros(problem.dimension) if init_center is None else np.asarray(init_center, float)
-    for _ in range(restarts):
-        w = center + init_radius * rng.standard_normal(problem.dimension)
-        for _ in range(steps):
-            w = w - alpha * problem.full_gradient(w, lam)
-            if not np.all(np.isfinite(w)):
-                break
-        else:
-            val = problem.full_objective(w, lam)
-            if val < best_val:
-                best_val, best_w = float(val), w
+    W = np.array([center + init_radius * rng.standard_normal(problem.dimension)
+                  for _ in range(restarts)])
+    # Full-batch descent of every restart as one block; a restart leaves the
+    # block at its first non-finite iterate.
+    for _ in range(steps):
+        W = W - alpha * in_row_chunks(problem, problem.gradient, W, lam)
+        finite = np.isfinite(W).all(axis=1)
+        if not finite.all():
+            W = W[finite]
+            if not len(W):
+                raise EstimationError("every descent restart diverged")
+    best_val, best_w = np.inf, None
+    for w, val in zip(W, in_row_chunks(problem, problem.objective, W, lam)):
+        if val < best_val:
+            best_val, best_w = float(val), w
     if best_w is None:
         raise EstimationError("every descent restart diverged")
     return FstarEstimate(best_val, best_w, upper_bound_only=True)
@@ -191,12 +196,13 @@ def check_gradient(problem, lam, w, coords=None, fd_step=1e-6):
     w = np.asarray(w, dtype=float)
     coords = list(range(problem.dimension)) if coords is None else list(coords)
     grad = problem.full_gradient(w, lam)
-    numeric = np.empty(len(coords))
-    for j, c in enumerate(coords):
-        wp, wm = w.copy(), w.copy()
-        wp[c] += fd_step
-        wm[c] -= fd_step
-        numeric[j] = (problem.full_objective(wp, lam) - problem.full_objective(wm, lam)) / (2 * fd_step)
+    # The +h points, then the -h points, as one block.
+    k = len(coords)
+    W = np.tile(w, (2 * k, 1))
+    W[np.arange(k), coords] += fd_step
+    W[np.arange(k, 2 * k), coords] -= fd_step
+    vals = in_row_chunks(problem, problem.objective, W, lam)
+    numeric = (vals[:k] - vals[k:]) / (2 * fd_step)
     analytic = grad[coords]
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
     return GradientCheckReport(coords, analytic, numeric, rel)
@@ -237,13 +243,9 @@ def expected_pl_probe(problem, lam, draws, fstar_lambda, rng, sampler=None):
         raise ConfigurationError("need at least 100 draws")
     if sampler is None:
         sampler = lambda r: r.standard_normal(problem.dimension)
-    sq_grads = np.empty(draws)
-    vals = np.empty(draws)
-    for i in range(draws):
-        w = np.atleast_1d(np.asarray(sampler(rng), dtype=float))
-        g = problem.full_gradient(w, lam)
-        sq_grads[i] = float(np.dot(g, g))
-        vals[i] = problem.full_objective(w, lam)
+    W = np.array([sampler(rng) for _ in range(draws)], dtype=float).reshape(draws, problem.dimension)
+    sq_grads = np.array([np.dot(g, g) for g in in_row_chunks(problem, problem.gradient, W, lam)])
+    vals = in_row_chunks(problem, problem.objective, W, lam)
     mean_gap = float(np.mean(vals) - fstar_lambda)
     if mean_gap <= 0:
         raise EstimationError("mean objective gap is nonpositive; sampler concentrated at the optimum")

@@ -13,7 +13,7 @@ import copy
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,8 @@ from .core import (
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
-    epoch_metrics_in_chunks,
     hsgd_run,
+    in_row_chunks,
     make_rng,
     make_schedule,
     sgd_run,
@@ -170,11 +170,16 @@ def _check_values(cfg):
            for name, (what, ok) in VALUE_RULES.items() if name in values and not ok(values[name])]
     if bad:
         raise ConfigurationError(f"invalid config values for {cfg.experiment}: {'; '.join(bad)}")
-    if cfg.optimizer["minibatch"] > cfg.dataset["N"]:
+    opt, n_samples = cfg.optimizer, cfg.dataset["N"]
+    if opt["minibatch"] > n_samples:
         raise ConfigurationError(
-            f"optimizer.minibatch = {cfg.optimizer['minibatch']} exceeds dataset.N = "
-            f"{cfg.dataset['N']}"
-        )
+            f"optimizer.minibatch = {opt['minibatch']} exceeds dataset.N = {n_samples}")
+    if opt["schedule"] == "explicit" and len(opt.get("explicit", ())) != opt["n"]:
+        raise ConfigurationError(
+            f'optimizer.schedule "explicit" needs optimizer.explicit with n = {opt["n"]} '
+            f"entries, got {opt.get('explicit')!r}")
+    if cfg.experiment == "moons-logistic" and n_samples % 2:
+        raise ConfigurationError(f"moons-logistic needs an even dataset.N, got {n_samples}")
 
 
 def _check_keys(raw, experiment):
@@ -207,8 +212,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        raw = copy.deepcopy(raw)
-        if "config" in raw:  # metadata file: replay its materialized config
+        if isinstance(raw, dict) and "config" in raw:  # metadata file: replay its materialized config
             recorded = raw.get("sampler")
             if recorded != SAMPLER:
                 written = (f"sampler {recorded!r}" if recorded else
@@ -218,6 +222,9 @@ class ExperimentConfig:
                     f"sampler {SAMPLER!r}; a replay would not reproduce its traces"
                 )
             raw = raw["config"]
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
+        raw = copy.deepcopy(raw)
         experiment = raw.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigurationError(
@@ -248,19 +255,7 @@ class ExperimentConfig:
         _check_values(cfg)
         return cfg
 
-    def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "method": self.method,
-            "dataset": self.dataset,
-            "optimizer": self.optimizer,
-            "problem": self.problem,
-            "repeats": self.repeats,
-            "master_seed": self.master_seed,
-            "threshold": self.threshold,
-            "threshold_metric": self.threshold_metric,
-            "out_dir": self.out_dir,
-        }
+    to_dict = asdict
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -338,8 +333,8 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
 
     Repeat r runs on the stream seeded by ``seeds[r]``. objectives and aux
     are (R, epochs + 1), from ``problem.epoch_metrics``, evaluated in row
-    chunks (``epoch_metrics_in_chunks``); aux is None for a
-    family without a second metric.
+    chunks (``in_row_chunks``); aux is None for a family without a second
+    metric.
     """
     W0 = np.tile(w0, (len(seeds), 1))
     rngs = [make_rng(seed) for seed in seeds]
@@ -358,10 +353,10 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
             aux[:, e] = metrics[1]
 
     if method == "hsgd":
-        sink(0, 0.0, W0, epoch_metrics_in_chunks(problem, W0, 0.0))
+        sink(0, 0.0, W0, in_row_chunks(problem, problem.epoch_metrics, W0, 0.0))
         hsgd_run(W0, schedule, cfg_sgd, problem, rngs, sink=sink, stage_hook=stage_hook)
     else:
-        sink(0, 1.0, W0, epoch_metrics_in_chunks(problem, W0, 1.0))
+        sink(0, 1.0, W0, in_row_chunks(problem, problem.epoch_metrics, W0, 1.0))
         flat = SgdConfig(cfg_sgd.alpha, total_steps, cfg_sgd.minibatch, record_every=every)
         sgd_run(W0, flat, problem, 1.0, rngs, sink=sink)
     return lambdas, objectives, aux
@@ -416,15 +411,7 @@ class ComparisonReport:
     speedup: float | None = None
     speedup_note: str = ""
 
-    def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "threshold": self.threshold,
-            "threshold_metric": self.threshold_metric,
-            "arms": self.arms,
-            "speedup": self.speedup,
-            "speedup_note": self.speedup_note,
-        }
+    to_dict = asdict
 
 
 def epochs_to_threshold(curve, threshold):
@@ -435,18 +422,18 @@ def epochs_to_threshold(curve, threshold):
 
 def run_experiment(cfg: ExperimentConfig, quiet=True):
     """Execute all repeats per arm, write CSVs + metadata, return the report."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg)
     problem, w0 = build_problem(cfg, dataset)
-    alpha, L_tilde = resolve_alpha(cfg, problem)
     opt = cfg.optimizer
+    schedule = make_schedule(opt["schedule"], opt["n"],
+                             eta=opt.get("eta"), explicit=opt.get("explicit"))
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    alpha, L_tilde = resolve_alpha(cfg, problem)
     minibatch = opt["minibatch"]
     every = steps_per_epoch(problem.sample_count, minibatch)
     cfg_sgd = SgdConfig(alpha, opt["k"], minibatch, record_every=every)
     cfg_sgd.warn_if_out_of_range(L_tilde)
-    schedule = make_schedule(opt["schedule"], opt["n"],
-                             eta=opt.get("eta"), explicit=opt.get("explicit"))
     budget_factor = float(opt.get("sgd_budget_factor", 1))
     # Second per-epoch metric: 0/1 error for classification, raw target-problem
     # loss for the MLP (it has no f* oracle; the gap column holds raw loss).
@@ -551,11 +538,18 @@ def _write_snapshots(path, rows):
 
 
 def run_diagnose(cfg: ExperimentConfig, lam=1.0, out_dir=None):
-    """Measure landscape constants for the configured experiment at one lambda."""
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Measure landscape constants for the configured experiment at one lambda.
+
+    An estimator that cannot produce a value (``EstimationError``: L_hat,
+    fstar, the PL probe) leaves an ``error.<key>`` line in the report; any
+    other error propagates.
+    """
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigurationError(f"homotopy parameter must lie in [0, 1], got {lam}")
     dataset = build_dataset(cfg)
     problem, w0 = build_problem(cfg, dataset)
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     est = diagnostics.LandscapeEstimates()
     rng = make_rng(cfg.master_seed ^ L_ESTIMATE_SALT)
     minibatch = cfg.optimizer["minibatch"]
@@ -564,14 +558,10 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0, out_dir=None):
         est.L_hat = diagnostics.estimate_L(
             problem, lam, cfg.problem.get("L_pairs", 500),
             float(cfg.problem.get("L_radius", 3.0)), rng)
-    except Exception as exc:
+    except diagnostics.EstimationError as exc:
         est.errors["L_hat"] = str(exc)
-    try:
-        w_samples = [w0 + 0.5 * rng.standard_normal(problem.dimension) for _ in range(5)]
-        est.sigma2_hat = diagnostics.estimate_sigma2(problem, lam, w_samples,
-                                                     minibatch, 200, rng)
-    except Exception as exc:
-        est.errors["sigma2_hat"] = str(exc)
+    w_samples = [w0 + 0.5 * rng.standard_normal(problem.dimension) for _ in range(5)]
+    est.sigma2_hat = diagnostics.estimate_sigma2(problem, lam, w_samples, minibatch, 200, rng)
     try:
         if cfg.experiment == "toy-erf":
             spec = {"kind": "grid", **cfg.problem["fstar_grid"]}
@@ -584,25 +574,17 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0, out_dir=None):
         fstar = diagnostics.estimate_fstar(problem, lam, spec)
         est.fstar = fstar.value
         est.fstar_upper_bound_only = fstar.upper_bound_only
-    except Exception as exc:
+    except diagnostics.EstimationError as exc:
         est.errors["fstar"] = str(exc)
-    try:
-        est.delta_hat = diagnostics.estimate_delta(problem, 200, rng)
-    except Exception as exc:
-        est.errors["delta_hat"] = str(exc)
+    est.delta_hat = diagnostics.estimate_delta(problem, 200, rng)
     if est.fstar is not None:
         try:
             est.pl_probe = diagnostics.expected_pl_probe(problem, lam, 500, est.fstar, rng)
-        except Exception as exc:
+        except diagnostics.EstimationError as exc:
             est.errors["pl_probe"] = str(exc)
         if problem.dimension == 1:
             grid = np.arange(-6.0, 6.0 + 1e-9, 0.05)
-            mu_vals = np.full(grid.size, np.nan)
-            for i, w in enumerate(grid):
-                try:
-                    mu_vals[i] = diagnostics.estimate_mu(problem, lam, np.array([w]), est.fstar)
-                except diagnostics.EstimationError:
-                    pass
+            mu_vals = diagnostics.pl_moduli(problem, lam, grid[:, None], est.fstar)[0]
             est.mu_grid, est.mu_values = grid, mu_vals
             with open(out / "mu_sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("w,mu_hat\n")

@@ -3,10 +3,11 @@
 Every family implements one batched oracle over an (R, d) block ``W`` of
 iterates, one row per repeat: ``gradient(W, lam, idx)`` is each row's mean
 gradient over the samples ``idx[r]`` of row r, or over all N samples when
-``idx`` is None, and ``objective(W, lam)`` each row's full objective. The
-single-point surface, ``full_objective(w, lam)``, ``full_gradient(w, lam)``
-and ``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples),
-derives from it. The minibatch gradient over all N indices equals the full
+``idx`` is None, and ``objective(W, lam)`` each row's full objective. It is
+the only pair a family implements: the single-point surface,
+``full_objective(w, lam)``, ``full_gradient(w, lam)`` and
+``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples), is
+its 1-row view. The minibatch gradient over all N indices equals the full
 gradient and minibatch gradients are unbiased estimates of it. Instances are
 immutable after construction: constructors copy their arrays and mark the
 copies read-only, and all evaluations are pure, so they are safe to share
@@ -15,7 +16,7 @@ across concurrent runs.
 
 from __future__ import annotations
 
-import itertools
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +84,12 @@ def interpolate_labels(label_map: LabelInterpolationMap, lam):
     return label_map.at(lam)
 
 
-class HomotopyProblem:
+class HomotopyProblem(ABC):
     """Base interface for a parametric objective family f(w, lambda).
 
-    A subclass implements either the batched pair (``objective``,
-    ``gradient``) or the single-point pair (``full_objective``,
-    ``minibatch_value_and_gradient``); each pair defaults to the other, row
-    by row or as a 1-row block. ``epoch_metrics`` is what a run records per
+    A family implements the batched pair ``objective`` and ``gradient``; a
+    subclass without them cannot be instantiated. The single-point methods
+    are 1-row views of the pair. ``epoch_metrics`` is what a run records per
     epoch for a block; a family with a second per-epoch metric names it in
     ``aux_metric``.
     """
@@ -102,16 +102,17 @@ class HomotopyProblem:
         """Full objective of each row of W, and the second metric of each row (or None)."""
         return self.objective(W, lam), None
 
+    @abstractmethod
     def objective(self, W, lam):
-        return np.array([self.full_objective(w, lam) for w in W])
+        """Full objective of each row of the (R, d) block W."""
 
+    @abstractmethod
     def gradient(self, W, lam, idx=None, with_value=False):
-        """Mean gradient of each row, and first its mean loss over the same samples if asked."""
-        if idx is None:
-            idx = itertools.repeat(np.arange(self.sample_count))
-        pairs = [self.minibatch_value_and_gradient(w, lam, i) for w, i in zip(W, idx)]
-        grads = np.array([g for _, g in pairs])
-        return (np.array([v for v, _ in pairs]), grads) if with_value else grads
+        """Mean gradient of each row over its samples idx[r] (None: all N), as an (R, d) block.
+
+        With ``with_value``, returns (values, gradients), values being each
+        row's mean loss over the same samples.
+        """
 
     def full_objective(self, w, lam):
         return float(self.objective(_block(w), lam)[0])
@@ -253,20 +254,28 @@ class MlpRegressionProblem(HomotopyProblem):
         res = out - self.labels.at(lam, idx)                   # (R, m)
         # MSE backprop: dL/dout = 2 res / m
         d_out = (2.0 / res.shape[1]) * res
+        # Once its weight gradient is taken, each activation block is
+        # overwritten by tanh' = 1 - tanh^2 and each delta block is dropped,
+        # so at most three (R, m, 10) blocks are live at once: the
+        # estimators' full-batch blocks (m = N) would otherwise set a run's
+        # peak memory.
+        gW3 = (d_out[:, None, :] @ a2)[:, 0, :]
         d_a2 = d_out[:, :, None] * w3[:, None, :]
-        t = a2 * a2
-        np.subtract(1.0, t, out=t)
-        d_a2 *= t                                              # (R, m, 10)
+        np.multiply(a2, a2, out=a2)
+        np.subtract(1.0, a2, out=a2)
+        d_a2 *= a2                                             # (R, m, 10)
+        del a2
+        gW2 = (d_a2.transpose(0, 2, 1) @ a1).reshape(len(W), -1)
+        gb2 = np.einsum("rmk->rk", d_a2)
         d_a1 = d_a2 @ W2
-        t = a1 * a1
-        np.subtract(1.0, t, out=t)
-        d_a1 *= t                                              # (R, m, 10)
+        del d_a2
+        np.multiply(a1, a1, out=a1)
+        np.subtract(1.0, a1, out=a1)
+        d_a1 *= a1                                             # (R, m, 10)
         grad = np.concatenate([
             (x[:, None, :] @ d_a1)[:, 0, :],                   # gW1
             np.einsum("rmk->rk", d_a1),                        # gb1
-            (d_a2.transpose(0, 2, 1) @ a1).reshape(len(W), -1),  # gW2
-            np.einsum("rmk->rk", d_a2),                        # gb2
-            (d_out[:, None, :] @ a2)[:, 0, :],                 # gW3
+            gW2, gb2, gW3,
             d_out.sum(axis=1, keepdims=True),                  # gb3
         ], axis=1)
         return (np.mean(res**2, axis=1), grad) if with_value else grad

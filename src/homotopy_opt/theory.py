@@ -89,16 +89,6 @@ class FeasibilityReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"key": c.key, "requirement": c.requirement, "value": c.value,
-                 "passed": c.passed, "note": c.note}
-                for c in self.checks
-            ],
-        }
-
 
 def _log_base(value, base):
     return math.log(value) / math.log(base)

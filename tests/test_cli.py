@@ -188,3 +188,55 @@ def test_run_mistyped_config_value_is_config_error(tmp_path, capsys, raw):
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert "invalid config values" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["1.5", "-0.25", "nan"])
+def test_diagnose_lambda_outside_unit_interval_is_config_error(tmp_path, capsys, lam):
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq"})
+    out = tmp_path / "d"
+    code = cli.main(["diagnose", "--config", cfg, "--homotopy-parameter", lam, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "homotopy parameter must lie in [0, 1]" in captured.err
+    assert "error." not in captured.out
+    assert not out.exists()
+
+
+def test_diagnose_reports_a_diverged_multistart_as_an_error_line(tmp_path, capsys):
+    # Full-batch descent at 1/L_hat diverges on every sine-mlp restart: the
+    # estimate is missing, which the report says, and the command succeeds.
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "sine-mlp", "dataset": {"N": 40},
+                                             "problem": {"L_pairs": 50}})
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "error.fstar = every descent restart diverged" in out
+    assert "L_hat = " in out and "delta_hat = " in out
+    assert (tmp_path / "d" / "diagnostics.txt").read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+@pytest.mark.parametrize("raw, message", [
+    ({"experiment": "moons-logistic", "dataset": {"N": 41}}, "even dataset.N"),
+    ({"experiment": "synthetic-lq",
+      "optimizer": {"schedule": "explicit", "explicit": [1, 2], "n": 3}}, "n = 3 entries"),
+])
+def test_cross_field_config_error_leaves_no_directory(tmp_path, capsys, command, raw, message):
+    cfg = write_json(tmp_path / "cfg.json", raw)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])
+@pytest.mark.parametrize("payload", [[1, 2], "x"])
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys, command, payload):
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--seed", "3"]) == cli.EXIT_CONFIG
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()

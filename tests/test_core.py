@@ -30,13 +30,12 @@ class NoiselessQuadratic(HomotopyProblem):
         self.dimension = 1
         self.sample_count = samples
 
-    def full_objective(self, w, lam):
-        w = np.atleast_1d(w)
-        return float(0.5 * self.a * w[0] ** 2)
+    def objective(self, W, lam):
+        return 0.5 * self.a * W[:, 0] ** 2
 
-    def minibatch_value_and_gradient(self, w, lam, indices):
-        w = np.atleast_1d(w)
-        return self.full_objective(w, lam), np.array([self.a * w[0]])
+    def gradient(self, W, lam, idx=None, with_value=False):
+        grads = self.a * W[:, :1]
+        return (self.objective(W, lam), grads) if with_value else grads
 
 
 class BlowupProblem(HomotopyProblem):
@@ -48,13 +47,13 @@ class BlowupProblem(HomotopyProblem):
         self.dimension = 1
         self.sample_count = 4
 
-    def full_objective(self, w, lam):
-        return 0.0
+    def objective(self, W, lam):
+        return np.zeros(len(W))
 
-    def minibatch_value_and_gradient(self, w, lam, indices):
+    def gradient(self, W, lam, idx=None, with_value=False):
         self.calls += 1
-        g = np.inf if self.calls >= self.bad_step else 1.0
-        return 0.0, np.array([g])
+        grads = np.full((len(W), 1), np.inf if self.calls >= self.bad_step else 1.0)
+        return (self.objective(W, lam), grads) if with_value else grads
 
 
 class IndexRecorder(HomotopyProblem):

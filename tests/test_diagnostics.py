@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from homotopy_opt import diagnostics
+from homotopy_opt import core, diagnostics, harness
 from homotopy_opt.core import ConfigurationError, SgdConfig, make_rng, sgd_run, stream_seed
 from homotopy_opt.problems import HomotopyProblem, erf_problem
 
@@ -20,13 +20,12 @@ class Scalar1D(HomotopyProblem):
         self.dimension = 1
         self.sample_count = samples
 
-    def full_objective(self, w, lam):
-        w = np.atleast_1d(w)
-        return float(self.f(w[0]))
+    def objective(self, W, lam):
+        return np.array([float(self.f(w)) for w in W[:, 0]])
 
-    def minibatch_value_and_gradient(self, w, lam, indices):
-        w = np.atleast_1d(w)
-        return float(self.f(w[0])), np.array([self.df(w[0])])
+    def gradient(self, W, lam, idx=None, with_value=False):
+        grads = np.array([[self.df(w)] for w in W[:, 0]], dtype=float)
+        return (self.objective(W, lam), grads) if with_value else grads
 
 
 def quadratic(a=1.0, center=0.0):
@@ -271,3 +270,219 @@ def test_mean_gap_sublevel_invariance(toy_problem):
         diff = gaps[:, s + 1:] - gaps[:, [s]]
         excess = diff.mean(axis=0) - 3.0 * diff.std(axis=0, ddof=1) / math.sqrt(repeats)
         assert float(np.max(excess)) <= 1e-12
+
+
+# ------------------------------------------- block estimators vs point loops
+#
+# Each estimator evaluates its points as one block through the batched pair.
+# The references below are the per-point loops it replaced, through the
+# single-point views; the block result must equal them bit for bit, on every
+# family, whether the block is evaluated whole or in row chunks.
+
+SMALL = {experiment: {"experiment": experiment, "dataset": {"N": 30},
+                      "optimizer": {"minibatch": 5}}
+         for experiment in harness.EXPERIMENTS}
+
+
+def small_family(experiment):
+    cfg = harness.ExperimentConfig.from_dict(SMALL[experiment])
+    return harness.build_problem(cfg, harness.build_dataset(cfg))[0]
+
+
+@pytest.fixture(params=["whole", "chunked"])
+def chunk_budget(request, monkeypatch):
+    # 7 rows of N = 30 samples per chunk: a block of more than 7 points is split.
+    if request.param == "chunked":
+        monkeypatch.setattr(core, "EPOCH_CHUNK_ELEMENTS", 7 * 30)
+
+
+def reference_L(problem, lam, num_pairs, radius, rng):
+    center = np.zeros(problem.dimension)
+    best = 0.0
+    for _ in range(num_pairs):
+        w1 = diagnostics._sample_in_ball(rng, problem.dimension, center, radius)
+        w2 = diagnostics._sample_in_ball(rng, problem.dimension, center, radius)
+        gap = np.linalg.norm(w1 - w2)
+        if gap < 1e-14:
+            continue
+        g1, g2 = problem.full_gradient(w1, lam), problem.full_gradient(w2, lam)
+        best = max(best, float(np.linalg.norm(g1 - g2) / gap))
+    return best
+
+
+def reference_multistart(problem, lam, restarts, steps, alpha, seed):
+    """(best value, its minimizer, which restarts diverged), one restart at a time."""
+    rng = make_rng(seed)
+    best_val, best_w, diverged = np.inf, None, []
+    for _ in range(restarts):
+        w = rng.standard_normal(problem.dimension)
+        for _ in range(steps):
+            w = w - alpha * problem.full_gradient(w, lam)
+            if not np.all(np.isfinite(w)):
+                diverged.append(True)
+                break
+        else:
+            diverged.append(False)
+            val = problem.full_objective(w, lam)
+            if val < best_val:
+                best_val, best_w = float(val), w
+    return best_val, best_w, diverged
+
+
+def reference_grid_fstar(problem, lam, lo, hi, step):
+    """(value, minimizer): the first grid minimum, then the bisection refine."""
+    grid = np.arange(lo, hi + step / 2, step)
+    vals = [problem.full_objective(np.array([w]), lam) for w in grid]
+    j = int(np.argmin(vals))
+    best_val, best_w = vals[j], float(grid[j])
+    a, b = best_w - step, best_w + step
+    ga, gb = (problem.full_gradient(np.array([w]), lam)[0] for w in (a, b))
+    if ga < 0 < gb:
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            if problem.full_gradient(np.array([m]), lam)[0] < 0:
+                a = m
+            else:
+                b = m
+        v_ref = problem.full_objective(np.array([0.5 * (a + b)]), lam)
+        if v_ref < best_val:
+            best_val, best_w = v_ref, 0.5 * (a + b)
+    return best_val, best_w
+
+
+def reference_sigma2(problem, lam, w_samples, minibatch, draws, rng):
+    n = problem.sample_count
+    worst = 0.0
+    for w in w_samples:
+        full = problem.full_gradient(w, lam)
+        idx = core._draw_minibatch(rng, n, minibatch, draws)
+        if idx is None:
+            idx = np.tile(np.arange(n), (draws, 1))
+        diff = np.array([problem.minibatch_value_and_gradient(w, lam, i)[1] for i in idx]) - full
+        worst = max(worst, sum(np.einsum("rk,rk->r", diff, diff).tolist()) / draws)
+    return worst
+
+
+def reference_pl_probe(problem, lam, draws, fstar, rng):
+    sq_grads, vals = np.empty(draws), np.empty(draws)
+    for i in range(draws):
+        w = rng.standard_normal(problem.dimension)
+        g = problem.full_gradient(w, lam)
+        sq_grads[i] = float(np.dot(g, g))
+        vals[i] = problem.full_objective(w, lam)
+    mean_gap = float(np.mean(vals) - fstar)
+    mean_sq = float(np.mean(sq_grads))
+    return mean_sq / (2.0 * mean_gap), mean_sq, mean_gap
+
+
+def reference_numeric_gradient(problem, lam, w, coords, h):
+    numeric = np.empty(len(coords))
+    for j, c in enumerate(coords):
+        wp, wm = w.copy(), w.copy()
+        wp[c] += h
+        wm[c] -= h
+        numeric[j] = (problem.full_objective(wp, lam) - problem.full_objective(wm, lam)) / (2 * h)
+    return numeric
+
+
+def reference_mu(problem, lam, w, fstar, tol=1e-12):
+    gap = problem.full_objective(w, lam) - fstar
+    if gap <= tol:
+        return np.nan
+    g = problem.full_gradient(w, lam)
+    return float(np.dot(g, g) / (2.0 * gap))
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+@pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+def test_block_estimate_L_equals_point_loop(experiment, lam, chunk_budget):
+    problem = small_family(experiment)
+    block = diagnostics.estimate_L(problem, lam, 40, 2.0, make_rng(21))
+    assert block == reference_L(problem, lam, 40, 2.0, make_rng(21))
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_block_multistart_equals_point_loop(experiment, chunk_budget):
+    problem = small_family(experiment)
+    spec = {"kind": "multistart", "restarts": 9, "steps": 40, "alpha": 0.2, "seed": 6}
+    est = diagnostics.estimate_fstar(problem, 0.37, spec)
+    value, minimizer, diverged = reference_multistart(problem, 0.37, 9, 40, 0.2, 6)
+    assert not any(diverged)
+    assert est.value == value and np.array_equal(est.minimizer, minimizer)
+
+
+def test_block_multistart_drops_diverged_restarts(chunk_budget):
+    # At this step size every MLP restart grows without bound; within 98
+    # steps 4 of the 8 overflow, at steps 97 and 98, and the other 4 are
+    # still finite, so the block loses rows at two different steps.
+    problem = small_family("sine-mlp")
+    spec = {"kind": "multistart", "restarts": 8, "steps": 98, "alpha": 1.95, "seed": 4}
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = diagnostics.estimate_fstar(problem, 1.0, spec)
+        value, minimizer, diverged = reference_multistart(problem, 1.0, 8, 98, 1.95, 4)
+    assert diverged == [False, True, True, True, True, False, False, False]
+    assert est.value == value and np.array_equal(est.minimizer, minimizer)
+
+
+def test_block_multistart_mixed_divergence_on_quartic():
+    # w <- w - w^3 diverges from |w| > sqrt(2) and converges from inside.
+    prob = Scalar1D(lambda w: 0.25 * w**4, lambda w: w**3)
+    spec = {"kind": "multistart", "restarts": 12, "steps": 30, "alpha": 1.0, "seed": 5}
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = diagnostics.estimate_fstar(prob, 1.0, spec)
+        value, minimizer, diverged = reference_multistart(prob, 1.0, 12, 30, 1.0, 5)
+        assert 0 < sum(diverged) < len(diverged)
+        assert est.value == value and np.array_equal(est.minimizer, minimizer)
+        # Started around w = 5, every restart diverges.
+        with pytest.raises(diagnostics.EstimationError, match="every descent restart diverged"):
+            diagnostics.estimate_fstar(prob, 1.0, {**spec, "init_center": [5.0]})
+
+
+@pytest.mark.parametrize("experiment", ["toy-erf", "synthetic-lq"])
+@pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+def test_block_grid_fstar_equals_point_loop(experiment, lam, chunk_budget):
+    problem = small_family(experiment)
+    est = diagnostics.estimate_fstar(problem, lam, {"kind": "grid", "lo": -6, "hi": 6, "step": 0.05})
+    value, minimizer = reference_grid_fstar(problem, lam, -6, 6, 0.05)
+    assert est.value == value and est.minimizer[0] == minimizer
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+@pytest.mark.parametrize("minibatch", [5, 30])
+def test_block_sigma2_equals_point_loop(experiment, minibatch, chunk_budget):
+    problem = small_family(experiment)
+    rng = make_rng(13)
+    w_samples = [0.5 * rng.standard_normal(problem.dimension) for _ in range(3)]
+    block = diagnostics.estimate_sigma2(problem, 0.37, w_samples, minibatch, 20, make_rng(14))
+    assert block == reference_sigma2(problem, 0.37, w_samples, minibatch, 20, make_rng(14))
+    assert (block == 0.0) == (minibatch == problem.sample_count)
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_block_pl_probe_equals_point_loop(experiment, chunk_budget):
+    problem = small_family(experiment)
+    probe = diagnostics.expected_pl_probe(problem, 0.37, 100, 0.0, make_rng(17))
+    ref = reference_pl_probe(problem, 0.37, 100, 0.0, make_rng(17))
+    assert (probe.ratio, probe.mean_sq_grad_norm, probe.mean_gap) == ref
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_block_check_gradient_equals_point_loop(experiment, chunk_budget):
+    problem = small_family(experiment)
+    w = 0.5 * make_rng(19).standard_normal(problem.dimension)
+    coords = list(range(problem.dimension))
+    report = diagnostics.check_gradient(problem, 0.37, w, fd_step=1e-5)
+    assert np.array_equal(report.numeric,
+                          reference_numeric_gradient(problem, 0.37, w, coords, 1e-5))
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_block_pl_moduli_equal_point_loop(experiment, chunk_budget):
+    problem = small_family(experiment)
+    W = 0.5 * make_rng(23).standard_normal((12, problem.dimension))
+    # f* at the objective of row 0 leaves mu undefined there.
+    fstar = problem.full_objective(W[0], 0.37)
+    mu, gaps = diagnostics.pl_moduli(problem, 0.37, W, fstar)
+    ref = np.array([reference_mu(problem, 0.37, w, fstar) for w in W])
+    assert np.isnan(mu[0]) and np.array_equal(mu, ref, equal_nan=True)
+    assert np.array_equal(gaps, [problem.full_objective(w, 0.37) - fstar for w in W])

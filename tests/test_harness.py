@@ -1,5 +1,6 @@
 """Experiment orchestration: configs, traces, metadata replay, lockstep runs."""
 
+import dataclasses
 import json
 import pickle
 
@@ -12,8 +13,8 @@ from homotopy_opt.core import (
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
-    epoch_metrics_in_chunks,
     hsgd_run,
+    in_row_chunks,
     make_rng,
     make_schedule,
     sgd_run,
@@ -83,6 +84,46 @@ def test_config_rejects_unusable_threshold_metric(tmp_path, experiment, metric):
         ExperimentConfig.from_dict(raw)
     # Rejected before any compute: the run never starts, so it writes nothing.
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("experiment, raw, message", [
+    ("synthetic-lq", {"optimizer": {"schedule": "explicit", "explicit": [1, 2], "n": 3}},
+     "n = 3 entries"),
+    ("synthetic-lq", {"optimizer": {"schedule": "explicit", "n": 2}}, "n = 2 entries"),
+    ("moons-logistic", {"dataset": {"N": 41}}, "even dataset.N"),
+])
+def test_config_rejects_cross_field_mismatch(tmp_path, experiment, raw, message):
+    raw = {"experiment": experiment, "out_dir": str(tmp_path / "run"), **raw}
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig.from_dict(raw)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("raw", [[1, 2], "x", "config", None, 3])
+def test_config_must_be_an_object(raw):
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
+        ExperimentConfig.from_dict({"config": raw, "sampler": SAMPLER})
+
+
+def test_reports_serialize_every_field_in_order():
+    cfg = ExperimentConfig.from_dict({"experiment": "synthetic-lq"})
+    raw = cfg.to_dict()
+    assert list(raw) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert raw["optimizer"] == cfg.optimizer and raw["optimizer"] is not cfg.optimizer
+    report = harness.ComparisonReport("synthetic-lq", None, "gap", {"sgd": {"failed": False}})
+    assert report.to_dict() == {"experiment": "synthetic-lq", "threshold": None,
+                                "threshold_metric": "gap", "arms": {"sgd": {"failed": False}},
+                                "speedup": None, "speedup_note": ""}
+
+
+def test_diagnose_rejects_lambda_outside_unit_interval(tmp_path):
+    cfg = ExperimentConfig.from_dict({"experiment": "synthetic-lq", "out_dir": str(tmp_path / "d")})
+    for lam in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            harness.run_diagnose(cfg, lam=lam)
+    assert not (tmp_path / "d").exists()
 
 
 def test_config_merges_defaults_and_overrides():
@@ -299,7 +340,7 @@ def test_chunked_epoch_metrics_equal_one_block(experiment, monkeypatch):
         monkeypatch.setattr(core, "EPOCH_CHUNK_ELEMENTS", budget)
         W = w0 + 0.3 * rng.standard_normal((repeats, problem.dimension))
         for lam in (0.0, 0.37, 1.0):
-            obj, aux = epoch_metrics_in_chunks(problem, W, lam)
+            obj, aux = in_row_chunks(problem, problem.epoch_metrics, W, lam)
             ref_obj, ref_aux = problem.epoch_metrics(W, lam)
             assert np.array_equal(obj, ref_obj)
             assert (aux is None) == (ref_aux is None)

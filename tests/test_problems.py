@@ -13,6 +13,7 @@ from homotopy_opt.problems import (
     CubicLogisticModel,
     DataError,
     DomainError,
+    HomotopyProblem,
     LabelInterpolationMap,
     MlpRegressionProblem,
     cubic_logistic_problem,
@@ -341,3 +342,27 @@ def test_problem_arrays_are_read_only_copies(family):
     for source in (xs, X, y01):
         source[0] += 1.0
     assert prob.full_objective(w, 0.5) == before
+
+
+def test_family_must_implement_the_batched_pair():
+    # The single-point methods are views of the batched pair, not a second
+    # way to define a family: a subclass with only them cannot be built.
+    class PointOnly(HomotopyProblem):
+        dimension = 1
+        sample_count = 1
+
+        def full_objective(self, w, lam):
+            return 0.0
+
+        def minibatch_value_and_gradient(self, w, lam, indices):
+            return 0.0, np.zeros(1)
+
+    with pytest.raises(TypeError, match="abstract method.*gradient.*objective"):
+        PointOnly()
+
+    class ObjectiveOnly(HomotopyProblem):
+        def objective(self, W, lam):
+            return np.zeros(len(W))
+
+    with pytest.raises(TypeError, match="abstract method.*gradient"):
+        ObjectiveOnly()
