@@ -20,7 +20,6 @@ from .problems import (
     QuadraticTrackingProblem,
     cubic_logistic_problem,
     erf_problem,
-    interpolate_labels,
     mlp_sine_problem,
     quadratic_tracking_problem,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "MlpRegressionProblem",
     "CubicLogisticProblem",
     "QuadraticTrackingProblem",
-    "interpolate_labels",
     "erf_problem",
     "mlp_sine_problem",
     "cubic_logistic_problem",

@@ -26,10 +26,23 @@ def _load_json(path):
 
 
 def _load_config(args):
+    """The config of ``--config`` with the command-line overrides applied.
+
+    A metadata file replays its recorded ``config``: ``--out`` moves the
+    replay's output, while ``--repeats`` and ``--seed`` are rejected, since a
+    replay under other repeats or seeds reproduces nothing.
+    """
     raw = _load_json(args.config)
     overrides = {"repeats": args.repeats, "master_seed": args.seed, "out_dir": args.out}
-    if isinstance(raw, dict):  # anything else is rejected by from_dict
-        raw.update((key, value) for key, value in overrides.items() if value is not None)
+    target = raw
+    if isinstance(raw, dict) and "config" in raw:
+        if args.repeats is not None or args.seed is not None:
+            raise ConfigurationError(
+                f"--repeats and --seed cannot be applied to the metadata file {args.config}: "
+                "a replay reproduces the recorded run only under its own repeats and seed")
+        target = raw["config"]
+    if isinstance(target, dict):  # anything else is rejected by from_dict
+        target.update((key, value) for key, value in overrides.items() if value is not None)
     return harness.ExperimentConfig.from_dict(raw)
 
 

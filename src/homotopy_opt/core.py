@@ -32,6 +32,15 @@ SAMPLER_BLOCK_ELEMENTS = 128_000
 # whole block (sine-mlp: R x N x 10) spill out of cache and would set the
 # peak memory; each row's arithmetic does not change.
 EPOCH_CHUNK_ELEMENTS = 25_000
+# Repeat-steps (repeats x steps of one arm) from which a run cuts an arm's
+# repeats into one slice per usable CPU, each slice but the first in a
+# forked worker (``harness._run_arm``). Not part of the contract: no output
+# depends on the slice count. On a 2-CPU host a fork and its result pipe
+# cost about 15 ms, more than half of synthetic-lq's default arm
+# (100,000 repeat-steps) saves, so that arm and toy-erf's (40,000) run in
+# one process; moons-logistic and sine-mlp arms at R = 100 and k >= 100
+# (200,000 and more) are split.
+FORK_REPEAT_STEPS = 150_000
 
 
 def clamp_lambda(lam):

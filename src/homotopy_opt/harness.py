@@ -3,8 +3,11 @@
 A single JSON config drives everything; every default is materialized into the
 emitted metadata so a run can be replayed bit-identically from its metadata
 file. Repeats use per-repeat PRNG streams seeded by master_seed XOR
-repeat_index and all repeats of an arm step in lockstep, in this process;
-arms (sgd vs hsgd) share the dataset and the initial point.
+repeat_index. An arm's repeats are cut into contiguous slices, one per usable
+CPU (none for an arm below ``core.FORK_REPEAT_STEPS`` repeat-steps); each
+slice steps its repeats in lockstep, the first in this process and the others
+in forked workers, and no output depends on the slice count. Arms (sgd vs
+hsgd) share the dataset and the initial point.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import multiprocessing
 import numbers
+import os
+import traceback
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -20,6 +26,7 @@ import numpy as np
 
 from . import __version__, datasets, diagnostics
 from .core import (
+    FORK_REPEAT_STEPS,
     SAMPLER,
     ConfigurationError,
     NonFiniteError,
@@ -329,18 +336,116 @@ def _sgd_total_steps(cfg_sgd, schedule, budget_factor=1):
 
 
 def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, stage_hook=None):
-    """Every repeat of one arm in lockstep; returns (lambdas, objectives, aux) per epoch.
+    """Every repeat of one arm; returns (lambdas, objectives, aux) per epoch.
 
-    Repeat r runs on the stream seeded by ``seeds[r]``. objectives and aux
-    are (R, epochs + 1), from ``problem.epoch_metrics``, evaluated in row
-    chunks (``in_row_chunks``); aux is None for a family without a second
-    metric.
+    ``w0`` is the start point of every repeat, or an (R, d) block of one
+    start row per repeat. The repeats are cut into ``_slice_count``
+    contiguous slices, each run by ``_run_slice``: slice 0, which holds
+    repeat 0 and so every ``stage_hook`` call, in this process, and each
+    other slice in a forked worker. A repeat's row does not depend on its
+    slice, so the result does not depend on the slice count. On a
+    NonFiniteError the error the serial run would have raised is raised;
+    on any other error in a slice, that error.
     """
-    W0 = np.tile(w0, (len(seeds), 1))
-    rngs = [make_rng(seed) for seed in seeds]
-    every = cfg_sgd.record_every
+    W0 = np.array(np.broadcast_to(w0, (len(seeds), problem.dimension)), dtype=float)
     total_steps = cfg_sgd.steps * schedule.n if method == "hsgd" else \
         _sgd_total_steps(cfg_sgd, schedule, budget_factor)
+    parts = np.array_split(np.arange(len(seeds)), _slice_count(len(seeds), total_steps))
+    args = [(problem, W0[part], method, schedule, cfg_sgd, [seeds[r] for r in part],
+             total_steps) for part in parts]
+    fork = multiprocessing.get_context("fork") if len(parts) > 1 else None
+    workers = []
+    try:
+        for part, slice_args in zip(parts[1:], args[1:]):
+            receive, send = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_slice_worker, args=(send, slice_args), daemon=True)
+            worker.start()
+            send.close()
+            workers.append((int(part[0]), receive, worker))
+        try:
+            outcomes = [(0, True, _run_slice(*args[0], stage_hook=stage_hook))]
+        except NonFiniteError as exc:
+            outcomes = [(0, False, exc)]
+        for offset, receive, worker in workers:
+            try:
+                outcomes.append((offset, *receive.recv()))
+            except EOFError:
+                outcomes.append((offset, False, RuntimeError(
+                    f"the worker for repeats from {offset} exited without a result")))
+            worker.join()
+    finally:  # reached early when this process's own slice raises
+        for _, receive, worker in workers:
+            if worker.exitcode is None:
+                worker.terminate()
+                worker.join()
+            receive.close()
+    failures = [(offset, exc) for offset, ok, exc in outcomes if not ok]
+    for _, exc in failures:
+        if not isinstance(exc, NonFiniteError):
+            raise exc
+    if failures:
+        raise _serial_nonfinite(failures)
+    lambdas, objectives, aux = zip(*(result for _, _, result in outcomes))
+    return lambdas[0], np.concatenate(objectives), None if aux[0] is None else np.concatenate(aux)
+
+
+def _slice_count(repeats, steps):
+    """How many slices an arm of ``repeats`` x ``steps`` is cut into.
+
+    One per usable CPU, but never more than the repeats; an arm below
+    FORK_REPEAT_STEPS runs in this process, where a fork would cost more
+    than it saves.
+    """
+    if repeats * steps < FORK_REPEAT_STEPS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), repeats)
+
+
+def _slice_worker(send, slice_args):
+    """Forked worker: run one slice, send (ok, result or exception) and exit.
+
+    ``os._exit`` ends the worker without the interpreter's shutdown, so it
+    never flushes the copy of the parent's stdout it inherited.
+    """
+    try:
+        try:
+            outcome = (True, _run_slice(*slice_args))
+        except Exception as exc:  # raised again in the parent, which never sees this traceback
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             f"raised in a forked worker:\n{traceback.format_exc()}"]
+            outcome = (False, exc)
+        send.send(outcome)
+    finally:
+        os._exit(0)
+
+
+def _serial_nonfinite(failures):
+    """The NonFiniteError one slice of all repeats raises, from (repeat offset, error) per slice.
+
+    The engine checks a step's gradients, then its iterates, each in repeat
+    order. The error names the repeat's index in the arm, not in its slice.
+    """
+    def serial_order(failure):
+        offset, exc = failure
+        return exc.step, not str(exc).startswith("non-finite gradient"), offset + exc.repeat
+
+    offset, exc = min(failures, key=serial_order)
+    repeat = offset + exc.repeat
+    message = str(exc).replace(f"(repeat {exc.repeat}", f"(repeat {repeat}", 1)
+    return NonFiniteError(message, step=exc.step, homotopy_iteration=exc.homotopy_iteration,
+                          lam=exc.lam, repeat=repeat)
+
+
+def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage_hook=None):
+    """Repeats with start rows W0 of one arm in lockstep; returns (lambdas, objectives, aux).
+
+    Each repeat takes ``total_steps`` steps; repeat r runs on the stream
+    seeded by ``seeds[r]``. objectives and aux are (R, epochs + 1), from
+    ``problem.epoch_metrics``, evaluated in row chunks (``in_row_chunks``);
+    aux is None for a family without a second metric.
+    """
+    rngs = [make_rng(seed) for seed in seeds]
+    every = cfg_sgd.record_every
     lambdas = np.empty(total_steps // every + 1)
     objectives = np.empty((len(seeds), lambdas.size))
     aux = np.empty_like(objectives) if problem.aux_metric else None

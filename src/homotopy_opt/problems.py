@@ -79,11 +79,6 @@ class LabelInterpolationMap:
         return lam * yt + (1.0 - lam) * ys
 
 
-def interpolate_labels(label_map: LabelInterpolationMap, lam):
-    """Elementwise lambda * y_target + (1 - lambda) * y_source; exact at endpoints."""
-    return label_map.at(lam)
-
-
 class HomotopyProblem(ABC):
     """Base interface for a parametric objective family f(w, lambda).
 
@@ -284,28 +279,6 @@ class MlpRegressionProblem(HomotopyProblem):
 def mlp_sine_problem(xs, ys_target, ys_source, init_spec=0):
     """Sine-regression MLP family; ``init_spec`` seeds the default init."""
     return MlpRegressionProblem(xs, ys_target, ys_source, init_seed=init_spec)
-
-
-@dataclass(frozen=True)
-class CubicLogisticModel:
-    """Cubic score with lambda-gated nonlinear block: model value is affine in
-    each coefficient and depends only on c7..c9 at lambda = 0."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.shape != (9,):
-            raise ConfigurationError("cubic logistic model needs 9 coefficients")
-        object.__setattr__(self, "coefficients", c)
-
-    def score(self, x1, x2, lam):
-        c = self.coefficients
-        nonlinear = (
-            c[0] * x1**3 + c[1] * x2**3 + c[2] * x1**2
-            + c[3] * x2**2 + c[4] * x1**2 * x2 + c[5] * x1 * x2**2
-        )
-        return lam * nonlinear + c[6] * x1 + c[7] * x2 + c[8]
 
 
 class CubicLogisticProblem(HomotopyProblem):

@@ -156,6 +156,40 @@ def test_replaying_pre_sampler_metadata_is_config_error(tmp_path, capsys):
     assert "'floyd-block-v0'" in capsys.readouterr().err
 
 
+def test_readme_replay_example(tmp_path, monkeypatch):
+    # README "Quick start": run, replay the metadata file into another
+    # directory with --out, then cmp the traces.
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "lq.json", {"experiment": "synthetic-lq", "repeats": 20})
+    assert cli.main(["run", "--config", "lq.json", "--out", "runs/lq"]) == cli.EXIT_OK
+    source = {p.name: p.read_bytes() for p in (tmp_path / "runs" / "lq").iterdir()}
+    code = cli.main(["run", "--config", "runs/lq/metadata.json", "--out", "runs/lq-replay"])
+    assert code == cli.EXIT_OK
+    replay = tmp_path / "runs" / "lq-replay"
+    assert (replay / "trace_hsgd.csv").read_bytes() == source["trace_hsgd.csv"]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "runs" / "lq").iterdir()} == source
+    for name, data in source.items():
+        if name != "metadata.json":
+            assert (replay / name).read_bytes() == data
+    meta = json.loads((replay / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["config"]["out_dir"] == "runs/lq-replay"
+
+
+@pytest.mark.parametrize("flag", [["--repeats", "3"], ["--seed", "5"]])
+def test_repeats_or_seed_on_a_metadata_file_is_config_error(tmp_path, capsys, flag):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "repeats": 2, "optimizer": {"k": 4, "n": 2}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    source = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    meta = str(tmp_path / "a" / "metadata.json")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", meta, "--out", str(tmp_path / "b"), *flag]) == \
+        cli.EXIT_CONFIG
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+    assert {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()} == source
+
+
 def test_gen_data_subcommand(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"experiment": "moons-logistic",
                                              "dataset": {"N": 20}})

@@ -1,13 +1,19 @@
 """Experiment orchestration: configs, traces, metadata replay, lockstep runs."""
 
 import dataclasses
+import io
 import json
+import multiprocessing
+import os
 import pickle
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from homotopy_opt import core, diagnostics, harness
+from homotopy_opt import cli, core, diagnostics, harness
 from homotopy_opt.core import (
     SAMPLER,
     ConfigurationError,
@@ -312,6 +318,195 @@ def test_nonfinite_block_names_the_repeat(tmp_path):
     with pytest.raises(NonFiniteError, match=r"step 1 \(repeat 1\)") as err:
         sgd_run(W0, SgdConfig(0.1, 5, 10), problem, 1.0, rngs)
     assert (err.value.step, err.value.repeat) == (1, 1)
+
+
+# ------------------------------------------------------ repeats split in slices
+
+
+@pytest.fixture
+def slices(monkeypatch):
+    """``cut_into(count)`` sets the slice count and returns the list of workers started since."""
+    fork = multiprocessing.get_context("fork")
+    started = []
+    real_process = fork.Process
+
+    def process(*args, **kwargs):
+        started.append(kwargs)
+        return real_process(*args, **kwargs)
+
+    monkeypatch.setattr(fork, "Process", process)
+
+    def cut_into(count):
+        monkeypatch.setattr(harness, "_slice_count", lambda repeats, steps: min(count, repeats))
+        started.clear()
+        return started
+    return cut_into
+
+
+def in_worker_only(monkeypatch, action):
+    """Make ``_run_slice`` call ``action()`` in a forked worker; this process runs its slice."""
+    parent, real = os.getpid(), harness._run_slice
+
+    def run_slice(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_slice", run_slice)
+
+
+SPLIT_CASES = {
+    "toy-erf": {"optimizer": {"k": 4, "n": 6}},
+    "moons-logistic": {"dataset": {"N": 100}, "optimizer": {"k": 6, "n": 3}},
+    "sine-mlp": {"dataset": {"N": 40}, "optimizer": {"k": 16, "n": 2}},
+    "diverging sine-mlp": {"experiment": "sine-mlp", "method": "hsgd", "dataset": {"N": 40},
+                           "optimizer": {"alpha": 1e150, "k": 16, "n": 2}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_outputs_are_byte_identical(tmp_path, slices, case):
+    raw = {"experiment": case, "repeats": 5, **SPLIT_CASES[case]}
+    outputs = {}
+    for count in (1, 2, 3):
+        started = slices(count)
+        cfg = ExperimentConfig.from_dict({**raw, "out_dir": str(tmp_path / str(count))})
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the diverging step size is out of range
+            run_experiment(cfg)
+        arms = 1 if cfg.method == "hsgd" else 2
+        assert len(started) == arms * (count - 1)
+        meta = json.loads((tmp_path / str(count) / "metadata.json").read_text(encoding="utf-8"))
+        meta["config"]["out_dir"] = None
+        outputs[count] = meta, {p.name: p.read_bytes() for p in (tmp_path / str(count)).iterdir()
+                                if p.name != "metadata.json"}
+    names = set(outputs[1][1])
+    if "diverging" in case:
+        assert names == {"report.json"}
+        assert "non-finite" in json.loads(outputs[1][1]["report.json"])["arms"]["hsgd"]["failure"]
+    else:
+        assert {"report.json", "trace_sgd.csv", "trace_hsgd.csv"} <= names
+        assert ("hsgd_snapshots.csv" in names) == (case != "moons-logistic")
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_or_a_small_arm_starts_no_process(tmp_path, monkeypatch):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_fork)
+    raw = {"experiment": "toy-erf", "repeats": 4, "optimizer": {"k": 4, "n": 6}}
+    # 4 repeats x 24 steps: below the budget, even with four CPUs.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert harness._slice_count(4, 24) == 1
+    run_experiment(ExperimentConfig.from_dict({**raw, "out_dir": str(tmp_path / "small")}))
+    # Over the budget, but with one usable CPU.
+    monkeypatch.setattr(harness, "FORK_REPEAT_STEPS", 1)
+    assert harness._slice_count(4, 24) == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert harness._slice_count(4, 24) == 1
+    run_experiment(ExperimentConfig.from_dict({**raw, "out_dir": str(tmp_path / "one-cpu")}))
+
+
+def lq_arm(rows, alpha=0.1):
+    """A 5-repeat synthetic-lq hsgd arm from the start rows ``rows``."""
+    cfg = ExperimentConfig.from_dict({"experiment": "synthetic-lq"})
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    W0 = np.tile(w0, (5, 1))
+    for r, value in rows.items():
+        W0[r] = value
+    cfg_sgd = SgdConfig(alpha, 10, 8, record_every=8)
+    return lambda: _run_arm(problem, W0, "hsgd", make_schedule("constant", 3), cfg_sgd,
+                            [20 + r for r in range(5)])
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ({3: np.nan}, "non-finite gradient at step 1 (repeat 3, homotopy iteration 1"),
+    # Repeat 0's iterate overflows at the step where repeat 3's gradient is
+    # NaN: the engine checks every gradient before any iterate.
+    ({0: 1e308, 3: np.nan}, "non-finite gradient at step 1 (repeat 3,"),
+    ({0: 1e308}, "non-finite iterate at step 1 (repeat 0,"),
+    ({2: 1e308, 4: np.nan}, "non-finite gradient at step 1 (repeat 4,"),
+])
+def test_worker_nonfinite_error_is_the_serial_one(slices, rows, expected):
+    arm = lq_arm(rows, alpha=3.0)
+    errors = []
+    for count in (1, 2, 3):
+        slices(count)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+            arm()
+        errors.append((str(err.value), err.value.step, err.value.repeat,
+                       err.value.homotopy_iteration, err.value.lam))
+    assert errors[0][0].startswith(expected)
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+
+
+def test_worker_error_is_reraised(tmp_path, slices, monkeypatch):
+    slices(2)
+
+    def fail():
+        raise ConfigurationError("raised in a worker")
+
+    in_worker_only(monkeypatch, fail)
+    with pytest.raises(ConfigurationError, match="raised in a worker") as err:
+        lq_arm({})()
+    assert "raised in a forked worker" in err.value.__notes__[-1]
+    assert "in fail" in err.value.__notes__[-1]  # the worker's own traceback
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "synthetic-lq", "repeats": 4,
+                                  "optimizer": {"k": 4, "n": 2}}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == \
+        cli.EXIT_CONFIG
+    in_worker_only(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited without a result"):
+        lq_arm({})()
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_parent_slice_terminates_the_workers(slices, monkeypatch):
+    slices(3)
+    parent, real = os.getpid(), harness._run_slice
+
+    def run_slice(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyError("parent slice")
+        time.sleep(60)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_slice", run_slice)
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="parent slice"):
+        lq_arm({})()
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_are_waited_for_and_leave_stdout_alone(tmp_path, slices, monkeypatch):
+    slices(2)
+
+    def spin():  # CPU time the parent must account for once the worker is joined
+        end = time.process_time() + 0.3
+        while time.process_time() < end:
+            pass
+
+    in_worker_only(monkeypatch, spin)
+    parent = os.getpid()
+    flushes = os.open(tmp_path / "flushes", os.O_WRONLY | os.O_CREAT)
+
+    class Stdout(io.StringIO):
+        def flush(self):
+            if os.getpid() != parent:
+                os.write(flushes, b"stdout flushed in a worker\n")
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    before = os.times()
+    lq_arm({})()
+    after = os.times()
+    os.close(flushes)
+    waited = after.children_user + after.children_system
+    assert waited - before.children_user - before.children_system >= 0.25
+    assert (tmp_path / "flushes").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("experiment", sorted(LOCKSTEP_CASES))

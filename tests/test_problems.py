@@ -10,7 +10,7 @@ from scipy.special import erf
 from homotopy_opt.core import make_rng
 from homotopy_opt.problems import (
     MLP_DIMENSION,
-    CubicLogisticModel,
+    CubicLogisticProblem,
     DataError,
     DomainError,
     HomotopyProblem,
@@ -18,7 +18,6 @@ from homotopy_opt.problems import (
     MlpRegressionProblem,
     cubic_logistic_problem,
     erf_problem,
-    interpolate_labels,
     mlp_sine_problem,
     quadratic_tracking_problem,
 )
@@ -62,7 +61,7 @@ def test_label_interpolation_endpoints_exact():
     m = LabelInterpolationMap(np.array([2.0, -1.0]), np.array([0.5, 3.0]))
     assert np.array_equal(m.at(0.0), [0.5, 3.0])
     assert np.array_equal(m.at(1.0), [2.0, -1.0])
-    assert np.array_equal(interpolate_labels(m, 0.5), [1.25, 1.0])
+    assert np.array_equal(m.at(0.5), [1.25, 1.0])
 
 
 def test_label_interpolation_validates():
@@ -169,10 +168,10 @@ def test_mlp_default_init_layout(small_mlp):
 
 
 def test_cubic_score_examples():
-    model = CubicLogisticModel(np.ones(9))
-    assert model.score(1.0, 2.0, 0.0) == 4.0
+    problem = CubicLogisticProblem([[1.0, 2.0]], [1])
+    assert problem.scores(np.ones(9), 0.0)[0] == 4.0
     # term-by-term: 1 + 8 + 1 + 4 + 2 + 4 nonlinear, 1 + 2 + 1 linear
-    assert model.score(1.0, 2.0, 1.0) == 24.0
+    assert problem.scores(np.ones(9), 1.0)[0] == 24.0
 
 
 def test_cubic_zero_coefficients_give_log_two(small_moons):
