@@ -18,10 +18,6 @@ from .problems import (
     LabelInterpolationMap,
     MlpRegressionProblem,
     QuadraticTrackingProblem,
-    cubic_logistic_problem,
-    erf_problem,
-    mlp_sine_problem,
-    quadratic_tracking_problem,
 )
 
 __all__ = [
@@ -38,8 +34,4 @@ __all__ = [
     "MlpRegressionProblem",
     "CubicLogisticProblem",
     "QuadraticTrackingProblem",
-    "erf_problem",
-    "mlp_sine_problem",
-    "cubic_logistic_problem",
-    "quadratic_tracking_problem",
 ]

@@ -25,29 +25,14 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_config(args):
-    """The config of ``--config`` with the command-line overrides applied.
-
-    A metadata file replays its recorded ``config``: ``--out`` moves the
-    replay's output, while ``--repeats`` and ``--seed`` are rejected, since a
-    replay under other repeats or seeds reproduces nothing.
-    """
-    raw = _load_json(args.config)
-    overrides = {"repeats": args.repeats, "master_seed": args.seed, "out_dir": args.out}
-    target = raw
-    if isinstance(raw, dict) and "config" in raw:
-        if args.repeats is not None or args.seed is not None:
-            raise ConfigurationError(
-                f"--repeats and --seed cannot be applied to the metadata file {args.config}: "
-                "a replay reproduces the recorded run only under its own repeats and seed")
-        target = raw["config"]
-    if isinstance(target, dict):  # anything else is rejected by from_dict
-        target.update((key, value) for key, value in overrides.items() if value is not None)
-    return harness.ExperimentConfig.from_dict(raw)
+def _load_config(args, repeats=None):
+    """The config of ``--config`` with ``--out``, ``--seed`` and ``repeats`` applied."""
+    return harness.ExperimentConfig.from_dict(_load_json(args.config), out_dir=args.out,
+                                              repeats=repeats, master_seed=args.seed)
 
 
 def cmd_run(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, args.repeats)
     arms, report = harness.run_experiment(cfg, quiet=False)
     if any(getattr(a, "failed", False) for a in arms.values()):
         return EXIT_RUNTIME
@@ -122,7 +107,7 @@ def cmd_theory(args):
 
 def cmd_diagnose(args):
     cfg = _load_config(args)
-    est = harness.run_diagnose(cfg, lam=args.homotopy_parameter, out_dir=args.out)
+    est = harness.run_diagnose(cfg, lam=args.homotopy_parameter)
     sys.stdout.write(est.to_text())
     return EXIT_OK
 
@@ -155,14 +140,12 @@ def build_parser():
     p_diag = sub.add_parser("diagnose", help="estimate landscape constants")
     p_diag.add_argument("--config", required=True)
     p_diag.add_argument("--homotopy-parameter", type=float, default=1.0)
-    p_diag.add_argument("--repeats", type=int, default=None)
     p_diag.add_argument("--out", default=None)
     p_diag.add_argument("--seed", type=int, default=None)
     p_diag.set_defaults(fn=cmd_diagnose)
 
     p_gen = sub.add_parser("gen-data", help="emit the dataset CSV for a config")
     p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--repeats", type=int, default=None)
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(fn=cmd_gen_data)

@@ -10,6 +10,7 @@ previous approximate solution.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -61,15 +62,34 @@ class ConfigurationError(ValueError):
     """Invalid optimizer, schedule or experiment configuration."""
 
 
-class NonFiniteError(RuntimeError):
-    """A gradient or iterate became NaN/Inf; carries the offending step and repeat."""
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
-    def __init__(self, message, step=None, homotopy_iteration=None, lam=None, repeat=None):
-        super().__init__(message)
+
+def _is_real(v):
+    # A chained comparison, unlike math.isfinite, never overflows on a huge int.
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
+class NonFiniteError(RuntimeError):
+    """A repeat's gradient or iterate (``what``) became NaN/Inf at ``step``.
+
+    The message is built from the fields, which are also its ``args``, so it pickles.
+    """
+
+    def __init__(self, what, step, repeat, homotopy_iteration=None, lam=None):
+        super().__init__(what, step, repeat, homotopy_iteration, lam)
+        self.what = what
         self.step = step
+        self.repeat = repeat
         self.homotopy_iteration = homotopy_iteration
         self.lam = lam
-        self.repeat = repeat
+
+    def __str__(self):
+        where = f"repeat {self.repeat}"
+        if self.homotopy_iteration is not None:
+            where += f", homotopy iteration {self.homotopy_iteration}, lambda={self.lam}"
+        return f"non-finite {self.what} at step {self.step} ({where})"
 
 
 @dataclass
@@ -95,12 +115,9 @@ class SgdConfig:
         if self.record_every is not None and self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1 when set")
 
-    def step_size_in_range(self, smoothness_estimate):
-        """True when alpha <= 1/L_tilde, the range the convergence analysis covers."""
-        return self.alpha <= 1.0 / smoothness_estimate
-
     def warn_if_out_of_range(self, smoothness_estimate):
-        if not self.step_size_in_range(smoothness_estimate):
+        """Warn unless alpha <= 1/L_tilde, the range the convergence analysis covers."""
+        if not self.alpha <= 1.0 / smoothness_estimate:
             warnings.warn(
                 f"step size {self.alpha} exceeds 1/L_tilde = {1.0 / smoothness_estimate:.6g}; "
                 "convergence guarantees do not apply",
@@ -115,7 +132,6 @@ class Schedule:
     kind: str
     n: int
     increments: np.ndarray
-    eta: float | None = None
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
@@ -128,10 +144,10 @@ class Schedule:
             raise ConfigurationError(f"schedule increments sum to {inc.sum()!r}, expected 1")
 
     def lambdas(self):
-        """The lambda values visited by the outer loop.
+        """The lambda values the outer loop (``hsgd_run``) visits.
 
-        Accumulated with the same left-to-right summation the outer loop uses,
-        so the values match the run bit for bit.
+        The increments are summed left to right and each partial sum is
+        snapped onto [0, 1] by ``clamp_lambda``.
         """
         out = np.empty(self.n)
         lam = 0.0
@@ -169,7 +185,7 @@ def make_schedule(kind, n, eta=None, explicit=None, epsilon1=None):
                 "min{e^(-eta*(i-1)), epsilon1} for some i",
                 stacklevel=2,
             )
-        return Schedule("exponential", n, inc, eta=eta)
+        return Schedule("exponential", n, inc)
     if kind == "explicit":
         if explicit is None:
             raise ConfigurationError("explicit schedule requires the increment list")
@@ -244,12 +260,7 @@ def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
     for what, block in (("gradient", grad), ("iterate", w)):
         bad = np.flatnonzero(~np.isfinite(np.atleast_2d(block)).all(axis=1))
         if bad.size:
-            where = f"repeat {bad[0]}"
-            if homotopy_iteration is not None:
-                where += f", homotopy iteration {homotopy_iteration}, lambda={lam}"
-            raise NonFiniteError(f"non-finite {what} at step {step} ({where})", step=step,
-                                 homotopy_iteration=homotopy_iteration, lam=lam,
-                                 repeat=int(bad[0]))
+            raise NonFiniteError(what, step, int(bad[0]), homotopy_iteration, lam)
 
 
 def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_iteration=None):
@@ -331,10 +342,8 @@ def hsgd_run(w0, schedule, cfg, problem, rng, sink=None, stage_hook=None):
     called with the iterate(s) at the end of homotopy iteration i.
     """
     w = w0
-    lam = 0.0
     step_offset = 0
-    for i, dlam in enumerate(schedule.increments, start=1):
-        lam = clamp_lambda(lam + dlam)
+    for i, lam in enumerate(schedule.lambdas().tolist(), start=1):
         w = sgd_run(
             w, cfg, problem, lam, rng,
             sink=sink, step_offset=step_offset, homotopy_iteration=i,

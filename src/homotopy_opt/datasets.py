@@ -8,7 +8,7 @@ noise stream from ``seed XOR SOURCE_NOISE_SALT``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    seed: int
-    spec: dict = field(default_factory=dict)
     source_targets: np.ndarray | None = None
 
     def __post_init__(self):
@@ -50,10 +48,7 @@ def gen_linear_toy(n=100, slope=3.0, noise_std=1.0, seed=0):
     rng = make_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     y = slope * x + noise_std * rng.standard_normal(n)
-    return Dataset(
-        inputs=x.reshape(-1, 1), targets=y, seed=seed,
-        spec={"generator": "linear_toy", "n": n, "slope": slope, "noise_std": noise_std},
-    )
+    return Dataset(inputs=x.reshape(-1, 1), targets=y)
 
 
 def gen_sine(n=500, freq=10.0, noise_std=float(np.sqrt(SINE_NOISE_VAR)), seed=0):
@@ -70,10 +65,7 @@ def gen_sine(n=500, freq=10.0, noise_std=float(np.sqrt(SINE_NOISE_VAR)), seed=0)
     src_rng = make_rng(seed ^ SOURCE_NOISE_SALT)
     src_std = np.sqrt(SINE_SOURCE_NOISE_VAR) if noise_std > 0 else 0.0
     y_src = x**2 + src_std * src_rng.standard_normal(n)
-    return Dataset(
-        inputs=x.reshape(-1, 1), targets=y, seed=seed, source_targets=y_src,
-        spec={"generator": "sine", "n": n, "freq": freq, "noise_std": noise_std},
-    )
+    return Dataset(inputs=x.reshape(-1, 1), targets=y, source_targets=y_src)
 
 
 def gen_moons(n=1000, noise_std=0.1, seed=0):
@@ -91,10 +83,7 @@ def gen_moons(n=1000, noise_std=0.1, seed=0):
     class1 = np.column_stack([1.0 - np.cos(theta), 0.5 - np.sin(theta)])
     X = np.vstack([class0, class1]) + noise_std * rng.standard_normal((n, 2))
     y = np.concatenate([np.zeros(half), np.ones(half)])
-    return Dataset(
-        inputs=X, targets=y, seed=seed,
-        spec={"generator": "moons", "n": n, "noise_std": noise_std},
-    )
+    return Dataset(inputs=X, targets=y)
 
 
 def dataset_to_csv(dataset, path):

@@ -34,18 +34,18 @@ def _sample_in_ball(rng, dim, center, radius):
     return center + radius * rng.random() ** (1.0 / dim) * direction / norm
 
 
-def estimate_L(problem, lam, num_pairs, radius, rng, center=None):
+def estimate_L(problem, lam, num_pairs, radius, rng):
     """Max sampled gradient-difference ratio: a lower bound L_tilde on L.
 
-    The ratio max is taken over pairs drawn inside the radius ball; growing
-    num_pairs with the same stream extends the sample, so the estimate is
-    monotone in num_pairs.
+    The ratio max is taken over pairs drawn inside the radius ball about the
+    origin; growing num_pairs with the same stream extends the sample, so
+    the estimate is monotone in num_pairs.
     """
     if num_pairs < 1:
         raise ConfigurationError("need at least one pair")
     if radius <= 0:
         raise ConfigurationError("radius must be positive")
-    center = np.zeros(problem.dimension) if center is None else np.asarray(center, dtype=float)
+    center = np.zeros(problem.dimension)
     # Pair i is rows 2i and 2i + 1; a coincident pair is evaluated but not used.
     W = np.empty((2 * num_pairs, problem.dimension))
     for row in W:
@@ -123,13 +123,12 @@ def _grid_fstar(problem, lam, lo, hi, step):
     return FstarEstimate(best_val, np.array([best_w]), upper_bound_only=False)
 
 
-def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_radius=1.0, init_center=None):
+def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=None):
     if restarts < 1:
         raise ConfigurationError("need at least one restart")
     rng = make_rng(seed)
     center = np.zeros(problem.dimension) if init_center is None else np.asarray(init_center, float)
-    W = np.array([center + init_radius * rng.standard_normal(problem.dimension)
-                  for _ in range(restarts)])
+    W = np.array([center + rng.standard_normal(problem.dimension) for _ in range(restarts)])
     # Full-batch descent of every restart as one block; a restart leaves the
     # block at its first non-finite iterate.
     for _ in range(steps):
@@ -154,7 +153,7 @@ def estimate_fstar(problem, lam, search_spec):
     search_spec kinds:
       {"kind": "grid", "lo": -10, "hi": 10, "step": 1e-2}  (1-D problems)
       {"kind": "multistart", "restarts": 10, "steps": 2000, "alpha": 0.1,
-       "seed": 0[, "init_radius", "init_center"]}           (upper bound only)
+       "seed": 0[, "init_center"]}                          (upper bound only)
     """
     kind = search_spec.get("kind")
     if kind == "grid":
@@ -168,7 +167,6 @@ def estimate_fstar(problem, lam, search_spec):
             steps=search_spec.get("steps", 2000),
             alpha=search_spec["alpha"],
             seed=search_spec.get("seed", 0),
-            init_radius=search_spec.get("init_radius", 1.0),
             init_center=search_spec.get("init_center"),
         )
     raise ConfigurationError(f"unknown search kind {kind!r}")
@@ -208,14 +206,13 @@ def check_gradient(problem, lam, w, coords=None, fd_step=1e-6):
     return GradientCheckReport(coords, analytic, numeric, rel)
 
 
-def estimate_delta(problem, num_probes, rng, w_radius=3.0, w_center=None):
-    """Lambda-Lipschitz witness: max |f(w, l1) - f(w, l2)| / |l1 - l2| over probes."""
+def estimate_delta(problem, num_probes, rng):
+    """Lambda-Lipschitz witness: max |f(w, l1) - f(w, l2)| / |l1 - l2| over probes w ~ N(0, 9 I)."""
     if num_probes < 1:
         raise ConfigurationError("need at least one probe")
-    center = np.zeros(problem.dimension) if w_center is None else np.asarray(w_center, float)
     worst = 0.0
     for _ in range(num_probes):
-        w = center + w_radius * rng.standard_normal(problem.dimension)
+        w = 3.0 * rng.standard_normal(problem.dimension)
         l1, l2 = rng.random(), rng.random()
         if abs(l1 - l2) < 1e-9:
             continue

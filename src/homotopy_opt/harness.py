@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import multiprocessing
-import numbers
 import os
 import traceback
 from dataclasses import asdict, dataclass, field, fields
@@ -31,6 +29,8 @@ from .core import (
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
+    _is_int,
+    _is_real,
     hsgd_run,
     in_row_chunks,
     make_rng,
@@ -40,10 +40,10 @@ from .core import (
     stream_seed,
 )
 from .problems import (
-    cubic_logistic_problem,
-    erf_problem,
-    mlp_sine_problem,
-    quadratic_tracking_problem,
+    CubicLogisticProblem,
+    ErfRegressionProblem,
+    MlpRegressionProblem,
+    QuadraticTrackingProblem,
 )
 
 # Documented sub-seed salts (master_seed XOR salt) for auxiliary streams.
@@ -109,15 +109,6 @@ OPTIONAL_KEYS = {
     "optimizer": {"explicit"},
     "problem": {"L_pairs", "L_radius"},
 }
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    # A chained comparison, unlike math.isfinite, never overflows on a huge int.
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
 
 
 def _is_positive(v):
@@ -218,8 +209,20 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     @classmethod
-    def from_dict(cls, raw):
-        if isinstance(raw, dict) and "config" in raw:  # metadata file: replay its materialized config
+    def from_dict(cls, raw, out_dir=None, repeats=None, master_seed=None):
+        """The config ``raw``, with each override that is not None applied.
+
+        A metadata file (an object with a ``config`` key) replays its recorded
+        config: ``out_dir`` moves the replay's output, while ``repeats`` and
+        ``master_seed`` are rejected, since a replay under other repeats or
+        seeds reproduces nothing.
+        """
+        if isinstance(raw, dict) and "config" in raw:
+            if repeats is not None or master_seed is not None:
+                raise ConfigurationError(
+                    "repeats (--repeats) and master_seed (--seed) cannot be applied to a "
+                    "metadata file: a replay reproduces the recorded run only under its own "
+                    "repeats and seed")
             recorded = raw.get("sampler")
             if recorded != SAMPLER:
                 written = (f"sampler {recorded!r}" if recorded else
@@ -231,26 +234,19 @@ class ExperimentConfig:
             raw = raw["config"]
         if not isinstance(raw, dict):
             raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
-        raw = copy.deepcopy(raw)
+        overrides = {"out_dir": out_dir, "repeats": repeats, "master_seed": master_seed}
+        raw = {**copy.deepcopy(raw), **{k: v for k, v in overrides.items() if v is not None}}
         experiment = raw.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
             )
         _check_keys(raw, experiment)
+        # The experiment's defaults under the given values, section by section;
+        # a top-level key in neither takes the field's default.
         defaults = copy.deepcopy(DEFAULTS[experiment])
-        cfg = cls(
-            experiment=experiment,
-            method=raw.get("method", "both"),
-            dataset={**defaults["dataset"], **raw.get("dataset", {})},
-            optimizer={**defaults["optimizer"], **raw.get("optimizer", {})},
-            problem={**defaults["problem"], **raw.get("problem", {})},
-            repeats=raw.get("repeats", 100),
-            master_seed=raw.get("master_seed", 20240),
-            threshold=raw.get("threshold", defaults["threshold"]),
-            threshold_metric=raw.get("threshold_metric", defaults["threshold_metric"]),
-            out_dir=raw.get("out_dir", "runs"),
-        )
+        cfg = cls(**{**defaults, **raw, **{section: {**defaults[section], **raw.get(section, {})}
+                                           for section in ("dataset", "optimizer", "problem")}})
         if cfg.method not in ("sgd", "hsgd", "both"):
             raise ConfigurationError(f"unknown method {cfg.method!r}")
         if cfg.threshold_metric not in THRESHOLD_METRICS[experiment]:
@@ -276,10 +272,7 @@ def build_dataset(cfg: ExperimentConfig):
     if cfg.experiment == "synthetic-lq":
         rng = make_rng(ds["seed"] ^ LQ_OFFSET_SALT)
         offsets = ds["offset_std"] * rng.standard_normal(ds["N"])
-        return datasets.Dataset(
-            inputs=np.zeros((ds["N"], 1)), targets=offsets, seed=ds["seed"],
-            spec={"generator": "lq_offsets", **{k: v for k, v in ds.items()}},
-        )
+        return datasets.Dataset(inputs=np.zeros((ds["N"], 1)), targets=offsets)
     raise ConfigurationError(cfg.experiment)
 
 
@@ -288,18 +281,18 @@ def build_problem(cfg: ExperimentConfig, dataset):
     if cfg.experiment == "toy-erf":
         x = dataset.inputs[:, 0]
         w0 = float(cfg.problem["w0"])
-        problem = erf_problem(x, dataset.targets, w0 * x)
+        problem = ErfRegressionProblem(x, dataset.targets, w0 * x)
         return problem, np.array([w0])
     if cfg.experiment == "sine-mlp":
         x = dataset.inputs[:, 0]
         init_seed = cfg.problem.get("init_seed", cfg.master_seed ^ MLP_INIT_SALT)
-        problem = mlp_sine_problem(x, dataset.targets, dataset.source_targets, init_spec=init_seed)
+        problem = MlpRegressionProblem(x, dataset.targets, dataset.source_targets, init_seed)
         return problem, problem.default_init()
     if cfg.experiment == "moons-logistic":
-        problem = cubic_logistic_problem(dataset.inputs, dataset.targets)
+        problem = CubicLogisticProblem(dataset.inputs, dataset.targets)
         return problem, np.zeros(9)
     if cfg.experiment == "synthetic-lq":
-        problem = quadratic_tracking_problem(cfg.problem["mu"], dataset.targets)
+        problem = QuadraticTrackingProblem(cfg.problem["mu"], dataset.targets)
         return problem, np.array([float(cfg.problem["w0"])])
     raise ConfigurationError(cfg.experiment)
 
@@ -427,13 +420,10 @@ def _serial_nonfinite(failures):
     """
     def serial_order(failure):
         offset, exc = failure
-        return exc.step, not str(exc).startswith("non-finite gradient"), offset + exc.repeat
+        return exc.step, exc.what != "gradient", offset + exc.repeat
 
     offset, exc = min(failures, key=serial_order)
-    repeat = offset + exc.repeat
-    message = str(exc).replace(f"(repeat {exc.repeat}", f"(repeat {repeat}", 1)
-    return NonFiniteError(message, step=exc.step, homotopy_iteration=exc.homotopy_iteration,
-                          lam=exc.lam, repeat=repeat)
+    return NonFiniteError(exc.what, exc.step, offset + exc.repeat, exc.homotopy_iteration, exc.lam)
 
 
 def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage_hook=None):
@@ -496,15 +486,8 @@ class ArmResult:
     failure: str = ""
 
     def metric_curve(self, metric):
-        if metric == "gap":
-            if self.mean_gap is None:
-                raise ConfigurationError("no f* oracle for this experiment; gap metric unavailable")
-            return self.mean_gap
-        if metric == "error":
-            if self.mean_error is None:
-                raise ConfigurationError("error metric only exists for classification experiments")
-            return self.mean_error
-        return self.mean_objective
+        # from_dict admits only the metrics of THRESHOLD_METRICS, which every arm of the run has.
+        return {"gap": self.mean_gap, "error": self.mean_error}.get(metric, self.mean_objective)
 
 
 @dataclass
@@ -642,7 +625,7 @@ def _write_snapshots(path, rows):
             fh.write(f"{i},{_fmt(lam)},{_fmt(fval)}," + ",".join(_fmt(v) for v in w) + "\n")
 
 
-def run_diagnose(cfg: ExperimentConfig, lam=1.0, out_dir=None):
+def run_diagnose(cfg: ExperimentConfig, lam=1.0):
     """Measure landscape constants for the configured experiment at one lambda.
 
     An estimator that cannot produce a value (``EstimationError``: L_hat,
@@ -653,7 +636,7 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0, out_dir=None):
         raise ConfigurationError(f"homotopy parameter must lie in [0, 1], got {lam}")
     dataset = build_dataset(cfg)
     problem, w0 = build_problem(cfg, dataset)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     est = diagnostics.LandscapeEstimates()
     rng = make_rng(cfg.master_seed ^ L_ESTIMATE_SALT)

@@ -154,11 +154,6 @@ class ErfRegressionProblem(HomotopyProblem):
         return (np.mean(res**2, axis=1), grad) if with_value else grad
 
 
-def erf_problem(xs, ys_target, ys_source):
-    """Toy erf regression family (dimension 1)."""
-    return ErfRegressionProblem(xs, ys_target, ys_source)
-
-
 # Fixed MLP architecture: 1 - 10 - 10 - 1, tanh hidden units, identity output.
 MLP_HIDDEN = 10
 MLP_DIMENSION = 1 * MLP_HIDDEN + MLP_HIDDEN + MLP_HIDDEN * MLP_HIDDEN + MLP_HIDDEN + MLP_HIDDEN * 1 + 1
@@ -276,11 +271,6 @@ class MlpRegressionProblem(HomotopyProblem):
         return (np.mean(res**2, axis=1), grad) if with_value else grad
 
 
-def mlp_sine_problem(xs, ys_target, ys_source, init_spec=0):
-    """Sine-regression MLP family; ``init_spec`` seeds the default init."""
-    return MlpRegressionProblem(xs, ys_target, ys_source, init_seed=init_spec)
-
-
 class CubicLogisticProblem(HomotopyProblem):
     """Binary cross-entropy of sigmoid(score) for the lambda-gated cubic model.
 
@@ -340,15 +330,6 @@ class CubicLogisticProblem(HomotopyProblem):
         grad = np.einsum("...m,...mk->...k", d, phi) * gate
         return (self._loss(z, y), grad) if with_value else grad
 
-    def classification_error(self, w, lam):
-        """Mean 0/1 misclassification at decision threshold sigmoid(z) >= 0.5."""
-        return float(self.epoch_metrics(_block(w), lam)[1][0])
-
-
-def cubic_logistic_problem(features, labels01):
-    """Moons-classification family (dimension 9)."""
-    return CubicLogisticProblem(features, labels01)
-
 
 class QuadraticTrackingProblem(HomotopyProblem):
     """Synthetic 1-D family f(w, lam) = mu/2 * (w - lam)^2 with exact constants.
@@ -388,7 +369,3 @@ class QuadraticTrackingProblem(HomotopyProblem):
             return 0.0
         correction = (n - m) / (n - 1) if n > 1 else 0.0
         return self.mu**2 * var_b * correction / m
-
-
-def quadratic_tracking_problem(mu, offsets):
-    return QuadraticTrackingProblem(mu, offsets)

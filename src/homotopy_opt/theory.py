@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .core import ConfigurationError
+from .core import ConfigurationError, _is_int, _is_real
 
 
 class InfeasibleError(ValueError):
@@ -59,13 +59,22 @@ class TheoryConstants:
 
     @classmethod
     def from_dict(cls, data):
+        """Constants from a JSON object; null stands for an omitted optional constant."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"constants must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise InfeasibleError(f"unknown constant names: {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        given = {name for name, value in data.items() if value is not None}
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - given
         if missing:
-            raise ConfigurationError(f"missing constants: {sorted(missing)}")
+            raise ConfigurationError(f"missing constants (absent or null): {sorted(missing)}")
+        bad = [f"{name} = {data[name]!r}" for name in sorted(given)
+               if not (_is_int if name in ("k", "n") else _is_real)(data[name])]
+        if bad:
+            raise ConfigurationError(f"invalid constants (k and n take integers, the others "
+                                     f"finite numbers): {', '.join(bad)}")
         return cls(**data)
 
 

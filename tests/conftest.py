@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homotopy_opt import datasets
-from homotopy_opt.problems import erf_problem
+from homotopy_opt.problems import ErfRegressionProblem
 
 # Pass/fail lines recorded by tests/test_acceptance.py; printed once at the
 # end of the session so the verdict for every criterion is visible even when
@@ -33,7 +33,7 @@ def toy_dataset():
 @pytest.fixture(scope="session")
 def toy_problem(toy_dataset):
     x = toy_dataset.inputs[:, 0]
-    return erf_problem(x, toy_dataset.targets, -4.0 * x)
+    return ErfRegressionProblem(x, toy_dataset.targets, -4.0 * x)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from conftest import record_criterion
 from homotopy_opt import diagnostics, theory
 from homotopy_opt.core import (
     SgdConfig,
-    clamp_lambda,
     make_rng,
     make_schedule,
     sgd_run,
@@ -38,10 +37,10 @@ from homotopy_opt.harness import (
     run_diagnose,
 )
 from homotopy_opt.problems import (
-    cubic_logistic_problem,
-    erf_problem,
-    mlp_sine_problem,
-    quadratic_tracking_problem,
+    CubicLogisticProblem,
+    ErfRegressionProblem,
+    MlpRegressionProblem,
+    QuadraticTrackingProblem,
 )
 
 MASTER = 20240
@@ -101,7 +100,7 @@ def moons_run(tmp_path_factory):
 def toy_diagnose(tmp_path_factory):
     out = tmp_path_factory.mktemp("diag")
     cfg = ExperimentConfig.from_dict({"experiment": "toy-erf", "out_dir": str(out)})
-    est = run_diagnose(cfg, lam=1.0, out_dir=str(out))
+    est = run_diagnose(cfg, lam=1.0)
     dataset = build_dataset(cfg)
     problem, w0 = build_problem(cfg, dataset)
     return cfg, est, problem, w0
@@ -215,12 +214,12 @@ def test_criterion_05_gradient_checks():
 def test_criterion_06_oracle_unbiasedness():
     xs = np.array([0.1, -0.5, 0.8, 0.3, -0.9, 0.6, 0.2, -0.4])
     families = {
-        "erf": erf_problem(xs, np.sin(3 * xs), -2.0 * xs),
-        "mlp": mlp_sine_problem(xs[:6], np.sin(10 * xs[:6]), xs[:6] ** 2, init_spec=3),
-        "moons": cubic_logistic_problem(
+        "erf": ErfRegressionProblem(xs, np.sin(3 * xs), -2.0 * xs),
+        "mlp": MlpRegressionProblem(xs[:6], np.sin(10 * xs[:6]), xs[:6] ** 2, init_seed=3),
+        "moons": CubicLogisticProblem(
             np.column_stack([xs[:6], xs[:6] ** 2]),
             np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])),
-        "quadratic": quadratic_tracking_problem(1.4, xs),
+        "quadratic": QuadraticTrackingProblem(1.4, xs),
     }
     rng = make_rng(66)
     worst = 0.0
@@ -280,14 +279,15 @@ def test_criterion_08_sgd_bound_on_toy(toy_diagnose):
     gap0 = problem.full_objective(w0, 1.0) - fstar
     gaps = np.empty((repeats, epochs + 1))
     w_lo, w_hi = w0[0], w0[0]
-    for rep in range(repeats):
-        rng = make_rng(stream_seed(MASTER, rep))
-        w = w0.copy()
-        gaps[rep, 0] = gap0
-        for e in range(1, epochs + 1):
-            w = sgd_run(w, SgdConfig(alpha, spe, minibatch), problem, 1.0, rng)
-            w_lo, w_hi = min(w_lo, w[0]), max(w_hi, w[0])
-            gaps[rep, e] = problem.full_objective(w, 1.0) - fstar
+    # All repeats step as one block, one stream each: a repeat's row is the
+    # one a single-repeat run gives.
+    rngs = [make_rng(stream_seed(MASTER, rep)) for rep in range(repeats)]
+    W = np.tile(w0, (repeats, 1))
+    gaps[:, 0] = gap0
+    for e in range(1, epochs + 1):
+        W = sgd_run(W, SgdConfig(alpha, spe, minibatch), problem, 1.0, rngs)
+        w_lo, w_hi = min(w_lo, W[:, 0].min()), max(w_hi, W[:, 0].max())
+        gaps[:, e] = problem.objective(W, 1.0) - fstar
     mean = gaps.mean(axis=0)
     se = gaps.std(axis=0, ddof=1) / math.sqrt(repeats)
     sigma2 = diagnostics.estimate_sigma2(
@@ -311,7 +311,7 @@ def lq_setup():
     cfg = ExperimentConfig.from_dict({"experiment": "synthetic-lq"})
     rng = make_rng(int(cfg.dataset["seed"]) ^ LQ_OFFSET_SALT)
     offsets = float(cfg.dataset["offset_std"]) * rng.standard_normal(int(cfg.dataset["N"]))
-    problem = quadratic_tracking_problem(float(cfg.problem["mu"]), offsets)
+    problem = QuadraticTrackingProblem(float(cfg.problem["mu"]), offsets)
     minibatch = int(cfg.optimizer["minibatch"])
     alpha = float(cfg.optimizer["alpha"])
     k = int(cfg.optimizer["k"])
@@ -321,18 +321,16 @@ def lq_setup():
 
 
 def run_lq_homotopy(problem, schedule, cfg_sgd, repeats=200):
+    """Every repeat's gap after each homotopy stage, all repeats stepped as one block."""
     gaps = np.empty((repeats, schedule.n))
     sup_dev = 0.0
-    for rep in range(repeats):
-        rng = make_rng(stream_seed(MASTER, rep))
-        w = np.array([1.0])
-        lam = 0.0
-        for i, h in enumerate(schedule.increments):
-            lam = clamp_lambda(lam + h)
-            sup_dev = max(sup_dev, abs(w[0] - lam))
-            w = sgd_run(w, cfg_sgd, problem, lam, rng)
-            sup_dev = max(sup_dev, abs(w[0] - lam))
-            gaps[rep, i] = problem.full_objective(w, lam)
+    rngs = [make_rng(stream_seed(MASTER, rep)) for rep in range(repeats)]
+    W = np.ones((repeats, 1))
+    for i, lam in enumerate(schedule.lambdas().tolist()):
+        sup_dev = max(sup_dev, float(np.abs(W[:, 0] - lam).max()))
+        W = sgd_run(W, cfg_sgd, problem, lam, rngs)
+        sup_dev = max(sup_dev, float(np.abs(W[:, 0] - lam).max()))
+        gaps[:, i] = problem.objective(W, lam)
     return gaps, sup_dev
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
+import homotopy_opt
 from homotopy_opt import cli
 from homotopy_opt.core import SAMPLER
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 LQ_CONSTANTS = {
     "L": 1.0, "mu": 1.0, "sigma2": 0.11746318454690335, "delta": 1.0, "gamma": 1.0,
@@ -115,6 +120,33 @@ def test_theory_missing_constant_is_config_error(tmp_path, capsys):
     assert "missing constants" in err and "'sigma2'" in err and "'n'" in err
 
 
+@pytest.mark.parametrize("payload, named", [
+    (5, "got int"),                                  # not an object
+    ({**LQ_CONSTANTS, "mu": "x"}, "mu = 'x'"),
+    ({**LQ_CONSTANTS, "sigma2": None}, "'sigma2'"),  # null for a required constant
+    ({**LQ_CONSTANTS, "k": 2.5}, "k = 2.5"),
+    ({**LQ_CONSTANTS, "mu": True}, "mu = True"),
+    ({**LQ_CONSTANTS, "n": "20"}, "n = '20'"),
+    ({**LQ_CONSTANTS, "delta": float("inf")}, "delta = inf"),
+    ({**LQ_CONSTANTS, "rho_tilde": float("nan")}, "rho_tilde = nan"),
+])
+def test_theory_mistyped_constant_is_config_error(tmp_path, capsys, payload, named):
+    path = write_json(tmp_path / "c.json", payload)
+    assert cli.main(["theory", "--constants", path]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "gen-data"])
+def test_repeats_is_not_a_flag_of_diagnose_or_gen_data(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq"})
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--repeats", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --repeats 3" in capsys.readouterr().err
+
+
 def test_run_unusable_threshold_metric_is_config_error(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
         "experiment": "moons-logistic", "threshold": 0.1, "threshold_metric": "gap"})
@@ -188,6 +220,16 @@ def test_repeats_or_seed_on_a_metadata_file_is_config_error(tmp_path, capsys, fl
     assert flag[0] in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
     assert {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()} == source
+
+
+def test_package_version_has_one_source():
+    # pyproject.toml reads the version from homotopy_opt.__version__.
+    from setuptools.config.pyprojecttoml import read_configuration
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] support is flagged beta
+        project = read_configuration(PYPROJECT, expand=True)["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == homotopy_opt.__version__
 
 
 def test_gen_data_subcommand(tmp_path):

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from homotopy_opt import datasets
 from homotopy_opt.core import ConfigurationError
-from homotopy_opt.problems import cubic_logistic_problem
+from homotopy_opt.problems import CubicLogisticProblem
 
 
 def test_linear_toy_noise_free_is_exact_line():
@@ -82,7 +82,7 @@ def test_moons_cubic_separability():
     # A converged cubic logistic fit should classify the default dataset
     # nearly perfectly; this is what makes the homotopy target meaningful.
     ds = datasets.gen_moons(1000, 0.1, 123)
-    prob = cubic_logistic_problem(ds.inputs, ds.targets)
+    prob = CubicLogisticProblem(ds.inputs, ds.targets)
     res = minimize(
         lambda w: prob.full_objective(w, 1.0),
         np.zeros(9),
@@ -90,7 +90,7 @@ def test_moons_cubic_separability():
         method="L-BFGS-B",
         options={"maxiter": 2000},
     )
-    assert prob.classification_error(res.x, 1.0) <= 0.05
+    assert prob.epoch_metrics(res.x[None], 1.0)[1][0] <= 0.05
 
 
 def test_dataset_csv_round_trip(tmp_path):
@@ -117,4 +117,4 @@ def test_dataset_csv_two_feature_header(tmp_path):
 
 def test_dataset_length_validation():
     with pytest.raises(ConfigurationError):
-        datasets.Dataset(inputs=np.zeros((3, 1)), targets=np.zeros(2), seed=0)
+        datasets.Dataset(inputs=np.zeros((3, 1)), targets=np.zeros(2))

@@ -8,7 +8,7 @@ import pytest
 
 from homotopy_opt import core, diagnostics, harness
 from homotopy_opt.core import ConfigurationError, SgdConfig, make_rng, sgd_run, stream_seed
-from homotopy_opt.problems import HomotopyProblem, erf_problem
+from homotopy_opt.problems import ErfRegressionProblem, HomotopyProblem
 
 
 class Scalar1D(HomotopyProblem):
@@ -105,7 +105,7 @@ def test_estimate_sigma2_zero_at_full_batch(toy_problem):
 def test_estimate_sigma2_matches_enumeration():
     xs = np.array([0.1, -0.5, 0.8, 0.3])
     ys = np.array([1.0, -1.0, 0.5, 0.2])
-    prob = erf_problem(xs, ys, 0.0 * xs)
+    prob = ErfRegressionProblem(xs, ys, 0.0 * xs)
     w, lam = np.array([0.7]), 0.6
     full = prob.full_gradient(w, lam)
     exact = np.mean([

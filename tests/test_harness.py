@@ -258,7 +258,7 @@ LOCKSTEP_CASES = {
 # The second per-epoch metric of each family, at a single point.
 POINT_AUX = {
     "sine-mlp": lambda p: lambda w, lam: p.full_objective(w, 1.0),
-    "moons-logistic": lambda p: p.classification_error,
+    "moons-logistic": lambda p: lambda w, lam: p.epoch_metrics(w[None], lam)[1][0],
 }
 
 
@@ -616,7 +616,7 @@ def test_diagnose_quadratic_family_exact(tmp_path):
         "out_dir": str(tmp_path),
         "problem": {"mu": 2.5, "w0": 1.0},
     })
-    est = harness.run_diagnose(cfg, lam=1.0, out_dir=str(tmp_path))
+    est = harness.run_diagnose(cfg, lam=1.0)
     assert abs(est.L_hat - 2.5) < 1e-9
     assert est.fstar == 0.0
     grid_mu = est.mu_values[~np.isnan(est.mu_values)]
@@ -631,5 +631,5 @@ def test_diagnose_full_batch_has_zero_noise(tmp_path):
         "out_dir": str(tmp_path),
         "optimizer": {"minibatch": 100},
     })
-    est = harness.run_diagnose(cfg, lam=1.0, out_dir=str(tmp_path))
+    est = harness.run_diagnose(cfg, lam=1.0)
     assert est.sigma2_hat == 0.0

@@ -13,13 +13,11 @@ from homotopy_opt.problems import (
     CubicLogisticProblem,
     DataError,
     DomainError,
+    ErfRegressionProblem,
     HomotopyProblem,
     LabelInterpolationMap,
     MlpRegressionProblem,
-    cubic_logistic_problem,
-    erf_problem,
-    mlp_sine_problem,
-    quadratic_tracking_problem,
+    QuadraticTrackingProblem,
 )
 
 
@@ -38,20 +36,20 @@ def exhaustive_mean_gradient(problem, w, lam, minibatch):
 def small_erf():
     xs = np.array([0.1, -0.5, 0.8, 0.3, -0.9, 0.6])
     ys = np.array([1.0, -1.2, 0.5, 0.2, -0.8, 1.1])
-    return erf_problem(xs, ys, -2.0 * xs)
+    return ErfRegressionProblem(xs, ys, -2.0 * xs)
 
 
 @pytest.fixture
 def small_mlp():
     xs = np.array([0.1, -0.5, 0.8, 0.3, -0.9])
-    return mlp_sine_problem(xs, np.sin(10 * xs), xs**2, init_spec=7)
+    return MlpRegressionProblem(xs, np.sin(10 * xs), xs**2, init_seed=7)
 
 
 @pytest.fixture
 def small_moons():
     X = np.array([[1.0, 0.0], [-1.0, 0.1], [0.0, 0.5], [2.0, 0.4], [0.3, 0.9], [1.4, -0.2]])
     y = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
-    return cubic_logistic_problem(X, y)
+    return CubicLogisticProblem(X, y)
 
 
 # ---------------------------------------------------------------- label map
@@ -91,7 +89,7 @@ def test_erf_closed_form_at_zero(small_erf):
 def test_erf_zero_residual_dataset():
     xs = np.linspace(-1, 1, 8)
     wbar = 1.7
-    prob = erf_problem(xs, erf(wbar * xs), np.zeros(8))
+    prob = ErfRegressionProblem(xs, erf(wbar * xs), np.zeros(8))
     value, grad = prob.minibatch_value_and_gradient(np.array([wbar]), 1.0, np.arange(8))
     assert value < 1e-30
     assert abs(grad[0]) < 1e-15
@@ -107,10 +105,10 @@ def test_erf_batched_objective_matches_scalar(small_erf):
 def test_erf_rejects_bad_inputs():
     from homotopy_opt.core import ConfigurationError
     with pytest.raises(ConfigurationError):
-        erf_problem(np.array([]), np.array([]), np.array([]))
+        ErfRegressionProblem(np.array([]), np.array([]), np.array([]))
     with pytest.raises(ConfigurationError):
-        erf_problem(np.array([1.0, 2.0]), np.array([1.0]), np.array([1.0]))
-    prob = erf_problem(np.array([0.5]), np.array([1.0]), np.array([0.0]))
+        ErfRegressionProblem(np.array([1.0, 2.0]), np.array([1.0]), np.array([1.0]))
+    prob = ErfRegressionProblem(np.array([0.5]), np.array([1.0]), np.array([0.0]))
     with pytest.raises(DomainError):
         prob.full_objective(np.array([0.0]), 1.2)
 
@@ -192,16 +190,16 @@ def test_cubic_gradient_nonlinear_block_scales_with_lambda(small_moons):
 def test_cubic_rejects_bad_labels():
     X = np.zeros((4, 2))
     with pytest.raises(DataError):
-        cubic_logistic_problem(X, np.array([0.0, 1.0, 2.0, 0.0]))
+        CubicLogisticProblem(X, np.array([0.0, 1.0, 2.0, 0.0]))
     with pytest.raises(DataError):
-        cubic_logistic_problem(np.zeros((4, 3)), np.array([0.0, 1.0, 0.0, 1.0]))
+        CubicLogisticProblem(np.zeros((4, 3)), np.array([0.0, 1.0, 0.0, 1.0]))
 
 
 def test_cubic_classification_error(small_moons):
     # c9 large positive scores everything as class 1.
     w = np.zeros(9)
     w[8] = 10.0
-    assert small_moons.classification_error(w, 1.0) == 0.5
+    assert small_moons.epoch_metrics(w[None], 1.0)[1][0] == 0.5
 
 
 def test_cubic_loss_stable_for_large_scores(small_moons):
@@ -214,14 +212,14 @@ def test_cubic_loss_stable_for_large_scores(small_moons):
 
 
 def test_quadratic_tracking_objective_and_offsets():
-    prob = quadratic_tracking_problem(2.0, np.array([1.0, 2.0, 3.0, 6.0]))
+    prob = QuadraticTrackingProblem(2.0, np.array([1.0, 2.0, 3.0, 6.0]))
     assert abs(prob.offsets.mean()) < 1e-15
     assert prob.full_objective(np.array([0.5]), 0.5) == 0.0
     assert prob.full_objective(np.array([1.5]), 0.5) == 1.0
 
 
 def test_quadratic_tracking_validates_lambda():
-    prob = quadratic_tracking_problem(1.0, np.array([0.5, -0.5]))
+    prob = QuadraticTrackingProblem(1.0, np.array([0.5, -0.5]))
     with pytest.raises(DomainError):
         prob.full_objective(np.array([0.0]), 1.2)
     with pytest.raises(DomainError):
@@ -230,7 +228,7 @@ def test_quadratic_tracking_validates_lambda():
 
 def test_quadratic_oracle_variance_matches_enumeration():
     rng = make_rng(8)
-    prob = quadratic_tracking_problem(1.3, rng.standard_normal(6))
+    prob = QuadraticTrackingProblem(1.3, rng.standard_normal(6))
     w, lam = np.array([0.7]), 0.4
     full = prob.full_gradient(w, lam)
     for m in (1, 2):
@@ -251,7 +249,7 @@ def test_full_gradient_equals_all_sample_minibatch(family, small_erf, small_mlp,
         "erf": small_erf,
         "mlp": small_mlp,
         "moons": small_moons,
-        "quadratic": quadratic_tracking_problem(1.0, np.array([0.3, -0.2, 0.5, -0.6])),
+        "quadratic": QuadraticTrackingProblem(1.0, np.array([0.3, -0.2, 0.5, -0.6])),
     }[family]
     rng = make_rng(21)
     for _ in range(5):
@@ -269,7 +267,7 @@ def test_oracle_unbiasedness_exhaustive(family, small_erf, small_mlp, small_moon
         "erf": small_erf,
         "mlp": small_mlp,
         "moons": small_moons,
-        "quadratic": quadratic_tracking_problem(1.0, np.array([0.3, -0.2, 0.5, -0.6])),
+        "quadratic": QuadraticTrackingProblem(1.0, np.array([0.3, -0.2, 0.5, -0.6])),
     }[family]
     rng = make_rng(13)
     w = 0.5 * rng.standard_normal(prob.dimension)
@@ -323,10 +321,10 @@ def test_problem_arrays_are_read_only_copies(family):
     X = np.column_stack([xs, xs**2])
     y01 = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
     build = {
-        "erf": lambda: erf_problem(xs, np.sin(xs), -2.0 * xs),
-        "mlp": lambda: mlp_sine_problem(xs, np.sin(10 * xs), xs**2, init_spec=7),
-        "moons": lambda: cubic_logistic_problem(X, y01),
-        "quadratic": lambda: quadratic_tracking_problem(1.0, xs),
+        "erf": lambda: ErfRegressionProblem(xs, np.sin(xs), -2.0 * xs),
+        "mlp": lambda: MlpRegressionProblem(xs, np.sin(10 * xs), xs**2, init_seed=7),
+        "moons": lambda: CubicLogisticProblem(X, y01),
+        "quadratic": lambda: QuadraticTrackingProblem(1.0, xs),
     }[family]
     prob = build()
     w = 0.3 * np.ones(prob.dimension)
