@@ -33,8 +33,9 @@ def _load_config(args, repeats=None):
 
 def cmd_run(args):
     cfg = _load_config(args, args.repeats)
-    arms, report = harness.run_experiment(cfg, quiet=False)
-    if any(getattr(a, "failed", False) for a in arms.values()):
+    arms, report = harness.run_experiment(cfg)
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    if any(a.failed for a in arms.values()):
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -263,6 +263,7 @@ def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
             raise NonFiniteError(what, step, int(bad[0]), homotopy_iteration, lam)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_iteration=None):
     """Run exactly cfg.steps iterates of w <- w - alpha * g(w, xi, lambda).
 
@@ -282,7 +283,8 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
     a block it is ``problem.epoch_metrics(w, lam)``, each repeat's objective
     and second metric. Every step checks the whole gradient and iterate
     block and raises NonFiniteError naming the step and the repeat on a
-    NaN/Inf.
+    NaN/Inf. That error is the report, so numpy's overflow warnings are off
+    (each process of a split arm would print them again).
     """
     single = isinstance(rng, np.random.Generator)
     if not single:

@@ -150,9 +150,9 @@ def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=No
 def estimate_fstar(problem, lam, search_spec):
     """Estimate f*(lambda).
 
-    search_spec kinds:
+    search_spec kinds, every key required but init_center (default: the origin):
       {"kind": "grid", "lo": -10, "hi": 10, "step": 1e-2}  (1-D problems)
-      {"kind": "multistart", "restarts": 10, "steps": 2000, "alpha": 0.1,
+      {"kind": "multistart", "restarts": 10, "steps": 1500, "alpha": 0.1,
        "seed": 0[, "init_center"]}                          (upper bound only)
     """
     kind = search_spec.get("kind")
@@ -163,10 +163,10 @@ def estimate_fstar(problem, lam, search_spec):
     if kind == "multistart":
         return _multistart_fstar(
             problem, lam,
-            restarts=search_spec.get("restarts", 10),
-            steps=search_spec.get("steps", 2000),
+            restarts=search_spec["restarts"],
+            steps=search_spec["steps"],
             alpha=search_spec["alpha"],
-            seed=search_spec.get("seed", 0),
+            seed=search_spec["seed"],
             init_center=search_spec.get("init_center"),
         )
     raise ConfigurationError(f"unknown search kind {kind!r}")

@@ -1,13 +1,13 @@
 """Experiment orchestration: multi-seed runs, trace CSVs and comparison reports.
 
-A single JSON config drives everything; every default is materialized into the
-emitted metadata so a run can be replayed bit-identically from its metadata
-file. Repeats use per-repeat PRNG streams seeded by master_seed XOR
-repeat_index. An arm's repeats are cut into contiguous slices, one per usable
-CPU (none for an arm below ``core.FORK_REPEAT_STEPS`` repeat-steps); each
-slice steps its repeats in lockstep, the first in this process and the others
-in forked workers, and no output depends on the slice count. Arms (sgd vs
-hsgd) share the dataset and the initial point.
+A single JSON config drives everything; ``from_dict`` resolves every value a
+run reads and the metadata records it, so a run replays bit-identically from
+its metadata file. Repeats use per-repeat PRNG streams seeded by master_seed
+XOR repeat_index. An arm's repeats are cut into contiguous slices, one per
+usable CPU (none for an arm below ``core.FORK_REPEAT_STEPS`` repeat-steps);
+each slice steps its repeats in lockstep, the first in this process and the
+others in forked workers, and no output depends on the slice count. Arms (sgd
+vs hsgd) share the dataset and the initial point.
 """
 
 from __future__ import annotations
@@ -85,29 +85,18 @@ DEFAULTS = {
         "dataset": {"N": 64, "offset_std": 1.0},
         "optimizer": {"alpha": 0.1, "minibatch": 8, "k": 50, "n": 20,
                       "schedule": "constant", "eta": 0.2, "sgd_budget_factor": 1},
-        "problem": {"mu": 1.0, "w0": 1.0},
+        "problem": {"mu": 1.0, "w0": 1.0, "L_radius": 3.0, "L_pairs": 500},
         "threshold": None,
         "threshold_metric": "gap",
     },
 }
 
 
-# Curves a threshold can be read from: every run has its mean objective, "gap"
-# needs an f* oracle (the sine-mlp gap column holds its raw target loss) and
-# "error" a classifier.
-THRESHOLD_METRICS = {
-    "toy-erf": ("objective", "gap"),
-    "sine-mlp": ("objective", "gap"),
-    "moons-logistic": ("objective", "error"),
-    "synthetic-lq": ("objective", "gap"),
-}
-
-# Keys a config section may hold beyond those of DEFAULTS[experiment]: the
-# ones the harness reads with a fallback of its own. Any other key is an error.
+# Keys a config section may hold beyond those of DEFAULTS[experiment]: the seeds
+# from_dict otherwise derives, and optimizer.explicit. Any other key is an error.
 OPTIONAL_KEYS = {
     "dataset": {"seed"},
     "optimizer": {"explicit"},
-    "problem": {"L_pairs", "L_radius"},
 }
 
 
@@ -176,6 +165,9 @@ def _check_values(cfg):
         raise ConfigurationError(
             f'optimizer.schedule "explicit" needs optimizer.explicit with n = {opt["n"]} '
             f"entries, got {opt.get('explicit')!r}")
+    if opt["schedule"] != "explicit" and "explicit" in opt:
+        raise ConfigurationError(f'optimizer.explicit is read only under schedule "explicit", '
+                                 f"not {opt['schedule']!r}")
     if cfg.experiment == "moons-logistic" and n_samples % 2:
         raise ConfigurationError(f"moons-logistic needs an even dataset.N, got {n_samples}")
 
@@ -183,11 +175,11 @@ def _check_values(cfg):
 def _check_keys(raw, experiment):
     """Reject a key nothing reads: a misspelt one would silently run on defaults."""
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
-    for section, optional in OPTIONAL_KEYS.items():
+    for section in ("dataset", "optimizer", "problem"):
         given = raw.get(section, {})
         if not isinstance(given, dict):
             raise ConfigurationError(f"config section {section!r} must be an object")
-        allowed = set(DEFAULTS[experiment][section]) | optional
+        allowed = set(DEFAULTS[experiment][section]) | OPTIONAL_KEYS.get(section, set())
         if section == "problem" and experiment == "sine-mlp":
             allowed.add("init_seed")
         unknown += [f"{section}.{key}" for key in sorted(set(given) - allowed)]
@@ -249,13 +241,19 @@ class ExperimentConfig:
                                            for section in ("dataset", "optimizer", "problem")}})
         if cfg.method not in ("sgd", "hsgd", "both"):
             raise ConfigurationError(f"unknown method {cfg.method!r}")
-        if cfg.threshold_metric not in THRESHOLD_METRICS[experiment]:
+        # Every run has its mean objective; "gap" needs an f* oracle (the sine-mlp
+        # gap column holds its raw target loss) and "error" a classifier.
+        metrics = ("objective", DEFAULTS[experiment]["threshold_metric"])
+        if cfg.threshold_metric not in metrics:
             raise ConfigurationError(
                 f"threshold_metric {cfg.threshold_metric!r} is unavailable for {experiment}; "
-                f"expected one of {THRESHOLD_METRICS[experiment]}"
+                f"expected one of {metrics}"
             )
-        cfg.dataset.setdefault("seed", cfg.master_seed)
         _check_values(cfg)
+        # The seeds a config leaves out, from a master_seed now known to be valid.
+        cfg.dataset.setdefault("seed", cfg.master_seed)
+        if experiment == "sine-mlp":
+            cfg.problem.setdefault("init_seed", cfg.master_seed ^ MLP_INIT_SALT)
         return cfg
 
     to_dict = asdict
@@ -285,8 +283,8 @@ def build_problem(cfg: ExperimentConfig, dataset):
         return problem, np.array([w0])
     if cfg.experiment == "sine-mlp":
         x = dataset.inputs[:, 0]
-        init_seed = cfg.problem.get("init_seed", cfg.master_seed ^ MLP_INIT_SALT)
-        problem = MlpRegressionProblem(x, dataset.targets, dataset.source_targets, init_seed)
+        problem = MlpRegressionProblem(x, dataset.targets, dataset.source_targets,
+                                       cfg.problem["init_seed"])
         return problem, problem.default_init()
     if cfg.experiment == "moons-logistic":
         problem = CubicLogisticProblem(dataset.inputs, dataset.targets)
@@ -300,16 +298,15 @@ def build_problem(cfg: ExperimentConfig, dataset):
 def resolve_alpha(cfg: ExperimentConfig, problem):
     """Return (alpha, L_tilde); 'auto' means alpha = 1/L_tilde at lambda = 1."""
     alpha = cfg.optimizer["alpha"]
-    rng = make_rng(cfg.master_seed ^ L_ESTIMATE_SALT)
-    L_tilde = diagnostics.estimate_L(
-        problem, 1.0,
-        num_pairs=cfg.problem.get("L_pairs", 500),
-        radius=float(cfg.problem.get("L_radius", 3.0)),
-        rng=rng,
-    )
+    L_tilde = _estimate_L(cfg, problem, 1.0, make_rng(cfg.master_seed ^ L_ESTIMATE_SALT))
     if alpha == "auto":
         return 1.0 / L_tilde, L_tilde
     return float(alpha), L_tilde
+
+
+def _estimate_L(cfg: ExperimentConfig, problem, lam, rng):
+    """L_tilde at ``lam`` from the configured pair count and radius, drawn from ``rng``."""
+    return diagnostics.estimate_L(problem, lam, cfg.problem["L_pairs"], cfg.problem["L_radius"], rng)
 
 
 def _fstar_table(cfg: ExperimentConfig, problem, lambdas):
@@ -474,20 +471,40 @@ def write_trace_csv(path, epochs, lambdas, mean_obj, std_obj, mean_gap, grad_eva
 
 @dataclass
 class ArmResult:
-    method: str
-    epochs: np.ndarray
-    lambdas: np.ndarray
-    mean_objective: np.ndarray
-    std_objective: np.ndarray
-    mean_gap: np.ndarray | None
-    mean_error: np.ndarray | None
-    grad_evals: np.ndarray
-    failed: bool = False
-    failure: str = ""
+    """One arm's mean curves per epoch; an arm that diverged has only its ``failure``."""
 
-    def metric_curve(self, metric):
-        # from_dict admits only the metrics of THRESHOLD_METRICS, which every arm of the run has.
-        return {"gap": self.mean_gap, "error": self.mean_error}.get(metric, self.mean_objective)
+    method: str
+    epochs: np.ndarray | None = None
+    lambdas: np.ndarray | None = None
+    mean_objective: np.ndarray | None = None
+    std_objective: np.ndarray | None = None
+    mean_gap: np.ndarray | None = None
+    mean_error: np.ndarray | None = None
+    grad_evals: np.ndarray | None = None
+    failure: str | None = None
+
+    @property
+    def failed(self):
+        return self.failure is not None
+
+    def summary(self, threshold, metric):
+        """The arm's entry in report.json, with when ``metric`` first reached a set threshold."""
+        if self.failed:
+            return {"failed": True, "failure": self.failure}
+        summary = {
+            "failed": False,
+            "terminal_mean_objective": float(self.mean_objective[-1]),
+            "terminal_std_objective": float(self.std_objective[-1]),
+            "epochs": int(self.epochs[-1]),
+        }
+        if threshold is not None:
+            # from_dict admits only "objective" and the experiment's default
+            # threshold metric, which every arm of the run has.
+            hit = epochs_to_threshold(getattr(self, f"mean_{metric}"), threshold)
+            summary["epochs_to_threshold"] = hit
+            if hit is None:
+                summary["censoring_epoch"] = int(self.epochs[-1])
+        return summary
 
 
 @dataclass
@@ -508,13 +525,13 @@ def epochs_to_threshold(curve, threshold):
     return int(hit[0]) if hit.size else None
 
 
-def run_experiment(cfg: ExperimentConfig, quiet=True):
+def run_experiment(cfg: ExperimentConfig):
     """Execute all repeats per arm, write CSVs + metadata, return the report."""
     dataset = build_dataset(cfg)
     problem, w0 = build_problem(cfg, dataset)
     opt = cfg.optimizer
     schedule = make_schedule(opt["schedule"], opt["n"],
-                             eta=opt.get("eta"), explicit=opt.get("explicit"))
+                             eta=opt["eta"], explicit=opt.get("explicit"))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     alpha, L_tilde = resolve_alpha(cfg, problem)
@@ -522,7 +539,7 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
     every = steps_per_epoch(problem.sample_count, minibatch)
     cfg_sgd = SgdConfig(alpha, opt["k"], minibatch, record_every=every)
     cfg_sgd.warn_if_out_of_range(L_tilde)
-    budget_factor = float(opt.get("sgd_budget_factor", 1))
+    budget_factor = float(opt["sgd_budget_factor"])
     # Second per-epoch metric: 0/1 error for classification, raw target-problem
     # loss for the MLP (it has no f* oracle; the gap column holds raw loss).
     aux_role = problem.aux_metric
@@ -531,7 +548,6 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
     methods = ["sgd", "hsgd"] if cfg.method == "both" else [cfg.method]
     seeds = [stream_seed(cfg.master_seed, rep) for rep in range(cfg.repeats)]
     arms = {}
-    arm_summaries = {}
     for method in methods:
         # Per-homotopy-iteration snapshots of repeat 0, from the engine's stage hook.
         snapshots = []
@@ -543,10 +559,7 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
             lambdas, objs, auxs = _run_arm(problem, w0, method, schedule, cfg_sgd, seeds,
                                            budget_factor, stage_hook)
         except NonFiniteError as exc:  # a diverged arm leaves other arms unaffected
-            arms[method] = ArmResult(method, np.array([]), np.array([]), np.array([]),
-                                     np.array([]), None, None, np.array([]),
-                                     failed=True, failure=str(exc))
-            arm_summaries[method] = {"failed": True, "failure": str(exc)}
+            arms[method] = ArmResult(method, failure=str(exc))
             continue
         epochs = np.arange(objs.shape[1])
         mean_obj = objs.mean(axis=0)
@@ -558,36 +571,27 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
         elif aux_role == "target_objective":
             mean_gap = auxs.mean(axis=0)
         grad_evals = epochs * every * minibatch
-        arm = ArmResult(method, epochs, lambdas, mean_obj, std_obj, mean_gap,
-                        mean_err, grad_evals)
-        arms[method] = arm
+        arms[method] = ArmResult(method, epochs, lambdas, mean_obj, std_obj, mean_gap,
+                                 mean_err, grad_evals)
         write_trace_csv(out / f"trace_{method}.csv", epochs, lambdas, mean_obj,
                         std_obj, mean_gap, grad_evals)
         if mean_err is not None:
             write_trace_csv(out / f"trace_{method}_error.csv", epochs, lambdas,
                             mean_err, auxs.std(axis=0), None, grad_evals)
-        summary = {
-            "failed": False,
-            "terminal_mean_objective": float(mean_obj[-1]),
-            "terminal_std_objective": float(std_obj[-1]),
-            "epochs": int(epochs[-1]),
-        }
-        if cfg.threshold is not None:
-            curve = arm.metric_curve(cfg.threshold_metric)
-            hit = epochs_to_threshold(curve, cfg.threshold)
-            summary["epochs_to_threshold"] = hit
-            if hit is None:
-                summary["censoring_epoch"] = int(epochs[-1])
-        arm_summaries[method] = summary
         if snapshots:
             _write_snapshots(out / "hsgd_snapshots.csv", snapshots)
 
+    arm_summaries = {method: arm.summary(cfg.threshold, cfg.threshold_metric)
+                     for method, arm in arms.items()}
     speedup = None
     note = ""
-    if cfg.threshold is not None and "sgd" in arm_summaries and "hsgd" in arm_summaries:
+    if cfg.threshold is not None and cfg.method == "both":
+        failed = [method for method, arm in arms.items() if arm.failed]
         e_sgd = arm_summaries["sgd"].get("epochs_to_threshold")
         e_hsgd = arm_summaries["hsgd"].get("epochs_to_threshold")
-        if e_sgd is not None and e_hsgd is not None and e_hsgd > 0:
+        if failed:
+            note = f"{' and '.join(failed)} failed: no comparison"
+        elif e_sgd is not None and e_hsgd is not None and e_hsgd > 0:
             speedup = e_sgd / e_hsgd
         elif e_sgd is None and e_hsgd is not None:
             note = "sgd did not reach the threshold (censored at the budget)"
@@ -610,8 +614,6 @@ def run_experiment(cfg: ExperimentConfig, quiet=True):
         json.dump(metadata, fh, indent=2, sort_keys=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    if not quiet:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return arms, report
 
 
@@ -643,9 +645,7 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
     minibatch = cfg.optimizer["minibatch"]
 
     try:
-        est.L_hat = diagnostics.estimate_L(
-            problem, lam, cfg.problem.get("L_pairs", 500),
-            float(cfg.problem.get("L_radius", 3.0)), rng)
+        est.L_hat = _estimate_L(cfg, problem, lam, rng)
     except diagnostics.EstimationError as exc:
         est.errors["L_hat"] = str(exc)
     w_samples = [w0 + 0.5 * rng.standard_normal(problem.dimension) for _ in range(5)]

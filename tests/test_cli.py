@@ -1,6 +1,9 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from homotopy_opt import cli
 from homotopy_opt.core import SAMPLER
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 LQ_CONSTANTS = {
     "L": 1.0, "mu": 1.0, "sigma2": 0.11746318454690335, "delta": 1.0, "gamma": 1.0,
@@ -69,6 +73,34 @@ def test_run_nonfinite_exit_code(tmp_path):
         warnings.simplefilter("ignore")
         code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_RUNTIME
+
+
+def test_diverged_arm_writes_no_numpy_warning(tmp_path):
+    # A diverged arm is reported by its NonFiniteError; numpy's overflow
+    # warnings, printed again by every process of a split arm, are not. The
+    # run's own step-size warning shows that stderr is seen.
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "sine-mlp", "repeats": 4, "dataset": {"N": 40},
+        "optimizer": {"alpha": 1e150, "k": 16, "n": 2}})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    outcomes = []
+    for slices in (1, 2):
+        script = ("import sys; from homotopy_opt import cli, harness; "
+                  f"harness._slice_count = lambda repeats, steps: min({slices}, repeats); "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        out = tmp_path / f"out{slices}"
+        proc = subprocess.run([sys.executable, "-c", script, "run", "--config", cfg,
+                               "--out", str(out)], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert "UserWarning: step size 1e+150 exceeds" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        outcomes.append((proc.returncode, proc.stdout,
+                         [report["arms"][m]["failure"] for m in ("sgd", "hsgd")]))
+    assert outcomes[0][0] == cli.EXIT_RUNTIME
+    assert outcomes[0][2][1].startswith("non-finite")
+    assert outcomes[1] == outcomes[0]
 
 
 def test_theory_subcommand_feasible(tmp_path, capsys):
@@ -299,6 +331,8 @@ def test_diagnose_reports_a_diverged_multistart_as_an_error_line(tmp_path, capsy
     ({"experiment": "moons-logistic", "dataset": {"N": 41}}, "even dataset.N"),
     ({"experiment": "synthetic-lq",
       "optimizer": {"schedule": "explicit", "explicit": [1, 2], "n": 3}}, "n = 3 entries"),
+    ({"experiment": "synthetic-lq", "repeats": 2,
+      "optimizer": {"explicit": [1, 2, 3], "k": 4, "n": 3}}, "optimizer.explicit is read only"),
 ])
 def test_cross_field_config_error_leaves_no_directory(tmp_path, capsys, command, raw, message):
     cfg = write_json(tmp_path / "cfg.json", raw)

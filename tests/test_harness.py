@@ -97,6 +97,9 @@ def test_config_rejects_unusable_threshold_metric(tmp_path, experiment, metric):
      "n = 3 entries"),
     ("synthetic-lq", {"optimizer": {"schedule": "explicit", "n": 2}}, "n = 2 entries"),
     ("moons-logistic", {"dataset": {"N": 41}}, "even dataset.N"),
+    # Under any other schedule nothing reads the list.
+    ("synthetic-lq", {"optimizer": {"explicit": [1, 2, 3], "k": 4, "n": 3}},
+     'optimizer.explicit is read only under schedule "explicit", not \'constant\''),
 ])
 def test_config_rejects_cross_field_mismatch(tmp_path, experiment, raw, message):
     raw = {"experiment": experiment, "out_dir": str(tmp_path / "run"), **raw}
@@ -139,6 +142,32 @@ def test_config_merges_defaults_and_overrides():
     assert cfg.optimizer["n"] == 40  # untouched default
     assert cfg.dataset["noise_std"] == 0.5
     assert cfg.dataset["slope"] == 3.0
+
+
+def test_every_resolved_section_key_has_a_value_rule():
+    # An explicit schedule adds optimizer.explicit to the keys from_dict resolves.
+    explicit = {"optimizer": {"schedule": "explicit", "n": 2, "explicit": [1.0, 3.0]}}
+    for experiment in harness.EXPERIMENTS:
+        for raw in ({}, explicit):
+            cfg = ExperimentConfig.from_dict({"experiment": experiment, **raw})
+            keys = {f"{section}.{key}" for section in ("dataset", "optimizer", "problem")
+                    for key in getattr(cfg, section)}
+            assert keys <= set(harness.VALUE_RULES), (experiment, keys - set(harness.VALUE_RULES))
+
+
+def test_config_resolves_the_derived_seeds():
+    # A seed the config leaves out derives from master_seed; a given one stays,
+    # and null is a config error.
+    cases = (("moons-logistic", "dataset", "seed", 20240),
+             ("sine-mlp", "problem", "init_seed", 826349110))  # 20240 ^ MLP_INIT_SALT
+    for experiment, section, key, derived in cases:
+        raw = {"experiment": experiment, "master_seed": 20240}
+        assert getattr(ExperimentConfig.from_dict(raw), section)[key] == derived
+        given = ExperimentConfig.from_dict({**raw, section: {key: 5}})
+        assert getattr(given, section)[key] == 5
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} = None"):
+            ExperimentConfig.from_dict({**raw, section: {key: None}})
+    assert "init_seed" not in ExperimentConfig.from_dict({"experiment": "toy-erf"}).problem
 
 
 def test_config_accepts_metadata_wrapper():
@@ -229,6 +258,61 @@ def test_replay_from_metadata_is_byte_identical(lq_run):
     run_experiment(replay_cfg)
     for name in ("trace_sgd.csv", "trace_hsgd.csv"):
         assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
+
+
+# Small runs of each experiment, for tests that go through run_experiment.
+TINY_RUNS = {
+    "toy-erf": {"optimizer": {"k": 4, "n": 3}},
+    "sine-mlp": {"dataset": {"N": 40}, "optimizer": {"k": 16, "n": 2}},
+    "moons-logistic": {"dataset": {"N": 100}, "optimizer": {"k": 10, "n": 2}},
+    "synthetic-lq": {"optimizer": {"k": 8, "n": 2}},
+}
+
+# The problem values a metadata file records since from_dict resolves them;
+# a file written before lacks them.
+NEWLY_RECORDED = {"synthetic-lq": ("L_pairs", "L_radius"), "sine-mlp": ("init_seed",)}
+
+
+@pytest.mark.parametrize("experiment", sorted(NEWLY_RECORDED))
+def test_replay_of_metadata_without_the_resolved_defaults(tmp_path, experiment):
+    run_experiment(tiny_config(tmp_path, experiment, subdir="a", **TINY_RUNS[experiment]))
+    meta = json.loads((tmp_path / "a" / "metadata.json").read_text(encoding="utf-8"))
+    recorded = dict(meta["config"]["problem"])
+    for key in NEWLY_RECORDED[experiment]:
+        del meta["config"]["problem"][key]
+    run_experiment(ExperimentConfig.from_dict(meta, out_dir=str(tmp_path / "b")))
+    csvs = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+    assert {"trace_sgd.csv", "trace_hsgd.csv"} <= set(csvs)
+    for name in csvs:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+    replayed = json.loads((tmp_path / "b" / "metadata.json").read_text(encoding="utf-8"))
+    assert replayed["config"]["problem"] == recorded
+
+
+def recording(section, absent):
+    """A dict type that appends ``section.key`` to ``absent`` on a ``get`` of a key it lacks."""
+    class Section(dict):
+        def get(self, key, default=None):
+            if key not in self:
+                absent.append(f"{section}.{key}")
+            return super().get(key, default)
+    return Section
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_no_read_supplies_its_own_default(tmp_path, experiment, monkeypatch):
+    # Every value run and diagnose read comes from from_dict, so metadata.json
+    # records it; only the explicit schedule's list is read when present.
+    absent = []
+    cfg = tiny_config(tmp_path, experiment, repeats=2, **TINY_RUNS[experiment])
+    for section in ("dataset", "optimizer", "problem"):
+        setattr(cfg, section, recording(section, absent)(getattr(cfg, section)))
+    fstar = diagnostics.estimate_fstar
+    monkeypatch.setattr(diagnostics, "estimate_fstar", lambda problem, lam, spec: fstar(
+        problem, lam, recording("fstar_spec", absent)(spec)))
+    run_experiment(cfg)
+    harness.run_diagnose(cfg, lam=1.0)
+    assert set(absent) <= {"optimizer.explicit"}
 
 
 # --------------------------------------------------------------- moons arm
@@ -580,7 +664,40 @@ def test_mlp_run_failure_is_reported(tmp_path):
     with pytest.warns(UserWarning):
         arms, report = run_experiment(cfg)
     assert arms["hsgd"].failed
+    assert arms["hsgd"].epochs is None and arms["hsgd"].mean_objective is None
     assert "non-finite" in report.arms["hsgd"]["failure"]
+    assert report.arms["hsgd"] == {"failed": True, "failure": arms["hsgd"].failure}
+
+
+def test_failed_arms_void_the_comparison(tmp_path):
+    cfg = tiny_config(tmp_path, "sine-mlp", repeats=2, threshold=0.1,
+                      dataset={"N": 40}, optimizer={"alpha": 1e150, "k": 16, "n": 2})
+    with pytest.warns(UserWarning):
+        arms, report = run_experiment(cfg)
+    assert arms["sgd"].failed and arms["hsgd"].failed
+    assert (report.speedup, report.speedup_note) == (None, "sgd and hsgd failed: no comparison")
+
+
+def test_one_failed_arm_voids_the_comparison(tmp_path, monkeypatch):
+    real = harness._run_arm
+
+    def run_arm(problem, w0, method, *args):
+        if method == "sgd":
+            raise NonFiniteError("iterate", 3, 1)
+        return real(problem, w0, method, *args)
+
+    monkeypatch.setattr(harness, "_run_arm", run_arm)
+    # Every hsgd epoch is below this threshold, the first one included.
+    cfg = tiny_config(tmp_path, "toy-erf", repeats=2, optimizer={"k": 4, "n": 3},
+                      threshold=1e9)
+    arms, report = run_experiment(cfg)
+    assert arms["sgd"].failed and not arms["hsgd"].failed
+    assert report.arms["hsgd"]["epochs_to_threshold"] == 0
+    assert report.arms["sgd"] == {"failed": True,
+                                  "failure": "non-finite iterate at step 3 (repeat 1)"}
+    assert (report.speedup, report.speedup_note) == (None, "sgd failed: no comparison")
+    written = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    assert written == report.to_dict()
 
 
 # ----------------------------------------------------------- snapshots, toy
