@@ -86,15 +86,21 @@ def gen_moons(n=1000, noise_std=0.1, seed=0):
     return Dataset(inputs=X, targets=y)
 
 
+def write_csv(path, header, rows):
+    """Write the header and rows as "\\n"-ended UTF-8 lines: ints as is, None empty, others .17g."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer)) else
+                              "" if v is None else format(v, ".17g") for v in row) + "\n")
+
+
 def dataset_to_csv(dataset, path):
-    """Write `x1[,x2],y[,y_source]` rows with 17-significant-digit decimals."""
+    """Write `x1[,x2],y[,y_source]` rows."""
     d = dataset.inputs.shape[1]
     header = ",".join([f"x{i + 1}" for i in range(d)] + ["y"])
     columns = [dataset.inputs[:, i] for i in range(d)] + [dataset.targets]
     if dataset.source_targets is not None:
         header += ",y_source"
         columns.append(dataset.source_targets)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, header, zip(*columns))

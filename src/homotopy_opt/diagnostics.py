@@ -123,6 +123,7 @@ def _grid_fstar(problem, lam, lo, hi, step):
     return FstarEstimate(best_val, np.array([best_w]), upper_bound_only=False)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a diverged restart is dropped
 def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=None):
     if restarts < 1:
         raise ConfigurationError("need at least one restart")

@@ -454,19 +454,9 @@ def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage
     return lambdas, objectives, aux
 
 
-def _fmt(value):
-    return format(value, ".17g")
-
-
 def write_trace_csv(path, epochs, lambdas, mean_obj, std_obj, mean_gap, grad_evals):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for e in range(len(epochs)):
-            gap = "" if mean_gap is None else _fmt(mean_gap[e])
-            fh.write(
-                f"{epochs[e]},{_fmt(lambdas[e])},{_fmt(mean_obj[e])},"
-                f"{_fmt(std_obj[e])},{gap},{grad_evals[e]}\n"
-            )
+    gaps = [None] * len(epochs) if mean_gap is None else mean_gap
+    datasets.write_csv(path, CSV_HEADER, zip(epochs, lambdas, mean_obj, std_obj, gaps, grad_evals))
 
 
 @dataclass
@@ -621,10 +611,7 @@ def _write_snapshots(path, rows):
     """Write (homotopy_iteration, lambda, objective, iterate) rows, one per iteration."""
     d = len(rows[0][3])
     header = "homotopy_iteration,lambda,objective," + ",".join(f"w{j}" for j in range(d))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i, lam, fval, w in rows:
-            fh.write(f"{i},{_fmt(lam)},{_fmt(fval)}," + ",".join(_fmt(v) for v in w) + "\n")
+    datasets.write_csv(path, header, ((i, lam, fval, *w) for i, lam, fval, w in rows))
 
 
 def run_diagnose(cfg: ExperimentConfig, lam=1.0):
@@ -650,20 +637,18 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
         est.errors["L_hat"] = str(exc)
     w_samples = [w0 + 0.5 * rng.standard_normal(problem.dimension) for _ in range(5)]
     est.sigma2_hat = diagnostics.estimate_sigma2(problem, lam, w_samples, minibatch, 200, rng)
-    try:
-        if cfg.experiment == "toy-erf":
-            spec = {"kind": "grid", **cfg.problem["fstar_grid"]}
-        elif cfg.experiment == "synthetic-lq":
-            spec = {"kind": "grid", "lo": -5.0, "hi": 5.0, "step": 1e-4}
-        else:
-            spec = {"kind": "multistart", "restarts": 10, "steps": 1500,
-                    "alpha": 1.0 / est.L_hat if est.L_hat else 0.05,
-                    "seed": cfg.master_seed, "init_center": w0}
-        fstar = diagnostics.estimate_fstar(problem, lam, spec)
-        est.fstar = fstar.value
-        est.fstar_upper_bound_only = fstar.upper_bound_only
-    except diagnostics.EstimationError as exc:
-        est.errors["fstar"] = str(exc)
+    fstar = _fstar_table(cfg, problem, [lam])
+    if fstar is not None:
+        est.fstar = fstar[lam]
+    else:  # no oracle: the best of a multistart descent bounds f* from above
+        spec = {"kind": "multistart", "restarts": 10, "steps": 1500,
+                "alpha": 1.0 / est.L_hat if est.L_hat else 0.05,
+                "seed": cfg.master_seed, "init_center": w0}
+        try:
+            est.fstar = diagnostics.estimate_fstar(problem, lam, spec).value
+            est.fstar_upper_bound_only = True
+        except diagnostics.EstimationError as exc:
+            est.errors["fstar"] = str(exc)
     est.delta_hat = diagnostics.estimate_delta(problem, 200, rng)
     if est.fstar is not None:
         try:
@@ -674,10 +659,8 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
             grid = np.arange(-6.0, 6.0 + 1e-9, 0.05)
             mu_vals = diagnostics.pl_moduli(problem, lam, grid[:, None], est.fstar)[0]
             est.mu_grid, est.mu_values = grid, mu_vals
-            with open(out / "mu_sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("w,mu_hat\n")
-                for w, m in zip(grid, mu_vals):
-                    fh.write(f"{_fmt(w)},{'' if np.isnan(m) else _fmt(m)}\n")
+            datasets.write_csv(out / "mu_sweep.csv", "w,mu_hat",
+                               ((w, None if np.isnan(m) else m) for w, m in zip(grid, mu_vals)))
     with open(out / "diagnostics.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(est.to_text())
     return est

@@ -3,8 +3,9 @@
 Every family implements one batched oracle over an (R, d) block ``W`` of
 iterates, one row per repeat: ``gradient(W, lam, idx)`` is each row's mean
 gradient over the samples ``idx[r]`` of row r, or over all N samples when
-``idx`` is None, and ``objective(W, lam)`` each row's full objective. It is
-the only pair a family implements: the single-point surface,
+``idx`` is None, and ``epoch_metrics(W, lam)`` each row's full objective
+and second metric (or None). It is the only pair a family implements:
+``objective(W, lam)`` is its first half, and the single-point surface,
 ``full_objective(w, lam)``, ``full_gradient(w, lam)`` and
 ``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples), is
 its 1-row view. The minibatch gradient over all N indices equals the full
@@ -82,24 +83,24 @@ class LabelInterpolationMap:
 class HomotopyProblem(ABC):
     """Base interface for a parametric objective family f(w, lambda).
 
-    A family implements the batched pair ``objective`` and ``gradient``; a
-    subclass without them cannot be instantiated. The single-point methods
-    are 1-row views of the pair. ``epoch_metrics`` is what a run records per
-    epoch for a block; a family with a second per-epoch metric names it in
-    ``aux_metric``.
+    A family implements the batched pair ``epoch_metrics`` and ``gradient``;
+    a subclass without them cannot be instantiated. ``epoch_metrics`` is
+    what a run records per epoch for a block; a family with a second
+    per-epoch metric names it in ``aux_metric``. ``objective`` and the
+    single-point methods are views of the pair.
     """
 
     dimension: int
     sample_count: int
     aux_metric: str | None = None
 
-    def epoch_metrics(self, W, lam):
-        """Full objective of each row of W, and the second metric of each row (or None)."""
-        return self.objective(W, lam), None
-
     @abstractmethod
+    def epoch_metrics(self, W, lam):
+        """Full objective and second metric (or None) of each row of the (R, d) block W."""
+
     def objective(self, W, lam):
         """Full objective of each row of the (R, d) block W."""
+        return self.epoch_metrics(W, lam)[0]
 
     @abstractmethod
     def gradient(self, W, lam, idx=None, with_value=False):
@@ -145,8 +146,8 @@ class ErfRegressionProblem(HomotopyProblem):
         u = W[:, :1] * x
         return x, u, erf(u) - y
 
-    def objective(self, W, lam):
-        return np.mean(self._residuals(W, lam, None)[2] ** 2, axis=1)
+    def epoch_metrics(self, W, lam):
+        return np.mean(self._residuals(W, lam, None)[2] ** 2, axis=1), None
 
     def gradient(self, W, lam, idx=None, with_value=False):
         x, u, res = self._residuals(W, lam, idx)
@@ -223,10 +224,6 @@ class MlpRegressionProblem(HomotopyProblem):
 
     def predict(self, w, xs):
         return self._forward(self.unpack(_block(w)), np.asarray(xs, dtype=float))[2][0]
-
-    def objective(self, W, lam):
-        out = self._forward(self.unpack(W), self.xs)[2]
-        return np.mean((out - self.labels.at(lam)) ** 2, axis=1)
 
     def epoch_metrics(self, W, lam):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
@@ -310,10 +307,6 @@ class CubicLogisticProblem(HomotopyProblem):
     def _loss(z, y):
         return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
 
-    def objective(self, W, lam):
-        _check_lambda(lam)
-        return self._loss(self.scores(W, lam), self.labels01)
-
     def epoch_metrics(self, W, lam):
         """Objective and 0/1 classification error of each row, from one pass over the scores."""
         _check_lambda(lam)
@@ -350,9 +343,9 @@ class QuadraticTrackingProblem(HomotopyProblem):
         self.dimension = 1
         self.sample_count = b.size
 
-    def objective(self, W, lam):
+    def epoch_metrics(self, W, lam):
         _check_lambda(lam)
-        return 0.5 * self.mu * (W[:, 0] - lam) ** 2
+        return 0.5 * self.mu * (W[:, 0] - lam) ** 2, None
 
     def gradient(self, W, lam, idx=None, with_value=False):
         _check_lambda(lam)

@@ -30,8 +30,8 @@ class NoiselessQuadratic(HomotopyProblem):
         self.dimension = 1
         self.sample_count = samples
 
-    def objective(self, W, lam):
-        return 0.5 * self.a * W[:, 0] ** 2
+    def epoch_metrics(self, W, lam):
+        return 0.5 * self.a * W[:, 0] ** 2, None
 
     def gradient(self, W, lam, idx=None, with_value=False):
         grads = self.a * W[:, :1]
@@ -47,8 +47,8 @@ class BlowupProblem(HomotopyProblem):
         self.dimension = 1
         self.sample_count = 4
 
-    def objective(self, W, lam):
-        return np.zeros(len(W))
+    def epoch_metrics(self, W, lam):
+        return np.zeros(len(W)), None
 
     def gradient(self, W, lam, idx=None, with_value=False):
         self.calls += 1
@@ -65,8 +65,8 @@ class IndexRecorder(HomotopyProblem):
         self.sample_count = samples
         self.blocks = []
 
-    def objective(self, W, lam):
-        return np.zeros(len(W))
+    def epoch_metrics(self, W, lam):
+        return np.zeros(len(W)), None
 
     def gradient(self, W, lam, idx=None, with_value=False):
         self.blocks.append(None if idx is None else np.array(idx))
@@ -221,7 +221,7 @@ def test_homotopy_tracking_on_toy_problem(toy_problem):
     cfg = SgdConfig(1.0 / L, 25, toy_problem.sample_count)
     fstar = {
         float(lam): diagnostics.estimate_fstar(
-            toy_problem, float(lam), {"kind": "grid", "lo": -10.0, "hi": 10.0, "step": 1e-4}
+            toy_problem, float(lam), {"kind": "grid", "lo": -10.0, "hi": 10.0, "step": 1e-2}
         ).value
         for lam in sched.lambdas()
     }

@@ -115,6 +115,12 @@ def test_dataset_csv_two_feature_header(tmp_path):
     assert path.read_text(encoding="utf-8").split("\n")[0] == "x1,x2,y"
 
 
+def test_write_csv_cell_format(tmp_path):
+    path = tmp_path / "cells.csv"
+    datasets.write_csv(path, "a,b,c,d,e", [[3, np.int64(4), None, 0.1, 1 / 3]])
+    assert path.read_bytes() == b"a,b,c,d,e\n3,4,,0.10000000000000001,0.33333333333333331\n"
+
+
 def test_dataset_length_validation():
     with pytest.raises(ConfigurationError):
         datasets.Dataset(inputs=np.zeros((3, 1)), targets=np.zeros(2))

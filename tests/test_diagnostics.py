@@ -20,8 +20,8 @@ class Scalar1D(HomotopyProblem):
         self.dimension = 1
         self.sample_count = samples
 
-    def objective(self, W, lam):
-        return np.array([float(self.f(w)) for w in W[:, 0]])
+    def epoch_metrics(self, W, lam):
+        return np.array([float(self.f(w)) for w in W[:, 0]]), None
 
     def gradient(self, W, lam, idx=None, with_value=False):
         grads = np.array([[self.df(w)] for w in W[:, 0]], dtype=float)
@@ -255,13 +255,13 @@ def test_mean_gap_sublevel_invariance(toy_problem):
         toy_problem, 1.0, {"kind": "grid", "lo": -10, "hi": 10, "step": 1e-4}).value
     repeats, epochs = 100, 120
     gaps = np.empty((repeats, epochs + 1))
-    for rep in range(repeats):
-        rng = make_rng(stream_seed(20240, rep))
-        w = np.array([-4.0])
-        gaps[rep, 0] = toy_problem.full_objective(w, 1.0) - fstar
-        for e in range(1, epochs + 1):
-            w = sgd_run(w, SgdConfig(1.0 / L, 10, 10), toy_problem, 1.0, rng)
-            gaps[rep, e] = toy_problem.full_objective(w, 1.0) - fstar
+    # All repeats step as one block, repeat r on its own stream.
+    rngs = [make_rng(stream_seed(20240, r)) for r in range(repeats)]
+    W = np.full((repeats, 1), -4.0)
+    gaps[:, 0] = toy_problem.objective(W, 1.0) - fstar
+    for e in range(1, epochs + 1):
+        W = sgd_run(W, SgdConfig(1.0 / L, 10, 10), toy_problem, 1.0, rngs)
+        gaps[:, e] = toy_problem.objective(W, 1.0) - fstar
     mean = gaps.mean(axis=0)
     se_term = gaps[:, -1].std(ddof=1) / math.sqrt(repeats)
     refs = [s for s in range(epochs) if mean[s] >= mean[-1] + 10.0 * se_term]

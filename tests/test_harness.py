@@ -728,18 +728,21 @@ def test_threshold_censoring_note(tmp_path):
 
 
 def test_diagnose_quadratic_family_exact(tmp_path):
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "synthetic-lq",
-        "out_dir": str(tmp_path),
-        "problem": {"mu": 2.5, "w0": 1.0},
-    })
-    est = harness.run_diagnose(cfg, lam=1.0)
-    assert abs(est.L_hat - 2.5) < 1e-9
-    assert est.fstar == 0.0
-    grid_mu = est.mu_values[~np.isnan(est.mu_values)]
-    assert np.max(np.abs(grid_mu - 2.5)) < 1e-9
-    assert (tmp_path / "mu_sweep.csv").exists()
-    assert (tmp_path / "diagnostics.txt").exists()
+    # f*(lambda) = 0 is the family's exact value, the same one a run uses.
+    for lam in (0.0, 0.37, 1.0):
+        out = tmp_path / str(lam)
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "synthetic-lq",
+            "out_dir": str(out),
+            "problem": {"mu": 2.5, "w0": 1.0},
+        })
+        est = harness.run_diagnose(cfg, lam=lam)
+        assert abs(est.L_hat - 2.5) < 1e-9
+        assert est.fstar == 0.0, lam
+        grid_mu = est.mu_values[~np.isnan(est.mu_values)]
+        assert np.max(np.abs(grid_mu - 2.5)) < 1e-9
+        assert (out / "mu_sweep.csv").exists()
+        assert (out / "diagnostics.txt").exists()
 
 
 def test_diagnose_full_batch_has_zero_noise(tmp_path):

@@ -342,8 +342,9 @@ def test_problem_arrays_are_read_only_copies(family):
 
 
 def test_family_must_implement_the_batched_pair():
-    # The single-point methods are views of the batched pair, not a second
-    # way to define a family: a subclass with only them cannot be built.
+    # ``objective`` and the single-point methods are views of the batched
+    # pair, not a second way to define a family: a subclass with only them
+    # cannot be built.
     class PointOnly(HomotopyProblem):
         dimension = 1
         sample_count = 1
@@ -354,12 +355,22 @@ def test_family_must_implement_the_batched_pair():
         def minibatch_value_and_gradient(self, w, lam, indices):
             return 0.0, np.zeros(1)
 
-    with pytest.raises(TypeError, match="abstract method.*gradient.*objective"):
+    with pytest.raises(TypeError, match="abstract method.*epoch_metrics.*gradient"):
         PointOnly()
 
-    class ObjectiveOnly(HomotopyProblem):
+    class ObjectiveAndGradient(HomotopyProblem):
         def objective(self, W, lam):
             return np.zeros(len(W))
 
+        def gradient(self, W, lam, idx=None, with_value=False):
+            return np.zeros_like(W)
+
+    with pytest.raises(TypeError, match="abstract method.*epoch_metrics"):
+        ObjectiveAndGradient()
+
+    class MetricsOnly(HomotopyProblem):
+        def epoch_metrics(self, W, lam):
+            return np.zeros(len(W)), None
+
     with pytest.raises(TypeError, match="abstract method.*gradient"):
-        ObjectiveOnly()
+        MetricsOnly()
