@@ -49,53 +49,63 @@ def cmd_theory(args):
     def emit(key, value):
         lines.append(f"{key:28s} {value}")
 
+    def evaluate(key, calculate, *args):
+        try:
+            return calculate(*args)
+        except theory.InfeasibleError as exc:  # reported; the other calculators still run
+            failures.append(f"{key}: {exc}")
+            emit(key, f"infeasible ({exc})")
+            return None
+
     emit("rho", f"{rho:.12g}")
-    emit("noise_floor", f"{constants.noise_floor:.12g}")
+    noise_floor = evaluate("noise_floor", lambda: constants.noise_floor)
+    if noise_floor is not None:
+        emit("noise_floor", f"{noise_floor:.12g}")
     emit("gamma", f"{constants.gamma:.12g}")
-    if constants.B <= constants.noise_floor:
-        failures.append("B > sigma^2/(2 mu)")
-        emit("check B > sigma^2/2mu", "FAIL")
-    else:
-        emit("check B > sigma^2/2mu", "pass")
-    try:
-        emit("kmax_tracking", theory.kmax_tracking(rho, constants.sigma2, constants.mu, constants.r))
-    except theory.InfeasibleError as exc:
-        failures.append(f"kmax_tracking: {exc}")
-        emit("kmax_tracking", f"infeasible ({exc})")
-    eps = theory.tracking_epsilons(rho, constants.k, constants.sigma2, constants.mu,
-                                   constants.r, constants.B, constants.delta, constants.gamma)
-    emit("eps1", f"{eps.eps1:.12g}")
-    emit("eps2", f"{eps.eps2:.12g}")
-    emit("eps_tilde", f"{eps.eps_tilde:.12g}" if eps.feasible else f"infeasible ({eps.note})")
-    if not eps.feasible:
-        failures.append(f"tracking_epsilons: {eps.note}")
+    if noise_floor is not None:
+        if constants.B <= noise_floor:
+            failures.append("B > sigma^2/(2 mu)")
+        emit("check B > sigma^2/2mu", "FAIL" if constants.B <= noise_floor else "pass")
+    kmax = evaluate("kmax_tracking", theory.kmax_tracking,
+                    rho, constants.sigma2, constants.mu, constants.r)
+    if kmax is not None:
+        emit("kmax_tracking", kmax)
+    eps = evaluate("tracking_epsilons", theory.tracking_epsilons, rho, constants.k, constants.sigma2,
+                   constants.mu, constants.r, constants.B, constants.delta, constants.gamma)
+    if eps is not None:
+        emit("eps1", f"{eps.eps1:.12g}")
+        emit("eps2", f"{eps.eps2:.12g}")
+        emit("eps_tilde", f"{eps.eps_tilde:.12g}" if eps.feasible else f"infeasible ({eps.note})")
+        if not eps.feasible:
+            failures.append(f"tracking_epsilons: {eps.note}")
     gap_curve = None
     if constants.rho_tilde is not None and constants.epsilon0 is not None:
-        params = theory.linear_rate_schedule_params(
-            rho, constants.k, constants.rho_tilde, constants.epsilon0,
-            constants.delta, constants.gamma, constants.sigma2, constants.mu,
-            constants.B, constants.r)
-        emit("C_rho_tilde", f"{params.C_rho_tilde:.12g}")
-        emit("eta_min", f"{params.eta_min:.12g}")
-        emit("eta_min_main_text_sign", f"{params.eta_min_main_text:.12g}")
-        emit("k_min", params.k_min)
-        for check in params.report.checks:
-            status = "pass" if check.passed else ("info-fail" if "informational" in check.note else "FAIL")
-            emit(f"check {check.key}", f"{status}  [{check.requirement}] value={check.value:.12g}")
-            if status == "FAIL":
-                failures.append(check.key)
-        eta = constants.eta if constants.eta is not None else params.eta_min
-        if params.eta_min != float("inf"):
-            caps, reachable = theory.schedule_caps(constants.n, eta, params.eps1)
-            emit("achievable_lambda_n", f"{min(reachable, 1.0):.12g}")
-            if reachable < 1.0:
-                emit("note", "feasible increments sum below 1; lambda = 1 not reachable in n iterations")
-        gap_curve = [
+        params = evaluate("linear_rate_schedule_params", theory.linear_rate_schedule_params,
+                          rho, constants.k, constants.rho_tilde, constants.epsilon0,
+                          constants.delta, constants.gamma, constants.sigma2, constants.mu,
+                          constants.B, constants.r)
+        if params is not None:
+            emit("C_rho_tilde", f"{params.C_rho_tilde:.12g}")
+            emit("eta_min", f"{params.eta_min:.12g}")
+            emit("eta_min_main_text_sign", f"{params.eta_min_main_text:.12g}")
+            emit("k_min", params.k_min)
+            for check in params.report.checks:
+                status = "pass" if check.passed else ("info-fail" if "informational" in check.note else "FAIL")
+                emit(f"check {check.key}", f"{status}  [{check.requirement}] value={check.value:.12g}")
+                if status == "FAIL":
+                    failures.append(check.key)
+            eta = constants.eta if constants.eta is not None else params.eta_min
+            if params.eta_min < float("inf"):  # inf: no schedule exists; NaN: rho out of range
+                caps, reachable = theory.schedule_caps(constants.n, eta, params.eps1)
+                emit("achievable_lambda_n", f"{min(reachable, 1.0):.12g}")
+                if reachable < 1.0:
+                    emit("note", "feasible increments sum below 1; lambda = 1 not reachable in n iterations")
+        gap_curve = evaluate("hsgd_gap_bound", lambda: [
             theory.hsgd_gap_bound(i, constants.rho_tilde, constants.epsilon0,
                                   constants.sigma2, constants.mu)
             for i in range(constants.n + 1)
-        ]
-        for i, bound in enumerate(gap_curve):
+        ])
+        for i, bound in enumerate(gap_curve or ()):
             emit(f"hsgd_gap_bound[{i}]", f"{bound:.12g}")
     print("\n".join(lines))
     if args.json:
@@ -126,11 +136,13 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="homotopy-opt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment from a JSON config")
-    p_run.add_argument("--config", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", default=None)
+    common.add_argument("--seed", type=int, default=None)
+
+    p_run = sub.add_parser("run", parents=[common], help="run an experiment from a JSON config")
     p_run.add_argument("--repeats", type=int, default=None)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(fn=cmd_run)
 
     p_theory = sub.add_parser("theory", help="evaluate bounds for a constants JSON")
@@ -138,17 +150,11 @@ def build_parser():
     p_theory.add_argument("--json", action="store_true")
     p_theory.set_defaults(fn=cmd_theory)
 
-    p_diag = sub.add_parser("diagnose", help="estimate landscape constants")
-    p_diag.add_argument("--config", required=True)
+    p_diag = sub.add_parser("diagnose", parents=[common], help="estimate landscape constants")
     p_diag.add_argument("--homotopy-parameter", type=float, default=1.0)
-    p_diag.add_argument("--out", default=None)
-    p_diag.add_argument("--seed", type=int, default=None)
     p_diag.set_defaults(fn=cmd_diagnose)
 
-    p_gen = sub.add_parser("gen-data", help="emit the dataset CSV for a config")
-    p_gen.add_argument("--config", required=True)
-    p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen = sub.add_parser("gen-data", parents=[common], help="emit the dataset CSV for a config")
     p_gen.set_defaults(fn=cmd_gen_data)
     return parser
 
@@ -158,7 +164,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ConfigurationError, DataError, DomainError, theory.InfeasibleError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteError as exc:

@@ -129,19 +129,21 @@ class SgdConfig:
 class Schedule:
     """Homotopy increments h(1..n) with sum(h) = 1 and every h(i) in (0, 1]."""
 
-    kind: str
-    n: int
     increments: np.ndarray
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
         object.__setattr__(self, "increments", inc)
-        if inc.shape != (self.n,):
-            raise ConfigurationError(f"expected {self.n} increments, got shape {inc.shape}")
+        if inc.ndim != 1 or inc.size == 0:
+            raise ConfigurationError(f"increments must be a non-empty 1-D array, got shape {inc.shape}")
         if np.any(inc <= 0) or np.any(inc > 1):
             raise ConfigurationError("schedule increments must lie in (0, 1]")
         if abs(inc.sum() - 1.0) > SUM_TOL:
             raise ConfigurationError(f"schedule increments sum to {inc.sum()!r}, expected 1")
+
+    @property
+    def n(self):
+        return self.increments.size
 
     def lambdas(self):
         """The lambda values the outer loop (``hsgd_run``) visits.
@@ -169,7 +171,7 @@ def make_schedule(kind, n, eta=None, explicit=None, epsilon1=None):
     if n < 1:
         raise ConfigurationError(f"schedule length must be >= 1, got n={n}")
     if kind == "constant":
-        return Schedule("constant", n, np.full(n, 1.0 / n))
+        return Schedule(np.full(n, 1.0 / n))
     if kind == "exponential":
         if eta is None or eta < 0:
             raise ConfigurationError("exponential schedule requires eta >= 0")
@@ -185,7 +187,7 @@ def make_schedule(kind, n, eta=None, explicit=None, epsilon1=None):
                 "min{e^(-eta*(i-1)), epsilon1} for some i",
                 stacklevel=2,
             )
-        return Schedule("exponential", n, inc)
+        return Schedule(inc)
     if kind == "explicit":
         if explicit is None:
             raise ConfigurationError("explicit schedule requires the increment list")
@@ -194,7 +196,7 @@ def make_schedule(kind, n, eta=None, explicit=None, epsilon1=None):
             raise ConfigurationError(f"expected {n} explicit entries, got shape {entries.shape}")
         if np.any(entries <= 0):
             raise ConfigurationError("explicit schedule entries must be positive")
-        return Schedule("explicit", n, entries / entries.sum())
+        return Schedule(entries / entries.sum())
     raise ConfigurationError(f"unknown schedule kind {kind!r}")
 
 

@@ -17,8 +17,7 @@ from .core import ConfigurationError, make_rng
 # Documented sub-seed salt for the companion source labels of the sine dataset.
 SOURCE_NOISE_SALT = 0xA5A5A5A5
 
-# N(0, v) noise parameters for the sine task are variances, not deviations.
-SINE_NOISE_VAR = 0.1
+# Variance, not deviation, of the N(0, v) noise on the sine task's source labels.
 SINE_SOURCE_NOISE_VAR = 0.01
 
 
@@ -39,7 +38,7 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def gen_linear_toy(n=100, slope=3.0, noise_std=1.0, seed=0):
+def gen_linear_toy(n, slope, noise_std, seed):
     """x uniform on [-1, 1], y = slope * x + N(0, noise_std^2)."""
     if n < 1:
         raise ConfigurationError("need at least one sample")
@@ -51,10 +50,10 @@ def gen_linear_toy(n=100, slope=3.0, noise_std=1.0, seed=0):
     return Dataset(inputs=x.reshape(-1, 1), targets=y)
 
 
-def gen_sine(n=500, freq=10.0, noise_std=float(np.sqrt(SINE_NOISE_VAR)), seed=0):
+def gen_sine(n, freq, noise_std, seed):
     """x uniform on [-1, 1], y = sin(freq * x) + noise; source labels x^2 + noise.
 
-    The source noise (variance 0.01) comes from a derived sub-seed so target
+    The source noise (variance SINE_SOURCE_NOISE_VAR) comes from a derived sub-seed so target
     and source labels regenerate independently but deterministically.
     """
     if n < 1:
@@ -68,7 +67,7 @@ def gen_sine(n=500, freq=10.0, noise_std=float(np.sqrt(SINE_NOISE_VAR)), seed=0)
     return Dataset(inputs=x.reshape(-1, 1), targets=y, source_targets=y_src)
 
 
-def gen_moons(n=1000, noise_std=0.1, seed=0):
+def gen_moons(n, noise_std, seed):
     """Two interleaved semicircles with isotropic Gaussian corruption.
 
     Class 0: (cos t, sin t); class 1: (1 - cos t, 0.5 - sin t); t equally

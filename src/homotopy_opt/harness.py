@@ -119,6 +119,7 @@ _REAL_POSITIVE = ("a finite number > 0", _is_positive)
 # fields reject bools and non-integral numbers: a run would otherwise
 # truncate 2.5 to 2 steps or read true as one repeat.
 VALUE_RULES = {
+    "out_dir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
     "repeats": _INT_POSITIVE,
     "master_seed": _INT_SEED,
     "threshold": ("null or a finite number", lambda v: v is None or _is_real(v)),
@@ -149,8 +150,7 @@ VALUE_RULES = {
 
 def _check_values(cfg):
     """Reject a config value of the wrong type or out of range, before any compute."""
-    values = {"repeats": cfg.repeats, "master_seed": cfg.master_seed,
-              "threshold": cfg.threshold}
+    values = {name: getattr(cfg, name) for name in ("out_dir", "repeats", "master_seed", "threshold")}
     for section in ("dataset", "optimizer", "problem"):
         values.update((f"{section}.{key}", v) for key, v in getattr(cfg, section).items())
     bad = [f"{name} = {values[name]!r} (expected {what})"
@@ -283,9 +283,8 @@ def build_problem(cfg: ExperimentConfig, dataset):
         return problem, np.array([w0])
     if cfg.experiment == "sine-mlp":
         x = dataset.inputs[:, 0]
-        problem = MlpRegressionProblem(x, dataset.targets, dataset.source_targets,
-                                       cfg.problem["init_seed"])
-        return problem, problem.default_init()
+        problem = MlpRegressionProblem(x, dataset.targets, dataset.source_targets)
+        return problem, problem.default_init(cfg.problem["init_seed"])
     if cfg.experiment == "moons-logistic":
         problem = CubicLogisticProblem(dataset.inputs, dataset.targets)
         return problem, np.zeros(9)
@@ -298,7 +297,12 @@ def build_problem(cfg: ExperimentConfig, dataset):
 def resolve_alpha(cfg: ExperimentConfig, problem):
     """Return (alpha, L_tilde); 'auto' means alpha = 1/L_tilde at lambda = 1."""
     alpha = cfg.optimizer["alpha"]
-    L_tilde = _estimate_L(cfg, problem, 1.0, make_rng(cfg.master_seed ^ L_ESTIMATE_SALT))
+    try:
+        L_tilde = _estimate_L(cfg, problem, 1.0, make_rng(cfg.master_seed ^ L_ESTIMATE_SALT))
+    except diagnostics.EstimationError as exc:
+        raise ConfigurationError(f"cannot estimate L_tilde at lambda = 1: {exc}") from exc
+    if not _is_positive(L_tilde) or alpha == "auto" and not _is_real(1.0 / L_tilde):
+        raise ConfigurationError(f"no finite step-size bound 1/L_tilde from L_tilde = {L_tilde!r}")
     if alpha == "auto":
         return 1.0 / L_tilde, L_tilde
     return float(alpha), L_tilde
@@ -321,7 +325,7 @@ def _fstar_table(cfg: ExperimentConfig, problem, lambdas):
 
 
 def _sgd_total_steps(cfg_sgd, schedule, budget_factor=1):
-    """SGD-arm budget: the H-SGD total n*k, scaled by the configured factor."""
+    """An arm's step count: the H-SGD total n*k, scaled by the SGD arm's configured factor."""
     return int(round(cfg_sgd.steps * schedule.n * budget_factor))
 
 
@@ -338,8 +342,7 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
     on any other error in a slice, that error.
     """
     W0 = np.array(np.broadcast_to(w0, (len(seeds), problem.dimension)), dtype=float)
-    total_steps = cfg_sgd.steps * schedule.n if method == "hsgd" else \
-        _sgd_total_steps(cfg_sgd, schedule, budget_factor)
+    total_steps = _sgd_total_steps(cfg_sgd, schedule, budget_factor if method == "sgd" else 1)
     parts = np.array_split(np.arange(len(seeds)), _slice_count(len(seeds), total_steps))
     args = [(problem, W0[part], method, schedule, cfg_sgd, [seeds[r] for r in part],
              total_steps) for part in parts]
@@ -522,9 +525,9 @@ def run_experiment(cfg: ExperimentConfig):
     opt = cfg.optimizer
     schedule = make_schedule(opt["schedule"], opt["n"],
                              eta=opt["eta"], explicit=opt.get("explicit"))
+    alpha, L_tilde = resolve_alpha(cfg, problem)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    alpha, L_tilde = resolve_alpha(cfg, problem)
     minibatch = opt["minibatch"]
     every = steps_per_epoch(problem.sample_count, minibatch)
     cfg_sgd = SgdConfig(alpha, opt["k"], minibatch, record_every=every)
@@ -645,8 +648,8 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
                 "alpha": 1.0 / est.L_hat if est.L_hat else 0.05,
                 "seed": cfg.master_seed, "init_center": w0}
         try:
-            est.fstar = diagnostics.estimate_fstar(problem, lam, spec).value
-            est.fstar_upper_bound_only = True
+            multistart = diagnostics.estimate_fstar(problem, lam, spec)
+            est.fstar, est.fstar_upper_bound_only = multistart.value, multistart.upper_bound_only
         except diagnostics.EstimationError as exc:
             est.errors["fstar"] = str(exc)
     est.delta_hat = diagnostics.estimate_delta(problem, 200, rng)

@@ -170,7 +170,7 @@ class MlpRegressionProblem(HomotopyProblem):
 
     aux_metric = "target_objective"
 
-    def __init__(self, xs, ys_target, ys_source, init_seed=0):
+    def __init__(self, xs, ys_target, ys_source):
         xs = _frozen(xs)
         if xs.ndim != 1 or xs.size == 0:
             raise ConfigurationError("mlp problem needs a non-empty 1-D sample vector")
@@ -180,7 +180,6 @@ class MlpRegressionProblem(HomotopyProblem):
             raise ConfigurationError("labels and inputs must have equal length")
         self.dimension = MLP_DIMENSION
         self.sample_count = xs.size
-        self.init_seed = init_seed
 
     @staticmethod
     def unpack(w):
@@ -200,9 +199,9 @@ class MlpRegressionProblem(HomotopyProblem):
     def pack(W1, b1, W2, b2, W3, b3):
         return np.concatenate([W1.ravel(), b1, W2.ravel(), b2, W3.ravel(), b3])
 
-    def default_init(self, seed=None):
+    def default_init(self, seed):
         """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
-        rng = make_rng(self.init_seed if seed is None else seed)
+        rng = make_rng(seed)
         h = MLP_HIDDEN
         W1 = rng.uniform(-1.0, 1.0, (h, 1))
         W2 = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), (h, h))

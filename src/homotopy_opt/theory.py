@@ -2,9 +2,9 @@
 
 Every calculator is a pure total function on its feasibility domain;
 infeasible inputs raise :class:`InfeasibleError` or come back flagged inside a
-structured report, never as NaN. Logs are natural-base with explicit
-conversion; ceilings are applied outermost, exactly as in the defining
-formulas.
+structured report, with NaN in the fields that are undefined. Logs are
+natural-base with explicit conversion; ceilings are applied outermost,
+exactly as in the defining formulas.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ class TheoryConstants:
 
     @property
     def noise_floor(self):
+        if self.mu <= 0:
+            raise InfeasibleError("mu must be positive")
         return self.sigma2 / (2.0 * self.mu)
 
     @classmethod

@@ -215,7 +215,7 @@ def test_criterion_06_oracle_unbiasedness():
     xs = np.array([0.1, -0.5, 0.8, 0.3, -0.9, 0.6, 0.2, -0.4])
     families = {
         "erf": ErfRegressionProblem(xs, np.sin(3 * xs), -2.0 * xs),
-        "mlp": MlpRegressionProblem(xs[:6], np.sin(10 * xs[:6]), xs[:6] ** 2, init_seed=3),
+        "mlp": MlpRegressionProblem(xs[:6], np.sin(10 * xs[:6]), xs[:6] ** 2),
         "moons": CubicLogisticProblem(
             np.column_stack([xs[:6], xs[:6] ** 2]),
             np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])),

@@ -170,6 +170,24 @@ def test_theory_mistyped_constant_is_config_error(tmp_path, capsys, payload, nam
     assert err.startswith("configuration error: ") and named in err
 
 
+@pytest.mark.parametrize("changed, failure", [
+    ({"alpha": 2.5}, "tracking_epsilons: rho must lie in [0, 1)"),     # rho = -1.5
+    ({"rho_tilde": 1.5}, "hsgd_gap_bound: rho_tilde must lie in (0, 1)"),
+    ({"rho_tilde": 0}, "hsgd_gap_bound: rho_tilde must lie in (0, 1)"),
+    ({"epsilon0": -1}, "linear_rate_schedule_params: epsilon0 must be"),
+    ({"mu": 0}, "noise_floor: mu must be positive"),
+])
+def test_theory_infeasible_constant_set_is_reported(tmp_path, capsys, changed, failure):
+    # Well-formed but infeasible: a report and exit 3, not a configuration error.
+    path = write_json(tmp_path / "c.json", {**LQ_CONSTANTS, **changed})
+    assert cli.main(["theory", "--constants", path, "--json"]) == cli.EXIT_FEASIBILITY
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("rho ")
+    payload = json.loads(out[out.index("\n{") + 1:])
+    assert payload["failures"] and any(f.startswith(failure) for f in payload["failures"])
+
+
 @pytest.mark.parametrize("command", ["diagnose", "gen-data"])
 def test_repeats_is_not_a_flag_of_diagnose_or_gen_data(tmp_path, capsys, command):
     cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq"})
@@ -185,6 +203,32 @@ def test_run_unusable_threshold_metric_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("problem, named", [
+    ({"L_radius": 1e-300}, "all sampled pairs were coincident"),
+    ({"mu": 1e-320}, "from L_tilde = 0.0"),
+])
+@pytest.mark.parametrize("alpha", [0.1, "auto"])
+def test_run_failed_L_estimate_is_config_error(tmp_path, capsys, problem, named, alpha):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "repeats": 2, "problem": problem,
+        "optimizer": {"alpha": alpha}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # Every config key is resolved by from_dict, so a KeyError is a bug, not the user's config.
+    def lookup_bug(cfg):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(cli.harness, "run_experiment", lookup_bug)
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq"})
+    with pytest.raises(KeyError, match="internal lookup"):
+        cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("raw", [

@@ -70,10 +70,25 @@ def test_config_rejects_unknown_values(tmp_path):
     ("moons-logistic", {"dataset": {"noise_std": -0.1}}),
     ("sine-mlp", {"problem": {"L_pairs": 0.5}}),
     ("synthetic-lq", {"problem": {"mu": float("nan")}}),
+    ("synthetic-lq", {"out_dir": 5}),
 ])
 def test_config_rejects_out_of_range_values(experiment, raw):
     with pytest.raises(ConfigurationError, match="optimizer.minibatch|invalid config values"):
         ExperimentConfig.from_dict({"experiment": experiment, **raw})
+
+
+@pytest.mark.parametrize("L_tilde, alpha, named", [
+    (0.0, 0.1, "L_tilde = 0.0"),
+    (float("nan"), 0.1, "L_tilde = nan"),
+    (float("inf"), "auto", "L_tilde = inf"),
+    (5e-324, "auto", "L_tilde = 5e-324"),          # 1/L_tilde = inf
+])
+def test_resolve_alpha_rejects_an_unusable_L_tilde(tmp_path, monkeypatch, L_tilde, alpha, named):
+    cfg = tiny_config(tmp_path, "synthetic-lq", optimizer={"alpha": alpha})
+    problem, _ = harness.build_problem(cfg, harness.build_dataset(cfg))
+    monkeypatch.setattr(harness, "_estimate_L", lambda *args: L_tilde)
+    with pytest.raises(ConfigurationError, match=named):
+        harness.resolve_alpha(cfg, problem)
 
 
 @pytest.mark.parametrize("experiment, metric", [

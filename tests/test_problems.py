@@ -42,7 +42,7 @@ def small_erf():
 @pytest.fixture
 def small_mlp():
     xs = np.array([0.1, -0.5, 0.8, 0.3, -0.9])
-    return MlpRegressionProblem(xs, np.sin(10 * xs), xs**2, init_seed=7)
+    return MlpRegressionProblem(xs, np.sin(10 * xs), xs**2)
 
 
 @pytest.fixture
@@ -160,6 +160,12 @@ def test_mlp_default_init_layout(small_mlp):
     assert np.all(np.abs(W1) <= 1.0)
     bound = 1.0 / math.sqrt(10)
     assert np.all(np.abs(W2) <= bound) and np.all(np.abs(W3) <= bound)
+
+
+def test_mlp_default_init_needs_a_seed(small_mlp):
+    # The init seed is the config's problem.init_seed; the problem keeps no default.
+    with pytest.raises(TypeError):
+        small_mlp.default_init()
 
 
 # ------------------------------------------------------- cubic logistic family
@@ -322,7 +328,7 @@ def test_problem_arrays_are_read_only_copies(family):
     y01 = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
     build = {
         "erf": lambda: ErfRegressionProblem(xs, np.sin(xs), -2.0 * xs),
-        "mlp": lambda: MlpRegressionProblem(xs, np.sin(10 * xs), xs**2, init_seed=7),
+        "mlp": lambda: MlpRegressionProblem(xs, np.sin(10 * xs), xs**2),
         "moons": lambda: CubicLogisticProblem(X, y01),
         "quadratic": lambda: QuadraticTrackingProblem(1.0, xs),
     }[family]

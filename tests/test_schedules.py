@@ -13,7 +13,6 @@ SUM_TOL = 1e-12
 def test_constant_schedule_is_uniform():
     sched = make_schedule("constant", 5)
     assert np.allclose(sched.increments, 0.2, rtol=0, atol=0)
-    assert sched.kind == "constant"
 
 
 def test_exponential_single_step_takes_whole_budget():
@@ -53,11 +52,21 @@ def test_invalid_schedules_rejected():
 
 def test_schedule_type_validates_sum_and_range():
     with pytest.raises(ConfigurationError):
-        Schedule("explicit", 2, np.array([0.5, 0.4]))
+        Schedule(np.array([0.5, 0.4]))
     with pytest.raises(ConfigurationError):
-        Schedule("explicit", 2, np.array([1.5, -0.5]))
-    with pytest.raises(ConfigurationError):
-        Schedule("explicit", 3, np.array([0.5, 0.5]))
+        Schedule(np.array([1.5, -0.5]))
+
+
+def test_schedule_length_is_its_increment_count():
+    sched = Schedule(np.array([0.25, 0.75]))
+    assert sched.n == 2
+    assert sched.lambdas().tolist() == [0.25, 1.0]
+
+
+@pytest.mark.parametrize("increments", [np.array([]), np.array([[0.5, 0.5]]), np.array(1.0)])
+def test_schedule_rejects_increments_that_are_not_a_nonempty_vector(increments):
+    with pytest.raises(ConfigurationError, match="non-empty 1-D"):
+        Schedule(increments)
 
 
 def test_lambdas_accumulate_to_one():
