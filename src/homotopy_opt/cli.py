@@ -12,7 +12,6 @@ import sys
 
 from . import datasets, harness, theory
 from .core import ConfigurationError, NonFiniteError
-from .problems import DataError, DomainError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,8 +162,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, DataError, DomainError, theory.InfeasibleError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, theory.InfeasibleError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteError as exc:

@@ -59,7 +59,7 @@ def clamp_lambda(lam):
 
 
 class ConfigurationError(ValueError):
-    """Invalid optimizer, schedule or experiment configuration."""
+    """Invalid configuration, data or argument (e.g. non-binary labels, lambda outside [0, 1])."""
 
 
 def _is_int(v):
@@ -136,7 +136,7 @@ class Schedule:
         object.__setattr__(self, "increments", inc)
         if inc.ndim != 1 or inc.size == 0:
             raise ConfigurationError(f"increments must be a non-empty 1-D array, got shape {inc.shape}")
-        if np.any(inc <= 0) or np.any(inc > 1):
+        if not np.all((inc > 0) & (inc <= 1)):  # false for a NaN increment too
             raise ConfigurationError("schedule increments must lie in (0, 1]")
         if abs(inc.sum() - 1.0) > SUM_TOL:
             raise ConfigurationError(f"schedule increments sum to {inc.sum()!r}, expected 1")
@@ -159,13 +159,11 @@ class Schedule:
         return out
 
 
-def make_schedule(kind, n, eta=None, explicit=None, epsilon1=None):
+def make_schedule(kind, n, eta=None, explicit=None):
     """Build a homotopy schedule of the given kind.
 
     constant:    h(i) = 1/n.
-    exponential: geometric weights e^(-eta*i) renormalized to sum 1; a warning
-                 is emitted when a normalized increment exceeds the raw cap
-                 e^(-eta*(i-1)) or a user-supplied epsilon1.
+    exponential: geometric weights e^(-eta*i) renormalized to sum 1.
     explicit:    positive entries, normalized to sum 1.
     """
     if n < 1:
@@ -175,19 +173,12 @@ def make_schedule(kind, n, eta=None, explicit=None, epsilon1=None):
     if kind == "exponential":
         if eta is None or eta < 0:
             raise ConfigurationError("exponential schedule requires eta >= 0")
-        # e^(-eta*i) / sum_j e^(-eta*j), computed with the common factor cancelled
+        # e^(-eta*i) / sum_j e^(-eta*j); cancelling e^(-eta) would change every schedule's bits
         weights = np.exp(-eta * np.arange(1, n + 1, dtype=float))
-        inc = weights / weights.sum()
-        raw_caps = np.exp(-eta * np.arange(0, n, dtype=float))
-        if epsilon1 is not None:
-            raw_caps = np.minimum(raw_caps, epsilon1)
-        if np.any(inc > raw_caps * (1 + 1e-12)):
-            warnings.warn(
-                "normalized exponential increments exceed the raw decay cap "
-                "min{e^(-eta*(i-1)), epsilon1} for some i",
-                stacklevel=2,
-            )
-        return Schedule(inc)
+        if weights[-1] == 0.0:
+            raise ConfigurationError(
+                f"exponential schedule weight e^(-eta*n) underflows to 0 at eta = {eta}, n = {n}")
+        return Schedule(weights / weights.sum())
     if kind == "explicit":
         if explicit is None:
             raise ConfigurationError("explicit schedule requires the increment list")

@@ -230,18 +230,15 @@ class PlProbeResult:
     draws: int
 
 
-def expected_pl_probe(problem, lam, draws, fstar_lambda, rng, sampler=None):
-    """Monte-Carlo mu_tilde = E||grad f||^2 / (2 (E f - f*)) under a w-sampler.
+def expected_pl_probe(problem, lam, draws, fstar_lambda, rng):
+    """Monte-Carlo mu_tilde = E||grad f||^2 / (2 (E f - f*)) over w ~ N(0, I).
 
-    The default sampler is standard normal. A positive stable ratio is
-    evidence for the expected-PL property under that sampler; note the probe
-    samples from the supplied distribution, not the algorithm's iterate law.
+    A positive stable ratio is evidence for the expected-PL property under
+    that law, not under the algorithm's iterate law.
     """
     if draws < 100:
         raise ConfigurationError("need at least 100 draws")
-    if sampler is None:
-        sampler = lambda r: r.standard_normal(problem.dimension)
-    W = np.array([sampler(rng) for _ in range(draws)], dtype=float).reshape(draws, problem.dimension)
+    W = np.array([rng.standard_normal(problem.dimension) for _ in range(draws)], dtype=float)
     sq_grads = np.array([np.dot(g, g) for g in in_row_chunks(problem, problem.gradient, W, lam)])
     vals = in_row_chunks(problem, problem.objective, W, lam)
     mean_gap = float(np.mean(vals) - fstar_lambda)

@@ -53,8 +53,6 @@ LQ_OFFSET_SALT = 0x0FF5_E75
 
 CSV_HEADER = "epoch,lambda,mean_objective,std_objective,mean_gap,grad_evals"
 
-EXPERIMENTS = ("toy-erf", "sine-mlp", "moons-logistic", "synthetic-lq")
-
 DEFAULTS = {
     "toy-erf": {
         "dataset": {"N": 100, "slope": 3.0, "noise_std": 1.0, "seed": 40},
@@ -90,6 +88,7 @@ DEFAULTS = {
         "threshold_metric": "gap",
     },
 }
+EXPERIMENTS = tuple(DEFAULTS)
 
 
 # Keys a config section may hold beyond those of DEFAULTS[experiment]: the seeds
@@ -190,14 +189,14 @@ def _check_keys(raw, experiment):
 @dataclass
 class ExperimentConfig:
     experiment: str
+    threshold: float | None
+    threshold_metric: str
     method: str = "both"
     dataset: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
     problem: dict = field(default_factory=dict)
     repeats: int = 100
     master_seed: int = 20240
-    threshold: float | None = None
-    threshold_metric: str = "objective"
     out_dir: str = "runs"
 
     @classmethod
@@ -520,11 +519,11 @@ def epochs_to_threshold(curve, threshold):
 
 def run_experiment(cfg: ExperimentConfig):
     """Execute all repeats per arm, write CSVs + metadata, return the report."""
-    dataset = build_dataset(cfg)
-    problem, w0 = build_problem(cfg, dataset)
     opt = cfg.optimizer
     schedule = make_schedule(opt["schedule"], opt["n"],
                              eta=opt["eta"], explicit=opt.get("explicit"))
+    dataset = build_dataset(cfg)
+    problem, w0 = build_problem(cfg, dataset)
     alpha, L_tilde = resolve_alpha(cfg, problem)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -28,17 +28,9 @@ from .core import ConfigurationError, make_rng
 TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
-class DomainError(ValueError):
-    """Argument outside the declared domain (e.g. lambda outside [0, 1])."""
-
-
-class DataError(ValueError):
-    """Dataset violates a problem precondition (e.g. non-binary labels)."""
-
-
 def _check_lambda(lam):
     if not (0.0 <= lam <= 1.0):
-        raise DomainError(f"homotopy parameter must lie in [0, 1], got {lam}")
+        raise ConfigurationError(f"homotopy parameter must lie in [0, 1], got {lam}")
 
 
 def _block(w):
@@ -64,7 +56,7 @@ class LabelInterpolationMap:
         yt = _frozen(self.y_target)
         ys = _frozen(self.y_source)
         if yt.shape != ys.shape or yt.ndim != 1:
-            raise DataError("target and source label vectors must be equal-length 1-D arrays")
+            raise ConfigurationError("target and source label vectors must be equal-length 1-D arrays")
         object.__setattr__(self, "y_target", yt)
         object.__setattr__(self, "y_source", ys)
 
@@ -281,9 +273,9 @@ class CubicLogisticProblem(HomotopyProblem):
         X = np.asarray(features, dtype=float)
         y = np.asarray(labels01, dtype=float)
         if X.ndim != 2 or X.shape[1] != 2:
-            raise DataError("features must be an (N, 2) array")
+            raise ConfigurationError("features must be an (N, 2) array")
         if y.shape != (X.shape[0],) or not np.all(np.isin(y, (0.0, 1.0))):
-            raise DataError("labels must be 0/1 with one entry per sample")
+            raise ConfigurationError("labels must be 0/1 with one entry per sample")
         x1, x2 = X[:, 0], X[:, 1]
         # Design matrix: the six nonlinear terms carry the lambda gate, the linear part does not.
         self.phi = _frozen(np.column_stack([x1**3, x2**3, x1**2, x2**2, x1**2 * x2,

@@ -77,6 +77,8 @@ class TheoryConstants:
         if bad:
             raise ConfigurationError(f"invalid constants (k and n take integers, the others "
                                      f"finite numbers): {', '.join(bad)}")
+        if "eta" in given and data["eta"] < 0:  # the rule make_schedule applies to a run
+            raise ConfigurationError(f"eta must be >= 0, got {data['eta']!r}")
         return cls(**data)
 
 
@@ -95,10 +97,6 @@ class FeasibilityReport:
 
     def add(self, key, requirement, value, passed, note=""):
         self.checks.append(FeasibilityCheck(key, requirement, float(value), bool(passed), note))
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
 
 
 def _log_base(value, base):

@@ -29,7 +29,6 @@ from homotopy_opt.core import (
 )
 from homotopy_opt.harness import (
     L_ESTIMATE_SALT,
-    LQ_OFFSET_SALT,
     ExperimentConfig,
     build_dataset,
     build_problem,
@@ -271,7 +270,8 @@ def test_criterion_07_schedule_contract():
 def test_criterion_08_sgd_bound_on_toy(toy_diagnose):
     cfg, est, problem, w0 = toy_diagnose
     rng_l = make_rng(MASTER ^ L_ESTIMATE_SALT)
-    L_tilde = diagnostics.estimate_L(problem, 1.0, 2000, 10.0, rng_l)
+    L_tilde = diagnostics.estimate_L(problem, 1.0, cfg.problem["L_pairs"],
+                                     cfg.problem["L_radius"], rng_l)
     alpha = 1.0 / L_tilde
     minibatch, epochs, repeats = 10, 150, 100
     spe = steps_per_epoch(problem.sample_count, minibatch)
@@ -309,9 +309,7 @@ def test_criterion_08_sgd_bound_on_toy(toy_diagnose):
 @pytest.fixture(scope="module")
 def lq_setup():
     cfg = ExperimentConfig.from_dict({"experiment": "synthetic-lq"})
-    rng = make_rng(int(cfg.dataset["seed"]) ^ LQ_OFFSET_SALT)
-    offsets = float(cfg.dataset["offset_std"]) * rng.standard_normal(int(cfg.dataset["N"]))
-    problem = QuadraticTrackingProblem(float(cfg.problem["mu"]), offsets)
+    problem, _ = build_problem(cfg, build_dataset(cfg))
     minibatch = int(cfg.optimizer["minibatch"])
     alpha = float(cfg.optimizer["alpha"])
     k = int(cfg.optimizer["k"])
@@ -367,7 +365,7 @@ def test_criterion_10_linear_rate_end_to_end(lq_setup):
     binding = [c for c in params.report.checks if "informational" not in c.note]
     assert all(c.passed for c in binding)
     n = 20
-    schedule = make_schedule("exponential", n, eta=params.eta_min, epsilon1=params.eps1)
+    schedule = make_schedule("exponential", n, eta=params.eta_min)
     caps, _ = theory.schedule_caps(n, params.eta_min, params.eps1)
     assert np.all(schedule.increments <= np.array(caps) * (1.0 + 1e-12))
     gaps, _ = run_lq_homotopy(problem, schedule, SgdConfig(alpha, k, minibatch))

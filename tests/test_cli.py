@@ -103,6 +103,33 @@ def test_diverged_arm_writes_no_numpy_warning(tmp_path):
     assert outcomes[1] == outcomes[0]
 
 
+def test_exponential_schedule_with_subnormal_weights_runs_without_warning(tmp_path):
+    # e^(-740) is subnormal; rounding it once warned of a cap the run never set.
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "optimizer": {"schedule": "exponential", "eta": 74, "n": 10}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+
+
+def test_underflowing_exponential_schedule_is_config_error(tmp_path, capsys):
+    # e^(-1000) is 0 in double precision, so the weights would normalize to NaN.
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "repeats": 3,
+        "optimizer": {"schedule": "exponential", "eta": 1000}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "underflows to 0 at eta = 1000, n = 20" in err
+    assert not caught, [str(w.message) for w in caught]
+    assert not out.exists()
+
+
 def test_theory_subcommand_feasible(tmp_path, capsys):
     constants = write_json(tmp_path / "c.json", LQ_CONSTANTS)
     code = cli.main(["theory", "--constants", constants, "--json"])
@@ -161,6 +188,7 @@ def test_theory_missing_constant_is_config_error(tmp_path, capsys):
     ({**LQ_CONSTANTS, "n": "20"}, "n = '20'"),
     ({**LQ_CONSTANTS, "delta": float("inf")}, "delta = inf"),
     ({**LQ_CONSTANTS, "rho_tilde": float("nan")}, "rho_tilde = nan"),
+    ({**LQ_CONSTANTS, "eta": -100}, "eta must be >= 0, got -100"),  # no schedule takes it
 ])
 def test_theory_mistyped_constant_is_config_error(tmp_path, capsys, payload, named):
     path = write_json(tmp_path / "c.json", payload)

@@ -240,8 +240,7 @@ def test_pl_probe_validation():
     with pytest.raises(ConfigurationError):
         diagnostics.expected_pl_probe(quadratic(), 1.0, 50, 0.0, make_rng(0))
     with pytest.raises(diagnostics.EstimationError):
-        diagnostics.expected_pl_probe(
-            quadratic(), 1.0, 100, 0.0, make_rng(0), sampler=lambda r: np.zeros(1))
+        diagnostics.expected_pl_probe(quadratic(), 1.0, 100, 1e12, make_rng(0))
 
 
 # ------------------------------------------------- sublevel-set invariance

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from homotopy_opt.core import make_rng
+from homotopy_opt.core import ConfigurationError, make_rng
 from homotopy_opt.problems import (
     MLP_DIMENSION,
     CubicLogisticProblem,
-    DataError,
-    DomainError,
     ErfRegressionProblem,
     HomotopyProblem,
     LabelInterpolationMap,
@@ -63,12 +61,12 @@ def test_label_interpolation_endpoints_exact():
 
 
 def test_label_interpolation_validates():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigurationError):
         LabelInterpolationMap(np.array([1.0, 2.0]), np.array([1.0]))
     m = LabelInterpolationMap(np.array([1.0]), np.array([0.0]))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         m.at(1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         m.at(-0.01)
 
 
@@ -103,13 +101,12 @@ def test_erf_batched_objective_matches_scalar(small_erf):
 
 
 def test_erf_rejects_bad_inputs():
-    from homotopy_opt.core import ConfigurationError
     with pytest.raises(ConfigurationError):
         ErfRegressionProblem(np.array([]), np.array([]), np.array([]))
     with pytest.raises(ConfigurationError):
         ErfRegressionProblem(np.array([1.0, 2.0]), np.array([1.0]), np.array([1.0]))
     prob = ErfRegressionProblem(np.array([0.5]), np.array([1.0]), np.array([0.0]))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         prob.full_objective(np.array([0.0]), 1.2)
 
 
@@ -195,9 +192,9 @@ def test_cubic_gradient_nonlinear_block_scales_with_lambda(small_moons):
 
 def test_cubic_rejects_bad_labels():
     X = np.zeros((4, 2))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigurationError):
         CubicLogisticProblem(X, np.array([0.0, 1.0, 2.0, 0.0]))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigurationError):
         CubicLogisticProblem(np.zeros((4, 3)), np.array([0.0, 1.0, 0.0, 1.0]))
 
 
@@ -226,9 +223,9 @@ def test_quadratic_tracking_objective_and_offsets():
 
 def test_quadratic_tracking_validates_lambda():
     prob = QuadraticTrackingProblem(1.0, np.array([0.5, -0.5]))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         prob.full_objective(np.array([0.0]), 1.2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigurationError):
         prob.minibatch_value_and_gradient(np.array([0.0]), -0.1, np.array([0]))
 
 

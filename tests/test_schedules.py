@@ -38,6 +38,10 @@ def test_invalid_schedules_rejected():
         make_schedule("constant", 0)
     with pytest.raises(ConfigurationError):
         make_schedule("exponential", 5, eta=-0.1)
+    with pytest.raises(ConfigurationError, match="underflows to 0 at eta = 80.0, n = 10"):
+        make_schedule("exponential", 10, eta=80.0)  # e^(-800) is 0
+    with pytest.raises(ConfigurationError, match="underflows to 0 at eta = 746.0, n = 3"):
+        make_schedule("exponential", 3, eta=746.0)  # e^(-746) is 0: the weights would be NaN
     with pytest.raises(ConfigurationError):
         make_schedule("exponential", 5)
     with pytest.raises(ConfigurationError):
@@ -55,6 +59,8 @@ def test_schedule_type_validates_sum_and_range():
         Schedule(np.array([0.5, 0.4]))
     with pytest.raises(ConfigurationError):
         Schedule(np.array([1.5, -0.5]))
+    with pytest.raises(ConfigurationError, match=r"lie in \(0, 1\]"):
+        Schedule(np.array([np.nan, np.nan]))  # NaN fails every comparison
 
 
 def test_schedule_length_is_its_increment_count():
@@ -80,12 +86,6 @@ def test_clamp_lambda_snaps_ulp_overshoot_only():
     assert clamp_lambda(-5e-13) == 0.0
     assert clamp_lambda(1.0 + 1e-11) != 1.0
     assert clamp_lambda(0.7) == 0.7
-
-
-def test_exponential_cap_warning():
-    # epsilon1 below the largest normalized increment triggers the advisory.
-    with pytest.warns(UserWarning, match="raw decay cap"):
-        make_schedule("exponential", 5, eta=0.5, epsilon1=0.05)
 
 
 @settings(max_examples=300, deadline=None)
