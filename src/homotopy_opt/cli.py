@@ -162,8 +162,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigurationError, theory.InfeasibleError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigurationError, theory.InfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteError as exc:

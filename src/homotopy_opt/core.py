@@ -127,7 +127,7 @@ class SgdConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Homotopy increments h(1..n) with sum(h) = 1 and every h(i) in (0, 1]."""
+    """Homotopy increments h(1..n) in (0, 1] whose lambda path (``lambdas``) ends at 1."""
 
     increments: np.ndarray
 
@@ -138,8 +138,11 @@ class Schedule:
             raise ConfigurationError(f"increments must be a non-empty 1-D array, got shape {inc.shape}")
         if not np.all((inc > 0) & (inc <= 1)):  # false for a NaN increment too
             raise ConfigurationError("schedule increments must lie in (0, 1]")
-        if abs(inc.sum() - 1.0) > SUM_TOL:
-            raise ConfigurationError(f"schedule increments sum to {inc.sum()!r}, expected 1")
+        # The path the outer loop visits, not numpy's pairwise sum; its last point is its largest.
+        last = float(self.lambdas()[-1])
+        if abs(last - 1.0) > SUM_TOL:
+            raise ConfigurationError(f"schedule increments summed left to right reach {last!r} "
+                                     f"at n = {inc.size}, expected 1")
 
     @property
     def n(self):
@@ -175,9 +178,10 @@ def make_schedule(kind, n, eta=None, explicit=None):
             raise ConfigurationError("exponential schedule requires eta >= 0")
         # e^(-eta*i) / sum_j e^(-eta*j); cancelling e^(-eta) would change every schedule's bits
         weights = np.exp(-eta * np.arange(1, n + 1, dtype=float))
-        if weights[-1] == 0.0:
-            raise ConfigurationError(
-                f"exponential schedule weight e^(-eta*n) underflows to 0 at eta = {eta}, n = {n}")
+        # Checked before the division, which a zero last weight turns into 0/0 (all weights 0).
+        if weights[-1] == 0.0 or weights[-1] / weights.sum() == 0.0:
+            raise ConfigurationError(f"exponential schedule's last increment e^(-eta*n) / sum_j "
+                                     f"e^(-eta*j) underflows to 0 at eta = {eta}, n = {n}")
         return Schedule(weights / weights.sum())
     if kind == "explicit":
         if explicit is None:
@@ -346,8 +350,6 @@ def hsgd_run(w0, schedule, cfg, problem, rng, sink=None, stage_hook=None):
         step_offset += cfg.steps
         if stage_hook is not None:
             stage_hook(i, lam, w)
-    if abs(lam - 1.0) > SUM_TOL:
-        raise ConfigurationError(f"final homotopy parameter {lam!r} differs from 1")
     return w
 
 

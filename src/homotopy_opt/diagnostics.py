@@ -243,7 +243,7 @@ def expected_pl_probe(problem, lam, draws, fstar_lambda, rng):
     vals = in_row_chunks(problem, problem.objective, W, lam)
     mean_gap = float(np.mean(vals) - fstar_lambda)
     if mean_gap <= 0:
-        raise EstimationError("mean objective gap is nonpositive; sampler concentrated at the optimum")
+        raise EstimationError("mean objective gap is nonpositive")
     mean_sq = float(np.mean(sq_grads))
     return PlProbeResult(mean_sq / (2.0 * mean_gap), mean_sq, mean_gap, draws)
 

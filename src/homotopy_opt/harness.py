@@ -465,9 +465,7 @@ def write_trace_csv(path, epochs, lambdas, mean_obj, std_obj, mean_gap, grad_eva
 class ArmResult:
     """One arm's mean curves per epoch; an arm that diverged has only its ``failure``."""
 
-    method: str
     epochs: np.ndarray | None = None
-    lambdas: np.ndarray | None = None
     mean_objective: np.ndarray | None = None
     std_objective: np.ndarray | None = None
     mean_gap: np.ndarray | None = None
@@ -551,7 +549,7 @@ def run_experiment(cfg: ExperimentConfig):
             lambdas, objs, auxs = _run_arm(problem, w0, method, schedule, cfg_sgd, seeds,
                                            budget_factor, stage_hook)
         except NonFiniteError as exc:  # a diverged arm leaves other arms unaffected
-            arms[method] = ArmResult(method, failure=str(exc))
+            arms[method] = ArmResult(failure=str(exc))
             continue
         epochs = np.arange(objs.shape[1])
         mean_obj = objs.mean(axis=0)
@@ -563,8 +561,7 @@ def run_experiment(cfg: ExperimentConfig):
         elif aux_role == "target_objective":
             mean_gap = auxs.mean(axis=0)
         grad_evals = epochs * every * minibatch
-        arms[method] = ArmResult(method, epochs, lambdas, mean_obj, std_obj, mean_gap,
-                                 mean_err, grad_evals)
+        arms[method] = ArmResult(epochs, mean_obj, std_obj, mean_gap, mean_err, grad_evals)
         write_trace_csv(out / f"trace_{method}.csv", epochs, lambdas, mean_obj,
                         std_obj, mean_gap, grad_evals)
         if mean_err is not None:

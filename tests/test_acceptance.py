@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -252,9 +251,7 @@ def test_criterion_07_schedule_contract():
         if kind == "explicit":
             sched = make_schedule("explicit", n, explicit=rng.uniform(0.1, 2.0, n))
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                sched = make_schedule(kind, n, eta=eta)
+            sched = make_schedule(kind, n, eta=eta)
         inc = sched.increments
         assert np.all(inc > 0.0)
         worst_sum = max(worst_sum, abs(float(inc.sum()) - 1.0))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -128,6 +129,35 @@ def test_underflowing_exponential_schedule_is_config_error(tmp_path, capsys):
     assert err.startswith("configuration error: ") and "underflows to 0 at eta = 1000, n = 20" in err
     assert not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+def test_schedule_path_missing_one_is_config_error_before_compute(tmp_path, capsys):
+    # 100,000 constant increments summed left to right stop 1.9e-12 short of 1,
+    # so the run must refuse the schedule before any arm trains.
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "repeats": 2,
+        "optimizer": {"n": 100000, "k": 1, "schedule": "constant"}})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = cli.main(["run", "--config", cfg, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "at n = 100000, expected 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])
+def test_output_path_under_a_file_is_config_error(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "repeats": 2, "optimizer": {"k": 4, "n": 2}})
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code = cli.main([command, "--config", cfg, "--out", str(blocker / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 def test_theory_subcommand_feasible(tmp_path, capsys):

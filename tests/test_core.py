@@ -10,6 +10,7 @@ from homotopy_opt import core, diagnostics
 from homotopy_opt.core import (
     ConfigurationError,
     NonFiniteError,
+    Schedule,
     SgdConfig,
     _draw_minibatch,
     hsgd_run,
@@ -249,11 +250,13 @@ def test_nonfinite_error_pickles_with_its_fields():
 
 
 def test_final_lambda_contract_enforced():
-    prob = NoiselessQuadratic()
-    bad = make_schedule("constant", 4)
-    object.__setattr__(bad, "increments", np.array([0.25, 0.25, 0.25, 0.2]))
-    with pytest.raises(ConfigurationError, match="differs from 1"):
-        hsgd_run(np.array([1.0]), bad, SgdConfig(0.1, 1, 4), prob, make_rng(0))
+    # The path the outer loop visits must end at 1, so a schedule whose
+    # left-to-right partial sums miss 1 is refused before any run.
+    with pytest.raises(ConfigurationError, match=r"reach 0\.95 at n = 4, expected 1"):
+        Schedule(np.array([0.25, 0.25, 0.25, 0.2]))
+    # 100,000 steps of 1e-5 drift 1.9e-12 below 1 (numpy's pairwise sum does not).
+    with pytest.raises(ConfigurationError, match="reach 0.99999999999808.* at n = 100000"):
+        make_schedule("constant", 100_000)
 
 
 # ------------------------------------------------------------------- sampler

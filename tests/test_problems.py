@@ -13,7 +13,6 @@ from homotopy_opt.problems import (
     CubicLogisticProblem,
     ErfRegressionProblem,
     HomotopyProblem,
-    LabelInterpolationMap,
     MlpRegressionProblem,
     QuadraticTrackingProblem,
 )
@@ -54,20 +53,26 @@ def small_moons():
 
 
 def test_label_interpolation_endpoints_exact():
-    m = LabelInterpolationMap(np.array([2.0, -1.0]), np.array([0.5, 3.0]))
-    assert np.array_equal(m.at(0.0), [0.5, 3.0])
-    assert np.array_equal(m.at(1.0), [2.0, -1.0])
-    assert np.array_equal(m.at(0.5), [1.25, 1.0])
+    labels = ErfRegressionProblem(np.zeros(2), np.array([2.0, -1.0]), np.array([0.5, 3.0])).labels
+    assert np.array_equal(labels(0.0), [0.5, 3.0])
+    assert np.array_equal(labels(1.0), [2.0, -1.0])
+    assert np.array_equal(labels(0.5), [1.25, 1.0])
 
 
 def test_label_interpolation_validates():
+    with pytest.raises(ConfigurationError, match="equal length"):
+        ErfRegressionProblem(np.zeros(2), np.array([1.0, 2.0]), np.array([1.0]))
+    labels = ErfRegressionProblem(np.zeros(1), np.array([1.0]), np.array([0.0])).labels
     with pytest.raises(ConfigurationError):
-        LabelInterpolationMap(np.array([1.0, 2.0]), np.array([1.0]))
-    m = LabelInterpolationMap(np.array([1.0]), np.array([0.0]))
+        labels(1.5)
     with pytest.raises(ConfigurationError):
-        m.at(1.5)
-    with pytest.raises(ConfigurationError):
-        m.at(-0.01)
+        labels(-0.01)
+
+
+@pytest.mark.parametrize("family", [ErfRegressionProblem, MlpRegressionProblem])
+def test_label_interpolation_input_error_names_the_family(family):
+    with pytest.raises(ConfigurationError, match=f"{family.__name__} needs a non-empty 1-D"):
+        family(np.zeros((2, 1)), np.zeros(2), np.zeros(2))
 
 
 # ---------------------------------------------------------------- erf family
@@ -75,7 +80,7 @@ def test_label_interpolation_validates():
 
 def test_erf_closed_form_at_zero(small_erf):
     # erf(0) = 0 and erf'(0) = 2/sqrt(pi).
-    y = small_erf.labels.y_target
+    y = small_erf.y_target
     x = small_erf.xs
     value, grad = small_erf.minibatch_value_and_gradient(
         np.array([0.0]), 1.0, np.arange(x.size))
@@ -122,7 +127,7 @@ def test_mlp_dimension_and_pack_roundtrip(small_mlp):
 def test_mlp_zero_parameters_closed_form(small_mlp):
     w = np.zeros(141)
     lam = 0.7
-    y = lam * small_mlp.labels.y_target + (1 - lam) * small_mlp.labels.y_source
+    y = lam * small_mlp.y_target + (1 - lam) * small_mlp.y_source
     n = small_mlp.sample_count
     value, grad = small_mlp.minibatch_value_and_gradient(w, lam, np.arange(n))
     assert abs(value - np.mean(y**2)) < 1e-15
@@ -146,7 +151,7 @@ def test_mlp_objective_quadratic_in_lambda(small_mlp):
 
 def test_mlp_predict_matches_objective(small_mlp):
     w = small_mlp.default_init(seed=5)
-    res = small_mlp.predict(w, small_mlp.xs) - small_mlp.labels.y_target
+    res = small_mlp.predict(w, small_mlp.xs) - small_mlp.y_target
     assert abs(small_mlp.full_objective(w, 1.0) - np.mean(res**2)) < 1e-15
 
 
@@ -291,29 +296,29 @@ def test_endpoint_consistency(small_erf, small_mlp, small_moons):
     for _ in range(100):
         w = rng.standard_normal(1)
         u = erf(w[0] * small_erf.xs)
-        tgt = np.mean((u - small_erf.labels.y_target) ** 2)
-        src = np.mean((u - small_erf.labels.y_source) ** 2)
+        tgt = np.mean((u - small_erf.y_target) ** 2)
+        src = np.mean((u - small_erf.y_source) ** 2)
         assert abs(small_erf.full_objective(w, 1.0) - tgt) <= 1e-12 * max(1, tgt)
         assert abs(small_erf.full_objective(w, 0.0) - src) <= 1e-12 * max(1, src)
     for _ in range(20):
         w = 0.3 * rng.standard_normal(141)
         pred = small_mlp.predict(w, small_mlp.xs)
-        tgt = np.mean((pred - small_mlp.labels.y_target) ** 2)
-        src = np.mean((pred - small_mlp.labels.y_source) ** 2)
+        tgt = np.mean((pred - small_mlp.y_target) ** 2)
+        src = np.mean((pred - small_mlp.y_source) ** 2)
         assert abs(small_mlp.full_objective(w, 1.0) - tgt) <= 1e-12 * max(1, tgt)
         assert abs(small_mlp.full_objective(w, 0.0) - src) <= 1e-12 * max(1, src)
     for _ in range(20):
         w = rng.standard_normal(9)
         z0 = small_moons.scores(w, 0.0)
-        lin = small_moons.phi_lin @ w[6:]
+        lin = small_moons.phi[:, 6:] @ w[6:]
         assert np.allclose(z0, lin, rtol=0, atol=1e-15)
 
 
-# Every array a family holds, by attribute path.
+# Every array a family holds, by attribute name.
 FAMILY_ARRAYS = {
-    "erf": ("xs", "labels.y_target", "labels.y_source"),
-    "mlp": ("xs", "labels.y_target", "labels.y_source"),
-    "moons": ("phi", "phi_lin", "labels01"),
+    "erf": ("xs", "y_target", "y_source"),
+    "mlp": ("xs", "y_target", "y_source"),
+    "moons": ("phi", "labels01"),
     "quadratic": ("offsets",),
 }
 
@@ -332,12 +337,9 @@ def test_problem_arrays_are_read_only_copies(family):
     prob = build()
     w = 0.3 * np.ones(prob.dimension)
     before = prob.full_objective(w, 0.5)
-    for path in FAMILY_ARRAYS[family]:
-        array = prob
-        for name in path.split("."):
-            array = getattr(array, name)
+    for name in FAMILY_ARRAYS[family]:
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 99.0
+            getattr(prob, name)[0] = 99.0
     # The caller's arrays are copied, so writing to them moves nothing.
     for source in (xs, X, y01):
         source[0] += 1.0

@@ -1,5 +1,7 @@
 """Homotopy-parameter schedule construction and its contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -42,6 +44,11 @@ def test_invalid_schedules_rejected():
         make_schedule("exponential", 10, eta=80.0)  # e^(-800) is 0
     with pytest.raises(ConfigurationError, match="underflows to 0 at eta = 746.0, n = 3"):
         make_schedule("exponential", 3, eta=746.0)  # e^(-746) is 0: the weights would be NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # e^(-745.1) is the subnormal 5e-324, which dividing by the sum (~1000) rounds to 0.
+        with pytest.raises(ConfigurationError, match="underflows to 0 at eta = 0.001, n = 745100"):
+            make_schedule("exponential", 745100, eta=0.001)
     with pytest.raises(ConfigurationError):
         make_schedule("exponential", 5)
     with pytest.raises(ConfigurationError):
