@@ -19,6 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigurationError, _draw_minibatch, in_row_chunks, make_rng
+from .problems import LabelInterpolationProblem
+
+
+LEAST_NORMAL = np.finfo(float).tiny
+# A norm below this has a sum of squares under LEAST_NORMAL, which loses bits or reads 0.
+SQUARES_UNDERFLOW = np.sqrt(LEAST_NORMAL)
 
 
 class EstimationError(RuntimeError):
@@ -54,8 +60,20 @@ def estimate_L(problem, lam, num_pairs, radius, rng):
     if max(gaps) < 1e-14:
         raise EstimationError("all sampled pairs were coincident")
     grads = in_row_chunks(problem, problem.gradient, W, lam)
-    return max(0.0, *(float(np.linalg.norm(g1 - g2) / gap)
+    return max(0.0, *(float(_norm(g1 - g2) / gap)
                       for g1, g2, gap in zip(grads[0::2], grads[1::2], gaps) if gap >= 1e-14))
+
+
+def _norm(v):
+    """Euclidean norm of v, taken of v / max|v| where the sum of squares underflows.
+
+    A vector of subnormal entries carries too few bits for a ratio and keeps its plain norm.
+    """
+    plain = np.linalg.norm(v)
+    if plain >= SQUARES_UNDERFLOW:
+        return plain
+    scale = np.max(np.abs(v))
+    return scale * np.linalg.norm(v / scale) if scale >= LEAST_NORMAL else plain
 
 
 def estimate_mu(problem, lam, w, fstar_lambda, tol=1e-12):
@@ -98,14 +116,63 @@ class FstarEstimate:
     upper_bound_only: bool = False
 
 
-def _grid_fstar(problem, lam, lo, hi, step):
+def _grid_fstar(problem, lams, lo, hi, step):
+    """The grid f* at each lambda of ``lams``: the first grid minimum, then a bisection refine.
+
+    The winner is the cell ``np.argmin`` over a direct pass of
+    ``problem.objective`` would pick. A label-interpolation family makes
+    one pass of the model over the grid, in row chunks, for the
+    lambda-free moments A = mean(o^2), B_t = mean(o y_target) and
+    B_s = mean(o y_source). At each lambda the separable value
+    S = A - 2 (lam B_t + (1 - lam) B_s) + mean(y_lam^2) differs from the
+    direct value D by at most e = (2N + 16) (u max(m) + 2^-1074),
+    with u = 2^-53 and m = A + mean(y_lam^2) + 2 sqrt(A) (lam rms(y_target)
+    + (1 - lam) rms(y_source)): to first order the roundings of both paths
+    (the sums in any order, the labels, the formula for S) total
+    (2N + 11) u m, and the last term covers underflow. The first minimizer
+    j of D has S_j <= D_j + e <= D_k + e <= S_k + 2e for every cell k, so
+    only the cells with S <= min(S) + 2e are evaluated directly, in grid
+    order, and the first least of them is j, also when cells tie exactly.
+    Any other family is evaluated directly at every cell, once per lambda.
+    """
     grid = np.arange(lo, hi + step / 2, step)
     if grid.size == 0:
         raise ConfigurationError("empty search grid")
-    vals = in_row_chunks(problem, problem.objective, grid[:, None], lam)
-    j = int(np.argmin(vals))
-    best_val, best_w = float(vals[j]), float(grid[j])
-    # Refine by bisection on the gradient sign inside the bracketing cell.
+    W = grid[:, None]
+    if isinstance(problem, LabelInterpolationProblem):
+        screen = _separable_screen(problem, W)
+    else:
+        def screen(lam):
+            return in_row_chunks(problem, problem.objective, W, lam), 0.0
+    estimates = []
+    for lam in lams:
+        approx, e = screen(lam)
+        # "Not above" keeps every cell when a NaN makes the minimum NaN.
+        cells = np.flatnonzero(~(approx > np.min(approx) + 2.0 * e))
+        vals = in_row_chunks(problem, problem.objective, W[cells], lam)
+        j = int(np.argmin(vals))
+        estimates.append(_bisect_refine(problem, lam, float(vals[j]), float(grid[cells[j]]), step))
+    return estimates
+
+
+def _separable_screen(problem, W):
+    """A function of lambda giving each row's separable value S and the bound e (``_grid_fstar``)."""
+    A, B_t, B_s = in_row_chunks(problem, lambda block, _: problem.output_moments(block), W, None)
+    n = problem.sample_count
+    root_A = np.sqrt(A)
+    rms_t, rms_s = np.sqrt(np.mean(problem.y_target ** 2)), np.sqrt(np.mean(problem.y_source ** 2))
+    rel, tiny = (2 * n + 16) * 2.0 ** -53, (2 * n + 16) * 2.0 ** -1074
+
+    def screen(lam):
+        y = problem.labels(lam)
+        C = np.mean(y * y)
+        magnitude = A + C + 2.0 * root_A * (lam * rms_t + (1.0 - lam) * rms_s)
+        return A - 2.0 * (lam * B_t + (1.0 - lam) * B_s) + C, rel * np.max(magnitude) + tiny
+    return screen
+
+
+def _bisect_refine(problem, lam, best_val, best_w, step):
+    """Refine a grid minimum by bisection on the gradient sign inside its bracketing cell."""
     a, b = best_w - step, best_w + step
     ga = problem.full_gradient(np.array([a]), lam)[0]
     gb = problem.full_gradient(np.array([b]), lam)[0]
@@ -155,12 +222,16 @@ def estimate_fstar(problem, lam, search_spec):
       {"kind": "grid", "lo": -10, "hi": 10, "step": 1e-2}  (1-D problems)
       {"kind": "multistart", "restarts": 10, "steps": 1500, "alpha": 0.1,
        "seed": 0[, "init_center"]}                          (upper bound only)
+    A grid search also takes a sequence of lambdas, and returns their
+    estimates as a list, from one pass over the grid.
     """
     kind = search_spec.get("kind")
     if kind == "grid":
         if problem.dimension != 1:
             raise ConfigurationError("grid search requires a 1-D problem")
-        return _grid_fstar(problem, lam, search_spec["lo"], search_spec["hi"], search_spec["step"])
+        estimates = _grid_fstar(problem, np.atleast_1d(lam).tolist(), search_spec["lo"],
+                                search_spec["hi"], search_spec["step"])
+        return estimates if np.ndim(lam) else estimates[0]
     if kind == "multistart":
         return _multistart_fstar(
             problem, lam,

@@ -318,8 +318,9 @@ def _fstar_table(cfg: ExperimentConfig, problem, lambdas):
         return {float(lam): 0.0 for lam in lambdas}
     if cfg.experiment == "toy-erf":
         spec = {"kind": "grid", **cfg.problem["fstar_grid"]}
-        return {lam: diagnostics.estimate_fstar(problem, lam, spec).value
-                for lam in dict.fromkeys(map(float, lambdas))}
+        distinct = list(dict.fromkeys(map(float, lambdas)))
+        return {lam: est.value for lam, est in
+                zip(distinct, diagnostics.estimate_fstar(problem, distinct, spec))}
     return None
 
 

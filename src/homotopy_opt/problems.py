@@ -5,7 +5,8 @@ iterates, one row per repeat: ``gradient(W, lam, idx)`` is each row's mean
 gradient over the samples ``idx[r]`` of row r, or over all N samples when
 ``idx`` is None, and ``epoch_metrics(W, lam)`` each row's full objective
 and second metric (or None). It is the only pair a family implements:
-``objective(W, lam)`` is its first half, and the single-point surface,
+``objective(W, lam)`` is its first half (the label-interpolation base
+computes it alone, from the model ``outputs``), and the single-point surface,
 ``full_objective(w, lam)``, ``full_gradient(w, lam)`` and
 ``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples), is
 its 1-row view. The minibatch gradient over all N indices equals the full
@@ -90,7 +91,9 @@ class LabelInterpolationProblem(HomotopyProblem):
     """A 1-D regression family whose labels move with lambda.
 
     The labels at lambda are y_lam = lambda * y_target + (1 - lambda) *
-    y_source; a family supplies the model and its ``gradient``.
+    y_source and the objective is f(w, lambda) = mean((o(w) - y_lam)^2); a
+    family supplies the lambda-free model output o(w) (``outputs``) and its
+    ``gradient``.
     """
 
     def __init__(self, xs, ys_target, ys_source):
@@ -115,6 +118,26 @@ class LabelInterpolationProblem(HomotopyProblem):
             return yt.copy()
         return lam * yt + (1.0 - lam) * ys
 
+    @abstractmethod
+    def outputs(self, W):
+        """Model output of each row of the (R, d) block W at every sample, an (R, N) array."""
+
+    def objective(self, W, lam):
+        return np.mean((self.outputs(W) - self.labels(lam)) ** 2, axis=1)
+
+    def epoch_metrics(self, W, lam):
+        return self.objective(W, lam), None
+
+    def output_moments(self, W):
+        """Each row's lambda-free moments A = mean(o^2), B_t = mean(o y_target), B_s = mean(o y_source).
+
+        f(w, lam) = A - 2 (lam B_t + (1 - lam) B_s) + mean(y_lam^2) in
+        exact arithmetic, so one pass of the model serves every lambda.
+        """
+        o = self.outputs(W)
+        return (np.mean(o * o, axis=1), np.mean(o * self.y_target, axis=1),
+                np.mean(o * self.y_source, axis=1))
+
 
 class ErfRegressionProblem(LabelInterpolationProblem):
     """1-D erf regressor with interpolated labels.
@@ -125,17 +148,13 @@ class ErfRegressionProblem(LabelInterpolationProblem):
 
     dimension = 1
 
-    def _residuals(self, W, lam, idx):
-        x = self.xs if idx is None else self.xs[idx]
-        y = self.labels(lam, idx)
-        u = W[:, :1] * x
-        return x, u, erf(u) - y
-
-    def epoch_metrics(self, W, lam):
-        return np.mean(self._residuals(W, lam, None)[2] ** 2, axis=1), None
+    def outputs(self, W):
+        return erf(W[:, :1] * self.xs)
 
     def gradient(self, W, lam, idx=None, with_value=False):
-        x, u, res = self._residuals(W, lam, idx)
+        x = self.xs if idx is None else self.xs[idx]
+        u = W[:, :1] * x
+        res = erf(u) - self.labels(lam, idx)
         grad = np.mean(2.0 * res * TWO_OVER_SQRT_PI * np.exp(-(u**2)) * x, axis=1, keepdims=True)
         return (np.mean(res**2, axis=1), grad) if with_value else grad
 
@@ -199,9 +218,12 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     def predict(self, w, xs):
         return self._forward(self.unpack(_block(w)), np.asarray(xs, dtype=float))[2][0]
 
+    def outputs(self, W):
+        return self._forward(self.unpack(W), self.xs)[2]
+
     def epoch_metrics(self, W, lam):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
-        out = self._forward(self.unpack(W), self.xs)[2]
+        out = self.outputs(W)
         return (np.mean((out - self.labels(lam)) ** 2, axis=1),
                 np.mean((out - self.y_target) ** 2, axis=1))
 

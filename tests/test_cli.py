@@ -278,6 +278,17 @@ def test_run_failed_L_estimate_is_config_error(tmp_path, capsys, problem, named,
     assert not out.exists()
 
 
+def test_tiny_curvature_run_estimates_L_without_underflow(tmp_path):
+    # At mu = 1e-305 each gradient difference is a normal float whose
+    # square underflows; L_tilde must still come out at mu, not 0.
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "synthetic-lq", "repeats": 2, "problem": {"mu": 1e-305}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    L_tilde = json.loads((out / "metadata.json").read_text(encoding="utf-8"))["L_tilde"]
+    assert abs(L_tilde - 1e-305) <= 1e-6 * 1e-305
+
+
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     # Every config key is resolved by from_dict, so a KeyError is a bug, not the user's config.
     def lookup_bug(cfg):

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homotopy_opt import core, diagnostics, harness
 from homotopy_opt.core import ConfigurationError, SgdConfig, make_rng, sgd_run, stream_seed
@@ -38,6 +41,20 @@ def quadratic(a=1.0, center=0.0):
 def test_estimate_L_exact_on_quadratic():
     prob = quadratic(a=2.5)
     assert abs(diagnostics.estimate_L(prob, 1.0, 50, 3.0, make_rng(0)) - 2.5) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-305])
+def test_estimate_L_at_tiny_scales(scale):
+    # The gradient differences are normal floats whose squares underflow,
+    # so the plain norm loses bits (a 4% error at 1e-160) or reads 0; the
+    # rescaled norm keeps the curvature.
+    assert diagnostics.estimate_L(quadratic(a=scale), 1.0, 50, 3.0, make_rng(0)) == pytest.approx(
+        scale, rel=1e-12)
+
+
+def test_estimate_L_of_subnormal_differences_is_zero():
+    # Entries below the least normal float carry too few bits for a ratio.
+    assert diagnostics.estimate_L(quadratic(a=1e-320), 1.0, 50, 3.0, make_rng(0)) == 0.0
 
 
 def test_estimate_L_quartic_approaches_supremum():
@@ -444,6 +461,77 @@ def test_block_grid_fstar_equals_point_loop(experiment, lam, chunk_budget):
     est = diagnostics.estimate_fstar(problem, lam, {"kind": "grid", "lo": -6, "hi": 6, "step": 0.05})
     value, minimizer = reference_grid_fstar(problem, lam, -6, 6, 0.05)
     assert est.value == value and est.minimizer[0] == minimizer
+
+
+GRID = {"kind": "grid", "lo": -6, "hi": 6, "step": 0.05}
+
+
+def test_grid_fstar_exact_tie_picks_the_first_cell():
+    # With every input at 0 the model output is erf(0) = 0 at each w, so
+    # every cell's direct value is the same float and the gradient is 0:
+    # the first grid cell wins and no bisection runs.
+    problem = ErfRegressionProblem(np.zeros(5), [1.0, -2.0, 0.5, 3.0, 0.25],
+                                   [0.3, 0.1, -0.7, 2.0, -1.5])
+    lams = [0.0, 0.4, 1.0]
+    for lam, est in zip(lams, diagnostics.estimate_fstar(problem, lams, GRID)):
+        value, minimizer = reference_grid_fstar(problem, lam, -6, 6, 0.05)
+        assert est.minimizer[0] == minimizer == -6.0
+        assert est.value == value == problem.full_objective(np.array([-6.0]), lam)
+
+
+GRIDS = [(-3.0, 3.0, 0.25), (-6.0, 6.0, 0.05), (-1.0, 2.0, 0.1)]
+finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.one_of(st.just(0.0), finite), finite, finite),
+                  min_size=1, max_size=12),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=4),
+    grid=st.sampled_from(GRIDS),
+    chunk_rows=st.sampled_from([1, 7, 10_000]),
+)
+def test_multi_lambda_grid_fstar_equals_per_lambda_reference(data, inner, grid, chunk_rows):
+    # One grid pass for all lambdas gives each lambda the value and the
+    # minimizer of the per-lambda argmin and refine, bit for bit, however
+    # the pass is cut into row chunks.
+    xs, yt, ys = (np.array(col) for col in zip(*data))
+    problem = ErfRegressionProblem(xs, yt, ys)
+    lams = [0.0, *inner, 1.0]
+    spec = {"kind": "grid", "lo": grid[0], "hi": grid[1], "step": grid[2]}
+    with unittest.mock.patch.object(core, "EPOCH_CHUNK_ELEMENTS", chunk_rows * len(xs)):
+        estimates = diagnostics.estimate_fstar(problem, lams, spec)
+    assert len(estimates) == len(lams)
+    for lam, est in zip(lams, estimates):
+        value, minimizer = reference_grid_fstar(problem, lam, *grid)
+        assert est.value == value and est.minimizer[0] == minimizer
+
+
+class RowCountingErf(ErfRegressionProblem):
+    """An erf problem that counts the rows of its grid pass and of its direct objective."""
+
+    def __init__(self, *arrays):
+        super().__init__(*arrays)
+        self.moment_rows = self.objective_rows = 0
+
+    def output_moments(self, W):
+        self.moment_rows += len(W)
+        return super().output_moments(W)
+
+    def objective(self, W, lam):
+        self.objective_rows += len(W)
+        return super().objective(W, lam)
+
+
+@pytest.mark.parametrize("count", [1, 12])
+def test_grid_pass_rows_do_not_depend_on_lambda_count(count):
+    erf_family = small_family("toy-erf")
+    problem = RowCountingErf(erf_family.xs, erf_family.y_target, erf_family.y_source)
+    lams = np.linspace(0.0, 1.0, count).tolist()
+    diagnostics.estimate_fstar(problem, lams, GRID)
+    assert problem.moment_rows == np.arange(-6, 6 + 0.025, 0.05).size
+    # One screened cell and one refined point per lambda are evaluated directly.
+    assert problem.objective_rows <= 2 * count
 
 
 @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
