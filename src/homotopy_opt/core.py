@@ -232,17 +232,20 @@ def in_row_chunks(problem, evaluate, W, lam, idx=None):
     """``evaluate(W, lam)``, or ``evaluate(W, lam, idx)``, a few rows of W at a time.
 
     ``evaluate`` is a batched method of ``problem`` (``objective``,
-    ``gradient``, ``epoch_metrics``). W, and ``idx`` alongside it, is cut
-    into chunks of max(1, EPOCH_CHUNK_ELEMENTS // m) rows, m the samples a
-    row reads (N, or idx.shape[1]). The chunk results are concatenated in
-    row order, item by item when ``evaluate`` returns a tuple (a None item
-    stays None).
+    ``gradient``, ``epoch_metrics``). W, and ``idx`` and an (R, 1) column
+    ``lam`` alongside it, is cut into chunks of max(1, EPOCH_CHUNK_ELEMENTS
+    // m) rows, m the samples a row reads (N, or idx.shape[1]). The chunk
+    results are concatenated in row order, item by item when ``evaluate``
+    returns a tuple (a None item stays None).
     """
     rows = max(1, EPOCH_CHUNK_ELEMENTS // (problem.sample_count if idx is None else idx.shape[1]))
     if len(W) <= rows:
         return evaluate(W, lam) if idx is None else evaluate(W, lam, idx)
-    chunks = [slice(i, i + rows) for i in range(0, len(W), rows)]
-    parts = [evaluate(W[c], lam) if idx is None else evaluate(W[c], lam, idx[c]) for c in chunks]
+
+    def chunk(c):
+        lam_c = lam[c] if isinstance(lam, np.ndarray) else lam
+        return evaluate(W[c], lam_c) if idx is None else evaluate(W[c], lam_c, idx[c])
+    parts = [chunk(slice(i, i + rows)) for i in range(0, len(W), rows)]
     if isinstance(parts[0], tuple):
         return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
     return np.concatenate(parts)

@@ -9,7 +9,11 @@ hand-derived gradients of the problem families.
 An estimator draws its random points in a fixed stream order, then evaluates
 them as one block through the batched ``problem.gradient`` and
 ``problem.objective``, a few rows at a time (``core.in_row_chunks``); each
-row's value is the one a single-point evaluation gives.
+row's value is the one a single-point evaluation gives. Where the rows need
+different lambdas (the f* refine of a lambda table, the delta witness),
+lambda is an (R, 1) column. No estimator evaluates point by point: the norms,
+ratios and maxima are block arithmetic over the evaluated rows, in the
+bits of the per-point formulas they replace (``_row_dots``).
 """
 
 from __future__ import annotations
@@ -31,13 +35,20 @@ class EstimationError(RuntimeError):
     """An estimator could not produce a value (degenerate sampling, zero gap)."""
 
 
-def _sample_in_ball(rng, dim, center, radius):
-    direction = rng.standard_normal(dim)
-    norm = np.linalg.norm(direction)
-    while norm < 1e-300:
-        direction = rng.standard_normal(dim)
-        norm = np.linalg.norm(direction)
-    return center + radius * rng.random() ** (1.0 / dim) * direction / norm
+def _row_dots(A):
+    """Each row's dot product with itself, bit for bit ``row.dot(row)``, of a C-contiguous block.
+
+    One stacked matmul: numpy hands each (1, d) @ (d, 1) product to the
+    dot kernel of ``ndarray.dot``, the sum of squares ``np.linalg.norm``
+    takes; ``einsum`` and ``sum`` add in other orders.
+    """
+    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+
+
+def _max_ratio(ratios):
+    """max(0.0, *ratios) as Python evaluates it: a NaN ratio never wins, an empty set gives 0.0."""
+    ratios = ratios[~np.isnan(ratios)]
+    return max(0.0, float(np.max(ratios))) if ratios.size else 0.0
 
 
 def estimate_L(problem, lam, num_pairs, radius, rng):
@@ -51,29 +62,44 @@ def estimate_L(problem, lam, num_pairs, radius, rng):
         raise ConfigurationError("need at least one pair")
     if radius <= 0:
         raise ConfigurationError("radius must be positive")
-    center = np.zeros(problem.dimension)
-    # Pair i is rows 2i and 2i + 1; a coincident pair is evaluated but not used.
-    W = np.empty((2 * num_pairs, problem.dimension))
-    for row in W:
-        row[:] = _sample_in_ball(rng, problem.dimension, center, radius)
-    gaps = [np.linalg.norm(w1 - w2) for w1, w2 in zip(W[0::2], W[1::2])]
-    if max(gaps) < 1e-14:
+    dim = problem.dimension
+    center = np.zeros(dim)
+    # Pair i is rows 2i and 2i + 1; a coincident pair is evaluated but not
+    # used. Each point draws its direction (again while its sum of squares,
+    # hence its norm, is 0), then its radius: the draws interleave, so they
+    # stay one point at a time.
+    W = np.empty((2 * num_pairs, dim))
+    scale = np.empty(2 * num_pairs)
+    for i in range(2 * num_pairs):
+        direction = rng.standard_normal(dim)
+        while direction.dot(direction) == 0.0:
+            direction = rng.standard_normal(dim)
+        W[i] = direction
+        scale[i] = radius * rng.random() ** (1.0 / dim)
+    # center + scale * direction / ||direction||, row by row.
+    norms = np.sqrt(_row_dots(W))
+    W *= scale[:, None]
+    W /= norms[:, None]
+    W += center
+    gaps = np.sqrt(_row_dots(W[0::2] - W[1::2]))
+    if np.max(gaps) < 1e-14:
         raise EstimationError("all sampled pairs were coincident")
     grads = in_row_chunks(problem, problem.gradient, W, lam)
-    return max(0.0, *(float(_norm(g1 - g2) / gap)
-                      for g1, g2, gap in zip(grads[0::2], grads[1::2], gaps) if gap >= 1e-14))
+    used = gaps >= 1e-14
+    return _max_ratio(_norms(grads[0::2][used] - grads[1::2][used]) / gaps[used])
 
 
-def _norm(v):
-    """Euclidean norm of v, taken of v / max|v| where the sum of squares underflows.
+def _norms(V):
+    """Each row's Euclidean norm, taken of row / max|row| where its sum of squares underflows.
 
-    A vector of subnormal entries carries too few bits for a ratio and keeps its plain norm.
+    A row of subnormal entries carries too few bits for a ratio and keeps its plain norm.
     """
-    plain = np.linalg.norm(v)
-    if plain >= SQUARES_UNDERFLOW:
-        return plain
-    scale = np.max(np.abs(v))
-    return scale * np.linalg.norm(v / scale) if scale >= LEAST_NORMAL else plain
+    norms = np.sqrt(_row_dots(V))
+    for r in np.flatnonzero(~(norms >= SQUARES_UNDERFLOW)):
+        scale = np.max(np.abs(V[r]))
+        if scale >= LEAST_NORMAL:
+            norms[r] = scale * np.linalg.norm(V[r] / scale)
+    return norms
 
 
 def estimate_mu(problem, lam, w, fstar_lambda, tol=1e-12):
@@ -89,8 +115,8 @@ def pl_moduli(problem, lam, W, fstar_lambda, tol=1e-12):
     gaps = in_row_chunks(problem, problem.objective, W, lam) - fstar_lambda
     grads = in_row_chunks(problem, problem.gradient, W, lam)
     mu = np.full(len(W), np.nan)
-    for r in np.flatnonzero(gaps > tol):
-        mu[r] = np.dot(grads[r], grads[r]) / (2.0 * gaps[r])
+    rows = gaps > tol
+    mu[rows] = _row_dots(grads)[rows] / (2.0 * gaps[rows])
     return mu, gaps
 
 
@@ -144,15 +170,16 @@ def _grid_fstar(problem, lams, lo, hi, step):
     else:
         def screen(lam):
             return in_row_chunks(problem, problem.objective, W, lam), 0.0
-    estimates = []
+    best_vals, best_ws = [], []
     for lam in lams:
         approx, e = screen(lam)
         # "Not above" keeps every cell when a NaN makes the minimum NaN.
         cells = np.flatnonzero(~(approx > np.min(approx) + 2.0 * e))
         vals = in_row_chunks(problem, problem.objective, W[cells], lam)
         j = int(np.argmin(vals))
-        estimates.append(_bisect_refine(problem, lam, float(vals[j]), float(grid[cells[j]]), step))
-    return estimates
+        best_vals.append(float(vals[j]))
+        best_ws.append(float(grid[cells[j]]))
+    return _bisect_refine(problem, lams, best_vals, best_ws, step)
 
 
 def _separable_screen(problem, W):
@@ -171,23 +198,38 @@ def _separable_screen(problem, W):
     return screen
 
 
-def _bisect_refine(problem, lam, best_val, best_w, step):
-    """Refine a grid minimum by bisection on the gradient sign inside its bracketing cell."""
-    a, b = best_w - step, best_w + step
-    ga = problem.full_gradient(np.array([a]), lam)[0]
-    gb = problem.full_gradient(np.array([b]), lam)[0]
-    if ga < 0 < gb:
+def _bisect_refine(problem, lams, best_vals, best_ws, step):
+    """Refine each lambda's grid minimum by bisection on the gradient sign inside its bracketing cell.
+
+    The minimum w of lambda brackets [w - step, w + step] when the gradient
+    is negative at the left end and positive at the right; each bracket is
+    halved 60 times toward the sign change, and the midpoint replaces the
+    grid value where its objective is lower. All brackets move in lockstep:
+    each halving is one gradient block, lambda as a column. The loop ends
+    early once every midpoint equals an end of its bracket: from there a
+    bracket stays, or shrinks to (m, m), and its midpoint stays m.
+    """
+    lam = np.array(lams, dtype=float)[:, None]
+    best_vals, best_ws = list(best_vals), list(best_ws)
+    a, b = np.array(best_ws) - step, np.array(best_ws) + step
+    g = in_row_chunks(problem, problem.gradient, np.concatenate([a, b])[:, None],
+                      np.concatenate([lam, lam]))[:, 0]
+    rows = np.flatnonzero((g[:len(a)] < 0) & (0 < g[len(a):]))
+    if rows.size:
+        a, b, lam = a[rows], b[rows], lam[rows]
         for _ in range(60):
             m = 0.5 * (a + b)
-            if problem.full_gradient(np.array([m]), lam)[0] < 0:
-                a = m
-            else:
-                b = m
+            if not np.any((m != a) & (m != b)):
+                break
+            left = in_row_chunks(problem, problem.gradient, m[:, None], lam)[:, 0] < 0
+            a, b = np.where(left, m, a), np.where(left, b, m)
         w_ref = 0.5 * (a + b)
-        v_ref = problem.full_objective(np.array([w_ref]), lam)
-        if v_ref < best_val:
-            best_val, best_w = float(v_ref), float(w_ref)
-    return FstarEstimate(best_val, np.array([best_w]), upper_bound_only=False)
+        v_ref = in_row_chunks(problem, problem.objective, w_ref[:, None], lam)
+        for r, w, v in zip(rows, w_ref.tolist(), v_ref.tolist()):
+            if v < best_vals[r]:
+                best_vals[r], best_ws[r] = v, w
+    return [FstarEstimate(v, np.array([w]), upper_bound_only=False)
+            for v, w in zip(best_vals, best_ws)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a diverged restart is dropped
@@ -196,7 +238,7 @@ def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=No
         raise ConfigurationError("need at least one restart")
     rng = make_rng(seed)
     center = np.zeros(problem.dimension) if init_center is None else np.asarray(init_center, float)
-    W = np.array([center + rng.standard_normal(problem.dimension) for _ in range(restarts)])
+    W = center + rng.standard_normal((restarts, problem.dimension))
     # Full-batch descent of every restart as one block; a restart leaves the
     # block at its first non-finite iterate.
     for _ in range(steps):
@@ -282,15 +324,19 @@ def estimate_delta(problem, num_probes, rng):
     """Lambda-Lipschitz witness: max |f(w, l1) - f(w, l2)| / |l1 - l2| over probes w ~ N(0, 9 I)."""
     if num_probes < 1:
         raise ConfigurationError("need at least one probe")
-    worst = 0.0
-    for _ in range(num_probes):
-        w = 3.0 * rng.standard_normal(problem.dimension)
-        l1, l2 = rng.random(), rng.random()
-        if abs(l1 - l2) < 1e-9:
-            continue
-        diff = abs(problem.full_objective(w, l1) - problem.full_objective(w, l2))
-        worst = max(worst, diff / abs(l1 - l2))
-    return worst
+    # Each probe draws w, then l1, then l2: one probe at a time.
+    W = np.empty((num_probes, problem.dimension))
+    lams = np.empty((num_probes, 2))
+    for w, pair in zip(W, lams):
+        w[:] = rng.standard_normal(problem.dimension)
+        pair[:] = rng.random(), rng.random()
+    W *= 3.0
+    sep = np.abs(lams[:, 0] - lams[:, 1])
+    used = sep >= 1e-9
+    W, lam1, lam2 = W[used], lams[used, :1], lams[used, 1:]
+    diff = np.abs(in_row_chunks(problem, problem.objective, W, lam1)
+                  - in_row_chunks(problem, problem.objective, W, lam2))
+    return _max_ratio(diff / sep[used])
 
 
 @dataclass
@@ -309,8 +355,8 @@ def expected_pl_probe(problem, lam, draws, fstar_lambda, rng):
     """
     if draws < 100:
         raise ConfigurationError("need at least 100 draws")
-    W = np.array([rng.standard_normal(problem.dimension) for _ in range(draws)], dtype=float)
-    sq_grads = np.array([np.dot(g, g) for g in in_row_chunks(problem, problem.gradient, W, lam)])
+    W = rng.standard_normal((draws, problem.dimension))
+    sq_grads = _row_dots(in_row_chunks(problem, problem.gradient, W, lam))
     vals = in_row_chunks(problem, problem.objective, W, lam)
     mean_gap = float(np.mean(vals) - fstar_lambda)
     if mean_gap <= 0:

@@ -635,7 +635,7 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
         est.L_hat = _estimate_L(cfg, problem, lam, rng)
     except diagnostics.EstimationError as exc:
         est.errors["L_hat"] = str(exc)
-    w_samples = [w0 + 0.5 * rng.standard_normal(problem.dimension) for _ in range(5)]
+    w_samples = w0 + 0.5 * rng.standard_normal((5, problem.dimension))
     est.sigma2_hat = diagnostics.estimate_sigma2(problem, lam, w_samples, minibatch, 200, rng)
     fstar = _fstar_table(cfg, problem, [lam])
     if fstar is not None:

@@ -9,11 +9,14 @@ and second metric (or None). It is the only pair a family implements:
 computes it alone, from the model ``outputs``), and the single-point surface,
 ``full_objective(w, lam)``, ``full_gradient(w, lam)`` and
 ``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples), is
-its 1-row view. The minibatch gradient over all N indices equals the full
-gradient and minibatch gradients are unbiased estimates of it. Instances are
-immutable after construction: constructors copy their arrays and mark the
-copies read-only, and all evaluations are pure, so they are safe to share
-across concurrent runs.
+its 1-row view. ``lam`` is a float, the same lambda for every row, or an
+(R, 1) column giving row r its own lambda ``lam[r, 0]``; each row's result
+is, bit for bit, the one the float call at that lambda gives. Every lambda
+must lie in [0, 1]. The minibatch gradient over all N indices equals the
+full gradient and minibatch gradients are unbiased estimates of it.
+Instances are immutable after construction: constructors copy their arrays
+and mark the copies read-only, and all evaluations are pure, so they are
+safe to share across concurrent runs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
 def _check_lambda(lam):
-    if not (0.0 <= lam <= 1.0):
+    """Reject a lambda, or a column entry, outside [0, 1] or NaN."""
+    # The engine passes a float on every step; only a column pays for numpy calls.
+    if isinstance(lam, np.ndarray):
+        bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
+        if bad.size:
+            raise ConfigurationError(f"homotopy parameter must lie in [0, 1], got {bad[0]}")
+    elif not (0.0 <= lam <= 1.0):
         raise ConfigurationError(f"homotopy parameter must lie in [0, 1], got {lam}")
 
 
@@ -107,11 +116,20 @@ class LabelInterpolationProblem(HomotopyProblem):
         self.sample_count = self.xs.size
 
     def labels(self, lam, idx=None):
-        """Labels at lambda, of every sample or of the samples ``idx`` (any index shape)."""
+        """Labels at lambda, of every sample or of the samples ``idx`` (any index shape).
+
+        A column ``lam`` gives an (R, N) block, or idx's (R, M) shape, one row per lambda.
+        """
         _check_lambda(lam)
         yt = self.y_target if idx is None else self.y_target[idx]
         ys = self.y_source if idx is None else self.y_source[idx]
-        # The endpoint copies give the blend's bytes at a third of its cost on a minibatch.
+        if isinstance(lam, np.ndarray):
+            y = lam * yt + (1.0 - lam) * ys
+            np.copyto(y, ys, where=lam == 0.0)
+            np.copyto(y, yt, where=lam == 1.0)
+            return y
+        # The endpoint copies give the blend's bytes at a third of its cost on a
+        # minibatch; a column's endpoint rows copy too, so both keep the same bits.
         if lam == 0.0:
             return ys.copy()
         if lam == 1.0:
@@ -291,6 +309,9 @@ class CubicLogisticProblem(HomotopyProblem):
 
     @staticmethod
     def _gate(lam):
+        """The coefficient gate: (9,) for a float lambda, one (R, 9) row per entry of a column."""
+        if isinstance(lam, np.ndarray):
+            return np.concatenate([np.repeat(lam, 6, axis=1), np.ones((len(lam), 3))], axis=1)
         return np.array([lam] * 6 + [1.0] * 3)
 
     def scores(self, w, lam):
@@ -340,7 +361,7 @@ class QuadraticTrackingProblem(HomotopyProblem):
 
     def epoch_metrics(self, W, lam):
         _check_lambda(lam)
-        return 0.5 * self.mu * (W[:, 0] - lam) ** 2, None
+        return 0.5 * self.mu * (W[:, :1] - lam)[:, 0] ** 2, None
 
     def gradient(self, W, lam, idx=None, with_value=False):
         _check_lambda(lam)

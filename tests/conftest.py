@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homotopy_opt import datasets
+from homotopy_opt import core, datasets, harness
 from homotopy_opt.problems import ErfRegressionProblem
 
 # Pass/fail lines recorded by tests/test_acceptance.py; printed once at the
@@ -41,3 +41,22 @@ def rng_factory():
     def make(seed):
         return np.random.Generator(np.random.PCG64(seed))
     return make
+
+
+# Every experiment's problem family on 30 samples: small enough to compare
+# block evaluations with per-point loops.
+SMALL = {experiment: {"experiment": experiment, "dataset": {"N": 30},
+                      "optimizer": {"minibatch": 5}}
+         for experiment in harness.EXPERIMENTS}
+
+
+def small_family(experiment):
+    cfg = harness.ExperimentConfig.from_dict(SMALL[experiment])
+    return harness.build_problem(cfg, harness.build_dataset(cfg))[0]
+
+
+@pytest.fixture(params=["whole", "chunked"])
+def chunk_budget(request, monkeypatch):
+    # 7 rows of N = 30 samples per chunk: a block of more than 7 points is split.
+    if request.param == "chunked":
+        monkeypatch.setattr(core, "EPOCH_CHUNK_ELEMENTS", 7 * 30)

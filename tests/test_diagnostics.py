@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_family
 from homotopy_opt import core, diagnostics, harness
 from homotopy_opt.core import ConfigurationError, SgdConfig, make_rng, sgd_run, stream_seed
 from homotopy_opt.problems import ErfRegressionProblem, HomotopyProblem
@@ -295,29 +296,22 @@ def test_mean_gap_sublevel_invariance(toy_problem):
 # single-point views; the block result must equal them bit for bit, on every
 # family, whether the block is evaluated whole or in row chunks.
 
-SMALL = {experiment: {"experiment": experiment, "dataset": {"N": 30},
-                      "optimizer": {"minibatch": 5}}
-         for experiment in harness.EXPERIMENTS}
-
-
-def small_family(experiment):
-    cfg = harness.ExperimentConfig.from_dict(SMALL[experiment])
-    return harness.build_problem(cfg, harness.build_dataset(cfg))[0]
-
-
-@pytest.fixture(params=["whole", "chunked"])
-def chunk_budget(request, monkeypatch):
-    # 7 rows of N = 30 samples per chunk: a block of more than 7 points is split.
-    if request.param == "chunked":
-        monkeypatch.setattr(core, "EPOCH_CHUNK_ELEMENTS", 7 * 30)
+def sample_in_ball(rng, dim, center, radius):
+    """One point of the L estimate's stream: a direction, redrawn while its norm reads 0, then a radius."""
+    direction = rng.standard_normal(dim)
+    norm = np.linalg.norm(direction)
+    while norm < 1e-300:
+        direction = rng.standard_normal(dim)
+        norm = np.linalg.norm(direction)
+    return center + radius * rng.random() ** (1.0 / dim) * direction / norm
 
 
 def reference_L(problem, lam, num_pairs, radius, rng):
     center = np.zeros(problem.dimension)
     best = 0.0
     for _ in range(num_pairs):
-        w1 = diagnostics._sample_in_ball(rng, problem.dimension, center, radius)
-        w2 = diagnostics._sample_in_ball(rng, problem.dimension, center, radius)
+        w1 = sample_in_ball(rng, problem.dimension, center, radius)
+        w2 = sample_in_ball(rng, problem.dimension, center, radius)
         gap = np.linalg.norm(w1 - w2)
         if gap < 1e-14:
             continue
@@ -350,7 +344,11 @@ def reference_grid_fstar(problem, lam, lo, hi, step):
     grid = np.arange(lo, hi + step / 2, step)
     vals = [problem.full_objective(np.array([w]), lam) for w in grid]
     j = int(np.argmin(vals))
-    best_val, best_w = vals[j], float(grid[j])
+    return reference_bisect_refine(problem, lam, vals[j], float(grid[j]), step)
+
+
+def reference_bisect_refine(problem, lam, best_val, best_w, step):
+    """(value, minimizer): one lambda's refine of its grid minimum, 60 halvings, point by point."""
     a, b = best_w - step, best_w + step
     ga, gb = (problem.full_gradient(np.array([w]), lam)[0] for w in (a, b))
     if ga < 0 < gb:
@@ -364,6 +362,18 @@ def reference_grid_fstar(problem, lam, lo, hi, step):
         if v_ref < best_val:
             best_val, best_w = v_ref, 0.5 * (a + b)
     return best_val, best_w
+
+
+def reference_delta(problem, num_probes, rng):
+    worst = 0.0
+    for _ in range(num_probes):
+        w = 3.0 * rng.standard_normal(problem.dimension)
+        l1, l2 = rng.random(), rng.random()
+        if abs(l1 - l2) < 1e-9:
+            continue
+        diff = abs(problem.full_objective(w, l1) - problem.full_objective(w, l2))
+        worst = max(worst, diff / abs(l1 - l2))
+    return worst
 
 
 def reference_sigma2(problem, lam, w_samples, minibatch, draws, rng):
@@ -573,3 +583,88 @@ def test_block_pl_moduli_equal_point_loop(experiment, chunk_budget):
     ref = np.array([reference_mu(problem, 0.37, w, fstar) for w in W])
     assert np.isnan(mu[0]) and np.array_equal(mu, ref, equal_nan=True)
     assert np.array_equal(gaps, [problem.full_objective(w, 0.37) - fstar for w in W])
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_block_delta_equals_point_loop(experiment, chunk_budget):
+    problem = small_family(experiment)
+    assert diagnostics.estimate_delta(problem, 40, make_rng(29)) == reference_delta(
+        problem, 40, make_rng(29))
+
+
+class ShiftedQuadratic(HomotopyProblem):
+    """f(w, lam) = (w - shift - lam)^2 for a float or column lambda; counts its gradient calls."""
+
+    dimension, sample_count = 1, 4
+
+    def __init__(self, shift):
+        self.shift = shift
+        self.gradient_calls = 0
+
+    def epoch_metrics(self, W, lam):
+        return ((W[:, :1] - self.shift - lam) ** 2)[:, 0], None
+
+    def gradient(self, W, lam, idx=None, with_value=False):
+        self.gradient_calls += 1
+        grad = 2.0 * (W[:, :1] - self.shift - lam)
+        return (self.objective(W, lam), grad) if with_value else grad
+
+
+@pytest.mark.parametrize("shift, stops_early", [(0.0, False), (1e6, True)])
+def test_lockstep_refine_equals_per_lambda_refine(shift, stops_early):
+    # The minimum of lambda is shift + lambda. The grid ends at shift + 0.5,
+    # so the brackets of lambda = 0.8 and 1 fail (both ends descend) and keep
+    # the grid edge. Near shift = 1e6 floats are 1.2e-10 apart, so every
+    # bracket of width 0.1 reaches adjacent floats after about 30 halvings
+    # and the loop stops there; at shift = 0 the bracket of lambda = 0 closes
+    # on 0, where floats lie ever closer, so all 60 halvings run.
+    problem = ShiftedQuadratic(shift)
+    lo, hi, step = shift - 1.0, shift + 0.5, 0.05
+    lams = [0.0, 0.3, 0.8, 0.45, 1.0, 0.05]
+    spec = {"kind": "grid", "lo": lo, "hi": hi, "step": step}
+    estimates = diagnostics.estimate_fstar(problem, lams, spec)
+    for lam, est in zip(lams, estimates):
+        value, minimizer = reference_grid_fstar(ShiftedQuadratic(shift), lam, lo, hi, step)
+        assert est.value == value and est.minimizer[0] == minimizer
+    grid_end = np.arange(lo, hi + step / 2, step)[-1]
+    assert [est.minimizer[0] == grid_end for est in estimates] == [
+        False, False, True, False, True, False]
+    # One gradient block for the bracket ends, then one per halving.
+    assert (problem.gradient_calls < 1 + 60) == stops_early
+
+
+class Blowup(HomotopyProblem):
+    """Gradient w, but ``fill`` in every entry of a point with w_0 > 1."""
+
+    dimension, sample_count = 2, 4
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def epoch_metrics(self, W, lam):
+        return np.zeros(len(W)), None
+
+    def gradient(self, W, lam, idx=None, with_value=False):
+        grad = np.where(W[:, :1] > 1.0, self.fill, W)
+        return (self.objective(W, lam), grad) if with_value else grad
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_estimate_L_skips_nan_ratios_as_the_point_loop(fill):
+    # A pair with a NaN difference (NaN - x, inf - inf) has a NaN ratio and is
+    # skipped; a pair with one infinite gradient has an infinite ratio.
+    with np.errstate(invalid="ignore"):
+        block = diagnostics.estimate_L(Blowup(fill), 1.0, 60, 2.0, make_rng(8))
+        assert block == reference_L(Blowup(fill), 1.0, 60, 2.0, make_rng(8))
+    assert block == (1.0 if np.isnan(fill) else np.inf)
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 141])
+def test_row_dots_equal_the_norms_sum_of_squares(d):
+    # The block estimators square norms through one stacked matmul; they keep
+    # the per-point bits only while it sums as ndarray.dot does, which a numpy
+    # or BLAS change could break.
+    A = make_rng(d).standard_normal((50, d)) * np.logspace(-150, 150, 50)[:, None]
+    dots = diagnostics._row_dots(A)
+    assert np.array_equal(dots, [row.dot(row) for row in A])
+    assert np.array_equal(np.sqrt(dots), [np.linalg.norm(row) for row in A])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from conftest import small_family
+from homotopy_opt import core, harness
 from homotopy_opt.core import ConfigurationError, make_rng
 from homotopy_opt.problems import (
     MLP_DIMENSION,
@@ -312,6 +314,61 @@ def test_endpoint_consistency(small_erf, small_mlp, small_moons):
         z0 = small_moons.scores(w, 0.0)
         lin = small_moons.phi[:, 6:] @ w[6:]
         assert np.allclose(z0, lin, rtol=0, atol=1e-15)
+
+
+# A lambda column of 11 rows, each endpoint three times: with the chunked
+# budget (7 rows of N = 30) it is cut as W is.
+COLUMN_LAMBDAS = [0.0, 1.0, 0.37, 0.0, 0.91, 1.0, 0.5, 0.12, 0.63, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_column_lambda_equals_float_calls_row_for_row(experiment, chunk_budget):
+    problem = small_family(experiment)
+    rng = make_rng(31)
+    W = 0.5 * rng.standard_normal((len(COLUMN_LAMBDAS), problem.dimension))
+    column = np.array(COLUMN_LAMBDAS)[:, None]
+    # 25 of 30 samples per row: 8 rows per chunk under the chunked budget.
+    idx = core._draw_minibatch(rng, problem.sample_count, 25, len(W))
+
+    def with_value(block, lam, idx=None):
+        return problem.gradient(block, lam, idx, with_value=True)
+
+    objective = core.in_row_chunks(problem, problem.objective, W, column)
+    metrics = core.in_row_chunks(problem, problem.epoch_metrics, W, column)
+    full = core.in_row_chunks(problem, with_value, W, column)
+    mini = core.in_row_chunks(problem, with_value, W, column, idx)
+    for r, lam in enumerate(COLUMN_LAMBDAS):
+        row = W[r:r + 1]
+        assert objective[r] == problem.objective(row, lam)[0]
+        values, aux = problem.epoch_metrics(row, lam)
+        assert metrics[0][r] == values[0]
+        assert (metrics[1] is None) if aux is None else metrics[1][r] == aux[0]
+        for block, (value, grad) in ((full, problem.gradient(row, lam, with_value=True)),
+                                     (mini, problem.gradient(row, lam, idx[r:r + 1], True))):
+            assert block[0][r] == value[0]
+            assert np.array_equal(block[1][r], grad[0])
+
+
+def test_column_labels_copy_the_endpoints():
+    # The blend 0 * 1.0 + 1 * (-0.0) is +0.0, and so is 1 * (-0.0) + 0 * 3.0:
+    # only a copy keeps a -0.0 label, as the float call at lambda 0 or 1 does.
+    problem = ErfRegressionProblem(np.zeros(2), [1.0, -0.0], [-0.0, 3.0])
+    column = problem.labels(np.array([[0.0], [0.5], [1.0]]))
+    for row, lam in zip(column, (0.0, 0.5, 1.0)):
+        single = problem.labels(lam)
+        assert np.array_equal(row, single) and np.array_equal(np.signbit(row), np.signbit(single))
+    assert np.signbit(column[0, 0]) and np.signbit(column[2, 1])
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+@pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan])
+def test_column_lambda_outside_unit_interval_is_rejected(experiment, bad):
+    problem = small_family(experiment)
+    W = np.zeros((3, problem.dimension))
+    for lam in (bad, np.array([[0.2], [bad], [1.0]])):
+        for evaluate in (problem.objective, problem.epoch_metrics, problem.gradient):
+            with pytest.raises(ConfigurationError, match=r"must lie in \[0, 1\], got"):
+                evaluate(W, lam)
 
 
 # Every array a family holds, by attribute name.
