@@ -65,6 +65,10 @@ def cmd_theory(args):
         if constants.B <= noise_floor:
             failures.append("B > sigma^2/(2 mu)")
         emit("check B > sigma^2/2mu", "FAIL" if constants.B <= noise_floor else "pass")
+    step_ok = constants.L > 0 and constants.alpha <= 1.0 / constants.L
+    if not step_ok:
+        failures.append("alpha <= 1/L")
+    emit("check alpha <= 1/L", "pass" if step_ok else "FAIL")
     kmax = evaluate("kmax_tracking", theory.kmax_tracking,
                     rho, constants.sigma2, constants.mu, constants.r)
     if kmax is not None:

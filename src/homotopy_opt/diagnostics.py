@@ -145,57 +145,29 @@ class FstarEstimate:
 def _grid_fstar(problem, lams, lo, hi, step):
     """The grid f* at each lambda of ``lams``: the first grid minimum, then a bisection refine.
 
-    The winner is the cell ``np.argmin`` over a direct pass of
-    ``problem.objective`` would pick. A label-interpolation family makes
-    one pass of the model over the grid, in row chunks, for the
-    lambda-free moments A = mean(o^2), B_t = mean(o y_target) and
-    B_s = mean(o y_source). At each lambda the separable value
-    S = A - 2 (lam B_t + (1 - lam) B_s) + mean(y_lam^2) differs from the
-    direct value D by at most e = (2N + 16) (u max(m) + 2^-1074),
-    with u = 2^-53 and m = A + mean(y_lam^2) + 2 sqrt(A) (lam rms(y_target)
-    + (1 - lam) rms(y_source)): to first order the roundings of both paths
-    (the sums in any order, the labels, the formula for S) total
-    (2N + 11) u m, and the last term covers underflow. The first minimizer
-    j of D has S_j <= D_j + e <= D_k + e <= S_k + 2e for every cell k, so
-    only the cells with S <= min(S) + 2e are evaluated directly, in grid
-    order, and the first least of them is j, also when cells tie exactly.
-    Any other family is evaluated directly at every cell, once per lambda.
+    One pass over the grid, in row chunks: a label-interpolation family
+    computes its model outputs once per chunk and each lambda's values from
+    them (``loss``), any other family calls ``objective`` once per lambda.
+    Each chunk keeps only its first least value and cell per lambda, and
+    the first least of the chunk winners is the cell ``np.argmin`` over the
+    whole grid picks, a tie or a NaN (the first NaN wins) included.
     """
     grid = np.arange(lo, hi + step / 2, step)
     if grid.size == 0:
         raise ConfigurationError("empty search grid")
-    W = grid[:, None]
-    if isinstance(problem, LabelInterpolationProblem):
-        screen = _separable_screen(problem, W)
-    else:
-        def screen(lam):
-            return in_row_chunks(problem, problem.objective, W, lam), 0.0
-    best_vals, best_ws = [], []
-    for lam in lams:
-        approx, e = screen(lam)
-        # "Not above" keeps every cell when a NaN makes the minimum NaN.
-        cells = np.flatnonzero(~(approx > np.min(approx) + 2.0 * e))
-        vals = in_row_chunks(problem, problem.objective, W[cells], lam)
-        j = int(np.argmin(vals))
-        best_vals.append(float(vals[j]))
-        best_ws.append(float(grid[cells[j]]))
-    return _bisect_refine(problem, lams, best_vals, best_ws, step)
+    cols = np.arange(len(lams))
 
-
-def _separable_screen(problem, W):
-    """A function of lambda giving each row's separable value S and the bound e (``_grid_fstar``)."""
-    A, B_t, B_s = in_row_chunks(problem, lambda block, _: problem.output_moments(block), W, None)
-    n = problem.sample_count
-    root_A = np.sqrt(A)
-    rms_t, rms_s = np.sqrt(np.mean(problem.y_target ** 2)), np.sqrt(np.mean(problem.y_source ** 2))
-    rel, tiny = (2 * n + 16) * 2.0 ** -53, (2 * n + 16) * 2.0 ** -1074
-
-    def screen(lam):
-        y = problem.labels(lam)
-        C = np.mean(y * y)
-        magnitude = A + C + 2.0 * root_A * (lam * rms_t + (1.0 - lam) * rms_s)
-        return A - 2.0 * (lam * B_t + (1.0 - lam) * B_s) + C, rel * np.max(magnitude) + tiny
-    return screen
+    def chunk_winners(W, _):
+        if isinstance(problem, LabelInterpolationProblem):
+            out = problem.outputs(W)
+            vals = np.array([problem.loss(out, lam) for lam in lams])
+        else:
+            vals = np.array([problem.objective(W, lam) for lam in lams])
+        j = np.argmin(vals, axis=1)
+        return vals[cols, j][None], W[j, 0][None]
+    vals, ws = in_row_chunks(problem, chunk_winners, grid[:, None], None)
+    c = np.argmin(vals, axis=0)
+    return _bisect_refine(problem, lams, vals[c, cols].tolist(), ws[c, cols].tolist(), step)
 
 
 def _bisect_refine(problem, lams, best_vals, best_ws, step):
@@ -210,7 +182,6 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
     bracket stays, or shrinks to (m, m), and its midpoint stays m.
     """
     lam = np.array(lams, dtype=float)[:, None]
-    best_vals, best_ws = list(best_vals), list(best_ws)
     a, b = np.array(best_ws) - step, np.array(best_ws) + step
     g = in_row_chunks(problem, problem.gradient, np.concatenate([a, b])[:, None],
                       np.concatenate([lam, lam]))[:, 0]
@@ -228,8 +199,7 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
         for r, w, v in zip(rows, w_ref.tolist(), v_ref.tolist()):
             if v < best_vals[r]:
                 best_vals[r], best_ws[r] = v, w
-    return [FstarEstimate(v, np.array([w]), upper_bound_only=False)
-            for v, w in zip(best_vals, best_ws)]
+    return [FstarEstimate(v, np.array([w])) for v, w in zip(best_vals, best_ws)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a diverged restart is dropped

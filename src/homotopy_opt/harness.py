@@ -53,6 +53,9 @@ LQ_OFFSET_SALT = 0x0FF5_E75
 
 CSV_HEADER = "epoch,lambda,mean_objective,std_objective,mean_gap,grad_evals"
 
+# Most cells (hi - lo) / step an f* grid may span: 50 times the 1e-4 grid on [-10, 10].
+FSTAR_GRID_CELLS = 10**7
+
 DEFAULTS = {
     "toy-erf": {
         "dataset": {"N": 100, "slope": 3.0, "noise_std": 1.0, "seed": 40},
@@ -105,7 +108,8 @@ def _is_positive(v):
 
 def _is_grid(v):
     return (isinstance(v, dict) and set(v) == {"lo", "hi", "step"}
-            and all(map(_is_real, v.values())) and v["lo"] < v["hi"] and v["step"] > 0)
+            and all(map(_is_real, v.values())) and v["lo"] < v["hi"] and v["step"] > 0
+            and v["hi"] - v["lo"] <= FSTAR_GRID_CELLS * v["step"])
 
 
 _INT_POSITIVE = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
@@ -143,7 +147,8 @@ VALUE_RULES = {
     "problem.L_pairs": _INT_POSITIVE,
     "problem.mu": _REAL_POSITIVE,
     "problem.init_seed": _INT_SEED,
-    "problem.fstar_grid": ("an object of finite numbers lo < hi and step > 0", _is_grid),
+    "problem.fstar_grid": ("an object of finite numbers lo < hi and step > 0, with "
+                           f"(hi - lo) / step <= {FSTAR_GRID_CELLS:,}", _is_grid),
 }
 
 
@@ -581,12 +586,14 @@ def run_experiment(cfg: ExperimentConfig):
         e_hsgd = arm_summaries["hsgd"].get("epochs_to_threshold")
         if failed:
             note = f"{' and '.join(failed)} failed: no comparison"
-        elif e_sgd is not None and e_hsgd is not None and e_hsgd > 0:
-            speedup = e_sgd / e_hsgd
-        elif e_sgd is None and e_hsgd is not None:
-            note = "sgd did not reach the threshold (censored at the budget)"
         elif e_hsgd is None:
             note = "hsgd did not reach the threshold"
+        elif e_sgd is None:
+            note = "sgd did not reach the threshold (censored at the budget)"
+        elif e_hsgd == 0:
+            note = f"hsgd met the threshold at epoch 0 (sgd at epoch {e_sgd}): no ratio"
+        else:
+            speedup = e_sgd / e_hsgd
 
     report = ComparisonReport(cfg.experiment, cfg.threshold, cfg.threshold_metric,
                               arm_summaries, speedup, note)

@@ -140,21 +140,15 @@ class LabelInterpolationProblem(HomotopyProblem):
     def outputs(self, W):
         """Model output of each row of the (R, d) block W at every sample, an (R, N) array."""
 
+    def loss(self, outputs, lam):
+        """Each row's objective at lam from its model ``outputs``: one output pass serves every lambda."""
+        return np.mean((outputs - self.labels(lam)) ** 2, axis=1)
+
     def objective(self, W, lam):
-        return np.mean((self.outputs(W) - self.labels(lam)) ** 2, axis=1)
+        return self.loss(self.outputs(W), lam)
 
     def epoch_metrics(self, W, lam):
         return self.objective(W, lam), None
-
-    def output_moments(self, W):
-        """Each row's lambda-free moments A = mean(o^2), B_t = mean(o y_target), B_s = mean(o y_source).
-
-        f(w, lam) = A - 2 (lam B_t + (1 - lam) B_s) + mean(y_lam^2) in
-        exact arithmetic, so one pass of the model serves every lambda.
-        """
-        o = self.outputs(W)
-        return (np.mean(o * o, axis=1), np.mean(o * self.y_target, axis=1),
-                np.mean(o * self.y_source, axis=1))
 
 
 class ErfRegressionProblem(LabelInterpolationProblem):
@@ -242,8 +236,7 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     def epoch_metrics(self, W, lam):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
         out = self.outputs(W)
-        return (np.mean((out - self.labels(lam)) ** 2, axis=1),
-                np.mean((out - self.y_target) ** 2, axis=1))
+        return self.loss(out, lam), self.loss(out, 1.0)
 
     def gradient(self, W, lam, idx=None, with_value=False):
         # Sums over the sample axis go through einsum: the same sequential

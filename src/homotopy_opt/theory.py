@@ -73,9 +73,10 @@ class TheoryConstants:
         if missing:
             raise ConfigurationError(f"missing constants (absent or null): {sorted(missing)}")
         bad = [f"{name} = {data[name]!r}" for name in sorted(given)
-               if not (_is_int if name in ("k", "n") else _is_real)(data[name])]
+               if not (_is_int if name in ("k", "n") else _is_real)(data[name])
+               or name in ("k", "n") and data[name] < 1]  # the rule of optimizer.k and .n
         if bad:
-            raise ConfigurationError(f"invalid constants (k and n take integers, the others "
+            raise ConfigurationError(f"invalid constants (k and n take integers >= 1, the others "
                                      f"finite numbers): {', '.join(bad)}")
         if "eta" in given and data["eta"] < 0:  # the rule make_schedule applies to a run
             raise ConfigurationError(f"eta must be >= 0, got {data['eta']!r}")

@@ -219,6 +219,9 @@ def test_theory_missing_constant_is_config_error(tmp_path, capsys):
     ({**LQ_CONSTANTS, "delta": float("inf")}, "delta = inf"),
     ({**LQ_CONSTANTS, "rho_tilde": float("nan")}, "rho_tilde = nan"),
     ({**LQ_CONSTANTS, "eta": -100}, "eta must be >= 0, got -100"),  # no schedule takes it
+    ({**LQ_CONSTANTS, "n": 0}, "n = 0"),     # the rule of a run's optimizer.n and .k
+    ({**LQ_CONSTANTS, "n": -3}, "n = -3"),
+    ({**LQ_CONSTANTS, "k": 0}, "k = 0"),
 ])
 def test_theory_mistyped_constant_is_config_error(tmp_path, capsys, payload, named):
     path = write_json(tmp_path / "c.json", payload)
@@ -234,6 +237,7 @@ def test_theory_mistyped_constant_is_config_error(tmp_path, capsys, payload, nam
     ({"rho_tilde": 0}, "hsgd_gap_bound: rho_tilde must lie in (0, 1)"),
     ({"epsilon0": -1}, "linear_rate_schedule_params: epsilon0 must be"),
     ({"mu": 0}, "noise_floor: mu must be positive"),
+    ({"L": 20.0}, "alpha <= 1/L"),                                     # alpha = 0.1 > 0.05
 ])
 def test_theory_infeasible_constant_set_is_reported(tmp_path, capsys, changed, failure):
     # Well-formed but infeasible: a report and exit 3, not a configuration error.
@@ -260,6 +264,20 @@ def test_run_unusable_threshold_metric_is_config_error(tmp_path):
         "experiment": "moons-logistic", "threshold": 0.1, "threshold_metric": "gap"})
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_oversized_fstar_grid_is_config_error(tmp_path, capsys, command):
+    # (hi - lo) / step = 2e600 cells, above FSTAR_GRID_CELLS; numpy refuses this grid at once.
+    cfg = write_json(tmp_path / "cfg.json", {
+        "experiment": "toy-erf", "problem": {"fstar_grid": {"lo": -1e300, "hi": 1e300,
+                                                            "step": 1e-300}}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "problem.fstar_grid" in captured.err and "10,000,000" in captured.err
     assert not out.exists()
 
 

@@ -518,15 +518,15 @@ def test_multi_lambda_grid_fstar_equals_per_lambda_reference(data, inner, grid, 
 
 
 class RowCountingErf(ErfRegressionProblem):
-    """An erf problem that counts the rows of its grid pass and of its direct objective."""
+    """An erf problem that counts the rows of its model outputs and of its direct objective."""
 
     def __init__(self, *arrays):
         super().__init__(*arrays)
-        self.moment_rows = self.objective_rows = 0
+        self.output_rows = self.objective_rows = 0
 
-    def output_moments(self, W):
-        self.moment_rows += len(W)
-        return super().output_moments(W)
+    def outputs(self, W):
+        self.output_rows += len(W)
+        return super().outputs(W)
 
     def objective(self, W, lam):
         self.objective_rows += len(W)
@@ -539,9 +539,31 @@ def test_grid_pass_rows_do_not_depend_on_lambda_count(count):
     problem = RowCountingErf(erf_family.xs, erf_family.y_target, erf_family.y_source)
     lams = np.linspace(0.0, 1.0, count).tolist()
     diagnostics.estimate_fstar(problem, lams, GRID)
-    assert problem.moment_rows == np.arange(-6, 6 + 0.025, 0.05).size
-    # One screened cell and one refined point per lambda are evaluated directly.
-    assert problem.objective_rows <= 2 * count
+    # The grid pass computes each cell's outputs once. Every other outputs row
+    # comes from a direct objective call, which only the refine makes, at one
+    # refined point per lambda.
+    assert problem.output_rows - problem.objective_rows == np.arange(-6, 6 + 0.025, 0.05).size
+    assert problem.objective_rows <= count
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, None])
+def test_grid_fstar_nan_cell_equals_reference(chunk_rows):
+    # An infinite input makes erf(w x) NaN at w = 0 (0 * inf) and +-1 elsewhere,
+    # so the w = 0 cell is NaN at every lambda and wins the argmin, as the
+    # first NaN does in np.argmin, however the pass is cut into row chunks.
+    xs = np.array([np.inf, 0.5, -1.0])
+    problem = ErfRegressionProblem(xs, [0.2, -0.4, 1.0], [1.0, 0.3, -0.6])
+    lams = [0.0, 0.5, 1.0]
+    cells = np.arange(-1.0, 1.0 + 0.125, 0.25).size
+    with unittest.mock.patch.object(core, "EPOCH_CHUNK_ELEMENTS", (chunk_rows or cells) * len(xs)):
+        with np.errstate(invalid="ignore"):
+            estimates = diagnostics.estimate_fstar(
+                problem, lams, {"kind": "grid", "lo": -1.0, "hi": 1.0, "step": 0.25})
+    with np.errstate(invalid="ignore"):
+        for lam, est in zip(lams, estimates):
+            value, minimizer = reference_grid_fstar(problem, lam, -1.0, 1.0, 0.25)
+            assert np.isnan(est.value) and np.isnan(value)
+            assert est.minimizer[0] == minimizer == 0.0
 
 
 @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)

@@ -71,6 +71,9 @@ def test_config_rejects_unknown_values(tmp_path):
     ("sine-mlp", {"problem": {"L_pairs": 0.5}}),
     ("synthetic-lq", {"problem": {"mu": float("nan")}}),
     ("synthetic-lq", {"out_dir": 5}),
+    # More cells than FSTAR_GRID_CELLS; numpy refuses both grids at once.
+    ("toy-erf", {"problem": {"fstar_grid": {"lo": -1e300, "hi": 1e300, "step": 1e-300}}}),
+    ("toy-erf", {"problem": {"fstar_grid": {"lo": -1e308, "hi": 1e308, "step": 1.0}}}),
 ])
 def test_config_rejects_out_of_range_values(experiment, raw):
     with pytest.raises(ConfigurationError, match="optimizer.minibatch|invalid config values"):
@@ -737,6 +740,19 @@ def test_threshold_censoring_note(tmp_path):
     arms, report = run_experiment(cfg)
     assert report.speedup is None
     assert report.speedup_note != ""
+
+
+def test_threshold_met_at_epoch_zero_has_a_note(tmp_path):
+    # Both arms start below the threshold, so epochs_to_threshold is 0 for
+    # each and the ratio e_sgd / e_hsgd is undefined.
+    cfg = tiny_config(tmp_path, "synthetic-lq", repeats=2, threshold=100.0,
+                      optimizer={"k": 5, "n": 3})
+    _, report = run_experiment(cfg)
+    assert [report.arms[m]["epochs_to_threshold"] for m in ("sgd", "hsgd")] == [0, 0]
+    assert report.speedup is None
+    assert report.speedup_note == "hsgd met the threshold at epoch 0 (sgd at epoch 0): no ratio"
+    written = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    assert written["speedup_note"] == report.speedup_note
 
 
 # ------------------------------------------------------------- diagnose path
