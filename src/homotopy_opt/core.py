@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -67,8 +68,8 @@ def _is_int(v):
 
 
 def _is_real(v):
-    # A chained comparison, unlike math.isfinite, never overflows on a huge int.
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and -math.inf < v < math.inf
+    # Finite as a float; Python compares an int with a float exactly, never overflowing.
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 class NonFiniteError(RuntimeError):

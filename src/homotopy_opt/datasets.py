@@ -1,9 +1,10 @@
-"""Seeded synthetic dataset generators for the three benchmark experiments.
+"""Seeded synthetic dataset generators, one per experiment.
 
 Determinism contract: every generator uses the fixed PCG64 generator (normals
 via numpy's ziggurat), so spec + seed regenerate the same dataset bit for bit
 across processes and platforms. The sine generator derives the source-label
-noise stream from ``seed XOR SOURCE_NOISE_SALT``.
+noise stream from ``seed XOR SOURCE_NOISE_SALT``, and the offset generator
+its one stream from ``seed XOR LQ_OFFSET_SALT``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import numpy as np
 
 from .core import ConfigurationError, make_rng
 
-# Documented sub-seed salt for the companion source labels of the sine dataset.
+# Documented sub-seed salts: the companion source labels of the sine dataset,
+# and the offsets of the quadratic tracking problem.
 SOURCE_NOISE_SALT = 0xA5A5A5A5
+LQ_OFFSET_SALT = 0x0FF5_E75
 
 # Variance, not deviation, of the N(0, v) noise on the sine task's source labels.
 SINE_SOURCE_NOISE_VAR = 0.01
@@ -83,6 +86,12 @@ def gen_moons(n, noise_std, seed):
     X = np.vstack([class0, class1]) + noise_std * rng.standard_normal((n, 2))
     y = np.concatenate([np.zeros(half), np.ones(half)])
     return Dataset(inputs=X, targets=y)
+
+
+def gen_offsets(n, offset_std, seed):
+    """N(0, offset_std^2) offsets as the targets of n all-zero inputs."""
+    offsets = offset_std * make_rng(seed ^ LQ_OFFSET_SALT).standard_normal(n)
+    return Dataset(inputs=np.zeros((n, 1)), targets=offsets)
 
 
 def write_csv(path, header, rows):

@@ -1,6 +1,7 @@
 """Experiment orchestration: multi-seed runs, trace CSVs and comparison reports.
 
-A single JSON config drives everything; ``from_dict`` resolves every value a
+Each experiment is one ``Experiment`` record of ``EXPERIMENTS``, and a JSON
+config names one and drives everything; ``from_dict`` resolves every value a
 run reads and the metadata records it, so a run replays bit-identically from
 its metadata file. Repeats use per-repeat PRNG streams seeded by master_seed
 XOR repeat_index. An arm's repeats are cut into contiguous slices, one per
@@ -17,12 +18,13 @@ import json
 import multiprocessing
 import os
 import traceback
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datasets, diagnostics
+from . import __version__, datasets, diagnostics, problems
 from .core import (
     FORK_REPEAT_STEPS,
     SAMPLER,
@@ -39,66 +41,90 @@ from .core import (
     steps_per_epoch,
     stream_seed,
 )
-from .problems import (
-    CubicLogisticProblem,
-    ErfRegressionProblem,
-    MlpRegressionProblem,
-    QuadraticTrackingProblem,
-)
 
 # Documented sub-seed salts (master_seed XOR salt) for auxiliary streams.
 L_ESTIMATE_SALT = 0x1E57_17AD
 MLP_INIT_SALT = 0x3141_5926
-LQ_OFFSET_SALT = 0x0FF5_E75
 
 CSV_HEADER = "epoch,lambda,mean_objective,std_objective,mean_gap,grad_evals"
 
 # Most cells (hi - lo) / step an f* grid may span: 50 times the 1e-4 grid on [-10, 10].
 FSTAR_GRID_CELLS = 10**7
 
-DEFAULTS = {
-    "toy-erf": {
-        "dataset": {"N": 100, "slope": 3.0, "noise_std": 1.0, "seed": 40},
-        "optimizer": {"alpha": "auto", "minibatch": 100, "k": 10, "n": 40,
-                      "schedule": "exponential", "eta": 0.3, "sgd_budget_factor": 1},
-        "problem": {"w0": -4.0, "L_radius": 10.0, "L_pairs": 2000,
-                    "fstar_grid": {"lo": -10.0, "hi": 10.0, "step": 1e-2}},
-        "threshold": None,
-        "threshold_metric": "gap",
-    },
-    "sine-mlp": {
-        "dataset": {"N": 500, "freq": 10.0, "noise_std": float(np.sqrt(0.1)), "seed": 6803},
-        "optimizer": {"alpha": 0.05, "minibatch": 5, "k": 2000, "n": 20,
-                      "schedule": "exponential", "eta": 0.5, "sgd_budget_factor": 2},
-        "problem": {"L_radius": 2.0, "L_pairs": 500},
-        "threshold": 0.1,
-        "threshold_metric": "gap",
-    },
-    "moons-logistic": {
-        "dataset": {"N": 1000, "noise_std": 0.1},
-        "optimizer": {"alpha": 0.5, "minibatch": 20, "k": 250, "n": 20,
-                      "schedule": "exponential", "eta": 0.5, "sgd_budget_factor": 1},
-        "problem": {"L_radius": 3.0, "L_pairs": 500},
-        "threshold": 0.1,
-        "threshold_metric": "error",
-    },
-    "synthetic-lq": {
-        "dataset": {"N": 64, "offset_std": 1.0},
-        "optimizer": {"alpha": 0.1, "minibatch": 8, "k": 50, "n": 20,
-                      "schedule": "constant", "eta": 0.2, "sgd_budget_factor": 1},
-        "problem": {"mu": 1.0, "w0": 1.0, "L_radius": 3.0, "L_pairs": 500},
-        "threshold": None,
-        "threshold_metric": "gap",
-    },
-}
-EXPERIMENTS = tuple(DEFAULTS)
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its config defaults and how a run builds and measures it.
+
+    ``dataset(sec)`` and ``problem(sec, dataset) -> (problem, w0)`` read
+    their config section ``sec``. ``fstar`` is the f* oracle: "exact" (0),
+    "grid" (``problem.fstar_grid``) or None. ``second_metric``, the default
+    threshold metric, is "error" (0/1) or "gap" (objective less f*, else
+    the family's second metric: the MLP's raw target loss). ``snapshots``
+    records repeat 0 per homotopy stage. A seed a config leaves out is
+    master_seed XOR ``seed_salts[(section, key)]``. ``check(cfg)`` raises
+    ConfigurationError for a config the family cannot run.
+    """
+
+    defaults: dict
+    dataset: Callable
+    problem: Callable
+    fstar: str | None = None
+    second_metric: str = "gap"
+    snapshots: bool = False
+    seed_salts: dict = field(default_factory=dict)
+    check: Callable = lambda cfg: None
 
 
-# Keys a config section may hold beyond those of DEFAULTS[experiment]: the seeds
-# from_dict otherwise derives, and optimizer.explicit. Any other key is an error.
-OPTIONAL_KEYS = {
-    "dataset": {"seed"},
-    "optimizer": {"explicit"},
+def _erf_problem(sec, ds):
+    x, w0 = ds.inputs[:, 0], float(sec["w0"])
+    return problems.ErfRegressionProblem(x, ds.targets, w0 * x), np.array([w0])
+
+
+def _mlp_problem(sec, ds):
+    problem = problems.MlpRegressionProblem(ds.inputs[:, 0], ds.targets, ds.source_targets)
+    return problem, problem.default_init(sec["init_seed"])
+
+
+def _even_sample_count(cfg):
+    if (n := cfg.dataset["N"]) % 2:
+        raise ConfigurationError(f"{cfg.experiment} needs an even dataset.N, got {n}")
+
+
+EXPERIMENTS = {
+    "toy-erf": Experiment(
+        {"threshold": None, "dataset": {"N": 100, "slope": 3.0, "noise_std": 1.0, "seed": 40},
+         "optimizer": {"alpha": "auto", "minibatch": 100, "k": 10, "n": 40,
+                       "schedule": "exponential", "eta": 0.3, "sgd_budget_factor": 1},
+         "problem": {"w0": -4.0, "L_radius": 10.0, "L_pairs": 2000,
+                     "fstar_grid": {"lo": -10.0, "hi": 10.0, "step": 1e-2}}},
+        lambda sec: datasets.gen_linear_toy(sec["N"], sec["slope"], sec["noise_std"], sec["seed"]),
+        _erf_problem, fstar="grid", snapshots=True),
+    "sine-mlp": Experiment(
+        {"threshold": 0.1,
+         "dataset": {"N": 500, "freq": 10.0, "noise_std": float(np.sqrt(0.1)), "seed": 6803},
+         "optimizer": {"alpha": 0.05, "minibatch": 5, "k": 2000, "n": 20,
+                       "schedule": "exponential", "eta": 0.5, "sgd_budget_factor": 2},
+         "problem": {"L_radius": 2.0, "L_pairs": 500}},
+        lambda sec: datasets.gen_sine(sec["N"], sec["freq"], sec["noise_std"], sec["seed"]),
+        _mlp_problem, snapshots=True, seed_salts={("problem", "init_seed"): MLP_INIT_SALT}),
+    "moons-logistic": Experiment(
+        {"threshold": 0.1, "dataset": {"N": 1000, "noise_std": 0.1},
+         "optimizer": {"alpha": 0.5, "minibatch": 20, "k": 250, "n": 20,
+                       "schedule": "exponential", "eta": 0.5, "sgd_budget_factor": 1},
+         "problem": {"L_radius": 3.0, "L_pairs": 500}},
+        lambda sec: datasets.gen_moons(sec["N"], sec["noise_std"], sec["seed"]),
+        lambda sec, ds: (problems.CubicLogisticProblem(ds.inputs, ds.targets), np.zeros(9)),
+        second_metric="error", seed_salts={("dataset", "seed"): 0}, check=_even_sample_count),
+    "synthetic-lq": Experiment(
+        {"threshold": None, "dataset": {"N": 64, "offset_std": 1.0},
+         "optimizer": {"alpha": 0.1, "minibatch": 8, "k": 50, "n": 20,
+                       "schedule": "constant", "eta": 0.2, "sgd_budget_factor": 1},
+         "problem": {"mu": 1.0, "w0": 1.0, "L_radius": 3.0, "L_pairs": 500}},
+        lambda sec: datasets.gen_offsets(sec["N"], sec["offset_std"], sec["seed"]),
+        lambda sec, ds: (problems.QuadraticTrackingProblem(sec["mu"], ds.targets),
+                         np.array([float(sec["w0"])])),
+        fstar="exact", seed_salts={("dataset", "seed"): 0}),
 }
 
 
@@ -109,7 +135,8 @@ def _is_positive(v):
 def _is_grid(v):
     return (isinstance(v, dict) and set(v) == {"lo", "hi", "step"}
             and all(map(_is_real, v.values())) and v["lo"] < v["hi"] and v["step"] > 0
-            and v["hi"] - v["lo"] <= FSTAR_GRID_CELLS * v["step"])
+            and v["hi"] - v["lo"] <= FSTAR_GRID_CELLS * v["step"]
+            and _is_real(v["hi"] + v["step"]))
 
 
 _INT_POSITIVE = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
@@ -172,20 +199,20 @@ def _check_values(cfg):
     if opt["schedule"] != "explicit" and "explicit" in opt:
         raise ConfigurationError(f'optimizer.explicit is read only under schedule "explicit", '
                                  f"not {opt['schedule']!r}")
-    if cfg.experiment == "moons-logistic" and n_samples % 2:
-        raise ConfigurationError(f"moons-logistic needs an even dataset.N, got {n_samples}")
+    EXPERIMENTS[cfg.experiment].check(cfg)
 
 
 def _check_keys(raw, experiment):
     """Reject a key nothing reads: a misspelt one would silently run on defaults."""
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+    record = EXPERIMENTS[experiment]
+    # Beyond the defaults: the seeds from_dict derives, and optimizer.explicit.
+    extra = [*record.seed_salts, ("optimizer", "explicit")]
     for section in ("dataset", "optimizer", "problem"):
         given = raw.get(section, {})
         if not isinstance(given, dict):
             raise ConfigurationError(f"config section {section!r} must be an object")
-        allowed = set(DEFAULTS[experiment][section]) | OPTIONAL_KEYS.get(section, set())
-        if section == "problem" and experiment == "sine-mlp":
-            allowed.add("init_seed")
+        allowed = set(record.defaults[section]) | {key for where, key in extra if where == section}
         unknown += [f"{section}.{key}" for key in sorted(set(given) - allowed)]
     if unknown:
         raise ConfigurationError(f"unknown config keys for {experiment}: {', '.join(unknown)}")
@@ -232,22 +259,21 @@ class ExperimentConfig:
             raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
         overrides = {"out_dir": out_dir, "repeats": repeats, "master_seed": master_seed}
         raw = {**copy.deepcopy(raw), **{k: v for k, v in overrides.items() if v is not None}}
-        experiment = raw.get("experiment")
-        if experiment not in EXPERIMENTS:
-            raise ConfigurationError(
-                f"unknown experiment {experiment!r}; expected one of {EXPERIMENTS}"
-            )
+        experiment, names = raw.get("experiment"), tuple(EXPERIMENTS)
+        if experiment not in names:
+            raise ConfigurationError(f"unknown experiment {experiment!r}; expected one of {names}")
         _check_keys(raw, experiment)
+        record = EXPERIMENTS[experiment]
         # The experiment's defaults under the given values, section by section;
         # a top-level key in neither takes the field's default.
-        defaults = copy.deepcopy(DEFAULTS[experiment])
+        defaults = {**copy.deepcopy(record.defaults), "threshold_metric": record.second_metric}
         cfg = cls(**{**defaults, **raw, **{section: {**defaults[section], **raw.get(section, {})}
                                            for section in ("dataset", "optimizer", "problem")}})
         if cfg.method not in ("sgd", "hsgd", "both"):
             raise ConfigurationError(f"unknown method {cfg.method!r}")
         # Every run has its mean objective; "gap" needs an f* oracle (the sine-mlp
         # gap column holds its raw target loss) and "error" a classifier.
-        metrics = ("objective", DEFAULTS[experiment]["threshold_metric"])
+        metrics = ("objective", record.second_metric)
         if cfg.threshold_metric not in metrics:
             raise ConfigurationError(
                 f"threshold_metric {cfg.threshold_metric!r} is unavailable for {experiment}; "
@@ -255,47 +281,20 @@ class ExperimentConfig:
             )
         _check_values(cfg)
         # The seeds a config leaves out, from a master_seed now known to be valid.
-        cfg.dataset.setdefault("seed", cfg.master_seed)
-        if experiment == "sine-mlp":
-            cfg.problem.setdefault("init_seed", cfg.master_seed ^ MLP_INIT_SALT)
+        for (section, key), salt in record.seed_salts.items():
+            getattr(cfg, section).setdefault(key, cfg.master_seed ^ salt)
         return cfg
 
     to_dict = asdict
 
 
 def build_dataset(cfg: ExperimentConfig):
-    ds = cfg.dataset
-    if cfg.experiment == "toy-erf":
-        return datasets.gen_linear_toy(ds["N"], ds["slope"], ds["noise_std"], ds["seed"])
-    if cfg.experiment == "sine-mlp":
-        return datasets.gen_sine(ds["N"], ds["freq"], ds["noise_std"], ds["seed"])
-    if cfg.experiment == "moons-logistic":
-        return datasets.gen_moons(ds["N"], ds["noise_std"], ds["seed"])
-    if cfg.experiment == "synthetic-lq":
-        rng = make_rng(ds["seed"] ^ LQ_OFFSET_SALT)
-        offsets = ds["offset_std"] * rng.standard_normal(ds["N"])
-        return datasets.Dataset(inputs=np.zeros((ds["N"], 1)), targets=offsets)
-    raise ConfigurationError(cfg.experiment)
+    return EXPERIMENTS[cfg.experiment].dataset(cfg.dataset)
 
 
 def build_problem(cfg: ExperimentConfig, dataset):
     """Problem family plus the shared initial point for both arms."""
-    if cfg.experiment == "toy-erf":
-        x = dataset.inputs[:, 0]
-        w0 = float(cfg.problem["w0"])
-        problem = ErfRegressionProblem(x, dataset.targets, w0 * x)
-        return problem, np.array([w0])
-    if cfg.experiment == "sine-mlp":
-        x = dataset.inputs[:, 0]
-        problem = MlpRegressionProblem(x, dataset.targets, dataset.source_targets)
-        return problem, problem.default_init(cfg.problem["init_seed"])
-    if cfg.experiment == "moons-logistic":
-        problem = CubicLogisticProblem(dataset.inputs, dataset.targets)
-        return problem, np.zeros(9)
-    if cfg.experiment == "synthetic-lq":
-        problem = QuadraticTrackingProblem(cfg.problem["mu"], dataset.targets)
-        return problem, np.array([float(cfg.problem["w0"])])
-    raise ConfigurationError(cfg.experiment)
+    return EXPERIMENTS[cfg.experiment].problem(cfg.problem, dataset)
 
 
 def resolve_alpha(cfg: ExperimentConfig, problem):
@@ -319,9 +318,10 @@ def _estimate_L(cfg: ExperimentConfig, problem, lam, rng):
 
 def _fstar_table(cfg: ExperimentConfig, problem, lambdas):
     """f*(lambda) per distinct visited lambda where an oracle exists, else None."""
-    if cfg.experiment == "synthetic-lq":
+    kind = EXPERIMENTS[cfg.experiment].fstar
+    if kind == "exact":
         return {float(lam): 0.0 for lam in lambdas}
-    if cfg.experiment == "toy-erf":
+    if kind == "grid":
         spec = {"kind": "grid", **cfg.problem["fstar_grid"]}
         distinct = list(dict.fromkeys(map(float, lambdas)))
         return {lam: est.value for lam, est in
@@ -437,13 +437,15 @@ def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage
     Each repeat takes ``total_steps`` steps; repeat r runs on the stream
     seeded by ``seeds[r]``. objectives and aux are (R, epochs + 1), from
     ``problem.epoch_metrics``, evaluated in row chunks (``in_row_chunks``);
-    aux is None for a family without a second metric.
+    aux is None for a family whose second metric is None.
     """
     rngs = [make_rng(seed) for seed in seeds]
     every = cfg_sgd.record_every
+    lam0 = 0.0 if method == "hsgd" else 1.0
+    first = in_row_chunks(problem, problem.epoch_metrics, W0, lam0)
     lambdas = np.empty(total_steps // every + 1)
     objectives = np.empty((len(seeds), lambdas.size))
-    aux = np.empty_like(objectives) if problem.aux_metric else None
+    aux = None if first[1] is None else np.empty_like(objectives)
 
     def sink(step, lam, W, metrics):
         e = step // every
@@ -452,11 +454,10 @@ def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage
         if aux is not None:
             aux[:, e] = metrics[1]
 
+    sink(0, lam0, W0, first)
     if method == "hsgd":
-        sink(0, 0.0, W0, in_row_chunks(problem, problem.epoch_metrics, W0, 0.0))
         hsgd_run(W0, schedule, cfg_sgd, problem, rngs, sink=sink, stage_hook=stage_hook)
     else:
-        sink(0, 1.0, W0, in_row_chunks(problem, problem.epoch_metrics, W0, 1.0))
         flat = SgdConfig(cfg_sgd.alpha, total_steps, cfg_sgd.minibatch, record_every=every)
         sgd_run(W0, flat, problem, 1.0, rngs, sink=sink)
     return lambdas, objectives, aux
@@ -536,9 +537,7 @@ def run_experiment(cfg: ExperimentConfig):
     cfg_sgd = SgdConfig(alpha, opt["k"], minibatch, record_every=every)
     cfg_sgd.warn_if_out_of_range(L_tilde)
     budget_factor = float(opt["sgd_budget_factor"])
-    # Second per-epoch metric: 0/1 error for classification, raw target-problem
-    # loss for the MLP (it has no f* oracle; the gap column holds raw loss).
-    aux_role = problem.aux_metric
+    record = EXPERIMENTS[cfg.experiment]
     fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], schedule.lambdas(), [1.0]]))
 
     methods = ["sgd", "hsgd"] if cfg.method == "both" else [cfg.method]
@@ -548,7 +547,7 @@ def run_experiment(cfg: ExperimentConfig):
         # Per-homotopy-iteration snapshots of repeat 0, from the engine's stage hook.
         snapshots = []
         stage_hook = None
-        if method == "hsgd" and cfg.experiment in ("toy-erf", "sine-mlp"):
+        if method == "hsgd" and record.snapshots:
             def stage_hook(i, lam, W):
                 snapshots.append((i, lam, problem.full_objective(W[0], lam), W[0].copy()))
         try:
@@ -560,12 +559,11 @@ def run_experiment(cfg: ExperimentConfig):
         epochs = np.arange(objs.shape[1])
         mean_obj = objs.mean(axis=0)
         std_obj = objs.std(axis=0)
-        mean_err = auxs.mean(axis=0) if aux_role == "error" else None
-        mean_gap = None
+        mean_aux = None if auxs is None else auxs.mean(axis=0)
+        mean_err, mean_gap = ((mean_aux, None) if record.second_metric == "error"
+                              else (None, mean_aux))
         if fstar is not None:
             mean_gap = mean_obj - np.array([fstar[float(l)] for l in lambdas])
-        elif aux_role == "target_objective":
-            mean_gap = auxs.mean(axis=0)
         grad_evals = epochs * every * minibatch
         arms[method] = ArmResult(epochs, mean_obj, std_obj, mean_gap, mean_err, grad_evals)
         write_trace_csv(out / f"trace_{method}.csv", epochs, lambdas, mean_obj,

@@ -59,14 +59,13 @@ class HomotopyProblem(ABC):
 
     A family implements the batched pair ``epoch_metrics`` and ``gradient``;
     a subclass without them cannot be instantiated. ``epoch_metrics`` is
-    what a run records per epoch for a block; a family with a second
-    per-epoch metric names it in ``aux_metric``. ``objective`` and the
+    what a run records per epoch for a block: the objective and a second
+    metric, None where the family has none. ``objective`` and the
     single-point methods are views of the pair.
     """
 
     dimension: int
     sample_count: int
-    aux_metric: str | None = None
 
     @abstractmethod
     def epoch_metrics(self, W, lam):
@@ -184,7 +183,6 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     oracle, so runs record its raw target-problem loss instead.
     """
 
-    aux_metric = "target_objective"
     dimension = MLP_DIMENSION
 
     @staticmethod
@@ -282,8 +280,6 @@ class CubicLogisticProblem(HomotopyProblem):
     large |z|. Products over the design matrix go through ``einsum``, which
     never calls the threaded BLAS.
     """
-
-    aux_metric = "error"
 
     def __init__(self, features, labels01):
         X = np.asarray(features, dtype=float)

@@ -222,12 +222,13 @@ def test_theory_missing_constant_is_config_error(tmp_path, capsys):
     ({**LQ_CONSTANTS, "n": 0}, "n = 0"),     # the rule of a run's optimizer.n and .k
     ({**LQ_CONSTANTS, "n": -3}, "n = -3"),
     ({**LQ_CONSTANTS, "k": 0}, "k = 0"),
+    ({**LQ_CONSTANTS, "L": 10**400}, "L = 1000"),  # an int beyond float range
 ])
 def test_theory_mistyped_constant_is_config_error(tmp_path, capsys, payload, named):
     path = write_json(tmp_path / "c.json", payload)
     assert cli.main(["theory", "--constants", path]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
-    assert out == ""
+    assert out == "" and err.count("\n") == 1
     assert err.startswith("configuration error: ") and named in err
 
 
@@ -278,6 +279,34 @@ def test_oversized_fstar_grid_is_config_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert "problem.fstar_grid" in captured.err and "10,000,000" in captured.err
+    assert not out.exists()
+
+
+HUGE_INT_GRID = {"experiment": "toy-erf",
+                 "problem": {"fstar_grid": {"lo": 10**400, "hi": 10**400 + 1, "step": 0.5}}}
+HUGE_OFFSETS = {"experiment": "synthetic-lq", "dataset": {"offset_std": 10**400}}
+# hi + step / 2, the end the grid is built to, overflows to inf.
+OVERFLOWING_GRID = {"experiment": "toy-erf",
+                    "problem": {"fstar_grid": {"lo": 0, "hi": 1.7e308, "step": 1.7e308}}}
+
+
+@pytest.mark.parametrize("command, raw, named", [
+    ("diagnose", HUGE_INT_GRID, "problem.fstar_grid"),
+    ("run", HUGE_INT_GRID, "problem.fstar_grid"),
+    ("run", HUGE_OFFSETS, "dataset.offset_std"),
+    ("gen-data", HUGE_OFFSETS, "dataset.offset_std"),
+    ("diagnose", OVERFLOWING_GRID, "problem.fstar_grid"),
+    ("run", OVERFLOWING_GRID, "problem.fstar_grid"),
+])
+def test_number_outside_float_range_is_config_error(tmp_path, capsys, command, raw, named):
+    # Each is a real number that numpy cannot use: building the dataset or the
+    # f* grid would raise OverflowError or ValueError, leaving --out behind.
+    cfg = write_json(tmp_path / "cfg.json", raw)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: ") and named in captured.err
     assert not out.exists()
 
 

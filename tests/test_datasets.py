@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from homotopy_opt import datasets
-from homotopy_opt.core import ConfigurationError
+from homotopy_opt.core import ConfigurationError, make_rng
 from homotopy_opt.problems import CubicLogisticProblem
 
 
@@ -91,6 +91,13 @@ def test_moons_cubic_separability():
         options={"maxiter": 2000},
     )
     assert prob.epoch_metrics(res.x[None], 1.0)[1][0] <= 0.05
+
+
+def test_offsets_come_from_their_salted_stream():
+    ds = datasets.gen_offsets(6, 2.0, 41)
+    reference = 2.0 * make_rng(41 ^ datasets.LQ_OFFSET_SALT).standard_normal(6)
+    assert np.array_equal(ds.targets, reference)
+    assert np.array_equal(ds.inputs, np.zeros((6, 1)))
 
 
 def test_dataset_csv_round_trip(tmp_path):

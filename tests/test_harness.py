@@ -1,5 +1,6 @@
 """Experiment orchestration: configs, traces, metadata replay, lockstep runs."""
 
+import ast
 import dataclasses
 import io
 import json
@@ -57,6 +58,35 @@ def test_config_rejects_unknown_values(tmp_path):
         ExperimentConfig.from_dict({"experiment": "toy-erf", "method": "adam"})
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"experiment": "toy-erf", "repeats": 0})
+
+
+@pytest.mark.parametrize("experiment", ["ridge", None, ["toy-erf"]])
+def test_unknown_experiment_names_every_experiment(experiment):
+    with pytest.raises(ConfigurationError) as exc:
+        ExperimentConfig.from_dict({"experiment": experiment})
+    assert str(exc.value) == (f"unknown experiment {experiment!r}; expected one of "
+                              "('toy-erf', 'sine-mlp', 'moons-logistic', 'synthetic-lq')")
+
+
+def test_harness_compares_no_experiment_name():
+    # What differs between experiments lives in their harness.EXPERIMENTS
+    # records: a comparison of an experiment name with a string literal (or
+    # a match on one) would be a family branch in the harness.
+    def names_experiment(node):
+        return (isinstance(node, ast.Name) and node.id == "experiment"
+                or isinstance(node, ast.Attribute) and node.attr == "experiment")
+
+    def has_string(node):
+        return any(isinstance(n, ast.Constant) and isinstance(n.value, str) for n in ast.walk(node))
+
+    with open(harness.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    branches = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Compare)
+                and any(map(names_experiment, [node.left, *node.comparators]))
+                and any(map(has_string, [node.left, *node.comparators]))
+                or isinstance(node, ast.Match) and names_experiment(node.subject)]
+    assert branches == [], f"harness.py compares the experiment name on lines {branches}"
 
 
 @pytest.mark.parametrize("experiment, raw", [
@@ -628,7 +658,10 @@ def test_runs_leave_the_problem_unmutated(tmp_path, experiment):
 @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
 def test_chunked_epoch_metrics_equal_one_block(experiment, monkeypatch):
     cfg = ExperimentConfig.from_dict({"experiment": experiment})
-    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    dataset = harness.build_dataset(cfg)
+    problem, w0 = harness.build_problem(cfg, dataset)
+    assert dataset.sample_count == problem.sample_count == cfg.dataset["N"]
+    assert w0.shape == (problem.dimension,)
     rng = make_rng(8)
     n = problem.sample_count
     # A budget of 3 rows splits R = 4 into chunks of 3 and 1; the default
