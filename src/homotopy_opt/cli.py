@@ -1,7 +1,7 @@
 """Command-line front end: run experiments, evaluate theory bounds, diagnose.
 
 Exit codes: 0 success, 2 configuration error, 3 feasibility failure,
-4 runtime failure.
+4 runtime failure (a diverged arm, or a forked worker that died).
 """
 
 from __future__ import annotations
@@ -10,8 +10,10 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import datasets, harness, theory
-from .core import ConfigurationError, NonFiniteError
+from .core import ConfigurationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,11 +167,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # A NaN/Inf is reported as an error, not as numpy's warnings; forked workers inherit this.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (ConfigurationError, theory.InfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteError as exc:
+    except RuntimeError as exc:  # NonFiniteError, EstimationError, a worker that died
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

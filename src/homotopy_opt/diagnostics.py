@@ -202,7 +202,6 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
     return [FstarEstimate(v, np.array([w])) for v, w in zip(best_vals, best_ws)]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a diverged restart is dropped
 def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=None):
     if restarts < 1:
         raise ConfigurationError("need at least one restart")

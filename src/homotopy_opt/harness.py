@@ -134,8 +134,8 @@ def _is_positive(v):
 
 def _is_grid(v):
     return (isinstance(v, dict) and set(v) == {"lo", "hi", "step"}
-            and all(map(_is_real, v.values())) and v["lo"] < v["hi"] and v["step"] > 0
-            and v["hi"] - v["lo"] <= FSTAR_GRID_CELLS * v["step"]
+            and all(map(_is_real, v.values())) and float(v["lo"]) < float(v["hi"])
+            and v["step"] > 0 and v["hi"] - v["lo"] <= FSTAR_GRID_CELLS * v["step"]
             and _is_real(v["hi"] + v["step"]))
 
 
@@ -626,20 +626,22 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
     fstar, the PL probe) leaves an ``error.<key>`` line in the report; any
     other error propagates.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigurationError(f"homotopy parameter must lie in [0, 1], got {lam}")
-    dataset = build_dataset(cfg)
-    problem, w0 = build_problem(cfg, dataset)
+    problems._check_lambda(lam)
+    problem, w0 = build_problem(cfg, build_dataset(cfg))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     est = diagnostics.LandscapeEstimates()
     rng = make_rng(cfg.master_seed ^ L_ESTIMATE_SALT)
     minibatch = cfg.optimizer["minibatch"]
 
-    try:
-        est.L_hat = _estimate_L(cfg, problem, lam, rng)
-    except diagnostics.EstimationError as exc:
-        est.errors["L_hat"] = str(exc)
+    def attempt(key, estimate):  # estimate(), or None with error.<key> recorded
+        try:
+            return estimate()
+        except diagnostics.EstimationError as exc:
+            est.errors[key] = str(exc)
+            return None
+
+    est.L_hat = attempt("L_hat", lambda: _estimate_L(cfg, problem, lam, rng))
     w_samples = w0 + 0.5 * rng.standard_normal((5, problem.dimension))
     est.sigma2_hat = diagnostics.estimate_sigma2(problem, lam, w_samples, minibatch, 200, rng)
     fstar = _fstar_table(cfg, problem, [lam])
@@ -649,17 +651,13 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
         spec = {"kind": "multistart", "restarts": 10, "steps": 1500,
                 "alpha": 1.0 / est.L_hat if est.L_hat else 0.05,
                 "seed": cfg.master_seed, "init_center": w0}
-        try:
-            multistart = diagnostics.estimate_fstar(problem, lam, spec)
+        multistart = attempt("fstar", lambda: diagnostics.estimate_fstar(problem, lam, spec))
+        if multistart is not None:
             est.fstar, est.fstar_upper_bound_only = multistart.value, multistart.upper_bound_only
-        except diagnostics.EstimationError as exc:
-            est.errors["fstar"] = str(exc)
     est.delta_hat = diagnostics.estimate_delta(problem, 200, rng)
     if est.fstar is not None:
-        try:
-            est.pl_probe = diagnostics.expected_pl_probe(problem, lam, 500, est.fstar, rng)
-        except diagnostics.EstimationError as exc:
-            est.errors["pl_probe"] = str(exc)
+        est.pl_probe = attempt("pl_probe", lambda: diagnostics.expected_pl_probe(
+            problem, lam, 500, est.fstar, rng))
         if problem.dimension == 1:
             grid = np.arange(-6.0, 6.0 + 1e-9, 0.05)
             mu_vals = diagnostics.pl_moduli(problem, lam, grid[:, None], est.fstar)[0]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands and exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -76,6 +77,16 @@ def test_run_nonfinite_exit_code(tmp_path):
     assert code == cli.EXIT_RUNTIME
 
 
+def cli_process(args, setup=""):
+    """``homotopy-opt args`` in a fresh interpreter, after the statements ``setup``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = f"import os, sys\nfrom homotopy_opt import cli, harness\n{setup}\n" \
+             "sys.exit(cli.main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
 def test_diverged_arm_writes_no_numpy_warning(tmp_path):
     # A diverged arm is reported by its NonFiniteError; numpy's overflow
     # warnings, printed again by every process of a split arm, are not. The
@@ -83,17 +94,11 @@ def test_diverged_arm_writes_no_numpy_warning(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {
         "experiment": "sine-mlp", "repeats": 4, "dataset": {"N": 40},
         "optimizer": {"alpha": 1e150, "k": 16, "n": 2}})
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     outcomes = []
     for slices in (1, 2):
-        script = ("import sys; from homotopy_opt import cli, harness; "
-                  f"harness._slice_count = lambda repeats, steps: min({slices}, repeats); "
-                  "sys.exit(cli.main(sys.argv[1:]))")
         out = tmp_path / f"out{slices}"
-        proc = subprocess.run([sys.executable, "-c", script, "run", "--config", cfg,
-                               "--out", str(out)], capture_output=True, text=True, env=env,
-                              timeout=300)
+        proc = cli_process(["run", "--config", cfg, "--out", str(out)],
+                           f"harness._slice_count = lambda repeats, steps: min({slices}, repeats)")
         assert "UserWarning: step size 1e+150 exceeds" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
@@ -102,6 +107,58 @@ def test_diverged_arm_writes_no_numpy_warning(tmp_path):
     assert outcomes[0][0] == cli.EXIT_RUNTIME
     assert outcomes[0][2][1].startswith("non-finite")
     assert outcomes[1] == outcomes[0]
+
+
+EXTREME = {
+    "slope": {"experiment": "toy-erf", "dataset": {"slope": 1e308}},
+    "offsets": {"experiment": "synthetic-lq", "dataset": {"offset_std": 1e308}},
+    "grid": {"experiment": "toy-erf", "problem": {
+        "fstar_grid": {"lo": 1e300, "hi": 1.0000000000000002e300, "step": 1e284}}},
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("diagnose", "slope"), ("diagnose", "offsets"), ("diagnose", "grid"),
+    ("run", "grid"), ("gen-data", "offsets"),
+])
+def test_extreme_valid_config_writes_no_numpy_warning(tmp_path, command, config):
+    # Valid values whose arithmetic overflows on paths outside the engine (the
+    # mu sweep, sigma^2, the f* grid, the dataset): every command runs under
+    # cli.main's one numpy error setting, so none prints numpy's warnings.
+    cfg = write_json(tmp_path / "cfg.json", EXTREME[config])
+    proc = cli_process([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_dead_worker_is_a_runtime_failure(tmp_path):
+    # A forked worker that exits without a result fails the run with exit 4
+    # and one line, not with a traceback.
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq", "repeats": 4,
+                                             "optimizer": {"k": 4, "n": 2}})
+    proc = cli_process(["run", "--config", cfg, "--out", str(tmp_path / "out")],
+                       "harness._slice_count = lambda repeats, steps: min(2, repeats)\n"
+                       "harness._slice_worker = lambda send, slice_args: os._exit(1)")
+    assert proc.returncode == cli.EXIT_RUNTIME
+    assert proc.stdout == ""
+    assert proc.stderr == "runtime failure: the worker for repeats from 2 exited without a result\n"
+
+
+def test_numpy_error_state_is_set_only_in_cli_main():
+    # One failure boundary: a private np.errstate (or np.seterr) scope would
+    # silence numpy's warnings on one path of the library and not another.
+    name_field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+    found = []
+    for path in sorted((SRC / "homotopy_opt").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node, f"{path.stem}.{node.name}") for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if getattr(node, name_field.get(type(node), ""), None) in ("errstate", "seterr"):
+                # The innermost scope whose subtree holds the use; a decorator counts.
+                owners = [label for scope, label in scopes if node in ast.walk(scope)]
+                found.append(owners[-1] if owners else path.stem)
+    assert found == ["cli.main"]
 
 
 def test_exponential_schedule_with_subnormal_weights_runs_without_warning(tmp_path):
@@ -288,6 +345,9 @@ HUGE_OFFSETS = {"experiment": "synthetic-lq", "dataset": {"offset_std": 10**400}
 # hi + step / 2, the end the grid is built to, overflows to inf.
 OVERFLOWING_GRID = {"experiment": "toy-erf",
                     "problem": {"fstar_grid": {"lo": 0, "hi": 1.7e308, "step": 1.7e308}}}
+# lo < hi as integers, but both round to the float 1e20: the grid would be empty.
+ROUNDING_GRID = {"experiment": "toy-erf",
+                 "problem": {"fstar_grid": {"lo": 10**20, "hi": 10**20 + 1, "step": 0.5}}}
 
 
 @pytest.mark.parametrize("command, raw, named", [
@@ -297,10 +357,13 @@ OVERFLOWING_GRID = {"experiment": "toy-erf",
     ("gen-data", HUGE_OFFSETS, "dataset.offset_std"),
     ("diagnose", OVERFLOWING_GRID, "problem.fstar_grid"),
     ("run", OVERFLOWING_GRID, "problem.fstar_grid"),
+    ("diagnose", ROUNDING_GRID, "problem.fstar_grid"),
+    ("run", ROUNDING_GRID, "problem.fstar_grid"),
 ])
 def test_number_outside_float_range_is_config_error(tmp_path, capsys, command, raw, named):
     # Each is a real number that numpy cannot use: building the dataset or the
-    # f* grid would raise OverflowError or ValueError, leaving --out behind.
+    # f* grid would raise OverflowError or ValueError, or find the grid empty,
+    # leaving --out behind.
     cfg = write_json(tmp_path / "cfg.json", raw)
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
