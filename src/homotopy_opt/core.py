@@ -204,10 +204,21 @@ def _draw_minibatch(rng, sample_count, minibatch, steps):
     range(sample_count). Floyd's algorithm (Bentley & Floyd, "A sample of
     brilliance", CACM 1987) on every row at once: column c draws t uniformly
     from [0, hi_c], with hi_c = N - M + c, and takes hi_c instead when t
-    already occurs earlier in its row. Each generator makes one ``integers``
-    call, which numpy fills element by element in C order, so a stream's rows
-    do not depend on how its steps are cut into blocks nor on R. A full batch
-    (M = N) draws nothing and returns None.
+    already occurs earlier in its row. The draw is defined as each
+    generator's ``integers(0, hi + 1, size=(steps, M))``, which numpy fills
+    element by element in C order, so a stream's rows do not depend on how
+    its steps are cut into blocks nor on R. A full batch (M = N) draws
+    nothing and returns None.
+
+    For N <= 2^32 numpy makes each bounded value from one 32-bit word x by
+    Lemire's method ("Fast random integer generation in an interval", ACM
+    TOMACS 2019): with span = hi_c + 1 and m = x * span, the value is
+    m >> 32, unless m mod 2^32 < (2^32 - span) mod span, where it rejects x
+    and takes another word. So each generator draws its block's words in one
+    scalar-bound call, and the whole block is reduced at once. A generator
+    with a rejected word (p < 2.4e-7 per value at N = 1000) gets its state
+    back and makes the defining call; so does every generator when N > 2^32.
+    Both give the same indices and leave the same generator state.
     """
     if minibatch == sample_count:
         return None
@@ -218,8 +229,22 @@ def _draw_minibatch(rng, sample_count, minibatch, steps):
     # contiguous slab cols[c], compared with all earlier (already resolved)
     # columns at once and reduced over the leading axis.
     cols = np.empty((minibatch, steps, len(rngs)), dtype=np.int64)
-    for r, g in enumerate(rngs):
-        cols[:, :, r] = g.integers(0, hi + 1, size=(steps, minibatch)).T
+    redraw = range(len(rngs))
+    if sample_count <= 2**32:
+        states = [g.bit_generator.state for g in rngs]
+        words = np.empty(cols.shape, dtype=np.uint64)
+        for r, g in enumerate(rngs):
+            words[:, :, r] = g.integers(0, 2**32, size=(steps, minibatch), dtype=np.uint64).T
+        span = (hi + 1).astype(np.uint64)[:, None, None]
+        words *= span
+        np.right_shift(words, 32, out=cols, casting="unsafe")
+        words &= 0xFFFFFFFF
+        redraw = np.flatnonzero((words < (2**32 - span) % span).any(axis=(0, 1)))
+        del words  # freed before the collision pass and the row-major copy, which set the peak
+        for r in redraw:
+            rngs[r].bit_generator.state = states[r]
+    for r in redraw:
+        cols[:, :, r] = rngs[r].integers(0, hi + 1, size=(steps, minibatch)).T
     for c in range(1, minibatch):
         dup = (cols[:c] == cols[c]).any(axis=0)
         np.copyto(cols[c], hi[c], where=dup)
@@ -281,9 +306,14 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
     ``sink``, when present, is called as sink(global_step, lam, w, f) at
     multiples of cfg.record_every. f is the full objective of a point; for
     a block it is ``problem.epoch_metrics(w, lam)``, each repeat's objective
-    and second metric. Every step checks the whole gradient and iterate
-    block and raises NonFiniteError naming the step and the repeat on a
-    NaN/Inf; ``cli.main`` turns numpy's overflow warnings off around it.
+    and second metric. On a full-batch block, a record before the call's
+    last step comes from the next step's ``gradient(w, lam,
+    with_metrics=True)``, the same rows from the pass that step makes
+    anyway, and the sink gets it before that step's update; the call's
+    last record is evaluated directly. Every step checks the whole gradient
+    and iterate block and raises NonFiniteError naming the step and the
+    repeat on a NaN/Inf; ``cli.main`` turns numpy's overflow warnings off
+    around it.
     """
     single = isinstance(rng, np.random.Generator)
     if not single:
@@ -314,13 +344,23 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
     w = w0
     alpha = cfg.alpha
     record = sink is not None and cfg.record_every is not None
+    # A full-batch block defers a record before the call's last step: the
+    # next gradient pass, at the same point and lambda, also gives it.
+    defer = not single and cfg.minibatch == problem.sample_count
+    last = step_offset + cfg.steps
+    pending = None
     step = step_offset
     for start in range(0, cfg.steps, block_steps):
         steps = min(block_steps, cfg.steps - start)
         block = _draw_minibatch(rng, problem.sample_count, cfg.minibatch, steps)
         for idx in [None] * steps if block is None else block:
             step += 1
-            grad = gradient(w, lam, idx)
+            if pending is None:
+                grad = gradient(w, lam, idx)
+            else:
+                f, grad = gradient(w, lam, with_metrics=True)
+                sink(pending, lam, w, f)
+                pending = None
             w = w - alpha * grad
             # A NaN/Inf in the gradient reaches the iterate, so one screen of
             # the iterate covers both. A finite sum certifies a finite block,
@@ -329,7 +369,10 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
             if not math.isfinite(w.sum()):
                 _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam)
             if record and step % cfg.record_every == 0:
-                sink(step, lam, w, metrics(w, lam))
+                if defer and step < last:
+                    pending = step
+                else:
+                    sink(step, lam, w, metrics(w, lam))
     return w
 
 

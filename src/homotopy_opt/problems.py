@@ -14,6 +14,11 @@ its 1-row view. ``lam`` is a float, the same lambda for every row, or an
 is, bit for bit, the one the float call at that lambda gives. Every lambda
 must lie in [0, 1]. The minibatch gradient over all N indices equals the
 full gradient and minibatch gradients are unbiased estimates of it.
+With ``idx`` None, ``gradient(W, lam, with_metrics=True)`` also returns
+``epoch_metrics(W, lam)`` from the same model pass (the label families'
+``metrics`` of their outputs, the cubic family's of its scores), bit for
+bit the rows of ``epoch_metrics``; the engine takes a full-batch record
+from it.
 Instances are immutable after construction: constructors copy their arrays
 and mark the copies read-only, and all evaluations are pure, so they are
 safe to share across concurrent runs.
@@ -76,11 +81,13 @@ class HomotopyProblem(ABC):
         return self.epoch_metrics(W, lam)[0]
 
     @abstractmethod
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
         """Mean gradient of each row over its samples idx[r] (None: all N), as an (R, d) block.
 
         With ``with_value``, returns (values, gradients), values being each
-        row's mean loss over the same samples.
+        row's mean loss over the same samples. With ``with_metrics``, honoured
+        only with idx=None, returns (epoch_metrics(W, lam), gradients) from
+        the same model pass, each row bit for bit the rows of ``epoch_metrics``.
         """
 
     def full_objective(self, w, lam):
@@ -101,7 +108,7 @@ class LabelInterpolationProblem(HomotopyProblem):
     The labels at lambda are y_lam = lambda * y_target + (1 - lambda) *
     y_source and the objective is f(w, lambda) = mean((o(w) - y_lam)^2); a
     family supplies the lambda-free model output o(w) (``outputs``) and its
-    ``gradient``.
+    ``gradient``, and ``metrics`` turns outputs into ``epoch_metrics``.
     """
 
     def __init__(self, xs, ys_target, ys_source):
@@ -143,11 +150,15 @@ class LabelInterpolationProblem(HomotopyProblem):
         """Each row's objective at lam from its model ``outputs``: one output pass serves every lambda."""
         return np.mean((outputs - self.labels(lam)) ** 2, axis=1)
 
+    def metrics(self, outputs, lam):
+        """``epoch_metrics`` from the model ``outputs``: the objective and no second metric."""
+        return self.loss(outputs, lam), None
+
     def objective(self, W, lam):
         return self.loss(self.outputs(W), lam)
 
     def epoch_metrics(self, W, lam):
-        return self.objective(W, lam), None
+        return self.metrics(self.outputs(W), lam)
 
 
 class ErfRegressionProblem(LabelInterpolationProblem):
@@ -162,11 +173,14 @@ class ErfRegressionProblem(LabelInterpolationProblem):
     def outputs(self, W):
         return erf(W[:, :1] * self.xs)
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
         x = self.xs if idx is None else self.xs[idx]
         u = W[:, :1] * x
-        res = erf(u) - self.labels(lam, idx)
+        out = erf(u)
+        res = out - self.labels(lam, idx)
         grad = np.mean(2.0 * res * TWO_OVER_SQRT_PI * np.exp(-(u**2)) * x, axis=1, keepdims=True)
+        if with_metrics:
+            return self.metrics(out, lam), grad
         return (np.mean(res**2, axis=1), grad) if with_value else grad
 
 
@@ -231,12 +245,11 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     def outputs(self, W):
         return self._forward(self.unpack(W), self.xs)[2]
 
-    def epoch_metrics(self, W, lam):
+    def metrics(self, outputs, lam):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
-        out = self.outputs(W)
-        return self.loss(out, lam), self.loss(out, 1.0)
+        return self.loss(outputs, lam), self.loss(outputs, 1.0)
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
         # Sums over the sample axis go through einsum: the same sequential
         # order as ndarray.sum(axis=1), without its per-row loop overhead.
         x = self.xs[None] if idx is None else self.xs[idx]
@@ -270,6 +283,8 @@ class MlpRegressionProblem(LabelInterpolationProblem):
             gW2, gb2, gW3,
             d_out.sum(axis=1, keepdims=True),                  # gb3
         ], axis=1)
+        if with_metrics:
+            return self.metrics(out, lam), grad
         return (np.mean(res**2, axis=1), grad) if with_value else grad
 
 
@@ -312,13 +327,16 @@ class CubicLogisticProblem(HomotopyProblem):
     def _loss(z, y):
         return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
 
+    def _metrics(self, z):
+        """Objective and 0/1 classification error of each row of the (R, N) scores z."""
+        return self._loss(z, self.labels01), np.mean((z >= 0.0) != (self.labels01 == 1.0), axis=1)
+
     def epoch_metrics(self, W, lam):
         """Objective and 0/1 classification error of each row, from one pass over the scores."""
         _check_lambda(lam)
-        z = self.scores(W, lam)
-        return self._loss(z, self.labels01), np.mean((z >= 0.0) != (self.labels01 == 1.0), axis=1)
+        return self._metrics(self.scores(W, lam))
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
         _check_lambda(lam)
         phi = self.phi if idx is None else self.phi[idx]
         y = self.labels01 if idx is None else self.labels01[idx]
@@ -326,6 +344,8 @@ class CubicLogisticProblem(HomotopyProblem):
         z = np.einsum("...k,...k->...", phi, (W * gate)[:, None, :])
         d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
         grad = np.einsum("...m,...mk->...k", d, phi) * gate
+        if with_metrics:
+            return self._metrics(z), grad
         return (self._loss(z, y), grad) if with_value else grad
 
 
@@ -352,11 +372,13 @@ class QuadraticTrackingProblem(HomotopyProblem):
         _check_lambda(lam)
         return 0.5 * self.mu * (W[:, :1] - lam)[:, 0] ** 2, None
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
         _check_lambda(lam)
         d = W[:, :1] - lam
         b = np.mean(self.offsets if idx is None else self.offsets[idx], axis=-1, keepdims=True)
         grad = self.mu * d + self.mu * b
+        if with_metrics:
+            return self.epoch_metrics(W, lam), grad
         return ((0.5 * self.mu * d**2 + self.mu * b * d)[:, 0], grad) if with_value else grad
 
     def oracle_variance(self, minibatch):

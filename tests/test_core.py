@@ -275,18 +275,26 @@ def floyd_reference(rng, sample_count, minibatch, steps):
     return block
 
 
+# At N = 3e9 about 30% of the 32-bit words are rejected, so nearly every
+# generator takes the redraw; N = 2^32 is the last N drawn from raw words,
+# N = 2^33 draws 64-bit words.
 @pytest.mark.parametrize("N, M", [(1000, 20), (500, 5), (64, 8), (100, 99), (10, 9), (5, 3),
-                                  (2, 1), (7, 1)])
+                                  (2, 1), (7, 1), (3_000_000_000, 4), (2**32, 2), (2**33, 3)])
 def test_sampler_matches_the_reference_collision_pass(N, M):
     for repeats in (1, 2, 7):
-        for steps in (1, 37, 300):
+        for steps, used in ((1, 0), (37, 0), (300, 0), (37, 1)):
             seeds = [stream_seed(19, r) for r in range(repeats)]
             ours, theirs = [make_rng(s) for s in seeds], [make_rng(s) for s in seeds]
+            # Generator r first takes r + used 32-bit words: an odd count
+            # leaves PCG64 holding the other half of its last 64-bit output.
+            for r, g in enumerate(ours + theirs):
+                g.integers(0, 2**32, size=r % repeats + used, dtype=np.uint64)
+            assert ours[-1].bit_generator.state["has_uint32"] == (repeats - 1 + used) % 2
             one = repeats == 1  # a lone generator, not a sequence of one
             block = _draw_minibatch(ours[0] if one else ours, N, M, steps)
             expected = floyd_reference(theirs[0] if one else theirs, N, M, steps)
             assert block.shape == expected.shape and block.dtype == expected.dtype
-            assert np.array_equal(block, expected), (repeats, steps)
+            assert np.array_equal(block, expected), (repeats, steps, used)
             # Gathers take their index array's layout, and the families'
             # reductions over a gathered block depend on it.
             assert block.flags.c_contiguous

@@ -694,6 +694,76 @@ def test_chunked_epoch_metrics_equal_one_block(experiment, monkeypatch):
             assert aux is None or np.array_equal(aux, ref_aux)
 
 
+def full_batch_problem(experiment, rows):
+    """The experiment's problem at N = 100 and ``rows`` start rows around its start point."""
+    cfg = ExperimentConfig.from_dict({"experiment": experiment, "dataset": {"N": 100}})
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    assert problem.sample_count == 100
+    return problem, w0 + 0.1 * make_rng(5).standard_normal((rows, problem.dimension))
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_full_batch_records_come_from_the_next_gradient_pass(experiment, monkeypatch):
+    # 251 rows at N = 100 make two record chunks, of 250 rows and 1 row,
+    # while the gradient pass that gives a deferred record takes all 251.
+    problem, W0 = full_batch_problem(experiment, 251)
+    assert core.EPOCH_CHUNK_ELEMENTS // 100 < 251
+    chunked = in_row_chunks
+    direct = []
+
+    def counting(problem_, evaluate, W, lam, idx=None):
+        direct.append(evaluate == problem.epoch_metrics)
+        return chunked(problem_, evaluate, W, lam, idx)
+
+    monkeypatch.setattr(core, "in_row_chunks", counting)
+    for method, lams, steps, every in (("hsgd", [1 / 3, 2 / 3, 1.0], 3, 1), ("sgd", [1.0], 6, 2)):
+        rngs = [make_rng(r) for r in range(len(W0))]
+        records, iterates = [], []
+
+        def sink(step, lam, W, metrics):
+            records.append((step, lam))
+            iterates.append(W.copy())
+            obj, aux = chunked(problem, problem.epoch_metrics, W, lam)
+            assert np.array_equal(metrics[0], obj) and (metrics[1] is None) == (aux is None)
+            assert aux is None or np.array_equal(metrics[1], aux)
+
+        cfg = SgdConfig(0.01, steps, 100, record_every=every)
+        direct.clear()
+        if method == "hsgd":
+            hsgd_run(W0, make_schedule("constant", len(lams)), cfg, problem, rngs, sink=sink)
+        else:
+            sgd_run(W0, cfg, problem, 1.0, rngs, sink=sink)
+        assert records == [(i * steps + s, lam) for i, lam in enumerate(lams)
+                           for s in range(every, steps + 1, every)]
+        # Only the last record of each sgd_run call is a direct evaluation.
+        assert direct == [True] * len(lams)
+        # Each record sees the iterate an unrecorded run reaches at its step.
+        for (step, lam), W in zip(records, iterates):
+            stage, within = divmod(step - 1, steps)
+            W_ref = W0
+            for lam_i in lams[:stage]:
+                W_ref = sgd_run(W_ref, SgdConfig(0.01, steps, 100), problem, lam_i,
+                                [make_rng(r) for r in range(len(W0))])
+            W_ref = sgd_run(W_ref, SgdConfig(0.01, within + 1, 100), problem, lam,
+                            [make_rng(r) for r in range(len(W0))])
+            assert np.array_equal(W, W_ref)
+
+
+def test_diverging_full_batch_block_fails_at_the_same_step():
+    problem, W0 = full_batch_problem("sine-mlp", 7)
+    cfg = SgdConfig(1e150, 20, 100, record_every=1)
+    errors, records = [], []
+    with np.errstate(all="ignore"):
+        for sink in (None, lambda step, lam, W, metrics: records.append(step)):
+            with pytest.raises(NonFiniteError) as err:
+                sgd_run(W0, cfg, problem, 1.0, [make_rng(r) for r in range(7)], sink=sink)
+            errors.append(err.value)
+    plain, recorded = errors
+    assert (recorded.what, recorded.step, recorded.repeat, str(recorded)) == \
+        (plain.what, plain.step, plain.repeat, str(plain))
+    assert records == list(range(1, plain.step))
+
+
 def test_fstar_coarse_grid_equals_fine_grid():
     # The 1e-2 grid only has to bracket the minimum for the bisection
     # refine; on the experiment's own lambda set it lands on the same bits
