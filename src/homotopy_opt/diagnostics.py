@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigurationError, _draw_minibatch, in_row_chunks, make_rng
-from .problems import LabelInterpolationProblem
 
 
 LEAST_NORMAL = np.finfo(float).tiny
@@ -145,12 +144,12 @@ class FstarEstimate:
 def _grid_fstar(problem, lams, lo, hi, step):
     """The grid f* at each lambda of ``lams``: the first grid minimum, then a bisection refine.
 
-    One pass over the grid, in row chunks: a label-interpolation family
-    computes its model outputs once per chunk and each lambda's values from
-    them (``loss``), any other family calls ``objective`` once per lambda.
-    Each chunk keeps only its first least value and cell per lambda, and
-    the first least of the chunk winners is the cell ``np.argmin`` over the
-    whole grid picks, a tie or a NaN (the first NaN wins) included.
+    One pass over the grid, in row chunks: ``problem.objectives`` gives a
+    chunk's values at every lambda (a label-interpolation family from one
+    model-output pass). Each chunk keeps only its first least value and
+    cell per lambda, and the first least of the chunk winners is the cell
+    ``np.argmin`` over the whole grid picks, a tie or a NaN (the first NaN
+    wins) included.
     """
     grid = np.arange(lo, hi + step / 2, step)
     if grid.size == 0:
@@ -158,11 +157,7 @@ def _grid_fstar(problem, lams, lo, hi, step):
     cols = np.arange(len(lams))
 
     def chunk_winners(W, _):
-        if isinstance(problem, LabelInterpolationProblem):
-            out = problem.outputs(W)
-            vals = np.array([problem.loss(out, lam) for lam in lams])
-        else:
-            vals = np.array([problem.objective(W, lam) for lam in lams])
+        vals = problem.objectives(W, lams)
         j = np.argmin(vals, axis=1)
         return vals[cols, j][None], W[j, 0][None]
     vals, ws = in_row_chunks(problem, chunk_winners, grid[:, None], None)

@@ -1,24 +1,23 @@
 """Parametric problem families with analytic gradients and homotopy maps.
 
-Every family implements one batched oracle over an (R, d) block ``W`` of
-iterates, one row per repeat: ``gradient(W, lam, idx)`` is each row's mean
-gradient over the samples ``idx[r]`` of row r, or over all N samples when
-``idx`` is None, and ``epoch_metrics(W, lam)`` each row's full objective
-and second metric (or None). It is the only pair a family implements:
-``objective(W, lam)`` is its first half (the label-interpolation base
-computes it alone, from the model ``outputs``), and the single-point surface,
-``full_objective(w, lam)``, ``full_gradient(w, lam)`` and
-``minibatch_value_and_gradient(w, lam, indices)`` (None: all N samples), is
-its 1-row view. ``lam`` is a float, the same lambda for every row, or an
-(R, 1) column giving row r its own lambda ``lam[r, 0]``; each row's result
-is, bit for bit, the one the float call at that lambda gives. Every lambda
-must lie in [0, 1]. The minibatch gradient over all N indices equals the
-full gradient and minibatch gradients are unbiased estimates of it.
-With ``idx`` None, ``gradient(W, lam, with_metrics=True)`` also returns
-``epoch_metrics(W, lam)`` from the same model pass (the label families'
-``metrics`` of their outputs, the cubic family's of its scores), bit for
-bit the rows of ``epoch_metrics``; the engine takes a full-batch record
-from it.
+Every family implements one batched pair over an (R, d) block ``W`` of
+iterates, one row per repeat: ``epoch_metrics(W, lam)`` is each row's full
+objective and second metric (or None), and ``gradient(W, lam, idx=None,
+with_metrics=False)`` each row's mean gradient over the samples ``idx[r]``
+of row r, or over all N samples when ``idx`` is None. With ``with_metrics``
+it returns ``(metrics, grads)`` from the same model pass: at ``idx`` None,
+bit for bit the rows of ``epoch_metrics`` (the engine's full-batch
+record); at a minibatch, each row's objective and second metric over its
+own samples. ``objective(W, lam)`` is the first half of ``epoch_metrics``,
+``objectives(W, lams)`` its rows at each lambda of a sequence (one model
+pass for a label family), and the single-point surface, ``full_objective``,
+``full_gradient`` and ``minibatch_value_and_gradient(w, lam, indices)``
+(None: all N samples), is their 1-row view. ``lam`` is a float, the same
+lambda for every row, or an (R, 1) column giving row r its own lambda
+``lam[r, 0]``; each row's result is, bit for bit, the one the float call
+at that lambda gives. Every lambda must lie in [0, 1]. The minibatch
+gradient over all N indices equals the full gradient and minibatch
+gradients are unbiased estimates of it.
 Instances are immutable after construction: constructors copy their arrays
 and mark the copies read-only, and all evaluations are pure, so they are
 safe to share across concurrent runs.
@@ -29,7 +28,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import erf
 
 from .core import ConfigurationError, make_rng
 
@@ -80,14 +78,18 @@ class HomotopyProblem(ABC):
         """Full objective of each row of the (R, d) block W."""
         return self.epoch_metrics(W, lam)[0]
 
+    def objectives(self, W, lams):
+        """``objective`` at each lambda of the sequence ``lams``, one (R,) row per lambda."""
+        return np.array([self.objective(W, lam) for lam in lams])
+
     @abstractmethod
-    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         """Mean gradient of each row over its samples idx[r] (None: all N), as an (R, d) block.
 
-        With ``with_value``, returns (values, gradients), values being each
-        row's mean loss over the same samples. With ``with_metrics``, honoured
-        only with idx=None, returns (epoch_metrics(W, lam), gradients) from
-        the same model pass, each row bit for bit the rows of ``epoch_metrics``.
+        With ``with_metrics``, returns (metrics, gradients), the metrics from
+        the same model pass: at idx=None each row bit for bit the rows of
+        ``epoch_metrics``; at a minibatch each row's mean objective and
+        second metric (or None) over the same samples.
         """
 
     def full_objective(self, w, lam):
@@ -95,7 +97,7 @@ class HomotopyProblem(ABC):
 
     def minibatch_value_and_gradient(self, w, lam, indices):
         idx = None if indices is None else np.asarray(indices)[None]
-        values, grads = self.gradient(_block(w), lam, idx, with_value=True)
+        (values, _), grads = self.gradient(_block(w), lam, idx, with_metrics=True)
         return float(values[0]), grads[0]
 
     def full_gradient(self, w, lam):
@@ -108,7 +110,7 @@ class LabelInterpolationProblem(HomotopyProblem):
     The labels at lambda are y_lam = lambda * y_target + (1 - lambda) *
     y_source and the objective is f(w, lambda) = mean((o(w) - y_lam)^2); a
     family supplies the lambda-free model output o(w) (``outputs``) and its
-    ``gradient``, and ``metrics`` turns outputs into ``epoch_metrics``.
+    ``gradient``, and ``metrics`` turns outputs into ``epoch_metrics`` (or a minibatch's).
     """
 
     def __init__(self, xs, ys_target, ys_source):
@@ -146,16 +148,20 @@ class LabelInterpolationProblem(HomotopyProblem):
     def outputs(self, W):
         """Model output of each row of the (R, d) block W at every sample, an (R, N) array."""
 
-    def loss(self, outputs, lam):
-        """Each row's objective at lam from its model ``outputs``: one output pass serves every lambda."""
-        return np.mean((outputs - self.labels(lam)) ** 2, axis=1)
+    def loss(self, outputs, lam, idx=None):
+        """Each row's objective at lam from its ``outputs`` (at the samples idx), for any lambda."""
+        return np.mean((outputs - self.labels(lam, idx)) ** 2, axis=1)
 
-    def metrics(self, outputs, lam):
-        """``epoch_metrics`` from the model ``outputs``: the objective and no second metric."""
-        return self.loss(outputs, lam), None
+    def metrics(self, outputs, lam, idx=None):
+        """The objective from ``outputs`` (at the samples idx) and no second metric."""
+        return self.loss(outputs, lam, idx), None
 
     def objective(self, W, lam):
         return self.loss(self.outputs(W), lam)
+
+    def objectives(self, W, lams):
+        out = self.outputs(W)
+        return np.array([self.loss(out, lam) for lam in lams])
 
     def epoch_metrics(self, W, lam):
         return self.metrics(self.outputs(W), lam)
@@ -170,18 +176,21 @@ class ErfRegressionProblem(LabelInterpolationProblem):
 
     dimension = 1
 
-    def outputs(self, W):
-        return erf(W[:, :1] * self.xs)
+    def __init__(self, *arrays):
+        super().__init__(*arrays)
+        from scipy.special import erf  # here, not at import: only this family needs scipy
+        self.erf = erf
 
-    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
+    def outputs(self, W):
+        return self.erf(W[:, :1] * self.xs)
+
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         x = self.xs if idx is None else self.xs[idx]
         u = W[:, :1] * x
-        out = erf(u)
+        out = self.erf(u)
         res = out - self.labels(lam, idx)
         grad = np.mean(2.0 * res * TWO_OVER_SQRT_PI * np.exp(-(u**2)) * x, axis=1, keepdims=True)
-        if with_metrics:
-            return self.metrics(out, lam), grad
-        return (np.mean(res**2, axis=1), grad) if with_value else grad
+        return (self.metrics(out, lam, idx), grad) if with_metrics else grad
 
 
 # Fixed MLP architecture: 1 - 10 - 10 - 1, tanh hidden units, identity output.
@@ -239,17 +248,14 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         out = (a2 @ W3[:, 0, :, None])[:, :, 0] + b3
         return a1, a2, out
 
-    def predict(self, w, xs):
-        return self._forward(self.unpack(_block(w)), np.asarray(xs, dtype=float))[2][0]
-
     def outputs(self, W):
         return self._forward(self.unpack(W), self.xs)[2]
 
-    def metrics(self, outputs, lam):
+    def metrics(self, outputs, lam, idx=None):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
-        return self.loss(outputs, lam), self.loss(outputs, 1.0)
+        return self.loss(outputs, lam, idx), self.loss(outputs, 1.0, idx)
 
-    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         # Sums over the sample axis go through einsum: the same sequential
         # order as ndarray.sum(axis=1), without its per-row loop overhead.
         x = self.xs[None] if idx is None else self.xs[idx]
@@ -283,9 +289,7 @@ class MlpRegressionProblem(LabelInterpolationProblem):
             gW2, gb2, gW3,
             d_out.sum(axis=1, keepdims=True),                  # gb3
         ], axis=1)
-        if with_metrics:
-            return self.metrics(out, lam), grad
-        return (np.mean(res**2, axis=1), grad) if with_value else grad
+        return (self.metrics(out, lam, idx), grad) if with_metrics else grad
 
 
 class CubicLogisticProblem(HomotopyProblem):
@@ -324,19 +328,16 @@ class CubicLogisticProblem(HomotopyProblem):
         return np.einsum("...k,...k->...", self.phi, gated[..., None, :])
 
     @staticmethod
-    def _loss(z, y):
-        return np.mean(np.logaddexp(0.0, z) - y * z, axis=1)
-
-    def _metrics(self, z):
-        """Objective and 0/1 classification error of each row of the (R, N) scores z."""
-        return self._loss(z, self.labels01), np.mean((z >= 0.0) != (self.labels01 == 1.0), axis=1)
+    def _metrics(z, y):
+        """Objective and 0/1 classification error of each row of the scores z under the labels y."""
+        return np.mean(np.logaddexp(0.0, z) - y * z, axis=1), np.mean((z >= 0.0) != (y == 1.0), axis=1)
 
     def epoch_metrics(self, W, lam):
         """Objective and 0/1 classification error of each row, from one pass over the scores."""
         _check_lambda(lam)
-        return self._metrics(self.scores(W, lam))
+        return self._metrics(self.scores(W, lam), self.labels01)
 
-    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         _check_lambda(lam)
         phi = self.phi if idx is None else self.phi[idx]
         y = self.labels01 if idx is None else self.labels01[idx]
@@ -344,9 +345,7 @@ class CubicLogisticProblem(HomotopyProblem):
         z = np.einsum("...k,...k->...", phi, (W * gate)[:, None, :])
         d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
         grad = np.einsum("...m,...mk->...k", d, phi) * gate
-        if with_metrics:
-            return self._metrics(z), grad
-        return (self._loss(z, y), grad) if with_value else grad
+        return (self._metrics(z, y), grad) if with_metrics else grad
 
 
 class QuadraticTrackingProblem(HomotopyProblem):
@@ -372,14 +371,17 @@ class QuadraticTrackingProblem(HomotopyProblem):
         _check_lambda(lam)
         return 0.5 * self.mu * (W[:, :1] - lam)[:, 0] ** 2, None
 
-    def gradient(self, W, lam, idx=None, with_value=False, with_metrics=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         _check_lambda(lam)
         d = W[:, :1] - lam
         b = np.mean(self.offsets if idx is None else self.offsets[idx], axis=-1, keepdims=True)
         grad = self.mu * d + self.mu * b
-        if with_metrics:
+        if not with_metrics:
+            return grad
+        if idx is None:
             return self.epoch_metrics(W, lam), grad
-        return ((0.5 * self.mu * d**2 + self.mu * b * d)[:, 0], grad) if with_value else grad
+        # The minibatch objective: the mean of the per-sample objectives.
+        return ((0.5 * self.mu * d**2 + self.mu * b * d)[:, 0], None), grad
 
     def oracle_variance(self, minibatch):
         """Exact E||g - grad f||^2 for sampling without replacement."""

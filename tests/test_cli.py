@@ -87,6 +87,19 @@ def cli_process(args, setup=""):
                           text=True, env=env, timeout=300)
 
 
+def test_scipy_is_imported_only_by_the_erf_family():
+    # scipy is most of the CLI's import time and only toy-erf evaluates erf,
+    # so the import waits for that family's constructor.
+    proc = cli_process([], "def builds_scipy(experiment):\n"
+                           "    cfg = harness.ExperimentConfig.from_dict({'experiment': experiment})\n"
+                           "    harness.build_problem(cfg, harness.build_dataset(cfg))\n"
+                           "    return 'scipy' in sys.modules\n"
+                           "print('scipy' in sys.modules, builds_scipy('moons-logistic'),"
+                           " builds_scipy('toy-erf'))\n"
+                           "sys.exit(0)")
+    assert (proc.returncode, proc.stdout.split()) == (0, ["False", "False", "True"]), proc.stderr
+
+
 def test_diverged_arm_writes_no_numpy_warning(tmp_path):
     # A diverged arm is reported by its NonFiniteError; numpy's overflow
     # warnings, printed again by every process of a split arm, are not. The

@@ -34,9 +34,9 @@ class NoiselessQuadratic(HomotopyProblem):
     def epoch_metrics(self, W, lam):
         return 0.5 * self.a * W[:, 0] ** 2, None
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         grads = self.a * W[:, :1]
-        return (self.objective(W, lam), grads) if with_value else grads
+        return ((self.objective(W, lam), None), grads) if with_metrics else grads
 
 
 class BlowupProblem(HomotopyProblem):
@@ -51,10 +51,10 @@ class BlowupProblem(HomotopyProblem):
     def epoch_metrics(self, W, lam):
         return np.zeros(len(W)), None
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         self.calls += 1
         grads = np.full((len(W), 1), np.inf if self.calls >= self.bad_step else 1.0)
-        return (self.objective(W, lam), grads) if with_value else grads
+        return ((self.objective(W, lam), None), grads) if with_metrics else grads
 
 
 class IndexRecorder(HomotopyProblem):
@@ -69,10 +69,10 @@ class IndexRecorder(HomotopyProblem):
     def epoch_metrics(self, W, lam):
         return np.zeros(len(W)), None
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         self.blocks.append(None if idx is None else np.array(idx))
         grads = np.zeros_like(W)
-        return (np.zeros(len(W)), grads) if with_value else grads
+        return ((np.zeros(len(W)), None), grads) if with_metrics else grads
 
 
 def test_single_half_step_on_quadratic():

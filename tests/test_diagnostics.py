@@ -27,9 +27,9 @@ class Scalar1D(HomotopyProblem):
     def epoch_metrics(self, W, lam):
         return np.array([float(self.f(w)) for w in W[:, 0]]), None
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         grads = np.array([[self.df(w)] for w in W[:, 0]], dtype=float)
-        return (self.objective(W, lam), grads) if with_value else grads
+        return ((self.objective(W, lam), None), grads) if with_metrics else grads
 
 
 def quadratic(a=1.0, center=0.0):
@@ -626,10 +626,10 @@ class ShiftedQuadratic(HomotopyProblem):
     def epoch_metrics(self, W, lam):
         return ((W[:, :1] - self.shift - lam) ** 2)[:, 0], None
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         self.gradient_calls += 1
         grad = 2.0 * (W[:, :1] - self.shift - lam)
-        return (self.objective(W, lam), grad) if with_value else grad
+        return ((self.objective(W, lam), None), grad) if with_metrics else grad
 
 
 @pytest.mark.parametrize("shift, stops_early", [(0.0, False), (1e6, True)])
@@ -666,9 +666,9 @@ class Blowup(HomotopyProblem):
     def epoch_metrics(self, W, lam):
         return np.zeros(len(W)), None
 
-    def gradient(self, W, lam, idx=None, with_value=False):
+    def gradient(self, W, lam, idx=None, with_metrics=False):
         grad = np.where(W[:, :1] > 1.0, self.fill, W)
-        return (self.objective(W, lam), grad) if with_value else grad
+        return ((self.objective(W, lam), None), grad) if with_metrics else grad
 
 
 @pytest.mark.parametrize("fill", [np.nan, np.inf])

@@ -1,14 +1,16 @@
 """Problem families: objectives, analytic gradients and homotopy maps."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from conftest import small_family
-from homotopy_opt import core, harness
+from homotopy_opt import core, harness, problems
 from homotopy_opt.core import ConfigurationError, make_rng
 from homotopy_opt.problems import (
     MLP_DIMENSION,
@@ -153,7 +155,7 @@ def test_mlp_objective_quadratic_in_lambda(small_mlp):
 
 def test_mlp_predict_matches_objective(small_mlp):
     w = small_mlp.default_init(seed=5)
-    res = small_mlp.predict(w, small_mlp.xs) - small_mlp.y_target
+    res = small_mlp.outputs(w[None])[0] - small_mlp.y_target
     assert abs(small_mlp.full_objective(w, 1.0) - np.mean(res**2)) < 1e-15
 
 
@@ -304,7 +306,7 @@ def test_endpoint_consistency(small_erf, small_mlp, small_moons):
         assert abs(small_erf.full_objective(w, 0.0) - src) <= 1e-12 * max(1, src)
     for _ in range(20):
         w = 0.3 * rng.standard_normal(141)
-        pred = small_mlp.predict(w, small_mlp.xs)
+        pred = small_mlp.outputs(w[None])[0]
         tgt = np.mean((pred - small_mlp.y_target) ** 2)
         src = np.mean((pred - small_mlp.y_source) ** 2)
         assert abs(small_mlp.full_objective(w, 1.0) - tgt) <= 1e-12 * max(1, tgt)
@@ -321,6 +323,46 @@ def test_endpoint_consistency(small_erf, small_mlp, small_moons):
 COLUMN_LAMBDAS = [0.0, 1.0, 0.37, 0.0, 0.91, 1.0, 0.5, 0.12, 0.63, 1.0, 0.0]
 
 
+def label_minibatch_outputs(problem, W, idx):
+    """Each row's model outputs at its own samples idx[r], from a family built on those samples."""
+    return np.concatenate([type(problem)(problem.xs[i], problem.y_target[i], problem.y_source[i])
+                           .outputs(W[r:r + 1]) for r, i in enumerate(idx)])
+
+
+def erf_minibatch_metrics(problem, W, lam, idx):
+    res = erf(W[:, :1] * problem.xs[idx]) - problem.labels(lam, idx)
+    return np.mean(res**2, axis=1), None
+
+
+def mlp_minibatch_metrics(problem, W, lam, idx):
+    out = label_minibatch_outputs(problem, W, idx)
+    res = out - problem.labels(lam, idx)
+    return np.mean(res**2, axis=1), np.mean((out - problem.y_target[idx]) ** 2, axis=1)
+
+
+def moons_minibatch_metrics(problem, W, lam, idx):
+    z = np.take_along_axis(problem.scores(W, lam), idx, axis=1)
+    y = problem.labels01[idx]
+    return np.mean(np.logaddexp(0.0, z) - y * z, axis=1), np.mean((z >= 0.0) != (y == 1.0), axis=1)
+
+
+def quadratic_minibatch_metrics(problem, W, lam, idx):
+    d = W[:, :1] - lam
+    b = np.mean(problem.offsets[idx], axis=-1, keepdims=True)
+    return (0.5 * problem.mu * d**2 + problem.mu * b * d)[:, 0], None
+
+
+# Each family's objective and second metric over the samples idx[r] of row
+# r, by its per-sample formulas (the minibatch value is the one ``gradient``
+# gave before it returned metrics at a minibatch).
+MINIBATCH_METRICS = {
+    "toy-erf": erf_minibatch_metrics,
+    "sine-mlp": mlp_minibatch_metrics,
+    "moons-logistic": moons_minibatch_metrics,
+    "synthetic-lq": quadratic_minibatch_metrics,
+}
+
+
 @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
 def test_column_lambda_equals_float_calls_row_for_row(experiment, chunk_budget):
     problem = small_family(experiment)
@@ -330,23 +372,32 @@ def test_column_lambda_equals_float_calls_row_for_row(experiment, chunk_budget):
     # 25 of 30 samples per row: 8 rows per chunk under the chunked budget.
     idx = core._draw_minibatch(rng, problem.sample_count, 25, len(W))
 
-    def with_value(block, lam, idx=None):
-        return problem.gradient(block, lam, idx, with_value=True)
+    def with_metrics(block, lam, idx=None):
+        # Flat, so that in_row_chunks concatenates each item.
+        (value, aux), grad = problem.gradient(block, lam, idx, with_metrics=True)
+        return value, aux, grad
 
     objective = core.in_row_chunks(problem, problem.objective, W, column)
     metrics = core.in_row_chunks(problem, problem.epoch_metrics, W, column)
-    full = core.in_row_chunks(problem, with_value, W, column)
-    mini = core.in_row_chunks(problem, with_value, W, column, idx)
+    full = core.in_row_chunks(problem, with_metrics, W, column)
+    mini = core.in_row_chunks(problem, with_metrics, W, column, idx)
     for r, lam in enumerate(COLUMN_LAMBDAS):
         row = W[r:r + 1]
         assert objective[r] == problem.objective(row, lam)[0]
         values, aux = problem.epoch_metrics(row, lam)
         assert metrics[0][r] == values[0]
         assert (metrics[1] is None) if aux is None else metrics[1][r] == aux[0]
-        for block, (value, grad) in ((full, problem.gradient(row, lam, with_value=True)),
-                                     (mini, problem.gradient(row, lam, idx[r:r + 1], True))):
+        for block, (value, aux, grad) in ((full, with_metrics(row, lam)),
+                                          (mini, with_metrics(row, lam, idx[r:r + 1]))):
             assert block[0][r] == value[0]
-            assert np.array_equal(block[1][r], grad[0])
+            assert (block[1] is None) if aux is None else block[1][r] == aux[0]
+            assert np.array_equal(block[2][r], grad[0])
+    # The metrics at a minibatch are, bit for bit, the per-sample formulas over
+    # each row's samples, under a column and under a float lambda.
+    for lam, (value, aux, _) in ((column, mini), (0.37, with_metrics(W, 0.37, idx))):
+        ref_value, ref_aux = MINIBATCH_METRICS[experiment](problem, W, lam, idx)
+        assert value.tobytes() == ref_value.tobytes()
+        assert (aux is None) if ref_aux is None else aux.tobytes() == ref_aux.tobytes()
 
 
 def test_column_labels_copy_the_endpoints():
@@ -424,7 +475,7 @@ def test_family_must_implement_the_batched_pair():
         def objective(self, W, lam):
             return np.zeros(len(W))
 
-        def gradient(self, W, lam, idx=None, with_value=False):
+        def gradient(self, W, lam, idx=None, with_metrics=False):
             return np.zeros_like(W)
 
     with pytest.raises(TypeError, match="abstract method.*epoch_metrics"):
@@ -436,3 +487,30 @@ def test_family_must_implement_the_batched_pair():
 
     with pytest.raises(TypeError, match="abstract method.*gradient"):
         MetricsOnly()
+
+
+def test_only_problems_names_a_family_type():
+    # What differs between families lives in their classes: a type check
+    # against one of them, or an import from ``problems``, anywhere else in
+    # the package would be a family branch outside it. Building a family as
+    # ``problems.<Class>(...)`` (harness.EXPERIMENTS) is no branch.
+    source = Path(problems.__file__)
+    families = {node.name for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ClassDef)}
+
+    def names_family(node):
+        return any(isinstance(n, ast.Name) and n.id in families
+                   or isinstance(n, ast.Attribute) and n.attr in families for n in ast.walk(node))
+
+    found = []
+    for path in sorted(source.parent.glob("*.py")):
+        if path == source:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass")
+                    and len(node.args) == 2 and names_family(node.args[1])
+                    or isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "problems"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert families and found == [], f"a family type is named outside problems.py at {found}"
