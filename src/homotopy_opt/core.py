@@ -28,12 +28,6 @@ SAMPLER = "floyd-block-v1"
 # do not depend on B. 128,000 int64 elements are 1 MB, the block of 64 steps
 # of moons-logistic (R = 100, M = 20); sine-mlp (M = 5) gets 256 steps.
 SAMPLER_BLOCK_ELEMENTS = 128_000
-# Matrix elements (rows x samples) one block evaluation works on: a record,
-# and every estimator in diagnostics, evaluates max(1, EPOCH_CHUNK_ELEMENTS
-# // N) rows at a time (``in_row_chunks``). The per-sample temporaries of a
-# whole block (sine-mlp: R x N x 10) spill out of cache and would set the
-# peak memory; each row's arithmetic does not change.
-EPOCH_CHUNK_ELEMENTS = 25_000
 # Repeat-steps (repeats x steps of one arm) from which a run cuts an arm's
 # repeats into one slice per usable CPU, each slice but the first in a
 # forked worker (``harness._run_arm``). Not part of the contract: no output
@@ -254,29 +248,6 @@ def _draw_minibatch(rng, sample_count, minibatch, steps):
     return block[:, 0] if single else block
 
 
-def in_row_chunks(problem, evaluate, W, lam, idx=None):
-    """``evaluate(W, lam)``, or ``evaluate(W, lam, idx)``, a few rows of W at a time.
-
-    ``evaluate`` is a batched method of ``problem`` (``objective``,
-    ``gradient``, ``epoch_metrics``). W, and ``idx`` and an (R, 1) column
-    ``lam`` alongside it, is cut into chunks of max(1, EPOCH_CHUNK_ELEMENTS
-    // m) rows, m the samples a row reads (N, or idx.shape[1]). The chunk
-    results are concatenated in row order, item by item when ``evaluate``
-    returns a tuple (a None item stays None).
-    """
-    rows = max(1, EPOCH_CHUNK_ELEMENTS // (problem.sample_count if idx is None else idx.shape[1]))
-    if len(W) <= rows:
-        return evaluate(W, lam) if idx is None else evaluate(W, lam, idx)
-
-    def chunk(c):
-        lam_c = lam[c] if isinstance(lam, np.ndarray) else lam
-        return evaluate(W[c], lam_c) if idx is None else evaluate(W[c], lam_c, idx[c])
-    parts = [chunk(slice(i, i + rows)) for i in range(0, len(W), rows)]
-    if isinstance(parts[0], tuple):
-        return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
     """Raise NonFiniteError naming the first repeat whose gradient or iterate has a NaN/Inf.
 
@@ -299,7 +270,7 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
     (cfg.minibatch distinct sample indices per step) from its own stream, in
     repeat order, so a repeat's trajectory does not depend on R; a full
     batch passes ``idx=None`` and draws nothing. A block goes through the batched oracle
-    (``problem.gradient``, ``epoch_metrics`` in row chunks); one point through the
+    (``problem.gradient``, ``epoch_metrics``); one point through the
     single-point one (``minibatch_value_and_gradient``, ``full_objective``),
     one call per step and per record, as a sequential solver makes them.
 
@@ -335,10 +306,7 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
 
         metrics = problem.full_objective
     else:
-        gradient = problem.gradient
-
-        def metrics(W, lam):
-            return in_row_chunks(problem, problem.epoch_metrics, W, lam)
+        gradient, metrics = problem.gradient, problem.epoch_metrics
     repeats = 1 if single else len(rng)
     block_steps = max(1, SAMPLER_BLOCK_ELEMENTS // (repeats * cfg.minibatch))
     w = w0

@@ -8,8 +8,8 @@ hand-derived gradients of the problem families.
 
 An estimator draws its random points in a fixed stream order, then evaluates
 them as one block through the batched ``problem.gradient`` and
-``problem.objective``, a few rows at a time (``core.in_row_chunks``); each
-row's value is the one a single-point evaluation gives. Where the rows need
+``problem.objective``, which take a few rows at a time; each row's value is
+the one a single-point evaluation gives. Where the rows need
 different lambdas (the f* refine of a lambda table, the delta witness),
 lambda is an (R, 1) column. No estimator evaluates point by point: the norms,
 ratios and maxima are block arithmetic over the evaluated rows, in the
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigurationError, _draw_minibatch, in_row_chunks, make_rng
+from .core import ConfigurationError, _draw_minibatch, make_rng
 
 
 LEAST_NORMAL = np.finfo(float).tiny
@@ -44,10 +44,12 @@ def _row_dots(A):
     return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
 
 
-def _max_ratio(ratios):
-    """max(0.0, *ratios) as Python evaluates it: a NaN ratio never wins, an empty set gives 0.0."""
-    ratios = ratios[~np.isnan(ratios)]
-    return max(0.0, float(np.max(ratios))) if ratios.size else 0.0
+def _max_sample(values, what):
+    """max(0.0, *values) as Python evaluates it (no NaN wins, none gives 0.0); all NaN raises."""
+    finite = values[~np.isnan(values)]
+    if values.size and not finite.size:
+        raise EstimationError(f"every sampled {what} is NaN")
+    return max(0.0, float(np.max(finite))) if finite.size else 0.0
 
 
 def estimate_L(problem, lam, num_pairs, radius, rng):
@@ -83,9 +85,10 @@ def estimate_L(problem, lam, num_pairs, radius, rng):
     gaps = np.sqrt(_row_dots(W[0::2] - W[1::2]))
     if np.max(gaps) < 1e-14:
         raise EstimationError("all sampled pairs were coincident")
-    grads = in_row_chunks(problem, problem.gradient, W, lam)
+    grads = problem.gradient(W, lam)
     used = gaps >= 1e-14
-    return _max_ratio(_norms(grads[0::2][used] - grads[1::2][used]) / gaps[used])
+    ratios = _norms(grads[0::2][used] - grads[1::2][used]) / gaps[used]
+    return _max_sample(ratios, "gradient-difference ratio")
 
 
 def _norms(V):
@@ -111,8 +114,8 @@ def estimate_mu(problem, lam, w, fstar_lambda, tol=1e-12):
 
 def pl_moduli(problem, lam, W, fstar_lambda, tol=1e-12):
     """``estimate_mu`` at each row of W, and each row's gap f - f*; mu is NaN where gap <= tol."""
-    gaps = in_row_chunks(problem, problem.objective, W, lam) - fstar_lambda
-    grads = in_row_chunks(problem, problem.gradient, W, lam)
+    gaps = problem.objective(W, lam) - fstar_lambda
+    grads = problem.gradient(W, lam)
     mu = np.full(len(W), np.nan)
     rows = gaps > tol
     mu[rows] = _row_dots(grads)[rows] / (2.0 * gaps[rows])
@@ -124,14 +127,14 @@ def estimate_sigma2(problem, lam, w_samples, minibatch, draws, rng):
     if draws < 2:
         raise ConfigurationError("need at least two draws")
     W = np.array(w_samples, dtype=float).reshape(len(w_samples), problem.dimension)
-    full = np.repeat(in_row_chunks(problem, problem.gradient, W, lam), draws, axis=0)
+    full = np.repeat(problem.gradient(W, lam), draws, axis=0)
     # The draws of each w sample in turn, one row per draw; the sampler's rows
     # do not depend on how they are cut into calls. A full batch (idx None)
     # gives each row the exact full gradient, so its estimate is zero.
     idx = _draw_minibatch(rng, problem.sample_count, minibatch, len(W) * draws)
-    diff = in_row_chunks(problem, problem.gradient, np.repeat(W, draws, axis=0), lam, idx) - full
+    diff = problem.gradient(np.repeat(W, draws, axis=0), lam, idx) - full
     sq = np.einsum("rk,rk->r", diff, diff).reshape(len(W), draws)
-    return max(0.0, *(sum(row.tolist()) / draws for row in sq))
+    return _max_sample(np.array([sum(row.tolist()) / draws for row in sq]), "oracle variance")
 
 
 @dataclass
@@ -160,7 +163,7 @@ def _grid_fstar(problem, lams, lo, hi, step):
         vals = problem.objectives(W, lams)
         j = np.argmin(vals, axis=1)
         return vals[cols, j][None], W[j, 0][None]
-    vals, ws = in_row_chunks(problem, chunk_winners, grid[:, None], None)
+    vals, ws = problem.in_row_chunks(chunk_winners, grid[:, None], None)
     c = np.argmin(vals, axis=0)
     return _bisect_refine(problem, lams, vals[c, cols].tolist(), ws[c, cols].tolist(), step)
 
@@ -178,8 +181,7 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
     """
     lam = np.array(lams, dtype=float)[:, None]
     a, b = np.array(best_ws) - step, np.array(best_ws) + step
-    g = in_row_chunks(problem, problem.gradient, np.concatenate([a, b])[:, None],
-                      np.concatenate([lam, lam]))[:, 0]
+    g = problem.gradient(np.concatenate([a, b])[:, None], np.concatenate([lam, lam]))[:, 0]
     rows = np.flatnonzero((g[:len(a)] < 0) & (0 < g[len(a):]))
     if rows.size:
         a, b, lam = a[rows], b[rows], lam[rows]
@@ -187,10 +189,10 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
             m = 0.5 * (a + b)
             if not np.any((m != a) & (m != b)):
                 break
-            left = in_row_chunks(problem, problem.gradient, m[:, None], lam)[:, 0] < 0
+            left = problem.gradient(m[:, None], lam)[:, 0] < 0
             a, b = np.where(left, m, a), np.where(left, b, m)
         w_ref = 0.5 * (a + b)
-        v_ref = in_row_chunks(problem, problem.objective, w_ref[:, None], lam)
+        v_ref = problem.objective(w_ref[:, None], lam)
         for r, w, v in zip(rows, w_ref.tolist(), v_ref.tolist()):
             if v < best_vals[r]:
                 best_vals[r], best_ws[r] = v, w
@@ -206,14 +208,14 @@ def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=No
     # Full-batch descent of every restart as one block; a restart leaves the
     # block at its first non-finite iterate.
     for _ in range(steps):
-        W = W - alpha * in_row_chunks(problem, problem.gradient, W, lam)
+        W = W - alpha * problem.gradient(W, lam)
         finite = np.isfinite(W).all(axis=1)
         if not finite.all():
             W = W[finite]
             if not len(W):
                 raise EstimationError("every descent restart diverged")
     best_val, best_w = np.inf, None
-    for w, val in zip(W, in_row_chunks(problem, problem.objective, W, lam)):
+    for w, val in zip(W, problem.objective(W, lam)):
         if val < best_val:
             best_val, best_w = float(val), w
     if best_w is None:
@@ -277,7 +279,7 @@ def check_gradient(problem, lam, w, coords=None, fd_step=1e-6):
     W = np.tile(w, (2 * k, 1))
     W[np.arange(k), coords] += fd_step
     W[np.arange(k, 2 * k), coords] -= fd_step
-    vals = in_row_chunks(problem, problem.objective, W, lam)
+    vals = problem.objective(W, lam)
     numeric = (vals[:k] - vals[k:]) / (2 * fd_step)
     analytic = grad[coords]
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
@@ -298,9 +300,8 @@ def estimate_delta(problem, num_probes, rng):
     sep = np.abs(lams[:, 0] - lams[:, 1])
     used = sep >= 1e-9
     W, lam1, lam2 = W[used], lams[used, :1], lams[used, 1:]
-    diff = np.abs(in_row_chunks(problem, problem.objective, W, lam1)
-                  - in_row_chunks(problem, problem.objective, W, lam2))
-    return _max_ratio(diff / sep[used])
+    diff = np.abs(problem.objective(W, lam1) - problem.objective(W, lam2))
+    return _max_sample(diff / sep[used], "objective-difference ratio")
 
 
 @dataclass
@@ -320,8 +321,8 @@ def expected_pl_probe(problem, lam, draws, fstar_lambda, rng):
     if draws < 100:
         raise ConfigurationError("need at least 100 draws")
     W = rng.standard_normal((draws, problem.dimension))
-    sq_grads = _row_dots(in_row_chunks(problem, problem.gradient, W, lam))
-    vals = in_row_chunks(problem, problem.objective, W, lam)
+    sq_grads = _row_dots(problem.gradient(W, lam))
+    vals = problem.objective(W, lam)
     mean_gap = float(np.mean(vals) - fstar_lambda)
     if mean_gap <= 0:
         raise EstimationError("mean objective gap is nonpositive")

@@ -34,7 +34,6 @@ from .core import (
     _is_int,
     _is_real,
     hsgd_run,
-    in_row_chunks,
     make_rng,
     make_schedule,
     sgd_run,
@@ -436,13 +435,13 @@ def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage
 
     Each repeat takes ``total_steps`` steps; repeat r runs on the stream
     seeded by ``seeds[r]``. objectives and aux are (R, epochs + 1), from
-    ``problem.epoch_metrics``, evaluated in row chunks (``in_row_chunks``);
-    aux is None for a family whose second metric is None.
+    ``problem.epoch_metrics``, which evaluates a few rows at a time; aux is
+    None for a family whose second metric is None.
     """
     rngs = [make_rng(seed) for seed in seeds]
     every = cfg_sgd.record_every
     lam0 = 0.0 if method == "hsgd" else 1.0
-    first = in_row_chunks(problem, problem.epoch_metrics, W0, lam0)
+    first = problem.epoch_metrics(W0, lam0)
     lambdas = np.empty(total_steps // every + 1)
     objectives = np.empty((len(seeds), lambdas.size))
     aux = None if first[1] is None else np.empty_like(objectives)
@@ -622,9 +621,8 @@ def _write_snapshots(path, rows):
 def run_diagnose(cfg: ExperimentConfig, lam=1.0):
     """Measure landscape constants for the configured experiment at one lambda.
 
-    An estimator that cannot produce a value (``EstimationError``: L_hat,
-    fstar, the PL probe) leaves an ``error.<key>`` line in the report; any
-    other error propagates.
+    An estimator that cannot produce a value (``EstimationError``) leaves an
+    ``error.<key>`` line in the report; any other error propagates.
     """
     problems._check_lambda(lam)
     problem, w0 = build_problem(cfg, build_dataset(cfg))
@@ -643,7 +641,8 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
 
     est.L_hat = attempt("L_hat", lambda: _estimate_L(cfg, problem, lam, rng))
     w_samples = w0 + 0.5 * rng.standard_normal((5, problem.dimension))
-    est.sigma2_hat = diagnostics.estimate_sigma2(problem, lam, w_samples, minibatch, 200, rng)
+    est.sigma2_hat = attempt("sigma2_hat", lambda: diagnostics.estimate_sigma2(
+        problem, lam, w_samples, minibatch, 200, rng))
     fstar = _fstar_table(cfg, problem, [lam])
     if fstar is not None:
         est.fstar = fstar[lam]
@@ -654,7 +653,7 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
         multistart = attempt("fstar", lambda: diagnostics.estimate_fstar(problem, lam, spec))
         if multistart is not None:
             est.fstar, est.fstar_upper_bound_only = multistart.value, multistart.upper_bound_only
-    est.delta_hat = diagnostics.estimate_delta(problem, 200, rng)
+    est.delta_hat = attempt("delta_hat", lambda: diagnostics.estimate_delta(problem, 200, rng))
     if est.fstar is not None:
         est.pl_probe = attempt("pl_probe", lambda: diagnostics.expected_pl_probe(
             problem, lam, 500, est.fstar, rng))

@@ -1,14 +1,16 @@
 """Parametric problem families with analytic gradients and homotopy maps.
 
 Every family implements one batched pair over an (R, d) block ``W`` of
-iterates, one row per repeat: ``epoch_metrics(W, lam)`` is each row's full
-objective and second metric (or None), and ``gradient(W, lam, idx=None,
-with_metrics=False)`` each row's mean gradient over the samples ``idx[r]``
+iterates, one row per repeat: ``_epoch_metrics(W, lam)``, each row's full
+objective and second metric (or None), and ``_gradient(W, lam, idx=None,
+with_metrics=False)``, each row's mean gradient over the samples ``idx[r]``
 of row r, or over all N samples when ``idx`` is None. With ``with_metrics``
 it returns ``(metrics, grads)`` from the same model pass: at ``idx`` None,
-bit for bit the rows of ``epoch_metrics`` (the engine's full-batch
+bit for bit the rows of ``_epoch_metrics`` (the engine's full-batch
 record); at a minibatch, each row's objective and second metric over its
-own samples. ``objective(W, lam)`` is the first half of ``epoch_metrics``,
+own samples. Callers use the base's ``epoch_metrics`` and ``gradient``,
+which hand the pair a few rows at a time (``in_row_chunks``).
+``objective(W, lam)`` is the first half of ``epoch_metrics``,
 ``objectives(W, lams)`` its rows at each lambda of a sequence (one model
 pass for a label family), and the single-point surface, ``full_objective``,
 ``full_gradient`` and ``minibatch_value_and_gradient(w, lam, indices)``
@@ -26,12 +28,18 @@ safe to share across concurrent runs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 
 import numpy as np
 
 from .core import ConfigurationError, make_rng
 
 TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+# Matrix elements (rows x samples) one family evaluation works on: a block goes
+# max(1, EPOCH_CHUNK_ELEMENTS // m) rows at a time, m = N or the minibatch, as
+# its per-sample temporaries (sine-mlp: R x m x 10) would spill out of cache and
+# set the peak memory. No row's bits depend on its chunk (``in_row_chunks``).
+EPOCH_CHUNK_ELEMENTS = 25_000
 
 
 def _check_lambda(lam):
@@ -50,6 +58,13 @@ def _block(w):
     return np.asarray(w, dtype=float).reshape(1, -1)
 
 
+def _joined(parts):
+    """Chunk results concatenated in row order, tuples item by item at any depth; None stays None."""
+    if isinstance(parts[0], tuple):
+        return tuple(_joined(items) for items in zip(*parts))
+    return None if parts[0] is None else np.concatenate(parts)
+
+
 def _frozen(a):
     """A read-only float copy of ``a``: a problem shares no writable array with its caller."""
     a = np.array(a, dtype=float)
@@ -60,19 +75,45 @@ def _frozen(a):
 class HomotopyProblem(ABC):
     """Base interface for a parametric objective family f(w, lambda).
 
-    A family implements the batched pair ``epoch_metrics`` and ``gradient``;
-    a subclass without them cannot be instantiated. ``epoch_metrics`` is
-    what a run records per epoch for a block: the objective and a second
-    metric, None where the family has none. ``objective`` and the
-    single-point methods are views of the pair.
+    A family implements the batched pair ``_epoch_metrics`` and
+    ``_gradient``, which the public ``epoch_metrics`` and ``gradient`` call
+    in row chunks; a subclass without the pair cannot be instantiated.
+    ``objective`` and the single-point methods are views of the public pair.
     """
 
     dimension: int
     sample_count: int
 
+    def in_row_chunks(self, evaluate, W, lam, idx=None):
+        """``evaluate(W, lam[, idx])`` on a few rows of W (of idx, of a column lam) at a time."""
+        rows = max(1, EPOCH_CHUNK_ELEMENTS // (self.sample_count if idx is None else idx.shape[1]))
+        if len(W) <= rows:
+            return evaluate(W, lam) if idx is None else evaluate(W, lam, idx)
+        parts = []
+        for c in (slice(i, i + rows) for i in range(0, len(W), rows)):
+            lam_c = lam[c] if isinstance(lam, np.ndarray) else lam
+            parts.append(evaluate(W[c], lam_c) if idx is None else evaluate(W[c], lam_c, idx[c]))
+        return _joined(parts)
+
     @abstractmethod
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         """Full objective and second metric (or None) of each row of the (R, d) block W."""
+
+    @abstractmethod
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
+        """Mean gradient of each row over its samples idx[r] (None: all N), as an (R, d) block.
+
+        With ``with_metrics``, returns (metrics, gradients), the metrics from
+        the same model pass: at idx=None each row bit for bit the rows of
+        ``_epoch_metrics``; at a minibatch each row's mean objective and
+        second metric (or None) over the same samples.
+        """
+
+    def epoch_metrics(self, W, lam):
+        return self.in_row_chunks(self._epoch_metrics, W, lam)
+
+    def gradient(self, W, lam, idx=None, with_metrics=False):
+        return self.in_row_chunks(partial(self._gradient, with_metrics=with_metrics), W, lam, idx)
 
     def objective(self, W, lam):
         """Full objective of each row of the (R, d) block W."""
@@ -81,16 +122,6 @@ class HomotopyProblem(ABC):
     def objectives(self, W, lams):
         """``objective`` at each lambda of the sequence ``lams``, one (R,) row per lambda."""
         return np.array([self.objective(W, lam) for lam in lams])
-
-    @abstractmethod
-    def gradient(self, W, lam, idx=None, with_metrics=False):
-        """Mean gradient of each row over its samples idx[r] (None: all N), as an (R, d) block.
-
-        With ``with_metrics``, returns (metrics, gradients), the metrics from
-        the same model pass: at idx=None each row bit for bit the rows of
-        ``epoch_metrics``; at a minibatch each row's mean objective and
-        second metric (or None) over the same samples.
-        """
 
     def full_objective(self, w, lam):
         return float(self.objective(_block(w), lam)[0])
@@ -110,7 +141,7 @@ class LabelInterpolationProblem(HomotopyProblem):
     The labels at lambda are y_lam = lambda * y_target + (1 - lambda) *
     y_source and the objective is f(w, lambda) = mean((o(w) - y_lam)^2); a
     family supplies the lambda-free model output o(w) (``outputs``) and its
-    ``gradient``, and ``metrics`` turns outputs into ``epoch_metrics`` (or a minibatch's).
+    ``_gradient``, and ``metrics`` turns outputs into ``_epoch_metrics`` (or a minibatch's).
     """
 
     def __init__(self, xs, ys_target, ys_source):
@@ -156,14 +187,12 @@ class LabelInterpolationProblem(HomotopyProblem):
         """The objective from ``outputs`` (at the samples idx) and no second metric."""
         return self.loss(outputs, lam, idx), None
 
-    def objective(self, W, lam):
-        return self.loss(self.outputs(W), lam)
-
     def objectives(self, W, lams):
+        """One model pass over the whole block W: the caller bounds its rows."""
         out = self.outputs(W)
         return np.array([self.loss(out, lam) for lam in lams])
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         return self.metrics(self.outputs(W), lam)
 
 
@@ -184,7 +213,7 @@ class ErfRegressionProblem(LabelInterpolationProblem):
     def outputs(self, W):
         return self.erf(W[:, :1] * self.xs)
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         x = self.xs if idx is None else self.xs[idx]
         u = W[:, :1] * x
         out = self.erf(u)
@@ -255,7 +284,7 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
         return self.loss(outputs, lam, idx), self.loss(outputs, 1.0, idx)
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         # Sums over the sample axis go through einsum: the same sequential
         # order as ndarray.sum(axis=1), without its per-row loop overhead.
         x = self.xs[None] if idx is None else self.xs[idx]
@@ -322,27 +351,31 @@ class CubicLogisticProblem(HomotopyProblem):
             return np.concatenate([np.repeat(lam, 6, axis=1), np.ones((len(lam), 3))], axis=1)
         return np.array([lam] * 6 + [1.0] * 3)
 
+    @staticmethod
+    def _scores(phi, gated):
+        """Scores of the design rows phi under the gated coefficients, one row per block row."""
+        return np.einsum("...k,...k->...", phi, gated[..., None, :])
+
     def scores(self, w, lam):
         """Scores of every sample: (N,) under one point w, (R, N) under an (R, 9) block."""
-        gated = np.asarray(w, dtype=float) * self._gate(lam)
-        return np.einsum("...k,...k->...", self.phi, gated[..., None, :])
+        return self._scores(self.phi, np.asarray(w, dtype=float) * self._gate(lam))
 
     @staticmethod
     def _metrics(z, y):
         """Objective and 0/1 classification error of each row of the scores z under the labels y."""
         return np.mean(np.logaddexp(0.0, z) - y * z, axis=1), np.mean((z >= 0.0) != (y == 1.0), axis=1)
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         """Objective and 0/1 classification error of each row, from one pass over the scores."""
         _check_lambda(lam)
         return self._metrics(self.scores(W, lam), self.labels01)
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         _check_lambda(lam)
         phi = self.phi if idx is None else self.phi[idx]
         y = self.labels01 if idx is None else self.labels01[idx]
         gate = self._gate(lam)
-        z = np.einsum("...k,...k->...", phi, (W * gate)[:, None, :])
+        z = self._scores(phi, W * gate)
         d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
         grad = np.einsum("...m,...mk->...k", d, phi) * gate
         return (self._metrics(z, y), grad) if with_metrics else grad
@@ -367,11 +400,11 @@ class QuadraticTrackingProblem(HomotopyProblem):
         self.dimension = 1
         self.sample_count = b.size
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         _check_lambda(lam)
         return 0.5 * self.mu * (W[:, :1] - lam)[:, 0] ** 2, None
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         _check_lambda(lam)
         d = W[:, :1] - lam
         b = np.mean(self.offsets if idx is None else self.offsets[idx], axis=-1, keepdims=True)
@@ -379,7 +412,7 @@ class QuadraticTrackingProblem(HomotopyProblem):
         if not with_metrics:
             return grad
         if idx is None:
-            return self.epoch_metrics(W, lam), grad
+            return self._epoch_metrics(W, lam), grad
         # The minibatch objective: the mean of the per-sample objectives.
         return ((0.5 * self.mu * d**2 + self.mu * b * d)[:, 0], None), grad
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homotopy_opt import core, datasets, harness
+from homotopy_opt import datasets, harness, problems
 from homotopy_opt.problems import ErfRegressionProblem
 
 # Pass/fail lines recorded by tests/test_acceptance.py; printed once at the
@@ -59,4 +59,4 @@ def small_family(experiment):
 def chunk_budget(request, monkeypatch):
     # 7 rows of N = 30 samples per chunk: a block of more than 7 points is split.
     if request.param == "chunked":
-        monkeypatch.setattr(core, "EPOCH_CHUNK_ELEMENTS", 7 * 30)
+        monkeypatch.setattr(problems, "EPOCH_CHUNK_ELEMENTS", 7 * 30)

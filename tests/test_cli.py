@@ -565,6 +565,32 @@ def test_diagnose_reports_a_diverged_multistart_as_an_error_line(tmp_path, capfd
     assert (tmp_path / "d" / "diagnostics.txt").read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("config, missing", [
+    ({"experiment": "toy-erf", "dataset": {"slope": 1e308}}, ["L_hat", "sigma2_hat", "delta_hat"]),
+    ({"experiment": "moons-logistic", "dataset": {"noise_std": 1e300}},
+     ["L_hat", "sigma2_hat", "delta_hat"]),
+    ({"experiment": "sine-mlp", "dataset": {"noise_std": 1e300}}, ["delta_hat"]),
+])
+def test_estimate_with_no_finite_sample_is_an_error_line(tmp_path, capfd, config, missing):
+    # Overflowing data leave every sampled ratio (or variance) NaN. Such an
+    # estimate is missing, not 0: diagnose reports it and succeeds, and run
+    # names the failed L estimate instead of a flat landscape (L_tilde = 0).
+    cfg = write_json(tmp_path / "cfg.json", config)
+    code = cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")])
+    out, err = capfd.readouterr()
+    assert code == cli.EXIT_OK and err == ""
+    for key in missing:
+        assert f"error.{key} = every sampled " in out
+        assert f"\n{key} = " not in "\n" + out
+    if "L_hat" in missing:
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out_dir)]) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err.splitlines() == [
+            "configuration error: cannot estimate L_tilde at lambda = 1: "
+            "every sampled gradient-difference ratio is NaN"]
+        assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 @pytest.mark.parametrize("raw, message", [
     ({"experiment": "moons-logistic", "dataset": {"N": 41}}, "even dataset.N"),

@@ -31,10 +31,10 @@ class NoiselessQuadratic(HomotopyProblem):
         self.dimension = 1
         self.sample_count = samples
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         return 0.5 * self.a * W[:, 0] ** 2, None
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         grads = self.a * W[:, :1]
         return ((self.objective(W, lam), None), grads) if with_metrics else grads
 
@@ -48,10 +48,10 @@ class BlowupProblem(HomotopyProblem):
         self.dimension = 1
         self.sample_count = 4
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         return np.zeros(len(W)), None
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         self.calls += 1
         grads = np.full((len(W), 1), np.inf if self.calls >= self.bad_step else 1.0)
         return ((self.objective(W, lam), None), grads) if with_metrics else grads
@@ -66,10 +66,10 @@ class IndexRecorder(HomotopyProblem):
         self.sample_count = samples
         self.blocks = []
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         return np.zeros(len(W)), None
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         self.blocks.append(None if idx is None else np.array(idx))
         grads = np.zeros_like(W)
         return ((np.zeros(len(W)), None), grads) if with_metrics else grads

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_family
-from homotopy_opt import core, diagnostics, harness
+from homotopy_opt import core, diagnostics, harness, problems
 from homotopy_opt.core import ConfigurationError, SgdConfig, make_rng, sgd_run, stream_seed
 from homotopy_opt.problems import ErfRegressionProblem, HomotopyProblem
 
@@ -24,10 +24,10 @@ class Scalar1D(HomotopyProblem):
         self.dimension = 1
         self.sample_count = samples
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         return np.array([float(self.f(w)) for w in W[:, 0]]), None
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         grads = np.array([[self.df(w)] for w in W[:, 0]], dtype=float)
         return ((self.objective(W, lam), None), grads) if with_metrics else grads
 
@@ -509,7 +509,7 @@ def test_multi_lambda_grid_fstar_equals_per_lambda_reference(data, inner, grid, 
     problem = ErfRegressionProblem(xs, yt, ys)
     lams = [0.0, *inner, 1.0]
     spec = {"kind": "grid", "lo": grid[0], "hi": grid[1], "step": grid[2]}
-    with unittest.mock.patch.object(core, "EPOCH_CHUNK_ELEMENTS", chunk_rows * len(xs)):
+    with unittest.mock.patch.object(problems, "EPOCH_CHUNK_ELEMENTS", chunk_rows * len(xs)):
         estimates = diagnostics.estimate_fstar(problem, lams, spec)
     assert len(estimates) == len(lams)
     for lam, est in zip(lams, estimates):
@@ -555,7 +555,7 @@ def test_grid_fstar_nan_cell_equals_reference(chunk_rows):
     problem = ErfRegressionProblem(xs, [0.2, -0.4, 1.0], [1.0, 0.3, -0.6])
     lams = [0.0, 0.5, 1.0]
     cells = np.arange(-1.0, 1.0 + 0.125, 0.25).size
-    with unittest.mock.patch.object(core, "EPOCH_CHUNK_ELEMENTS", (chunk_rows or cells) * len(xs)):
+    with unittest.mock.patch.object(problems, "EPOCH_CHUNK_ELEMENTS", (chunk_rows or cells) * len(xs)):
         with np.errstate(invalid="ignore"):
             estimates = diagnostics.estimate_fstar(
                 problem, lams, {"kind": "grid", "lo": -1.0, "hi": 1.0, "step": 0.25})
@@ -623,10 +623,10 @@ class ShiftedQuadratic(HomotopyProblem):
         self.shift = shift
         self.gradient_calls = 0
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         return ((W[:, :1] - self.shift - lam) ** 2)[:, 0], None
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         self.gradient_calls += 1
         grad = 2.0 * (W[:, :1] - self.shift - lam)
         return ((self.objective(W, lam), None), grad) if with_metrics else grad
@@ -663,10 +663,10 @@ class Blowup(HomotopyProblem):
     def __init__(self, fill):
         self.fill = fill
 
-    def epoch_metrics(self, W, lam):
+    def _epoch_metrics(self, W, lam):
         return np.zeros(len(W)), None
 
-    def gradient(self, W, lam, idx=None, with_metrics=False):
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
         grad = np.where(W[:, :1] > 1.0, self.fill, W)
         return ((self.objective(W, lam), None), grad) if with_metrics else grad
 

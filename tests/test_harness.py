@@ -14,14 +14,13 @@ import warnings
 import numpy as np
 import pytest
 
-from homotopy_opt import cli, core, datasets, diagnostics, harness
+from homotopy_opt import cli, datasets, diagnostics, harness, problems
 from homotopy_opt.core import (
     SAMPLER,
     ConfigurationError,
     NonFiniteError,
     SgdConfig,
     hsgd_run,
-    in_row_chunks,
     make_rng,
     make_schedule,
     sgd_run,
@@ -32,6 +31,7 @@ from homotopy_opt.harness import (
     ExperimentConfig,
     _fstar_table,
     _run_arm,
+    _run_slice,
     _sgd_total_steps,
     epochs_to_threshold,
     run_experiment,
@@ -683,12 +683,12 @@ def test_chunked_epoch_metrics_equal_one_block(experiment, monkeypatch):
     n = problem.sample_count
     # A budget of 3 rows splits R = 4 into chunks of 3 and 1; the default
     # budget splits 100 repeats as a run does (25 rows on moons, 50 on the MLP).
-    for budget, repeats in ((3 * n, 4), (core.EPOCH_CHUNK_ELEMENTS, 100)):
-        monkeypatch.setattr(core, "EPOCH_CHUNK_ELEMENTS", budget)
+    for budget, repeats in ((3 * n, 4), (problems.EPOCH_CHUNK_ELEMENTS, 100)):
+        monkeypatch.setattr(problems, "EPOCH_CHUNK_ELEMENTS", budget)
         W = w0 + 0.3 * rng.standard_normal((repeats, problem.dimension))
         for lam in (0.0, 0.37, 1.0):
-            obj, aux = in_row_chunks(problem, problem.epoch_metrics, W, lam)
-            ref_obj, ref_aux = problem.epoch_metrics(W, lam)
+            obj, aux = problem.epoch_metrics(W, lam)
+            ref_obj, ref_aux = problem._epoch_metrics(W, lam)
             assert np.array_equal(obj, ref_obj)
             assert (aux is None) == (ref_aux is None)
             assert aux is None or np.array_equal(aux, ref_aux)
@@ -704,18 +704,18 @@ def full_batch_problem(experiment, rows):
 
 @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
 def test_full_batch_records_come_from_the_next_gradient_pass(experiment, monkeypatch):
-    # 251 rows at N = 100 make two record chunks, of 250 rows and 1 row,
-    # while the gradient pass that gives a deferred record takes all 251.
+    # 251 rows at N = 100 make two chunks, of 250 rows and 1 row, both of a
+    # direct record and of the gradient pass that gives a deferred record.
     problem, W0 = full_batch_problem(experiment, 251)
-    assert core.EPOCH_CHUNK_ELEMENTS // 100 < 251
-    chunked = in_row_chunks
+    assert problems.EPOCH_CHUNK_ELEMENTS // 100 < 251
+    chunked = problem.epoch_metrics
     direct = []
 
-    def counting(problem_, evaluate, W, lam, idx=None):
-        direct.append(evaluate == problem.epoch_metrics)
-        return chunked(problem_, evaluate, W, lam, idx)
+    def counting(W, lam):
+        direct.append(len(W))
+        return chunked(W, lam)
 
-    monkeypatch.setattr(core, "in_row_chunks", counting)
+    monkeypatch.setattr(problem, "epoch_metrics", counting)
     for method, lams, steps, every in (("hsgd", [1 / 3, 2 / 3, 1.0], 3, 1), ("sgd", [1.0], 6, 2)):
         rngs = [make_rng(r) for r in range(len(W0))]
         records, iterates = [], []
@@ -723,7 +723,7 @@ def test_full_batch_records_come_from_the_next_gradient_pass(experiment, monkeyp
         def sink(step, lam, W, metrics):
             records.append((step, lam))
             iterates.append(W.copy())
-            obj, aux = chunked(problem, problem.epoch_metrics, W, lam)
+            obj, aux = chunked(W, lam)
             assert np.array_equal(metrics[0], obj) and (metrics[1] is None) == (aux is None)
             assert aux is None or np.array_equal(metrics[1], aux)
 
@@ -736,7 +736,7 @@ def test_full_batch_records_come_from_the_next_gradient_pass(experiment, monkeyp
         assert records == [(i * steps + s, lam) for i, lam in enumerate(lams)
                            for s in range(every, steps + 1, every)]
         # Only the last record of each sgd_run call is a direct evaluation.
-        assert direct == [True] * len(lams)
+        assert direct == [len(W0)] * len(lams)
         # Each record sees the iterate an unrecorded run reaches at its step.
         for (step, lam), W in zip(records, iterates):
             stage, within = divmod(step - 1, steps)
@@ -747,6 +747,56 @@ def test_full_batch_records_come_from_the_next_gradient_pass(experiment, monkeyp
             W_ref = sgd_run(W_ref, SgdConfig(0.01, within + 1, 100), problem, lam,
                             [make_rng(r) for r in range(len(W0))])
             assert np.array_equal(W, W_ref)
+
+
+def chunk_recording(problem):
+    """``problem`` as a subclass instance that records (rows, samples per row) of each evaluation."""
+    class Recording(type(problem)):
+        def _gradient(self, W, lam, idx=None, with_metrics=False):
+            self.calls.append((len(W), self.sample_count if idx is None else idx.shape[1]))
+            return super()._gradient(W, lam, idx, with_metrics)
+
+        def _epoch_metrics(self, W, lam):
+            self.calls.append((len(W), self.sample_count))
+            return super()._epoch_metrics(W, lam)
+
+        def objectives(self, W, lams):
+            self.calls.append((len(W), self.sample_count))
+            return super().objectives(W, lams)
+
+    rec = object.__new__(Recording)
+    vars(rec).update(vars(problem), calls=[])
+    return rec
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_every_evaluation_holds_the_row_chunk_bound(experiment):
+    # 300 rows at N = 100, and at a minibatch of 90, exceed the bound: no
+    # path, the engine's full-batch step and its deferred record included,
+    # may hand a family more than max(1, EPOCH_CHUNK_ELEMENTS // m) rows.
+    problem, W0 = full_batch_problem(experiment, 300)
+    problem = chunk_recording(problem)
+    seeds = list(range(len(W0)))
+    _run_slice(problem, W0, "hsgd", make_schedule("constant", 2),
+               SgdConfig(0.01, 3, 100, record_every=1), seeds, 6)
+    _run_slice(problem, W0, "sgd", None, SgdConfig(0.01, 3, 90, record_every=1), seeds, 6)
+    rng = make_rng(3)
+    diagnostics.estimate_L(problem, 0.5, 200, 1.0, rng)
+    diagnostics.estimate_sigma2(problem, 0.5, W0[:5], 90, 60, rng)
+    if problem.dimension == 1:
+        diagnostics.estimate_fstar(problem, [0.0, 0.5], {"kind": "grid", "lo": -10, "hi": 10,
+                                                         "step": 0.05})
+    diagnostics.estimate_fstar(problem, 0.5, {"kind": "multistart", "restarts": 300, "steps": 2,
+                                              "alpha": 0.01, "seed": 4})
+    diagnostics.check_gradient(problem, 0.5, W0[0])
+    diagnostics.estimate_delta(problem, 300, rng)
+    diagnostics.expected_pl_probe(problem, 0.5, 300, -1.0, rng)
+    diagnostics.pl_moduli(problem, 0.5, W0, -1.0)
+    diagnostics.estimate_mu(problem, 0.5, W0[0], -1.0)
+    def bound(m):
+        return max(1, problems.EPOCH_CHUNK_ELEMENTS // m)
+    assert {(rows, m) for rows, m in problem.calls if rows > bound(m)} == set()
+    assert (bound(100), 100) in problem.calls and (bound(90), 90) in problem.calls
 
 
 def test_diverging_full_batch_block_fails_at_the_same_step():

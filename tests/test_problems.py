@@ -372,29 +372,26 @@ def test_column_lambda_equals_float_calls_row_for_row(experiment, chunk_budget):
     # 25 of 30 samples per row: 8 rows per chunk under the chunked budget.
     idx = core._draw_minibatch(rng, problem.sample_count, 25, len(W))
 
-    def with_metrics(block, lam, idx=None):
-        # Flat, so that in_row_chunks concatenates each item.
-        (value, aux), grad = problem.gradient(block, lam, idx, with_metrics=True)
-        return value, aux, grad
-
-    objective = core.in_row_chunks(problem, problem.objective, W, column)
-    metrics = core.in_row_chunks(problem, problem.epoch_metrics, W, column)
-    full = core.in_row_chunks(problem, with_metrics, W, column)
-    mini = core.in_row_chunks(problem, with_metrics, W, column, idx)
+    objective = problem.objective(W, column)
+    metrics = problem.epoch_metrics(W, column)
+    full = problem.gradient(W, column, with_metrics=True)
+    mini = problem.gradient(W, column, idx, with_metrics=True)
     for r, lam in enumerate(COLUMN_LAMBDAS):
         row = W[r:r + 1]
         assert objective[r] == problem.objective(row, lam)[0]
         values, aux = problem.epoch_metrics(row, lam)
         assert metrics[0][r] == values[0]
         assert (metrics[1] is None) if aux is None else metrics[1][r] == aux[0]
-        for block, (value, aux, grad) in ((full, with_metrics(row, lam)),
-                                          (mini, with_metrics(row, lam, idx[r:r + 1]))):
-            assert block[0][r] == value[0]
-            assert (block[1] is None) if aux is None else block[1][r] == aux[0]
-            assert np.array_equal(block[2][r], grad[0])
+        for ((block_value, block_aux), block_grad), ((value, aux), grad) in (
+                (full, problem.gradient(row, lam, with_metrics=True)),
+                (mini, problem.gradient(row, lam, idx[r:r + 1], with_metrics=True))):
+            assert block_value[r] == value[0]
+            assert (block_aux is None) if aux is None else block_aux[r] == aux[0]
+            assert np.array_equal(block_grad[r], grad[0])
     # The metrics at a minibatch are, bit for bit, the per-sample formulas over
     # each row's samples, under a column and under a float lambda.
-    for lam, (value, aux, _) in ((column, mini), (0.37, with_metrics(W, 0.37, idx))):
+    for lam, ((value, aux), _) in ((column, mini),
+                                   (0.37, problem.gradient(W, 0.37, idx, with_metrics=True))):
         ref_value, ref_aux = MINIBATCH_METRICS[experiment](problem, W, lam, idx)
         assert value.tobytes() == ref_value.tobytes()
         assert (aux is None) if ref_aux is None else aux.tobytes() == ref_aux.tobytes()
@@ -455,9 +452,9 @@ def test_problem_arrays_are_read_only_copies(family):
 
 
 def test_family_must_implement_the_batched_pair():
-    # ``objective`` and the single-point methods are views of the batched
-    # pair, not a second way to define a family: a subclass with only them
-    # cannot be built.
+    # ``objective``, the chunked public methods and the single-point methods
+    # are views of the batched pair, not a second way to define a family: a
+    # subclass with only them cannot be built.
     class PointOnly(HomotopyProblem):
         dimension = 1
         sample_count = 1
@@ -468,24 +465,24 @@ def test_family_must_implement_the_batched_pair():
         def minibatch_value_and_gradient(self, w, lam, indices):
             return 0.0, np.zeros(1)
 
-    with pytest.raises(TypeError, match="abstract method.*epoch_metrics.*gradient"):
+    with pytest.raises(TypeError, match="abstract method.*_epoch_metrics.*_gradient"):
         PointOnly()
 
     class ObjectiveAndGradient(HomotopyProblem):
         def objective(self, W, lam):
             return np.zeros(len(W))
 
-        def gradient(self, W, lam, idx=None, with_metrics=False):
+        def _gradient(self, W, lam, idx=None, with_metrics=False):
             return np.zeros_like(W)
 
-    with pytest.raises(TypeError, match="abstract method.*epoch_metrics"):
+    with pytest.raises(TypeError, match="abstract method.*_epoch_metrics"):
         ObjectiveAndGradient()
 
     class MetricsOnly(HomotopyProblem):
-        def epoch_metrics(self, W, lam):
+        def _epoch_metrics(self, W, lam):
             return np.zeros(len(W)), None
 
-    with pytest.raises(TypeError, match="abstract method.*gradient"):
+    with pytest.raises(TypeError, match="abstract method.*_gradient"):
         MetricsOnly()
 
 
@@ -514,3 +511,34 @@ def test_only_problems_names_a_family_type():
                     and (node.module or "").split(".")[-1] == "problems"):
                 found.append(f"{path.name}:{node.lineno}")
     assert families and found == [], f"a family type is named outside problems.py at {found}"
+
+
+def test_only_problems_owns_the_row_chunk_bound():
+    # Every block a family evaluates goes through the base's public methods,
+    # which cut it to EPOCH_CHUNK_ELEMENTS: a second copy of the bound, a chunk
+    # call of its own, or a family overriding a chunked method would let a
+    # block past it. The grid f* pass, one ``objectives`` model pass per chunk,
+    # is the one caller that cuts its own rows.
+    source = Path(problems.__file__)
+    named, chunked = [], []
+    for path in sorted(source.parent.glob("*.py")):
+        if path == source:
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else node.attr
+                        if isinstance(node, ast.Attribute) else node.name
+                        if isinstance(node, ast.alias) else None)
+                if name == "EPOCH_CHUNK_ELEMENTS":
+                    named.append(f"{path.name}:{node.lineno}")
+                elif name == "in_row_chunks":
+                    chunked.append(f"{path.name}:{getattr(top, 'name', node.lineno)}")
+    assert named == [], f"EPOCH_CHUNK_ELEMENTS is named outside problems.py at {named}"
+    assert chunked == ["diagnostics.py:_grid_fstar"]
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    families = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name != "HomotopyProblem"]
+    overrides = [f"{cls.name}.{fn.name}" for cls in families for fn in cls.body
+                 if isinstance(fn, ast.FunctionDef)
+                 and fn.name in ("gradient", "epoch_metrics", "objective")]
+    assert len(families) == 5 and overrides == [], f"a family overrides a chunked method: {overrides}"
