@@ -33,8 +33,9 @@ SAMPLER_BLOCK_ELEMENTS = 128_000
 # forked worker (``harness._run_arm``). Not part of the contract: no output
 # depends on the slice count. On a 2-CPU host a fork and its result pipe
 # cost about 15 ms, more than half of synthetic-lq's default arm
-# (100,000 repeat-steps) saves, so that arm and toy-erf's (40,000) run in
-# one process; moons-logistic and sine-mlp arms at R = 100 and k >= 100
+# (100,000 repeat-steps) saves, so that arm runs in one process, as does
+# toy-erf's, a full-batch arm that steps one repeat (400 repeat-steps, not
+# 40,000); moons-logistic and sine-mlp arms at R = 100 and k >= 100
 # (200,000 and more) are split.
 FORK_REPEAT_STEPS = 150_000
 

@@ -316,7 +316,9 @@ def expected_pl_probe(problem, lam, draws, fstar_lambda, rng):
     """Monte-Carlo mu_tilde = E||grad f||^2 / (2 (E f - f*)) over w ~ N(0, I).
 
     A positive stable ratio is evidence for the expected-PL property under
-    that law, not under the algorithm's iterate law.
+    that law, not under the algorithm's iterate law. A mean gap that is not
+    positive (NaN included), or a result that is not finite, raises
+    EstimationError.
     """
     if draws < 100:
         raise ConfigurationError("need at least 100 draws")
@@ -324,10 +326,13 @@ def expected_pl_probe(problem, lam, draws, fstar_lambda, rng):
     sq_grads = _row_dots(problem.gradient(W, lam))
     vals = problem.objective(W, lam)
     mean_gap = float(np.mean(vals) - fstar_lambda)
-    if mean_gap <= 0:
-        raise EstimationError("mean objective gap is nonpositive")
+    if not mean_gap > 0:  # NaN included
+        raise EstimationError(f"mean objective gap {mean_gap} is not positive")
     mean_sq = float(np.mean(sq_grads))
-    return PlProbeResult(mean_sq / (2.0 * mean_gap), mean_sq, mean_gap, draws)
+    ratio = mean_sq / (2.0 * mean_gap)
+    if not np.isfinite([ratio, mean_sq, mean_gap]).all():
+        raise EstimationError(f"ratio {ratio} = {mean_sq} / (2 * {mean_gap}) is not finite")
+    return PlProbeResult(ratio, mean_sq, mean_gap, draws)
 
 
 @dataclass

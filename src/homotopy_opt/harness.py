@@ -8,7 +8,9 @@ XOR repeat_index. An arm's repeats are cut into contiguous slices, one per
 usable CPU (none for an arm below ``core.FORK_REPEAT_STEPS`` repeat-steps);
 each slice steps its repeats in lockstep, the first in this process and the
 others in forked workers, and no output depends on the slice count. Arms (sgd
-vs hsgd) share the dataset and the initial point.
+vs hsgd) share the dataset and the initial point; a full-batch arm from that
+one point steps repeat 0 alone and copies its rows to every repeat, since
+its repeats follow one path bit for bit.
 """
 
 from __future__ import annotations
@@ -344,7 +346,16 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
     slice, so the result does not depend on the slice count. On a
     NonFiniteError the error the serial run would have raised is raised;
     on any other error in a slice, that error.
+
+    A full-batch arm (M = N) from one start point runs repeat 0 alone and
+    repeats its rows R times: a full batch draws nothing from the repeats'
+    streams, so every repeat follows repeat 0's path bit for bit, and a
+    diverging one fails first at repeat 0. An (R, d) start block always
+    steps every repeat.
     """
+    copies = 1
+    if np.ndim(w0) == 1 and cfg_sgd.minibatch == problem.sample_count:
+        seeds, copies = seeds[:1], len(seeds)
     W0 = np.array(np.broadcast_to(w0, (len(seeds), problem.dimension)), dtype=float)
     total_steps = _sgd_total_steps(cfg_sgd, schedule, budget_factor if method == "sgd" else 1)
     parts = np.array_split(np.arange(len(seeds)), _slice_count(len(seeds), total_steps))
@@ -383,7 +394,10 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
     if failures:
         raise _serial_nonfinite(failures)
     lambdas, objectives, aux = zip(*(result for _, _, result in outcomes))
-    return lambdas[0], np.concatenate(objectives), None if aux[0] is None else np.concatenate(aux)
+
+    def rows(blocks):
+        return np.repeat(np.concatenate(blocks), copies, axis=0)
+    return lambdas[0], rows(objectives), None if aux[0] is None else rows(aux)
 
 
 def _slice_count(repeats, steps):
@@ -645,7 +659,10 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
         problem, lam, w_samples, minibatch, 200, rng))
     fstar = _fstar_table(cfg, problem, [lam])
     if fstar is not None:
-        est.fstar = fstar[lam]
+        if np.isfinite(fstar[lam]):
+            est.fstar = fstar[lam]
+        else:
+            est.errors["fstar"] = f"the f* table value {fstar[lam]} is not finite"
     else:  # no oracle: the best of a multistart descent bounds f* from above
         spec = {"kind": "multistart", "restarts": 10, "steps": 1500,
                 "alpha": 1.0 / est.L_hat if est.L_hat else 0.05,

@@ -591,6 +591,19 @@ def test_estimate_with_no_finite_sample_is_an_error_line(tmp_path, capfd, config
         assert not out_dir.exists()
 
 
+def test_nonfinite_fstar_is_an_error_line(tmp_path, capfd):
+    # Overflowing labels make every grid objective inf: that f* is missing,
+    # so diagnose neither prints it nor runs the PL probe or the mu sweep on it.
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "toy-erf", "dataset": {"slope": 1e308}})
+    code = cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")])
+    out, err = capfd.readouterr()
+    assert code == cli.EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert "error.fstar = the f* table value inf is not finite" in lines
+    assert not [line for line in lines if line.startswith(("fstar", "expected_pl_"))]
+    assert not (tmp_path / "d" / "mu_sweep.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "diagnose"])
 @pytest.mark.parametrize("raw, message", [
     ({"experiment": "moons-logistic", "dataset": {"N": 41}}, "even dataset.N"),

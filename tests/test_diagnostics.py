@@ -261,6 +261,17 @@ def test_pl_probe_validation():
         diagnostics.expected_pl_probe(quadratic(), 1.0, 100, 1e12, make_rng(0))
 
 
+def test_pl_probe_of_a_nonfinite_landscape_is_an_error():
+    # A NaN mean gap fails no `<= 0` test, and an infinite gradient gives an
+    # infinite ratio: neither is a measured PL constant.
+    nan_objective = Scalar1D(lambda w: np.nan, lambda w: w)
+    with pytest.raises(diagnostics.EstimationError, match="mean objective gap nan is not positive"):
+        diagnostics.expected_pl_probe(nan_objective, 1.0, 100, 0.0, make_rng(0))
+    inf_gradient = Scalar1D(lambda w: 0.5 * w**2, lambda w: np.inf)
+    with pytest.raises(diagnostics.EstimationError, match="ratio inf = inf / .* is not finite"):
+        diagnostics.expected_pl_probe(inf_gradient, 1.0, 100, 0.0, make_rng(0))
+
+
 # ------------------------------------------------- sublevel-set invariance
 
 

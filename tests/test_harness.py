@@ -459,6 +459,68 @@ def test_lockstep_engine_matches_single_repeat_runs(tmp_path, experiment):
                 assert np.max(np.abs(aux_b[r] - aux_s)) < 1e-9
 
 
+# Every family at M = N, small enough to step an arm in a test.
+FULL_BATCH_CASES = {
+    "toy-erf": {"dataset": {"N": 40}, "optimizer": {"minibatch": 40}},
+    "sine-mlp": {"dataset": {"N": 40}, "optimizer": {"minibatch": 40}},
+    "moons-logistic": {"dataset": {"N": 100}, "optimizer": {"minibatch": 100}},
+    "synthetic-lq": {"optimizer": {"minibatch": 64}},
+}
+
+
+@pytest.fixture
+def slice_starts(monkeypatch):
+    """The shape of every start block handed to ``_run_slice``, in call order."""
+    starts, real = [], harness._run_slice
+
+    def run_slice(problem, W0, *args, **kwargs):
+        starts.append(W0.shape)
+        return real(problem, W0, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_slice", run_slice)
+    return starts
+
+
+@pytest.mark.parametrize("experiment", sorted(FULL_BATCH_CASES))
+def test_full_batch_arm_steps_one_repeat(tmp_path, slice_starts, experiment):
+    # A full batch draws nothing from the repeats' streams, so from one start
+    # point every repeat is repeat 0; a start block steps every repeat.
+    cfg = tiny_config(tmp_path, experiment, **FULL_BATCH_CASES[experiment])
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    alpha = cfg.optimizer["alpha"]
+    alpha = 0.05 if alpha == "auto" else float(alpha)
+    cfg_sgd = SgdConfig(alpha, 6, problem.sample_count, record_every=1)
+    sched = make_schedule("exponential", 3, eta=0.5)
+    seeds = [11, 12, 13, 14, 15]
+    for method in ("sgd", "hsgd"):
+        slice_starts.clear()
+        point = _run_arm(problem, w0, method, sched, cfg_sgd, seeds, budget_factor=2)
+        assert slice_starts == [(1, problem.dimension)]
+        block = _run_arm(problem, np.tile(w0, (5, 1)), method, sched, cfg_sgd, seeds,
+                         budget_factor=2)
+        assert slice_starts[1:] == [(5, problem.dimension)]
+        assert np.array_equal(point[0], block[0]) and np.array_equal(point[1], block[1])
+        assert point[1].shape == (5, point[0].size)
+        if block[2] is None:
+            assert point[2] is None
+        else:
+            assert np.array_equal(point[2], block[2])
+
+
+def test_diverging_full_batch_arm_fails_as_every_repeat_would(tmp_path, slice_starts):
+    cfg = tiny_config(tmp_path, "sine-mlp", **FULL_BATCH_CASES["sine-mlp"])
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    cfg_sgd = SgdConfig(1e150, 6, problem.sample_count, record_every=1)
+    sched = make_schedule("exponential", 3, eta=0.5)
+    messages = []
+    for start in (w0, np.tile(w0, (5, 1))):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+            _run_arm(problem, start, "hsgd", sched, cfg_sgd, [1, 2, 3, 4, 5])
+        messages.append(str(err.value))
+    assert slice_starts == [(1, problem.dimension), (5, problem.dimension)]
+    assert messages[0] == messages[1] and "(repeat 0, " in messages[0]
+
+
 def test_nonfinite_block_names_the_repeat(tmp_path):
     cfg = tiny_config(tmp_path, "toy-erf")
     problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
@@ -504,18 +566,24 @@ def in_worker_only(monkeypatch, action):
     monkeypatch.setattr(harness, "_run_slice", run_slice)
 
 
+# Each case's config, and whether its arms fork one worker per slice after
+# the first. A full-batch arm (toy-erf's default M = N) steps one repeat, so
+# it forks at no slice count.
 SPLIT_CASES = {
-    "toy-erf": {"optimizer": {"k": 4, "n": 6}},
-    "moons-logistic": {"dataset": {"N": 100}, "optimizer": {"k": 6, "n": 3}},
-    "sine-mlp": {"dataset": {"N": 40}, "optimizer": {"k": 16, "n": 2}},
-    "diverging sine-mlp": {"experiment": "sine-mlp", "method": "hsgd", "dataset": {"N": 40},
-                           "optimizer": {"alpha": 1e150, "k": 16, "n": 2}},
+    "toy-erf": ({"optimizer": {"k": 4, "n": 6}}, False),
+    "toy-erf minibatch": ({"experiment": "toy-erf",
+                           "optimizer": {"minibatch": 10, "k": 4, "n": 6}}, True),
+    "moons-logistic": ({"dataset": {"N": 100}, "optimizer": {"k": 6, "n": 3}}, True),
+    "sine-mlp": ({"dataset": {"N": 40}, "optimizer": {"k": 16, "n": 2}}, True),
+    "diverging sine-mlp": ({"experiment": "sine-mlp", "method": "hsgd", "dataset": {"N": 40},
+                            "optimizer": {"alpha": 1e150, "k": 16, "n": 2}}, True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_outputs_are_byte_identical(tmp_path, slices, case):
-    raw = {"experiment": case, "repeats": 5, **SPLIT_CASES[case]}
+    overrides, forks = SPLIT_CASES[case]
+    raw = {"experiment": case, "repeats": 5, **overrides}
     outputs = {}
     for count in (1, 2, 3):
         started = slices(count)
@@ -524,7 +592,7 @@ def test_split_outputs_are_byte_identical(tmp_path, slices, case):
             warnings.simplefilter("ignore")  # the diverging step size is out of range
             run_experiment(cfg)
         arms = 1 if cfg.method == "hsgd" else 2
-        assert len(started) == arms * (count - 1)
+        assert len(started) == (arms * (count - 1) if forks else 0)
         meta = json.loads((tmp_path / str(count) / "metadata.json").read_text(encoding="utf-8"))
         meta["config"]["out_dir"] = None
         outputs[count] = meta, {p.name: p.read_bytes() for p in (tmp_path / str(count)).iterdir()
