@@ -4,14 +4,17 @@ The optimizer minimizes a parametric family f(w, lambda) exposed through the
 ``HomotopyProblem`` interface: the inner loop is plain constant-step SGD on
 f(., lambda), the outer loop increases lambda from 0 to 1 according to a
 schedule whose increments sum to one, warm-starting each inner solve from the
-previous approximate solution.
+previous approximate solution. ``fork_parts`` runs a block's row slices in forked workers.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
+import os
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass
 
@@ -28,16 +31,15 @@ SAMPLER = "floyd-block-v1"
 # do not depend on B. 128,000 int64 elements are 1 MB, the block of 64 steps
 # of moons-logistic (R = 100, M = 20); sine-mlp (M = 5) gets 256 steps.
 SAMPLER_BLOCK_ELEMENTS = 128_000
-# Repeat-steps (repeats x steps of one arm) from which a run cuts an arm's
-# repeats into one slice per usable CPU, each slice but the first in a
-# forked worker (``harness._run_arm``). Not part of the contract: no output
-# depends on the slice count. On a 2-CPU host a fork and its result pipe
-# cost about 15 ms, more than half of synthetic-lq's default arm
-# (100,000 repeat-steps) saves, so that arm runs in one process, as does
-# toy-erf's, a full-batch arm that steps one repeat (400 repeat-steps, not
-# 40,000); moons-logistic and sine-mlp arms at R = 100 and k >= 100
-# (200,000 and more) are split.
-FORK_REPEAT_STEPS = 150_000
+# Sample-gradient evaluations (rows x steps x samples per step, the unit of
+# the grad_evals column) from which ``_slice_count`` cuts a block of rows, an
+# arm's repeats at M samples or a multistart's restarts at N, into one slice
+# per usable CPU. Not part of the contract: no output depends on the slice
+# count. A fork and its pipe cost about 15 ms on 2 CPUs, so synthetic-lq's
+# default arm (800,000) and toy-erf's one-repeat arm (40,000) stay in process;
+# the sine-mlp hsgd arm at k = 100 (1,000,000) and the default moons-logistic
+# and sine-mlp arms and multistarts (15,000,000 and 7,500,000) fork.
+FORK_GRAD_EVALS = 1_000_000
 
 
 def clamp_lambda(lam):
@@ -380,3 +382,70 @@ def make_rng(seed):
 def steps_per_epoch(sample_count, minibatch):
     """One epoch = ceil(N/M) minibatch steps."""
     return math.ceil(sample_count / minibatch)
+
+
+def _slice_count(rows, steps, samples):
+    """How many slices a block of ``rows`` x ``steps`` steps of ``samples`` each is cut into.
+
+    One per usable CPU, but never more than the rows; a block below
+    FORK_GRAD_EVALS sample-gradient evaluations runs in this process, where
+    a fork would cost more than it saves.
+    """
+    if rows * steps * samples < FORK_GRAD_EVALS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), rows)
+
+
+def fork_parts(run, parts, caught=()):
+    """``(ok, result or exception)`` of ``run(part)`` per part of ``parts`` (row index arrays).
+
+    Part 0 runs here and each other part in a forked ``_part_worker``. A
+    worker that exits without a result gives a RuntimeError naming its first
+    row. Part 0's exceptions of a ``caught`` type are its outcome; any other
+    propagates, and no worker outlives the call.
+    """
+    fork = multiprocessing.get_context("fork") if len(parts) > 1 else None
+    workers = []
+    try:
+        for part in parts[1:]:
+            receive, send = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_part_worker, args=(send, run, part), daemon=True)
+            worker.start()
+            send.close()
+            workers.append((int(part[0]), receive, worker))
+        try:
+            outcomes = [(True, run(parts[0]))]
+        except caught as exc:
+            outcomes = [(False, exc)]
+        for first, receive, worker in workers:
+            try:
+                outcomes.append(receive.recv())
+            except EOFError:
+                outcomes.append((False, RuntimeError(
+                    f"the worker for repeats from {first} exited without a result")))
+            worker.join()
+    finally:  # reached early when this process's own part raises
+        for _, receive, worker in workers:
+            if worker.exitcode is None:
+                worker.terminate()
+                worker.join()
+            receive.close()
+    return outcomes
+
+
+def _part_worker(send, run, part):
+    """Forked worker: run one part, send (ok, result or exception) and exit.
+
+    ``os._exit`` ends the worker without the interpreter's shutdown, so it
+    never flushes the copy of the parent's stdout it inherited.
+    """
+    try:
+        try:
+            outcome = (True, run(part))
+        except Exception as exc:  # raised again in the parent, which never sees this traceback
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             f"raised in a forked worker:\n{traceback.format_exc()}"]
+            outcome = (False, exc)
+        send.send(outcome)
+    finally:
+        os._exit(0)

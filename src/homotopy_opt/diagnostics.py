@@ -13,15 +13,19 @@ the one a single-point evaluation gives. Where the rows need
 different lambdas (the f* refine of a lambda table, the delta witness),
 lambda is an (R, 1) column. No estimator evaluates point by point: the norms,
 ratios and maxima are block arithmetic over the evaluated rows, in the
-bits of the per-point formulas they replace (``_row_dots``).
+bits of the per-point formulas they replace (``_row_dots``). The multistart
+f* cuts its restarts into slices as a run cuts an arm's repeats
+(``core.fork_parts``); no value depends on the slice count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import ConfigurationError, _draw_minibatch, make_rng
 
 
@@ -200,20 +204,38 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
 
 
 def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=None):
+    """The first least objective over ``restarts`` full-batch descents from init_center + N(0, I).
+
+    The restarts are cut into ``core._slice_count`` contiguous slices, each
+    descended as one block through ``core.fork_parts``. A restart leaves its
+    block at its first non-finite iterate. A row's descent does not depend on
+    the rows beside it, so the rows joined in restart order do not depend on
+    the slice count.
+    """
     if restarts < 1:
         raise ConfigurationError("need at least one restart")
     rng = make_rng(seed)
     center = np.zeros(problem.dimension) if init_center is None else np.asarray(init_center, float)
     W = center + rng.standard_normal((restarts, problem.dimension))
-    # Full-batch descent of every restart as one block; a restart leaves the
-    # block at its first non-finite iterate.
-    for _ in range(steps):
-        W = W - alpha * problem.gradient(W, lam)
-        finite = np.isfinite(W).all(axis=1)
-        if not finite.all():
-            W = W[finite]
-            if not len(W):
-                raise EstimationError("every descent restart diverged")
+
+    def descend(part):
+        Wp = W[part]
+        for _ in range(steps):
+            Wp = Wp - alpha * problem.gradient(Wp, lam)
+            # A finite sum certifies a finite block, as in the engine.
+            if not math.isfinite(Wp.sum()):
+                Wp = Wp[np.isfinite(Wp).all(axis=1)]
+                if not len(Wp):
+                    break
+        return Wp
+
+    parts = np.array_split(np.arange(restarts),
+                           core._slice_count(restarts, steps, problem.sample_count))
+    outcomes = core.fork_parts(descend, parts)
+    for ok, result in outcomes:
+        if not ok:
+            raise result
+    W = np.concatenate([result for _, result in outcomes])
     best_val, best_w = np.inf, None
     for w, val in zip(W, problem.objective(W, lam)):
         if val < best_val:

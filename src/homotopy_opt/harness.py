@@ -5,30 +5,26 @@ config names one and drives everything; ``from_dict`` resolves every value a
 run reads and the metadata records it, so a run replays bit-identically from
 its metadata file. Repeats use per-repeat PRNG streams seeded by master_seed
 XOR repeat_index. An arm's repeats are cut into contiguous slices, one per
-usable CPU (none for an arm below ``core.FORK_REPEAT_STEPS`` repeat-steps);
+usable CPU (none below ``core.FORK_GRAD_EVALS`` sample-gradient evaluations);
 each slice steps its repeats in lockstep, the first in this process and the
-others in forked workers, and no output depends on the slice count. Arms (sgd
-vs hsgd) share the dataset and the initial point; a full-batch arm from that
-one point steps repeat 0 alone and copies its rows to every repeat, since
-its repeats follow one path bit for bit.
+others in workers forked by ``core.fork_parts``, and no output depends on
+the slice count. Arms (sgd vs hsgd) share the dataset and the initial point;
+a full-batch arm from that one point steps repeat 0 alone and copies its rows
+to every repeat, since its repeats follow one path bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import multiprocessing
-import os
-import traceback
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datasets, diagnostics, problems
+from . import __version__, core, datasets, diagnostics, problems
 from .core import (
-    FORK_REPEAT_STEPS,
     SAMPLER,
     ConfigurationError,
     NonFiniteError,
@@ -339,8 +335,9 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
     """Every repeat of one arm; returns (lambdas, objectives, aux) per epoch.
 
     ``w0`` is the start point of every repeat, or an (R, d) block of one
-    start row per repeat. The repeats are cut into ``_slice_count``
-    contiguous slices, each run by ``_run_slice``: slice 0, which holds
+    start row per repeat. The repeats are cut into ``core._slice_count``
+    contiguous slices of R x steps x M sample-gradient evaluations, each
+    run by ``_run_slice`` through ``core.fork_parts``: slice 0, which holds
     repeat 0 and so every ``stage_hook`` call, in this process, and each
     other slice in a forked worker. A repeat's row does not depend on its
     slice, so the result does not depend on the slice count. On a
@@ -358,76 +355,24 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
         seeds, copies = seeds[:1], len(seeds)
     W0 = np.array(np.broadcast_to(w0, (len(seeds), problem.dimension)), dtype=float)
     total_steps = _sgd_total_steps(cfg_sgd, schedule, budget_factor if method == "sgd" else 1)
-    parts = np.array_split(np.arange(len(seeds)), _slice_count(len(seeds), total_steps))
-    args = [(problem, W0[part], method, schedule, cfg_sgd, [seeds[r] for r in part],
-             total_steps) for part in parts]
-    fork = multiprocessing.get_context("fork") if len(parts) > 1 else None
-    workers = []
-    try:
-        for part, slice_args in zip(parts[1:], args[1:]):
-            receive, send = fork.Pipe(duplex=False)
-            worker = fork.Process(target=_slice_worker, args=(send, slice_args), daemon=True)
-            worker.start()
-            send.close()
-            workers.append((int(part[0]), receive, worker))
-        try:
-            outcomes = [(0, True, _run_slice(*args[0], stage_hook=stage_hook))]
-        except NonFiniteError as exc:
-            outcomes = [(0, False, exc)]
-        for offset, receive, worker in workers:
-            try:
-                outcomes.append((offset, *receive.recv()))
-            except EOFError:
-                outcomes.append((offset, False, RuntimeError(
-                    f"the worker for repeats from {offset} exited without a result")))
-            worker.join()
-    finally:  # reached early when this process's own slice raises
-        for _, receive, worker in workers:
-            if worker.exitcode is None:
-                worker.terminate()
-                worker.join()
-            receive.close()
-    failures = [(offset, exc) for offset, ok, exc in outcomes if not ok]
+    parts = np.array_split(np.arange(len(seeds)),
+                           core._slice_count(len(seeds), total_steps, cfg_sgd.minibatch))
+
+    def run(part):
+        return _run_slice(problem, W0[part], method, schedule, cfg_sgd, [seeds[r] for r in part],
+                          total_steps, stage_hook=stage_hook if part[0] == 0 else None)
+    outcomes = core.fork_parts(run, parts, caught=NonFiniteError)
+    failures = [(int(part[0]), exc) for part, (ok, exc) in zip(parts, outcomes) if not ok]
     for _, exc in failures:
         if not isinstance(exc, NonFiniteError):
             raise exc
     if failures:
         raise _serial_nonfinite(failures)
-    lambdas, objectives, aux = zip(*(result for _, _, result in outcomes))
+    lambdas, objectives, aux = zip(*(result for _, result in outcomes))
 
     def rows(blocks):
         return np.repeat(np.concatenate(blocks), copies, axis=0)
     return lambdas[0], rows(objectives), None if aux[0] is None else rows(aux)
-
-
-def _slice_count(repeats, steps):
-    """How many slices an arm of ``repeats`` x ``steps`` is cut into.
-
-    One per usable CPU, but never more than the repeats; an arm below
-    FORK_REPEAT_STEPS runs in this process, where a fork would cost more
-    than it saves.
-    """
-    if repeats * steps < FORK_REPEAT_STEPS or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), repeats)
-
-
-def _slice_worker(send, slice_args):
-    """Forked worker: run one slice, send (ok, result or exception) and exit.
-
-    ``os._exit`` ends the worker without the interpreter's shutdown, so it
-    never flushes the copy of the parent's stdout it inherited.
-    """
-    try:
-        try:
-            outcome = (True, _run_slice(*slice_args))
-        except Exception as exc:  # raised again in the parent, which never sees this traceback
-            exc.__notes__ = [*getattr(exc, "__notes__", ()),
-                             f"raised in a forked worker:\n{traceback.format_exc()}"]
-            outcome = (False, exc)
-        send.send(outcome)
-    finally:
-        os._exit(0)
 
 
 def _serial_nonfinite(failures):
@@ -635,7 +580,8 @@ def _write_snapshots(path, rows):
 def run_diagnose(cfg: ExperimentConfig, lam=1.0):
     """Measure landscape constants for the configured experiment at one lambda.
 
-    An estimator that cannot produce a value (``EstimationError``) leaves an
+    An estimator that cannot produce a value (``EstimationError``), or
+    whose L, sigma^2 or delta estimate is not finite, leaves an
     ``error.<key>`` line in the report; any other error propagates.
     """
     problems._check_lambda(lam)
@@ -648,7 +594,10 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
 
     def attempt(key, estimate):  # estimate(), or None with error.<key> recorded
         try:
-            return estimate()
+            value = estimate()
+            if isinstance(value, float) and not np.isfinite(value):
+                raise diagnostics.EstimationError(f"the sampled maximum {value} is not finite")
+            return value
         except diagnostics.EstimationError as exc:
             est.errors[key] = str(exc)
             return None

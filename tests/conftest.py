@@ -1,9 +1,11 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from homotopy_opt import datasets, harness, problems
+from homotopy_opt import core, datasets, harness, problems
 from homotopy_opt.problems import ErfRegressionProblem
 
 # Pass/fail lines recorded by tests/test_acceptance.py; printed once at the
@@ -60,3 +62,23 @@ def chunk_budget(request, monkeypatch):
     # 7 rows of N = 30 samples per chunk: a block of more than 7 points is split.
     if request.param == "chunked":
         monkeypatch.setattr(problems, "EPOCH_CHUNK_ELEMENTS", 7 * 30)
+
+
+@pytest.fixture
+def slices(monkeypatch):
+    """``cut_into(count)`` sets the slice count and returns the list of workers started since."""
+    fork = multiprocessing.get_context("fork")
+    started = []
+    real_process = fork.Process
+
+    def process(*args, **kwargs):
+        started.append(kwargs)
+        return real_process(*args, **kwargs)
+
+    monkeypatch.setattr(fork, "Process", process)
+
+    def cut_into(count):
+        monkeypatch.setattr(core, "_slice_count", lambda rows, steps, samples: min(count, rows))
+        started.clear()
+        return started
+    return cut_into

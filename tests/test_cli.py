@@ -81,7 +81,7 @@ def cli_process(args, setup=""):
     """``homotopy-opt args`` in a fresh interpreter, after the statements ``setup``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    script = f"import os, sys\nfrom homotopy_opt import cli, harness\n{setup}\n" \
+    script = f"import os, sys\nfrom homotopy_opt import cli, core, harness\n{setup}\n" \
              "sys.exit(cli.main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                           text=True, env=env, timeout=300)
@@ -111,7 +111,7 @@ def test_diverged_arm_writes_no_numpy_warning(tmp_path):
     for slices in (1, 2):
         out = tmp_path / f"out{slices}"
         proc = cli_process(["run", "--config", cfg, "--out", str(out)],
-                           f"harness._slice_count = lambda repeats, steps: min({slices}, repeats)")
+                           f"core._slice_count = lambda rows, steps, samples: min({slices}, rows)")
         assert "UserWarning: step size 1e+150 exceeds" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
@@ -150,8 +150,8 @@ def test_dead_worker_is_a_runtime_failure(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq", "repeats": 4,
                                              "optimizer": {"k": 4, "n": 2}})
     proc = cli_process(["run", "--config", cfg, "--out", str(tmp_path / "out")],
-                       "harness._slice_count = lambda repeats, steps: min(2, repeats)\n"
-                       "harness._slice_worker = lambda send, slice_args: os._exit(1)")
+                       "core._slice_count = lambda rows, steps, samples: min(2, rows)\n"
+                       "core._part_worker = lambda send, run, part: os._exit(1)")
     assert proc.returncode == cli.EXIT_RUNTIME
     assert proc.stdout == ""
     assert proc.stderr == "runtime failure: the worker for repeats from 2 exited without a result\n"
@@ -589,6 +589,20 @@ def test_estimate_with_no_finite_sample_is_an_error_line(tmp_path, capfd, config
             "configuration error: cannot estimate L_tilde at lambda = 1: "
             "every sampled gradient-difference ratio is NaN"]
         assert not out_dir.exists()
+
+
+def test_infinite_estimate_is_an_error_line(tmp_path, capfd):
+    # Finite data whose sampled gradient and objective ratios overflow to inf:
+    # an infinite maximum is no measured L or delta, so diagnose prints it
+    # as an error line, not as a number.
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "toy-erf", "dataset": {"slope": 1e155}})
+    code = cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")])
+    out, err = capfd.readouterr()
+    assert code == cli.EXIT_OK and err == ""
+    lines = out.splitlines()
+    for key in ("L_hat", "delta_hat"):
+        assert f"error.{key} = the sampled maximum inf is not finite" in lines
+        assert not [line for line in lines if line.startswith(f"{key} =")]
 
 
 def test_nonfinite_fstar_is_an_error_line(tmp_path, capfd):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import multiprocessing
 import unittest.mock
 
 import numpy as np
@@ -473,6 +474,52 @@ def test_block_multistart_mixed_divergence_on_quartic():
         # Started around w = 5, every restart diverges.
         with pytest.raises(diagnostics.EstimationError, match="every descent restart diverged"):
             diagnostics.estimate_fstar(prob, 1.0, {**spec, "init_center": [5.0]})
+
+
+QUARTIC = Scalar1D(lambda w: 0.25 * w**4, lambda w: w**3)
+# (problem, lambda, spec): two families; w <- w - w^3 from around w = 1,
+# where restarts 0-2, 4-7 and 9 diverge, so at 3 slices the whole second
+# slice (restarts 4-7) leaves no row; and a double well whose restarts 0-2
+# end at w = 1 and 3-5 at w = -1 with equal values, so only the restart
+# order of the joined rows makes the first least restart 0's.
+SLICED_MULTISTARTS = {
+    "double well": (lambda: Scalar1D(lambda w: (w**2 - 1) ** 2, lambda w: 4 * w * (w**2 - 1)),
+                    1.0, {"kind": "multistart", "restarts": 6, "steps": 200, "alpha": 0.05,
+                          "seed": 3}),
+    "moons-logistic": (lambda: small_family("moons-logistic"), 0.37,
+                       {"kind": "multistart", "restarts": 9, "steps": 40, "alpha": 0.2, "seed": 6}),
+    "sine-mlp": (lambda: small_family("sine-mlp"), 0.37,
+                 {"kind": "multistart", "restarts": 9, "steps": 40, "alpha": 0.2, "seed": 6}),
+    "quartic": (lambda: QUARTIC, 1.0, {"kind": "multistart", "restarts": 12, "steps": 30,
+                                       "alpha": 1.0, "seed": 6, "init_center": [1.0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLICED_MULTISTARTS))
+def test_multistart_does_not_depend_on_the_slice_count(slices, case):
+    make_problem, lam, spec = SLICED_MULTISTARTS[case]
+    problem = make_problem()
+    estimates = []
+    for count in (1, 2, 3):
+        started = slices(count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = diagnostics.estimate_fstar(problem, lam, spec)
+        assert len(started) == count - 1
+        estimates.append((est.value, est.minimizer.tobytes(), est.upper_bound_only))
+    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+    assert multiprocessing.active_children() == []
+
+
+def test_multistart_all_diverged_in_every_slice_is_one_error(slices):
+    spec = {"kind": "multistart", "restarts": 12, "steps": 30, "alpha": 1.0, "seed": 5,
+            "init_center": [5.0]}
+    for count in (1, 2, 3):
+        slices(count)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(diagnostics.EstimationError) as err:
+            diagnostics.estimate_fstar(QUARTIC, 1.0, spec)
+        assert str(err.value) == "every descent restart diverged"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("experiment", ["toy-erf", "synthetic-lq"])

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homotopy_opt import cli, datasets, diagnostics, harness, problems
+from homotopy_opt import cli, core, datasets, diagnostics, harness, problems
 from homotopy_opt.core import (
     SAMPLER,
     ConfigurationError,
@@ -534,26 +534,6 @@ def test_nonfinite_block_names_the_repeat(tmp_path):
 # ------------------------------------------------------ repeats split in slices
 
 
-@pytest.fixture
-def slices(monkeypatch):
-    """``cut_into(count)`` sets the slice count and returns the list of workers started since."""
-    fork = multiprocessing.get_context("fork")
-    started = []
-    real_process = fork.Process
-
-    def process(*args, **kwargs):
-        started.append(kwargs)
-        return real_process(*args, **kwargs)
-
-    monkeypatch.setattr(fork, "Process", process)
-
-    def cut_into(count):
-        monkeypatch.setattr(harness, "_slice_count", lambda repeats, steps: min(count, repeats))
-        started.clear()
-        return started
-    return cut_into
-
-
 def in_worker_only(monkeypatch, action):
     """Make ``_run_slice`` call ``action()`` in a forked worker; this process runs its slice."""
     parent, real = os.getpid(), harness._run_slice
@@ -614,16 +594,93 @@ def test_one_cpu_or_a_small_arm_starts_no_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_fork)
     raw = {"experiment": "toy-erf", "repeats": 4, "optimizer": {"k": 4, "n": 6}}
-    # 4 repeats x 24 steps: below the budget, even with four CPUs.
+    # 4 repeats x 24 steps x 100 samples: below the budget, even with four CPUs.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert harness._slice_count(4, 24) == 1
+    assert core._slice_count(4, 24, 100) == 1
     run_experiment(ExperimentConfig.from_dict({**raw, "out_dir": str(tmp_path / "small")}))
     # Over the budget, but with one usable CPU.
-    monkeypatch.setattr(harness, "FORK_REPEAT_STEPS", 1)
-    assert harness._slice_count(4, 24) == 4
+    monkeypatch.setattr(core, "FORK_GRAD_EVALS", 1)
+    assert core._slice_count(4, 24, 100) == 4
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert harness._slice_count(4, 24) == 1
+    assert core._slice_count(4, 24, 100) == 1
     run_experiment(ExperimentConfig.from_dict({**raw, "out_dir": str(tmp_path / "one-cpu")}))
+
+
+class Sliced(Exception):
+    """Raised by a stand-in ``core.fork_parts`` with the number of parts it was given."""
+
+
+# (config, what: an arm's method or "multistart", slices at 2 usable CPUs):
+# every default arm, both arms of the moons-seq and mlp-batched benchmark
+# workloads (k = 100), the diagnose multistarts of the families without an
+# f* oracle, and a multistart of the largest size a unit test runs.
+FORK_RULE = {
+    "toy-erf sgd": ({"experiment": "toy-erf"}, "sgd", 1),  # full batch: 1 x 400 x 100
+    "toy-erf hsgd": ({"experiment": "toy-erf"}, "hsgd", 1),
+    "synthetic-lq sgd": ({"experiment": "synthetic-lq"}, "sgd", 1),  # 100 x 1000 x 8
+    "synthetic-lq hsgd": ({"experiment": "synthetic-lq"}, "hsgd", 1),
+    "moons-logistic sgd": ({"experiment": "moons-logistic"}, "sgd", 2),
+    "moons-logistic hsgd": ({"experiment": "moons-logistic"}, "hsgd", 2),
+    "sine-mlp sgd": ({"experiment": "sine-mlp"}, "sgd", 2),
+    "sine-mlp hsgd": ({"experiment": "sine-mlp"}, "hsgd", 2),
+    "moons-seq sgd": ({"experiment": "moons-logistic", "optimizer": {"k": 100}}, "sgd", 2),
+    "moons-seq hsgd": ({"experiment": "moons-logistic", "optimizer": {"k": 100}}, "hsgd", 2),
+    "mlp-batched sgd": ({"experiment": "sine-mlp", "optimizer": {"k": 100}}, "sgd", 2),
+    # 100 x 2000 x 5: exactly the constant.
+    "mlp-batched hsgd": ({"experiment": "sine-mlp", "optimizer": {"k": 100}}, "hsgd", 2),
+    "moons-logistic multistart": ({"experiment": "moons-logistic"}, "multistart", 2),  # 10 x 1500 x 1000
+    "sine-mlp multistart": ({"experiment": "sine-mlp"}, "multistart", 2),  # 10 x 1500 x 500
+    "unit-test multistart": ({"experiment": "sine-mlp", "dataset": {"N": 100}},
+                             {"restarts": 300, "steps": 2}, 1),  # 300 x 2 x 100
+}
+
+
+@pytest.mark.parametrize("case", FORK_RULE)
+def test_fork_rule_at_two_cpus(monkeypatch, case):
+    raw, what, expected = FORK_RULE[case]
+    cfg = ExperimentConfig.from_dict(raw)
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+
+    def fork_parts(run, parts, caught=()):
+        raise Sliced(len(parts))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(core, "fork_parts", fork_parts)
+    with pytest.raises(Sliced) as sliced:
+        if what in ("sgd", "hsgd"):
+            opt = cfg.optimizer
+            cfg_sgd = SgdConfig(0.01, opt["k"], opt["minibatch"], record_every=1)
+            schedule = make_schedule(opt["schedule"], opt["n"], eta=opt["eta"])
+            seeds = [core.stream_seed(cfg.master_seed, r) for r in range(cfg.repeats)]
+            _run_arm(problem, w0, what, schedule, cfg_sgd, seeds, opt["sgd_budget_factor"])
+        else:  # run_diagnose's spec, or the given restarts and steps
+            sizes = {"restarts": 10, "steps": 1500} if what == "multistart" else what
+            diagnostics.estimate_fstar(problem, 1.0, {"kind": "multistart", **sizes,
+                                                      "alpha": 0.05, "seed": 0, "init_center": w0})
+    assert sliced.value.args == (expected,)
+
+
+def test_failing_in_process_multistart_slice_leaves_no_worker(tmp_path, monkeypatch):
+    # The descent's own slice raises while a worker descends the other: the
+    # error leaves diagnose, and the worker is ended, not waited for.
+    monkeypatch.setattr(core, "_slice_count", lambda rows, steps, samples: min(2, rows))
+    parent, real = os.getpid(), problems.CubicLogisticProblem._gradient
+
+    def gradient(self, W, lam, idx=None, with_metrics=False):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif multiprocessing.active_children():  # only the multistart forks
+            raise KeyError("in-process slice")
+        return real(self, W, lam, idx, with_metrics)
+
+    monkeypatch.setattr(problems.CubicLogisticProblem, "_gradient", gradient)
+    cfg = ExperimentConfig.from_dict({"experiment": "moons-logistic", "dataset": {"N": 100},
+                                      "problem": {"L_pairs": 20}, "out_dir": str(tmp_path)})
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="in-process slice"):
+        harness.run_diagnose(cfg)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def lq_arm(rows, alpha=0.1):

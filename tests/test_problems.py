@@ -397,6 +397,37 @@ def test_column_lambda_equals_float_calls_row_for_row(experiment, chunk_budget):
         assert (aux is None) if ref_aux is None else aux.tobytes() == ref_aux.tobytes()
 
 
+def cubic_fancy_index_gradient(problem, W, lam, idx, with_metrics):
+    """``CubicLogisticProblem._gradient`` with a fancy-index gather and a branch per gate shape."""
+    phi, y = problem.phi[idx], problem.labels01[idx]
+    if isinstance(lam, np.ndarray):
+        gate = np.concatenate([np.repeat(lam, 6, axis=1), np.ones((len(lam), 3))], axis=1)
+    else:
+        gate = np.array([lam] * 6 + [1.0] * 3)
+    z = problem._scores(phi, W * gate)
+    d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
+    grad = np.einsum("...m,...mk->...k", d, phi) * gate
+    return (problem._metrics(z, y), grad) if with_metrics else grad
+
+
+@pytest.mark.parametrize("column", [False, True])
+@pytest.mark.parametrize("with_metrics", [False, True])
+def test_cubic_minibatch_oracle_equals_a_fancy_index_gather(column, with_metrics):
+    problem = small_family("moons-logistic")
+    rng = make_rng(43)
+    W = rng.standard_normal((len(COLUMN_LAMBDAS), problem.dimension))
+    lam = np.array(COLUMN_LAMBDAS)[:, None] if column else 0.37
+    idx = core._draw_minibatch(rng, problem.sample_count, 20, len(W))
+    got = problem.gradient(W, lam, idx, with_metrics=with_metrics)
+    ref = cubic_fancy_index_gradient(problem, W, lam, idx, with_metrics)
+    if with_metrics:
+        (got_value, got_error), got = got
+        (ref_value, ref_error), ref = ref
+        assert got_value.tobytes() == ref_value.tobytes()
+        assert got_error.tobytes() == ref_error.tobytes()
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_column_labels_copy_the_endpoints():
     # The blend 0 * 1.0 + 1 * (-0.0) is +0.0, and so is 1 * (-0.0) + 0 * 3.0:
     # only a copy keeps a -0.0 label, as the float call at lambda 0 or 1 does.
