@@ -35,10 +35,11 @@ import numpy as np
 from .core import ConfigurationError, make_rng
 
 TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
-# Matrix elements (rows x samples) one family evaluation works on: a block goes
-# max(1, EPOCH_CHUNK_ELEMENTS // m) rows at a time, m = N or the minibatch, as
-# its per-sample temporaries (sine-mlp: R x m x 10) would spill out of cache and
-# set the peak memory. No row's bits depend on its chunk (``in_row_chunks``).
+# Elements of the widest per-sample temporary (rows x samples x ``sample_width``)
+# one family evaluation works on: a block goes max(1, EPOCH_CHUNK_ELEMENTS //
+# (m * sample_width)) rows at a time, m = N or the minibatch, as a whole block's
+# temporaries (sine-mlp: R x m x 10) would spill out of cache and set the peak
+# memory. No row's bits depend on its chunk (``in_row_chunks``).
 EPOCH_CHUNK_ELEMENTS = 25_000
 
 
@@ -83,10 +84,13 @@ class HomotopyProblem(ABC):
 
     dimension: int
     sample_count: int
+    # Values per sample in the family's widest temporary: a model property, not an option.
+    sample_width = 1
 
     def in_row_chunks(self, evaluate, W, lam, idx=None):
         """``evaluate(W, lam[, idx])`` on a few rows of W (of idx, of a column lam) at a time."""
-        rows = max(1, EPOCH_CHUNK_ELEMENTS // (self.sample_count if idx is None else idx.shape[1]))
+        m = self.sample_count if idx is None else idx.shape[1]
+        rows = max(1, EPOCH_CHUNK_ELEMENTS // (m * self.sample_width))
         if len(W) <= rows:
             return evaluate(W, lam) if idx is None else evaluate(W, lam, idx)
         parts = []
@@ -236,6 +240,7 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     """
 
     dimension = MLP_DIMENSION
+    sample_width = MLP_HIDDEN  # the (R, m, 10) hidden activation and delta blocks
 
     @staticmethod
     def unpack(w):

@@ -59,7 +59,8 @@ def small_family(experiment):
 
 @pytest.fixture(params=["whole", "chunked"])
 def chunk_budget(request, monkeypatch):
-    # 7 rows of N = 30 samples per chunk: a block of more than 7 points is split.
+    # 7 rows of N = 30 samples per chunk (1 row on the 10-wide MLP): a block of
+    # more than 7 points is split.
     if request.param == "chunked":
         monkeypatch.setattr(problems, "EPOCH_CHUNK_ELEMENTS", 7 * 30)
 

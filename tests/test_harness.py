@@ -806,8 +806,9 @@ def test_chunked_epoch_metrics_equal_one_block(experiment, monkeypatch):
     assert w0.shape == (problem.dimension,)
     rng = make_rng(8)
     n = problem.sample_count
-    # A budget of 3 rows splits R = 4 into chunks of 3 and 1; the default
-    # budget splits 100 repeats as a run does (25 rows on moons, 50 on the MLP).
+    # A budget of 3 rows splits R = 4 into chunks of 3 and 1 (1-row chunks on
+    # the 10-wide MLP); the default budget splits 100 repeats as a run does
+    # (25 rows on moons, 5 on the MLP).
     for budget, repeats in ((3 * n, 4), (problems.EPOCH_CHUNK_ELEMENTS, 100)):
         monkeypatch.setattr(problems, "EPOCH_CHUNK_ELEMENTS", budget)
         W = w0 + 0.3 * rng.standard_normal((repeats, problem.dimension))
@@ -829,8 +830,9 @@ def full_batch_problem(experiment, rows):
 
 @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
 def test_full_batch_records_come_from_the_next_gradient_pass(experiment, monkeypatch):
-    # 251 rows at N = 100 make two chunks, of 250 rows and 1 row, both of a
-    # direct record and of the gradient pass that gives a deferred record.
+    # 251 rows at N = 100 make more than one chunk (250 rows and 1 row, or
+    # ten of 25 rows and one of 1 on the 10-wide MLP), both of a direct
+    # record and of the gradient pass that gives a deferred record.
     problem, W0 = full_batch_problem(experiment, 251)
     assert problems.EPOCH_CHUNK_ELEMENTS // 100 < 251
     chunked = problem.epoch_metrics
@@ -898,7 +900,8 @@ def chunk_recording(problem):
 def test_every_evaluation_holds_the_row_chunk_bound(experiment):
     # 300 rows at N = 100, and at a minibatch of 90, exceed the bound: no
     # path, the engine's full-batch step and its deferred record included,
-    # may hand a family more than max(1, EPOCH_CHUNK_ELEMENTS // m) rows.
+    # may hand a family more than max(1, EPOCH_CHUNK_ELEMENTS // (m * width))
+    # rows, width the family's ``sample_width``.
     problem, W0 = full_batch_problem(experiment, 300)
     problem = chunk_recording(problem)
     seeds = list(range(len(W0)))
@@ -919,7 +922,7 @@ def test_every_evaluation_holds_the_row_chunk_bound(experiment):
     diagnostics.pl_moduli(problem, 0.5, W0, -1.0)
     diagnostics.estimate_mu(problem, 0.5, W0[0], -1.0)
     def bound(m):
-        return max(1, problems.EPOCH_CHUNK_ELEMENTS // m)
+        return max(1, problems.EPOCH_CHUNK_ELEMENTS // (m * problem.sample_width))
     assert {(rows, m) for rows, m in problem.calls if rows > bound(m)} == set()
     assert (bound(100), 100) in problem.calls and (bound(90), 90) in problem.calls
 

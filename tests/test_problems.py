@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +320,7 @@ def test_endpoint_consistency(small_erf, small_mlp, small_moons):
 
 
 # A lambda column of 11 rows, each endpoint three times: with the chunked
-# budget (7 rows of N = 30) it is cut as W is.
+# budget (7 rows of N = 30, 1 on the MLP) it is cut as W is.
 COLUMN_LAMBDAS = [0.0, 1.0, 0.37, 0.0, 0.91, 1.0, 0.5, 0.12, 0.63, 1.0, 0.0]
 
 
@@ -369,7 +370,7 @@ def test_column_lambda_equals_float_calls_row_for_row(experiment, chunk_budget):
     rng = make_rng(31)
     W = 0.5 * rng.standard_normal((len(COLUMN_LAMBDAS), problem.dimension))
     column = np.array(COLUMN_LAMBDAS)[:, None]
-    # 25 of 30 samples per row: 8 rows per chunk under the chunked budget.
+    # 25 of 30 samples per row: 8 rows per chunk (1 on the MLP) under the chunked budget.
     idx = core._draw_minibatch(rng, problem.sample_count, 25, len(W))
 
     objective = problem.objective(W, column)
@@ -546,10 +547,11 @@ def test_only_problems_names_a_family_type():
 
 def test_only_problems_owns_the_row_chunk_bound():
     # Every block a family evaluates goes through the base's public methods,
-    # which cut it to EPOCH_CHUNK_ELEMENTS: a second copy of the bound, a chunk
-    # call of its own, or a family overriding a chunked method would let a
-    # block past it. The grid f* pass, one ``objectives`` model pass per chunk,
-    # is the one caller that cuts its own rows.
+    # which cut it to EPOCH_CHUNK_ELEMENTS over the family's sample_width: a
+    # second copy of the bound or the width, a chunk call of its own, or a
+    # family overriding a chunked method would let a block past it. The grid
+    # f* pass, one ``objectives`` model pass per chunk, is the one caller that
+    # cuts its own rows.
     source = Path(problems.__file__)
     named, chunked = [], []
     for path in sorted(source.parent.glob("*.py")):
@@ -560,11 +562,11 @@ def test_only_problems_owns_the_row_chunk_bound():
                 name = (node.id if isinstance(node, ast.Name) else node.attr
                         if isinstance(node, ast.Attribute) else node.name
                         if isinstance(node, ast.alias) else None)
-                if name == "EPOCH_CHUNK_ELEMENTS":
-                    named.append(f"{path.name}:{node.lineno}")
+                if name in ("EPOCH_CHUNK_ELEMENTS", "sample_width"):
+                    named.append(f"{path.name}:{node.lineno}:{name}")
                 elif name == "in_row_chunks":
                     chunked.append(f"{path.name}:{getattr(top, 'name', node.lineno)}")
-    assert named == [], f"EPOCH_CHUNK_ELEMENTS is named outside problems.py at {named}"
+    assert named == [], f"the row-chunk bound is named outside problems.py at {named}"
     assert chunked == ["diagnostics.py:_grid_fstar"]
     tree = ast.parse(source.read_text(encoding="utf-8"))
     families = [node for node in tree.body
@@ -573,3 +575,55 @@ def test_only_problems_owns_the_row_chunk_bound():
                  if isinstance(fn, ast.FunctionDef)
                  and fn.name in ("gradient", "epoch_metrics", "objective")]
     assert len(families) == 5 and overrides == [], f"a family overrides a chunked method: {overrides}"
+
+
+def default_problem(experiment):
+    """The experiment's problem family at its default config, and that config."""
+    cfg = harness.ExperimentConfig.from_dict({"experiment": experiment})
+    return harness.build_problem(cfg, harness.build_dataset(cfg))[0], cfg
+
+
+# Rows per full-batch call at each experiment's default N: 25,000 elements of
+# its widest per-sample temporary, N wide on every family but the MLP (N x 10).
+FULL_BATCH_CHUNK_ROWS = {"toy-erf": 250, "sine-mlp": 5, "moons-logistic": 25, "synthetic-lq": 390}
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_row_chunks_at_the_default_sizes(experiment):
+    # A change of the budget or of a family's width moves these rows, and
+    # with them that family's timing and peak memory.
+    problem, cfg = default_problem(experiment)
+
+    def rows_per_call(rows, idx=None):
+        seen = []
+        problem.in_row_chunks(lambda W, lam, *_: seen.append(len(W)),
+                              np.zeros((rows, problem.dimension)), 1.0, idx)
+        return seen
+
+    full = FULL_BATCH_CHUNK_ROWS[experiment]
+    assert rows_per_call(2 * full + 1) == [full, full, 1]
+    # At the default minibatch the whole block of repeats, and so any slice
+    # of it, is one call.
+    idx = np.zeros((cfg.repeats, cfg.optimizer["minibatch"]), dtype=np.intp)
+    assert rows_per_call(cfg.repeats, idx) == [cfg.repeats]
+
+
+def traced_peak_mb(call):
+    """The peak memory ``call()`` allocates while it runs, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_mlp_temporaries_stay_within_the_row_chunk_bound():
+    # sine-mlp at N = 500: a bound blind to the width would evaluate a 50-row
+    # record in one chunk of (50, 500, 10) blocks, 2 MB each (a 4.5 MB peak),
+    # and a 1000-row full gradient 50 rows at a time (7.8 MB). Chunks of 5
+    # rows keep each block at 200 KB.
+    problem, _ = default_problem("sine-mlp")
+    W = 0.3 * make_rng(2).standard_normal((1000, problem.dimension))
+    assert traced_peak_mb(lambda: problem.epoch_metrics(W[:50], 0.5)) < 1.0
+    assert traced_peak_mb(lambda: problem.gradient(W, 1.0)) < 3.0
