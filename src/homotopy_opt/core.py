@@ -4,7 +4,7 @@ The optimizer minimizes a parametric family f(w, lambda) exposed through the
 ``HomotopyProblem`` interface: the inner loop is plain constant-step SGD on
 f(., lambda), the outer loop increases lambda from 0 to 1 according to a
 schedule whose increments sum to one, warm-starting each inner solve from the
-previous approximate solution. ``fork_parts`` runs a block's row slices in forked workers.
+previous approximate solution. ``fork_rows`` runs a block of rows in forked slices.
 """
 
 from __future__ import annotations
@@ -263,6 +263,20 @@ def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
             raise NonFiniteError(what, step, int(bad[0]), homotopy_iteration, lam)
 
 
+def _block_error(failures):
+    """The error one block of all rows raises, from (first row, error) per failing slice.
+
+    That is any error but a NonFiniteError, as it is; else the NonFiniteError
+    ``_raise_if_nonfinite`` meets first (step, gradient before iterate, row).
+    """
+    for _, exc in failures:
+        if not isinstance(exc, NonFiniteError):
+            return exc
+    errors = [NonFiniteError(e.what, e.step, first + e.repeat, e.homotopy_iteration, e.lam)
+              for first, e in failures]
+    return min(errors, key=lambda e: (e.step, e.what != "gradient", e.repeat))
+
+
 def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_iteration=None):
     """Run exactly cfg.steps iterates of w <- w - alpha * g(w, xi, lambda).
 
@@ -396,14 +410,15 @@ def _slice_count(rows, steps, samples):
     return min(len(os.sched_getaffinity(0)), rows)
 
 
-def fork_parts(run, parts, caught=()):
-    """``(ok, result or exception)`` of ``run(part)`` per part of ``parts`` (row index arrays).
+def fork_rows(run, rows, steps, samples):
+    """``run(part)`` of each contiguous slice ``part`` of ``range(rows)``, in row order.
 
-    Part 0 runs here and each other part in a forked ``_part_worker``. A
-    worker that exits without a result gives a RuntimeError naming its first
-    row. Part 0's exceptions of a ``caught`` type are its outcome; any other
-    propagates, and no worker outlives the call.
+    ``_slice_count`` sets the slice count. Slice 0 runs here and each other
+    in a forked ``_part_worker``; no worker outlives the call. A failing slice
+    raises what one block of all rows would raise (``_block_error``), and a
+    worker that exits without a result a RuntimeError naming its first row.
     """
+    parts = np.array_split(np.arange(rows), _slice_count(rows, steps, samples))
     fork = multiprocessing.get_context("fork") if len(parts) > 1 else None
     workers = []
     try:
@@ -415,7 +430,7 @@ def fork_parts(run, parts, caught=()):
             workers.append((int(part[0]), receive, worker))
         try:
             outcomes = [(True, run(parts[0]))]
-        except caught as exc:
+        except NonFiniteError as exc:
             outcomes = [(False, exc)]
         for first, receive, worker in workers:
             try:
@@ -424,13 +439,16 @@ def fork_parts(run, parts, caught=()):
                 outcomes.append((False, RuntimeError(
                     f"the worker for repeats from {first} exited without a result")))
             worker.join()
-    finally:  # reached early when this process's own part raises
+    finally:  # reached early when this process's own slice raises
         for _, receive, worker in workers:
             if worker.exitcode is None:
                 worker.terminate()
                 worker.join()
             receive.close()
-    return outcomes
+    failures = [(int(part[0]), exc) for part, (ok, exc) in zip(parts, outcomes) if not ok]
+    if failures:
+        raise _block_error(failures)
+    return [result for _, result in outcomes]
 
 
 def _part_worker(send, run, part):

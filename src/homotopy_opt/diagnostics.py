@@ -14,8 +14,8 @@ different lambdas (the f* refine of a lambda table, the delta witness),
 lambda is an (R, 1) column. No estimator evaluates point by point: the norms,
 ratios and maxima are block arithmetic over the evaluated rows, in the
 bits of the per-point formulas they replace (``_row_dots``). The multistart
-f* cuts its restarts into slices as a run cuts an arm's repeats
-(``core.fork_parts``); no value depends on the slice count.
+f* descends its restarts in the slices ``core.fork_rows`` cuts, as a run
+steps an arm's repeats; no value depends on the slice count.
 """
 
 from __future__ import annotations
@@ -206,11 +206,9 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
 def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=None):
     """The first least objective over ``restarts`` full-batch descents from init_center + N(0, I).
 
-    The restarts are cut into ``core._slice_count`` contiguous slices, each
-    descended as one block through ``core.fork_parts``. A restart leaves its
-    block at its first non-finite iterate. A row's descent does not depend on
-    the rows beside it, so the rows joined in restart order do not depend on
-    the slice count.
+    Each slice of ``core.fork_rows`` descends as one block, which a restart
+    leaves at its first non-finite iterate. A row's descent does not depend
+    on the rows beside it, so the joined rows do not depend on the slice count.
     """
     if restarts < 1:
         raise ConfigurationError("need at least one restart")
@@ -229,13 +227,7 @@ def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=No
                     break
         return Wp
 
-    parts = np.array_split(np.arange(restarts),
-                           core._slice_count(restarts, steps, problem.sample_count))
-    outcomes = core.fork_parts(descend, parts)
-    for ok, result in outcomes:
-        if not ok:
-            raise result
-    W = np.concatenate([result for _, result in outcomes])
+    W = np.concatenate(core.fork_rows(descend, restarts, steps, problem.sample_count))
     best_val, best_w = np.inf, None
     for w, val in zip(W, problem.objective(W, lam)):
         if val < best_val:

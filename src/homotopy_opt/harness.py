@@ -4,12 +4,12 @@ Each experiment is one ``Experiment`` record of ``EXPERIMENTS``, and a JSON
 config names one and drives everything; ``from_dict`` resolves every value a
 run reads and the metadata records it, so a run replays bit-identically from
 its metadata file. Repeats use per-repeat PRNG streams seeded by master_seed
-XOR repeat_index. An arm's repeats are cut into contiguous slices, one per
-usable CPU (none below ``core.FORK_GRAD_EVALS`` sample-gradient evaluations);
-each slice steps its repeats in lockstep, the first in this process and the
-others in workers forked by ``core.fork_parts``, and no output depends on
-the slice count. Arms (sgd vs hsgd) share the dataset and the initial point;
-a full-batch arm from that one point steps repeat 0 alone and copies its rows
+XOR repeat_index. ``core.fork_rows`` runs an arm's repeats in contiguous
+slices, one per usable CPU (none below ``core.FORK_GRAD_EVALS`` sample-gradient
+evaluations), the first in this process and the others in forked workers;
+each slice steps its repeats in lockstep, and no output depends on the slice
+count. Arms (sgd vs hsgd) share the dataset and the initial point; a
+full-batch arm from that one point steps repeat 0 alone and copies its rows
 to every repeat, since its repeats follow one path bit for bit.
 """
 
@@ -335,14 +335,10 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
     """Every repeat of one arm; returns (lambdas, objectives, aux) per epoch.
 
     ``w0`` is the start point of every repeat, or an (R, d) block of one
-    start row per repeat. The repeats are cut into ``core._slice_count``
-    contiguous slices of R x steps x M sample-gradient evaluations, each
-    run by ``_run_slice`` through ``core.fork_parts``: slice 0, which holds
-    repeat 0 and so every ``stage_hook`` call, in this process, and each
-    other slice in a forked worker. A repeat's row does not depend on its
-    slice, so the result does not depend on the slice count. On a
-    NonFiniteError the error the serial run would have raised is raised;
-    on any other error in a slice, that error.
+    start row per repeat. ``core.fork_rows`` runs the repeats in slices of
+    ``_run_slice``; slice 0 holds repeat 0, and so every ``stage_hook``
+    call, and runs in this process. A repeat's row does not depend on its
+    slice, so the result does not depend on the slice count.
 
     A full-batch arm (M = N) from one start point runs repeat 0 alone and
     repeats its rows R times: a full batch draws nothing from the repeats'
@@ -355,38 +351,15 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
         seeds, copies = seeds[:1], len(seeds)
     W0 = np.array(np.broadcast_to(w0, (len(seeds), problem.dimension)), dtype=float)
     total_steps = _sgd_total_steps(cfg_sgd, schedule, budget_factor if method == "sgd" else 1)
-    parts = np.array_split(np.arange(len(seeds)),
-                           core._slice_count(len(seeds), total_steps, cfg_sgd.minibatch))
 
     def run(part):
         return _run_slice(problem, W0[part], method, schedule, cfg_sgd, [seeds[r] for r in part],
                           total_steps, stage_hook=stage_hook if part[0] == 0 else None)
-    outcomes = core.fork_parts(run, parts, caught=NonFiniteError)
-    failures = [(int(part[0]), exc) for part, (ok, exc) in zip(parts, outcomes) if not ok]
-    for _, exc in failures:
-        if not isinstance(exc, NonFiniteError):
-            raise exc
-    if failures:
-        raise _serial_nonfinite(failures)
-    lambdas, objectives, aux = zip(*(result for _, result in outcomes))
+    lambdas, objectives, aux = zip(*core.fork_rows(run, len(seeds), total_steps, cfg_sgd.minibatch))
 
     def rows(blocks):
         return np.repeat(np.concatenate(blocks), copies, axis=0)
     return lambdas[0], rows(objectives), None if aux[0] is None else rows(aux)
-
-
-def _serial_nonfinite(failures):
-    """The NonFiniteError one slice of all repeats raises, from (repeat offset, error) per slice.
-
-    The engine checks a step's gradients, then its iterates, each in repeat
-    order. The error names the repeat's index in the arm, not in its slice.
-    """
-    def serial_order(failure):
-        offset, exc = failure
-        return exc.step, exc.what != "gradient", offset + exc.repeat
-
-    offset, exc = min(failures, key=serial_order)
-    return NonFiniteError(exc.what, exc.step, offset + exc.repeat, exc.homotopy_iteration, exc.lam)
 
 
 def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage_hook=None):

@@ -1,0 +1,62 @@
+"""The pair driver's statistics and verdicts on canned results; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+spec = importlib.util.spec_from_file_location("bench_pair", PATH)
+bench_pair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pair)
+
+SPEC = [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "steps_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+
+def result(**values):
+    return {"metrics": {name: {"value": v, "unit": "-"} for name, v in values.items()}}
+
+
+def pairs(parent, change, name="run_s"):
+    return [{"parent": result(**{name: a}), "change": result(**{name: b})}
+            for a, b in zip(parent, change)]
+
+
+def test_spread_is_the_median_and_inclusive_quartiles():
+    assert bench_pair.spread([4.0, 1.0, 3.0, 2.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+
+
+def test_a_clear_lower_is_better_gain():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [0.80, 0.81, 0.79, 0.82, 0.80, 1.05, 0.78, 0.80, 0.81, 0.79]
+    m = bench_pair.compare(pairs(parent, change), SPEC)["run_s"]
+    assert m["pairs"] == 10 and m["won"] == {"parent": 1, "change": 9}
+    assert m["change"]["median"] == pytest.approx(0.80)
+    assert m["relative_change"] == pytest.approx(-0.2)
+    assert m["gain"] is True and m["worse_than_bound"] is False
+
+
+def test_ties_count_for_neither_side_and_spread_blocks_a_gain():
+    parent = [1.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
+    change = [1.0, 0.9, 1.9, 1.9, 0.9, 1.9, 0.9, 1.9, 0.9, 1.9]
+    m = bench_pair.compare(pairs(parent, change), SPEC)["run_s"]
+    assert m["won"] == {"parent": 0, "change": 9}
+    # Medians 1.5 and 1.4 are closer than the parent's quartile spread of 1.0.
+    assert m["gain"] is False
+
+
+def test_higher_is_better_regression_beyond_the_bound():
+    parent = [100.0] * 10
+    change = [70.0] * 10
+    m = bench_pair.compare(pairs(parent, change, "steps_per_s"), SPEC)["steps_per_s"]
+    assert m["won"] == {"parent": 10, "change": 0}
+    assert m["relative_change"] == pytest.approx(-0.3)
+    assert m["worse_than_bound"] is True and m["gain"] is False
+
+
+def test_a_failed_run_leaves_its_pair_out():
+    canned = pairs([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    canned[1]["change"] = {"error": "benchmark error: every run op failed"}
+    metrics = bench_pair.compare(canned, SPEC)
+    assert metrics["run_s"]["pairs"] == 2 and "steps_per_s" not in metrics

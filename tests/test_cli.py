@@ -174,6 +174,20 @@ def test_numpy_error_state_is_set_only_in_cli_main():
     assert found == ["cli.main"]
 
 
+def test_only_core_cuts_and_forks_slices():
+    # One owner of the split, the fork, the join and the failure order: a
+    # module that cut or forked its own slices would re-derive them.
+    name_field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name",
+                  ast.ImportFrom: "module"}
+    owners = set()
+    for path in sorted((SRC / "homotopy_opt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, name_field.get(type(node), ""), None) or ""
+            if name.split(".")[0] in ("_slice_count", "_part_worker", "multiprocessing"):
+                owners.add(path.stem)
+    assert owners == {"core"}
+
+
 def test_exponential_schedule_with_subnormal_weights_runs_without_warning(tmp_path):
     # e^(-740) is subnormal; rounding it once warned of a cap the run never set.
     cfg = write_json(tmp_path / "cfg.json", {

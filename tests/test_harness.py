@@ -607,7 +607,7 @@ def test_one_cpu_or_a_small_arm_starts_no_process(tmp_path, monkeypatch):
 
 
 class Sliced(Exception):
-    """Raised by a stand-in ``core.fork_parts`` with the number of parts it was given."""
+    """Raised by a wrapped ``core._slice_count`` with the slice count it returned."""
 
 
 # (config, what: an arm's method or "multistart", slices at 2 usable CPUs):
@@ -641,11 +641,13 @@ def test_fork_rule_at_two_cpus(monkeypatch, case):
     cfg = ExperimentConfig.from_dict(raw)
     problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
 
-    def fork_parts(run, parts, caught=()):
-        raise Sliced(len(parts))
+    real = core._slice_count
+
+    def slice_count(rows, steps, samples):
+        raise Sliced(real(rows, steps, samples))
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(core, "fork_parts", fork_parts)
+    monkeypatch.setattr(core, "_slice_count", slice_count)
     with pytest.raises(Sliced) as sliced:
         if what in ("sgd", "hsgd"):
             opt = cfg.optimizer
@@ -735,6 +737,22 @@ def test_worker_error_is_reraised(tmp_path, slices, monkeypatch):
     in_worker_only(monkeypatch, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited without a result"):
         lq_arm({})()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_outranks_a_nonfinite_parent_slice(slices, monkeypatch):
+    # Repeat 0's NaN start fails this process's slice with a NonFiniteError;
+    # the worker's other error is the arm's, as in one block it would stop the run.
+    slices(2)
+
+    def fail():
+        raise ConfigurationError("raised in a worker")
+
+    in_worker_only(monkeypatch, fail)
+    with np.errstate(all="ignore"), pytest.raises(ConfigurationError,
+                                                  match="raised in a worker") as err:
+        lq_arm({0: np.nan})()
+    assert "raised in a forked worker" in err.value.__notes__[-1]
     assert multiprocessing.active_children() == []
 
 

@@ -1,0 +1,143 @@
+"""Run the benchmark on a parent and a change in alternated pairs and write the comparison.
+
+    python3 tools/bench_pair.py PARENT CHANGE --out BENCH.json \
+        [--workloads erf-fstar moons-seq mlp-batched] [--pairs 10] [--seed 1]
+
+PARENT and CHANGE are each a git revision of this repository, exported with
+``git archive`` into a temporary directory, or the path of a source tree.
+Pair i (from 1) runs the command of ``BENCHMARK.json`` with ``--workload W
+--seed S --seconds 25 --trace 0`` in both trees with S = seed + i - 1, the parent first in odd
+pairs. Each run gives the JSON object on its last stdout line and the ``env``
+block of its ``.bench_runs/<W>-seed<S>-trace0/result.json``.
+
+The output holds, per workload: every pair's values, its (attempted,
+failed) op counts and ``correct``; per end-to-end metric and side, the
+median and quartiles; the pairs each side won (ties count for neither); the
+change's median relative to the parent's, whether it is worse by more than
+the metric's bound, and whether it is a gain: won in at least nine of ten
+pairs, with medians apart by more than the parent's quartile spread. The
+environment is each side's ``env`` block from its first run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+WORKLOADS = ("erf-fstar", "moons-seq", "mlp-batched")
+SECONDS = 25
+
+
+def export(source, into):
+    """The tree at ``source``: a directory as it is, else a git revision extracted in ``into``."""
+    if Path(source).is_dir():
+        return Path(source).resolve()
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", source], check=True,
+                             capture_output=True).stdout
+    tree = Path(tempfile.mkdtemp(dir=into))
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def run_once(command, tree, workload, seed):
+    """One untraced benchmark run in ``tree``: its last-line result plus ``env``, or its error."""
+    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(SECONDS), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": proc.stderr.strip()[-2000:]}
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    saved = tree / ".bench_runs" / f"{workload}-seed{seed}-trace0" / "result.json"
+    result["env"] = json.loads(saved.read_text(encoding="utf-8"))["env"]
+    return result
+
+
+def spread(values):
+    """Median and quartiles of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(pairs, spec):
+    """Per end-to-end metric of ``spec``, each side's spread, pairs won and the verdicts.
+
+    ``pairs`` is a list of {"parent": result, "change": result}; a run with
+    an error or without the metric leaves its pair out of that metric.
+    """
+    out = {}
+    for entry in spec:
+        name, lower = entry["name"], entry["better"] == "lower"
+        values = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+                  for p in pairs if all(name in p[side].get("metrics", {}) for side in SIDES)]
+        if not values:
+            continue
+        parent, change = spread([a for a, _ in values]), spread([b for _, b in values])
+        won = {"parent": sum(a < b if lower else a > b for a, b in values),
+               "change": sum(b < a if lower else b > a for a, b in values)}
+        relative = change["median"] / parent["median"] - 1 if parent["median"] else None
+        worse = None if relative is None else (relative if lower else -relative) > entry["bound"]
+        out[name] = {
+            "unit": entry["unit"], "better": entry["better"], "bound": entry["bound"],
+            "pairs": len(values), "parent": parent, "change": change, "won": won,
+            "relative_change": relative, "worse_than_bound": worse,
+            "gain": (10 * won["change"] >= 9 * len(values)
+                     and abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]),
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = dict(zip(SIDES, (export(args.parent, scratch), export(args.change, scratch))))
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        report = {"parent": args.parent, "change": args.change, "seconds": SECONDS,
+                  "first_seed": args.seed, "workloads": {}}
+        for workload in args.workloads:
+            pairs = []
+            for i in range(1, args.pairs + 1):
+                seed = args.seed + i - 1
+                order = SIDES if i % 2 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    run = pair[side] = run_once(spec["command"], trees[side], workload, seed)
+                    status = run.get("error") or f"{run['failed']} of {run['attempted']} ops failed"
+                    print(f"{workload} pair {i} {side}: {status}", file=sys.stderr, flush=True)
+                pairs.append(pair)
+            env = {side: next((p[side]["env"] for p in pairs if "env" in p[side]), None)
+                   for side in SIDES}
+            for pair in pairs:
+                for side in SIDES:
+                    pair[side].pop("env", None)
+            report["workloads"][workload] = {
+                "metrics": compare(pairs, spec["end_to_end"]),
+                "failed_ops": {side: [[p[side].get("attempted"), p[side].get("failed")]
+                                      for p in pairs] for side in SIDES},
+                "correct": {side: all(p[side].get("correct") is True for p in pairs)
+                            for side in SIDES},
+                "env": env, "pairs": pairs,
+            }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
