@@ -741,8 +741,8 @@ def test_worker_error_is_reraised(tmp_path, slices, monkeypatch):
 
 
 def test_worker_error_outranks_a_nonfinite_parent_slice(slices, monkeypatch):
-    # Repeat 0's NaN start fails this process's slice with a NonFiniteError;
-    # the worker's other error is the arm's, as in one block it would stop the run.
+    # Repeat 0's NaN start fails this process's slice with a NonFiniteError.
+    # Any other error outranks it, so the worker's error is the arm's.
     slices(2)
 
     def fail():
