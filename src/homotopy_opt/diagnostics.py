@@ -6,16 +6,19 @@ lambda-Lipschitz witness delta_hat, and grid / multi-start estimates of the
 optimal value f*(lambda). The finite-difference checker guards the
 hand-derived gradients of the problem families.
 
-An estimator draws its random points in a fixed stream order, then evaluates
-them as one block through the batched ``problem.gradient`` and
-``problem.objective``, which take a few rows at a time; each row's value is
-the one a single-point evaluation gives. Where the rows need
-different lambdas (the f* refine of a lambda table, the delta witness),
-lambda is an (R, 1) column. No estimator evaluates point by point: the norms,
-ratios and maxima are block arithmetic over the evaluated rows, in the
-bits of the per-point formulas they replace (``_row_dots``). The multistart
-f* descends its restarts in the slices ``core.fork_rows`` cuts, as a run
-steps an arm's repeats; no value depends on the slice count.
+An estimator draws its random points in a fixed stream order, each row in
+place, then evaluates them as one block through the batched
+``problem.gradient`` and ``problem.objective``, which take a few rows at a
+time; each row's value is the one a single-point evaluation gives. The L
+estimate redraws a zero direction only by rerunning its loop from the saved
+generator state, and sigma^2 at a full batch evaluates no draws (each is the
+full gradient). Where the rows need different lambdas (the f* refine of a
+lambda table, the delta witness), lambda is an (R, 1) column. No estimator
+evaluates point by point: the norms, ratios and maxima are block arithmetic
+over the evaluated rows, in the bits of the per-point formulas they replace
+(``_row_dots``). The multistart f* descends its restarts in the slices
+``core.fork_rows`` cuts, as a run steps an arm's repeats; no value depends on
+the slice count.
 """
 
 from __future__ import annotations
@@ -70,21 +73,24 @@ def estimate_L(problem, lam, num_pairs, radius, rng):
     dim = problem.dimension
     center = np.zeros(dim)
     # Pair i is rows 2i and 2i + 1; a coincident pair is evaluated but not
-    # used. Each point draws its direction (again while its sum of squares,
-    # hence its norm, is 0), then its radius: the draws interleave, so they
-    # stay one point at a time.
-    W = np.empty((2 * num_pairs, dim))
-    scale = np.empty(2 * num_pairs)
-    for i in range(2 * num_pairs):
-        direction = rng.standard_normal(dim)
-        while direction.dot(direction) == 0.0:
-            direction = rng.standard_normal(dim)
-        W[i] = direction
-        scale[i] = radius * rng.random() ** (1.0 / dim)
+    # used. A zero direction (a sum of squares reads 0; min, as all() buffers a
+    # cast that raises the peak memory) reruns the loop from the saved state,
+    # drawing each direction again while its sum of squares is 0.
+    W, scale = np.empty((2 * num_pairs, dim)), np.empty(2 * num_pairs)
+    state, exponent = rng.bit_generator.state, 1.0 / dim
+    for redraw in (False, True):
+        for i, row in enumerate(W):
+            rng.standard_normal(out=row)
+            while redraw and row.dot(row) == 0.0:
+                rng.standard_normal(out=row)
+            scale[i] = radius * rng.random() ** exponent
+        sq = _row_dots(W)
+        if sq.min() > 0.0:
+            break
+        rng.bit_generator.state = state
     # center + scale * direction / ||direction||, row by row.
-    norms = np.sqrt(_row_dots(W))
     W *= scale[:, None]
-    W /= norms[:, None]
+    W /= np.sqrt(sq)[:, None]
     W += center
     gaps = np.sqrt(_row_dots(W[0::2] - W[1::2]))
     if np.max(gaps) < 1e-14:
@@ -130,14 +136,20 @@ def estimate_sigma2(problem, lam, w_samples, minibatch, draws, rng):
     """Max over w samples of the Monte-Carlo mean of ||g - grad f||^2."""
     if draws < 2:
         raise ConfigurationError("need at least two draws")
+    if not 1 <= minibatch <= problem.sample_count:
+        raise ConfigurationError(f"minibatch must be in [1, {problem.sample_count}], got {minibatch}")
+    if not len(w_samples):
+        raise ConfigurationError("need at least one w sample")
     W = np.array(w_samples, dtype=float).reshape(len(w_samples), problem.dimension)
-    full = np.repeat(problem.gradient(W, lam), draws, axis=0)
-    # The draws of each w sample in turn, one row per draw; the sampler's rows
-    # do not depend on how they are cut into calls. A full batch (idx None)
-    # gives each row the exact full gradient, so its estimate is zero.
+    full = problem.gradient(W, lam)[:, None]
+    # The draws of each w sample in turn, one row per draw (the sampler's rows do
+    # not depend on how they are cut into calls). A full batch (idx None) evaluates
+    # none: each draw is the full gradient, so its difference is full - full.
     idx = _draw_minibatch(rng, problem.sample_count, minibatch, len(W) * draws)
-    diff = problem.gradient(np.repeat(W, draws, axis=0), lam, idx) - full
-    sq = np.einsum("rk,rk->r", diff, diff).reshape(len(W), draws)
+    diff = full if idx is None else problem.gradient(np.repeat(W, draws, axis=0), lam, idx)
+    diff = diff.reshape(len(W), -1, problem.dimension)
+    diff -= full
+    sq = np.einsum("rdk,rdk->rd", diff, diff)
     return _max_sample(np.array([sum(row.tolist()) / draws for row in sq]), "oracle variance")
 
 
@@ -304,11 +316,11 @@ def estimate_delta(problem, num_probes, rng):
     """Lambda-Lipschitz witness: max |f(w, l1) - f(w, l2)| / |l1 - l2| over probes w ~ N(0, 9 I)."""
     if num_probes < 1:
         raise ConfigurationError("need at least one probe")
-    # Each probe draws w, then l1, then l2: one probe at a time.
+    # Each probe draws w in place, then l1, then l2: one probe at a time.
     W = np.empty((num_probes, problem.dimension))
     lams = np.empty((num_probes, 2))
     for w, pair in zip(W, lams):
-        w[:] = rng.standard_normal(problem.dimension)
+        rng.standard_normal(out=w)
         pair[:] = rng.random(), rng.random()
     W *= 3.0
     sep = np.abs(lams[:, 0] - lams[:, 1])

@@ -222,7 +222,7 @@ class ErfRegressionProblem(LabelInterpolationProblem):
         u = W[:, :1] * x
         out = self.erf(u)
         res = out - self.labels(lam, idx)
-        grad = np.mean(2.0 * res * TWO_OVER_SQRT_PI * np.exp(-(u**2)) * x, axis=1, keepdims=True)
+        grad = np.mean(res * (2.0 * TWO_OVER_SQRT_PI) * np.exp(-(u**2)) * x, axis=1, keepdims=True)
         return (self.metrics(out, lam, idx), grad) if with_metrics else grad
 
 

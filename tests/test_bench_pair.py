@@ -60,3 +60,31 @@ def test_a_failed_run_leaves_its_pair_out():
     canned[1]["change"] = {"error": "benchmark error: every run op failed"}
     metrics = bench_pair.compare(canned, SPEC)
     assert metrics["run_s"]["pairs"] == 2 and "steps_per_s" not in metrics
+
+
+def test_table_prints_each_workloads_cells_and_ops():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [0.80, 0.81, 0.79, 0.82, 0.80, 1.05, 0.78, 0.80, 0.81, 0.79]
+    erf = pairs(parent, change)
+    for p, a, b in zip(erf, parent, change):
+        p["parent"]["metrics"]["steps_per_s"] = {"value": 1e6 * a}
+        p["change"]["metrics"]["steps_per_s"] = {"value": 1e6 * b}
+    moons = pairs([2.0] * 4, [2.5] * 4)
+    report = {"workloads": {
+        "erf-fstar": {"metrics": bench_pair.compare(erf, SPEC), "pairs": erf,
+                      "failed_ops": {"parent": [[8, 0]] * 10, "change": [[8, 0]] * 10}},
+        "moons-seq": {"metrics": bench_pair.compare(moons, SPEC), "pairs": moons,
+                      "failed_ops": {"parent": [[5, 0]] * 4, "change": [[5, 0], [5, 1]] * 2}},
+    }}
+    assert bench_pair.table(report).splitlines() == [
+        "| workload (pairs) | `run_s` s | `steps_per_s` 1/s | ops (attempted, failed) |",
+        "| --- | --- | --- | --- |",
+        "| erf-fstar (10) | 1.000 [0.982, 1.018] → 0.800 [0.792, 0.810], 9/10"
+        " | 1000k [982k, 1018k] → 800k [792k, 810k], 1/10 | (8, 0) → (8, 0) |",
+        "| moons-seq (4) | 2.000 [2.000, 2.000] → 2.500 [2.500, 2.500], 0/4 | —"
+        " | (5, 0) → (5, 0) or (5, 1) |",
+    ]
+
+
+def test_figures_by_magnitude():
+    assert [bench_pair.figure(v) for v in (0.0612, 117.66, 625344.4)] == ["0.061", "117.7", "625k"]

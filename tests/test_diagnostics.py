@@ -140,6 +140,40 @@ def test_estimate_sigma2_needs_draws():
         diagnostics.estimate_sigma2(quadratic(), 1.0, [np.array([1.0])], 1, 1, make_rng(0))
 
 
+def sigma2_rejects_before_any_draw(w_samples, minibatch, match):
+    problem, rng = ShiftedQuadratic(0.0), make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match=match):
+        diagnostics.estimate_sigma2(problem, 1.0, w_samples, minibatch, 10, rng)
+    assert problem.gradient_calls == 0 and rng.bit_generator.state == state
+
+
+def test_estimate_sigma2_rejects_a_minibatch_below_one():
+    sigma2_rejects_before_any_draw([np.array([1.0])], 0, r"minibatch must be in \[1, 4\], got 0")
+
+
+def test_estimate_sigma2_rejects_a_minibatch_above_n():
+    sigma2_rejects_before_any_draw([np.array([1.0])], 5, r"minibatch must be in \[1, 4\], got 5")
+
+
+def test_estimate_sigma2_needs_a_w_sample():
+    sigma2_rejects_before_any_draw([], 2, "need at least one w sample")
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_estimate_sigma2_at_full_batch_evaluates_no_draw(experiment):
+    # Every draw of a full batch is the full gradient, so the only gradient
+    # call is the one for the w samples, and the sampler draws nothing.
+    problem = small_family(experiment)
+    rng = make_rng(14)
+    state = rng.bit_generator.state
+    w_samples = 0.5 * make_rng(13).standard_normal((3, problem.dimension))
+    with unittest.mock.patch.object(problem, "gradient", wraps=problem.gradient) as gradient:
+        val = diagnostics.estimate_sigma2(problem, 0.37, w_samples, problem.sample_count, 20, rng)
+    assert val == 0.0 and gradient.call_count == 1 and len(gradient.call_args.args[0]) == 3
+    assert rng.bit_generator.state == state
+
+
 # ------------------------------------------------------------- estimate_fstar
 
 
@@ -670,6 +704,64 @@ def test_block_delta_equals_point_loop(experiment, chunk_budget):
     problem = small_family(experiment)
     assert diagnostics.estimate_delta(problem, 40, make_rng(29)) == reference_delta(
         problem, 40, make_rng(29))
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_block_draws_leave_the_point_loops_stream_state(experiment):
+    problem = small_family(experiment)
+    pairs = [(lambda rng: diagnostics.estimate_L(problem, 0.37, 40, 2.0, rng),
+              lambda rng: reference_L(problem, 0.37, 40, 2.0, rng)),
+             (lambda rng: diagnostics.estimate_delta(problem, 40, rng),
+              lambda rng: reference_delta(problem, 40, rng))]
+    for block, reference in pairs:
+        block_rng, reference_rng = make_rng(31), make_rng(31)
+        block(block_rng)
+        reference(reference_rng)
+        assert block_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class ZeroDrawAt:
+    """A generator whose normal draw from one stream position comes out all zeros.
+
+    The position is the bit generator's state before the draw, so a rerun
+    from a saved state zeroes the same draw again; ``zeroed`` counts them.
+    """
+
+    def __init__(self, seed, position):
+        self.rng, self.position, self.zeroed = make_rng(seed), position, 0
+        self.bit_generator = self.rng.bit_generator
+
+    def random(self):
+        return self.rng.random()
+
+    def standard_normal(self, size=None, out=None):
+        zero = self.bit_generator.state == self.position
+        draw = self.rng.standard_normal(size, out=out)
+        if zero:
+            draw[...] = 0.0
+            self.zeroed += 1
+        return draw
+
+
+@pytest.mark.parametrize("experiment", ["toy-erf", "sine-mlp"])
+@pytest.mark.parametrize("point", [0, 5, 19])
+def test_estimate_L_redraws_a_zero_direction_before_its_radius(experiment, point):
+    problem = small_family(experiment)
+    stream = make_rng(41)
+    for _ in range(point):  # each point draws a direction, then a radius
+        stream.standard_normal(problem.dimension)
+        stream.random()
+    block_rng = ZeroDrawAt(41, stream.bit_generator.state)
+    reference_rng = ZeroDrawAt(41, stream.bit_generator.state)
+    L = diagnostics.estimate_L(problem, 1.0, 10, 2.0, block_rng)
+    assert L == reference_L(problem, 1.0, 10, 2.0, reference_rng)
+    assert block_rng.bit_generator.state == reference_rng.bit_generator.state
+    # The first pass finds the zero row, and the rerun zeroes and redraws it.
+    assert (block_rng.zeroed, reference_rng.zeroed) == (2, 1)
+    # The redraw moved the stream: a plain generator ends elsewhere.
+    plain = make_rng(41)
+    diagnostics.estimate_L(problem, 1.0, 10, 2.0, plain)
+    assert plain.bit_generator.state != block_rng.bit_generator.state
 
 
 class ShiftedQuadratic(HomotopyProblem):

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pair.py PARENT CHANGE --out BENCH.json \
         [--workloads erf-fstar moons-seq mlp-batched] [--pairs 10] [--seed 1]
+    python3 tools/bench_pair.py --table BENCH.json
 
 PARENT and CHANGE are each a git revision of this repository, exported with
 ``git archive`` into a temporary directory, or the path of a source tree.
@@ -17,6 +18,11 @@ change's median relative to the parent's, whether it is worse by more than
 the metric's bound, and whether it is a gain: won in at least nine of ten
 pairs, with medians apart by more than the parent's quartile spread. The
 environment is each side's ``env`` block from its first run.
+
+``--table`` prints a written file as a Markdown table, one row per
+workload: each metric's cell is "parent median [q1, q3] → change median
+[q1, q3], pairs the change won/pairs", and the last column gives the
+(attempted, failed) ops of each side.
 """
 
 from __future__ import annotations
@@ -96,16 +102,54 @@ def compare(pairs, spec):
     return out
 
 
+def figure(value):
+    """A table number: thousands as k from 10,000, one decimal from 100, else three decimals."""
+    if abs(value) >= 10_000:
+        return f"{value / 1000:.0f}k"
+    return f"{value:.1f}" if abs(value) >= 100 else f"{value:.3f}"
+
+
+def cell(metric):
+    """``parent median [q1, q3] → change median [q1, q3], won/pairs`` of one compared metric."""
+    side = [f"{figure(s['median'])} [{figure(s['q1'])}, {figure(s['q3'])}]"
+            for s in (metric["parent"], metric["change"])]
+    return f"{side[0]} → {side[1]}, {metric['won']['change']}/{metric['pairs']}"
+
+
+def table(report):
+    """The Markdown pair table of a ``report`` as written by this script."""
+    workloads = report["workloads"]
+    names = list(dict.fromkeys(name for w in workloads.values() for name in w["metrics"]))
+    units = {name: m["unit"] for w in workloads.values() for name, m in w["metrics"].items()}
+    lines = ["| workload (pairs) | " + " | ".join(f"`{n}` {units[n]}" for n in names)
+             + " | ops (attempted, failed) |",
+             "| --- " * (len(names) + 2) + "|"]
+    for workload, w in workloads.items():
+        cells = [cell(w["metrics"][n]) if n in w["metrics"] else "—" for n in names]
+        ops = [" or ".join(dict.fromkeys(f"({a}, {f})" for a, f in w["failed_ops"][side]))
+               for side in SIDES]
+        lines.append(f"| {workload} ({len(w['pairs'])}) | " + " | ".join(cells)
+                     + f" | {ops[0]} → {ops[1]} |")
+    return "\n".join(lines)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--out", required=True)
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--out")
     parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--table", metavar="BENCH.json",
+                        help="print the pair table of a written file, and run nothing")
     args = parser.parse_args(argv)
+    if args.table:
+        print(table(json.loads(Path(args.table).read_text(encoding="utf-8"))))
+        return 0
+    if not (args.parent and args.change and args.out):
+        parser.error("PARENT, CHANGE and --out are required unless --table is given")
     with tempfile.TemporaryDirectory() as scratch:
         trees = dict(zip(SIDES, (export(args.parent, scratch), export(args.change, scratch))))
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
