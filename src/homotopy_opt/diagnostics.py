@@ -144,7 +144,7 @@ def estimate_sigma2(problem, lam, w_samples, minibatch, draws, rng):
     full = problem.gradient(W, lam)[:, None]
     # The draws of each w sample in turn, one row per draw (the sampler's rows do
     # not depend on how they are cut into calls). A full batch (idx None) evaluates
-    # none: each draw is the full gradient, so its difference is full - full.
+    # none: each draw is full itself, and full - full is 0 (NaN where not finite).
     idx = _draw_minibatch(rng, problem.sample_count, minibatch, len(W) * draws)
     diff = full if idx is None else problem.gradient(np.repeat(W, draws, axis=0), lam, idx)
     diff = diff.reshape(len(W), -1, problem.dimension)
