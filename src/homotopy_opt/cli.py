@@ -1,7 +1,7 @@
 """Command-line front end: run experiments, evaluate theory bounds, diagnose.
 
 Exit codes: 0 success, 2 configuration error, 3 feasibility failure,
-4 runtime failure (a diverged arm, or a forked worker that died).
+4 runtime failure (a diverged arm, a forked worker that died, or memory ran out).
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def main(argv=None):
     except (ConfigurationError, theory.InfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:  # NonFiniteError, EstimationError, a worker that died
+    except (RuntimeError, MemoryError) as exc:  # NonFiniteError, EstimationError, a dead worker
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

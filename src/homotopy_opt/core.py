@@ -182,11 +182,9 @@ def make_schedule(kind, n, eta=None, explicit=None):
                                      f"e^(-eta*j) underflows to 0 at eta = {eta}, n = {n}")
         return Schedule(weights / weights.sum())
     if kind == "explicit":
-        if explicit is None:
-            raise ConfigurationError("explicit schedule requires the increment list")
-        entries = np.asarray(explicit, dtype=float)
+        entries = np.asarray(explicit, dtype=float)  # None: a 0-d NaN
         if entries.shape != (n,):
-            raise ConfigurationError(f"expected {n} explicit entries, got shape {entries.shape}")
+            raise ConfigurationError(f"explicit schedule needs n = {n} entries, got {explicit!r}")
         if np.any(entries <= 0):
             raise ConfigurationError("explicit schedule entries must be positive")
         return Schedule(entries / entries.sum())

@@ -147,6 +147,7 @@ _REAL_POSITIVE = ("a finite number > 0", _is_positive)
 # truncate 2.5 to 2 steps or read true as one repeat.
 VALUE_RULES = {
     "out_dir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "method": ('"sgd", "hsgd" or "both"', lambda v: v in ("sgd", "hsgd", "both")),
     "repeats": _INT_POSITIVE,
     "master_seed": _INT_SEED,
     "threshold": ("null or a finite number", lambda v: v is None or _is_real(v)),
@@ -177,8 +178,8 @@ VALUE_RULES = {
 
 
 def _check_values(cfg):
-    """Reject a config value of the wrong type or out of range, before any compute."""
-    values = {name: getattr(cfg, name) for name in ("out_dir", "repeats", "master_seed", "threshold")}
+    """Reject a bad value, schedule (``make_schedule``) or arm step count, before any compute."""
+    values = {name: getattr(cfg, name) for name in VALUE_RULES if "." not in name}
     for section in ("dataset", "optimizer", "problem"):
         values.update((f"{section}.{key}", v) for key, v in getattr(cfg, section).items())
     bad = [f"{name} = {values[name]!r} (expected {what})"
@@ -189,13 +190,12 @@ def _check_values(cfg):
     if opt["minibatch"] > n_samples:
         raise ConfigurationError(
             f"optimizer.minibatch = {opt['minibatch']} exceeds dataset.N = {n_samples}")
-    if opt["schedule"] == "explicit" and len(opt.get("explicit", ())) != opt["n"]:
-        raise ConfigurationError(
-            f'optimizer.schedule "explicit" needs optimizer.explicit with n = {opt["n"]} '
-            f"entries, got {opt.get('explicit')!r}")
     if opt["schedule"] != "explicit" and "explicit" in opt:
         raise ConfigurationError(f'optimizer.explicit is read only under schedule "explicit", '
                                  f"not {opt['schedule']!r}")
+    for method in ("sgd", "hsgd") if cfg.method == "both" else (cfg.method,):
+        _sgd_total_steps(opt["k"], opt["n"], opt["sgd_budget_factor"] if method == "sgd" else 1)
+    make_schedule(opt["schedule"], opt["n"], eta=opt["eta"], explicit=opt.get("explicit"))
     EXPERIMENTS[cfg.experiment].check(cfg)
 
 
@@ -266,8 +266,6 @@ class ExperimentConfig:
         defaults = {**copy.deepcopy(record.defaults), "threshold_metric": record.second_metric}
         cfg = cls(**{**defaults, **raw, **{section: {**defaults[section], **raw.get(section, {})}
                                            for section in ("dataset", "optimizer", "problem")}})
-        if cfg.method not in ("sgd", "hsgd", "both"):
-            raise ConfigurationError(f"unknown method {cfg.method!r}")
         # Every run has its mean objective; "gap" needs an f* oracle (the sine-mlp
         # gap column holds its raw target loss) and "error" a classifier.
         metrics = ("objective", record.second_metric)
@@ -326,9 +324,13 @@ def _fstar_table(cfg: ExperimentConfig, problem, lambdas):
     return None
 
 
-def _sgd_total_steps(cfg_sgd, schedule, budget_factor=1):
-    """An arm's step count: the H-SGD total n*k, scaled by the SGD arm's configured factor."""
-    return int(round(cfg_sgd.steps * schedule.n * budget_factor))
+def _sgd_total_steps(k, n, budget_factor=1):
+    """An arm's step count, the H-SGD total k*n times its factor; outside [1, intp max] it raises."""
+    top, total = np.iinfo(np.intp).max, k * n
+    steps = round(min(total * budget_factor, top + 1)) if total <= top else total  # inf: top + 1
+    if not 1 <= steps <= top:
+        raise ConfigurationError(f"an arm's {k} * {n} * {budget_factor} steps round outside [1, {top}]")
+    return steps
 
 
 def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, stage_hook=None):
@@ -350,7 +352,7 @@ def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, sta
     if np.ndim(w0) == 1 and cfg_sgd.minibatch == problem.sample_count:
         seeds, copies = seeds[:1], len(seeds)
     W0 = np.array(np.broadcast_to(w0, (len(seeds), problem.dimension)), dtype=float)
-    total_steps = _sgd_total_steps(cfg_sgd, schedule, budget_factor if method == "sgd" else 1)
+    total_steps = _sgd_total_steps(cfg_sgd.steps, schedule.n, budget_factor if method == "sgd" else 1)
 
     def run(part):
         return _run_slice(problem, W0[part], method, schedule, cfg_sgd, [seeds[r] for r in part],

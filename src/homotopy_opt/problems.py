@@ -17,9 +17,10 @@ pass for a label family), and the single-point surface, ``full_objective``,
 (None: all N samples), is their 1-row view. ``lam`` is a float, the same
 lambda for every row, or an (R, 1) column giving row r its own lambda
 ``lam[r, 0]``; each row's result is, bit for bit, the one the float call
-at that lambda gives. Every lambda must lie in [0, 1]. The minibatch
-gradient over all N indices equals the full gradient and minibatch
-gradients are unbiased estimates of it.
+at that lambda gives. Every lambda must lie in [0, 1]; the base's public
+evaluations judge it once per call, so a family's pair may assume it.
+The minibatch gradient over all N indices equals the full gradient and
+minibatch gradients are unbiased estimates of it.
 Instances are immutable after construction: constructors copy their arrays
 and mark the copies read-only, and all evaluations are pure, so they are
 safe to share across concurrent runs.
@@ -114,9 +115,11 @@ class HomotopyProblem(ABC):
         """
 
     def epoch_metrics(self, W, lam):
+        _check_lambda(lam)
         return self.in_row_chunks(self._epoch_metrics, W, lam)
 
     def gradient(self, W, lam, idx=None, with_metrics=False):
+        _check_lambda(lam)
         return self.in_row_chunks(partial(self._gradient, with_metrics=with_metrics), W, lam, idx)
 
     def objective(self, W, lam):
@@ -163,7 +166,6 @@ class LabelInterpolationProblem(HomotopyProblem):
 
         A column ``lam`` gives an (R, N) block, or idx's (R, M) shape, one row per lambda.
         """
-        _check_lambda(lam)
         yt = self.y_target if idx is None else self.y_target[idx]
         ys = self.y_source if idx is None else self.y_source[idx]
         if isinstance(lam, np.ndarray):
@@ -193,6 +195,7 @@ class LabelInterpolationProblem(HomotopyProblem):
 
     def objectives(self, W, lams):
         """One model pass over the whole block W: the caller bounds its rows."""
+        _check_lambda(np.asarray(lams, dtype=float))
         out = self.outputs(W)
         return np.array([self.loss(out, lam) for lam in lams])
 
@@ -374,11 +377,9 @@ class CubicLogisticProblem(HomotopyProblem):
 
     def _epoch_metrics(self, W, lam):
         """Objective and 0/1 classification error of each row, from one pass over the scores."""
-        _check_lambda(lam)
         return self._metrics(self.scores(W, lam), self.labels01)
 
     def _gradient(self, W, lam, idx=None, with_metrics=False):
-        _check_lambda(lam)
         # ``take`` gathers the same C-contiguous block as fancy indexing, at a third of the cost.
         phi = self.phi if idx is None else self.phi.take(idx, axis=0)
         y = self.labels01 if idx is None else self.labels01.take(idx)
@@ -409,11 +410,9 @@ class QuadraticTrackingProblem(HomotopyProblem):
         self.sample_count = b.size
 
     def _epoch_metrics(self, W, lam):
-        _check_lambda(lam)
         return 0.5 * self.mu * (W[:, :1] - lam)[:, 0] ** 2, None
 
     def _gradient(self, W, lam, idx=None, with_metrics=False):
-        _check_lambda(lam)
         d = W[:, :1] - lam
         b = np.mean(self.offsets if idx is None else self.offsets[idx], axis=-1, keepdims=True)
         grad = self.mu * d + self.mu * b

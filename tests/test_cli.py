@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import homotopy_opt
-from homotopy_opt import cli
+from homotopy_opt import cli, harness
 from homotopy_opt.core import SAMPLER
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -199,20 +199,44 @@ def test_exponential_schedule_with_subnormal_weights_runs_without_warning(tmp_pa
     assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
-def test_underflowing_exponential_schedule_is_config_error(tmp_path, capsys):
+# Configs no arm can run, each with a piece of its message. synthetic-lq has k * n = 1,000.
+UNRUNNABLE = {
     # e^(-1000) is 0 in double precision, so the weights would normalize to NaN.
+    "eta-underflow": ({"schedule": "exponential", "eta": 1000}, "underflows to 0 at eta = 1000, n = 20"),
+    # The entries sum to inf, so every normalized increment is 0.
+    "explicit-overflow": ({"schedule": "explicit", "n": 3, "explicit": [1e308, 1e308, 1e308]},
+                          "increments must lie in (0, 1]"),
+    "sgd-no-step": ({"sgd_budget_factor": 1e-9}, "an arm's 50 * 20 * 1e-09 steps round outside [1, "),
+    "sgd-beyond-intp": ({"sgd_budget_factor": 1e300}, "an arm's 50 * 20 * 1e+300 steps round outside [1, "),
+    "k-beyond-intp": ({"k": 10**19}, "an arm's 10000000000000000000 * 20 * 1 steps round outside [1, "),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])
+@pytest.mark.parametrize("case", UNRUNNABLE)
+def test_unrunnable_config_is_config_error_on_every_command(tmp_path, capsys, case, command):
+    optimizer, message = UNRUNNABLE[case]
     cfg = write_json(tmp_path / "cfg.json", {
-        "experiment": "synthetic-lq", "repeats": 3,
-        "optimizer": {"schedule": "exponential", "eta": 1000}})
+        "experiment": "synthetic-lq", "repeats": 3, "optimizer": optimizer})
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = cli.main(["run", "--config", cfg, "--out", str(out)])
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and "underflows to 0 at eta = 1000, n = 20" in err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1 and message in err
     assert not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])
+def test_memory_error_is_runtime_failure(tmp_path, capsys, monkeypatch, command):
+    def build_dataset(cfg):
+        raise MemoryError("Unable to allocate 18.2 TiB for an array")
+    monkeypatch.setattr(harness, "build_dataset", build_dataset)
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq"})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime failure: Unable to allocate 18.2 TiB for an array\n"
 
 
 def test_schedule_path_missing_one_is_config_error_before_compute(tmp_path, capsys):

@@ -244,8 +244,8 @@ def test_config_accepts_metadata_wrapper():
 def test_sgd_budget_matches_hsgd_total():
     sched = make_schedule("constant", 8)
     cfg = SgdConfig(0.1, 25, 4)
-    assert _sgd_total_steps(cfg, sched) == 200
-    assert _sgd_total_steps(cfg, sched, budget_factor=2) == 400
+    assert _sgd_total_steps(cfg.steps, sched.n) == 200
+    assert _sgd_total_steps(cfg.steps, sched.n, budget_factor=2) == 400
 
 
 def test_epochs_to_threshold():
@@ -427,7 +427,7 @@ def sequential_arm(problem, w0, method, sched, cfg_sgd, seed, aux_fn, budget_fac
     if method == "hsgd":
         hsgd_run(w0, sched, cfg_sgd, problem, rng, sink=sink)
     else:
-        total = _sgd_total_steps(cfg_sgd, sched, budget_factor)
+        total = _sgd_total_steps(cfg_sgd.steps, sched.n, budget_factor)
         flat = SgdConfig(cfg_sgd.alpha, total, cfg_sgd.minibatch,
                          record_every=cfg_sgd.record_every)
         sgd_run(w0, flat, problem, 1.0, rng, sink=sink)

@@ -67,11 +67,11 @@ def test_label_interpolation_endpoints_exact():
 def test_label_interpolation_validates():
     with pytest.raises(ConfigurationError, match="equal length"):
         ErfRegressionProblem(np.zeros(2), np.array([1.0, 2.0]), np.array([1.0]))
-    labels = ErfRegressionProblem(np.zeros(1), np.array([1.0]), np.array([0.0])).labels
-    with pytest.raises(ConfigurationError):
-        labels(1.5)
-    with pytest.raises(ConfigurationError):
-        labels(-0.01)
+    problem = ErfRegressionProblem(np.zeros(1), np.array([1.0]), np.array([0.0]))
+    for lam in (1.5, -0.01):
+        for evaluate in (problem.objective, problem.gradient):
+            with pytest.raises(ConfigurationError):
+                evaluate(np.zeros((1, 1)), lam)
 
 
 @pytest.mark.parametrize("family", [ErfRegressionProblem, MlpRegressionProblem])
@@ -440,10 +440,24 @@ def test_column_labels_copy_the_endpoints():
     assert np.signbit(column[0, 0]) and np.signbit(column[2, 1])
 
 
-@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+class PairOnly(HomotopyProblem):
+    """f(w, lam) = (w - lam)^2 written to the pair contract alone: it judges no lambda."""
+
+    dimension, sample_count = 1, 4
+
+    def _epoch_metrics(self, W, lam):
+        return ((W[:, :1] - lam) ** 2)[:, 0], None
+
+    def _gradient(self, W, lam, idx=None, with_metrics=False):
+        grad = 2.0 * (W[:, :1] - lam)
+        return (self._epoch_metrics(W, lam), grad) if with_metrics else grad
+
+
+@pytest.mark.parametrize("experiment", [*harness.EXPERIMENTS, "pair-only"])
 @pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan])
 def test_column_lambda_outside_unit_interval_is_rejected(experiment, bad):
-    problem = small_family(experiment)
+    # The base judges lambda, so a family that implements only the pair is covered too.
+    problem = PairOnly() if experiment == "pair-only" else small_family(experiment)
     W = np.zeros((3, problem.dimension))
     for lam in (bad, np.array([[0.2], [bad], [1.0]])):
         for evaluate in (problem.objective, problem.epoch_metrics, problem.gradient):

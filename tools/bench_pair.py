@@ -6,6 +6,9 @@
 
 PARENT and CHANGE are each a git revision of this repository, exported with
 ``git archive`` into a temporary directory, or the path of a source tree.
+PARENT = CHANGE is the A/A run: the same code on both sides, so each
+metric's spread and its pairs won measure the noise floor, and a gain
+verdict there is a false one.
 Pair i (from 1) runs the command of ``BENCHMARK.json`` with ``--workload W
 --seed S --seconds 25 --trace 0`` in both trees with S = seed + i - 1, the parent first in odd
 pairs. Each run gives the JSON object on its last stdout line and the ``env``
