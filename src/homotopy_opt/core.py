@@ -182,7 +182,7 @@ def make_schedule(kind, n, eta=None, explicit=None):
                                      f"e^(-eta*j) underflows to 0 at eta = {eta}, n = {n}")
         return Schedule(weights / weights.sum())
     if kind == "explicit":
-        entries = np.asarray(explicit, dtype=float)  # None: a 0-d NaN
+        entries = np.asarray(explicit, dtype=float)  # None: a 0-d NaN, which fails the shape test
         if entries.shape != (n,):
             raise ConfigurationError(f"explicit schedule needs n = {n} entries, got {explicit!r}")
         if np.any(entries <= 0):
