@@ -71,6 +71,8 @@ def estimate_L(problem, lam, num_pairs, radius, rng):
     if radius <= 0:
         raise ConfigurationError("radius must be positive")
     dim = problem.dimension
+    if 2 * num_pairs * dim > np.iinfo(np.intp).max // 8:  # numpy would refuse the block
+        raise EstimationError(f"{num_pairs} pairs of {dim} values exceed numpy's index range")
     center = np.zeros(dim)
     # Pair i is rows 2i and 2i + 1; a coincident pair is evaluated but not
     # used. A zero direction (a sum of squares reads 0; min, as all() buffers a

@@ -3,14 +3,10 @@
 Each experiment is one ``Experiment`` record of ``EXPERIMENTS``, and a JSON
 config names one and drives everything; ``from_dict`` resolves every value a
 run reads and the metadata records it, so a run replays bit-identically from
-its metadata file. Repeats use per-repeat PRNG streams seeded by master_seed
-XOR repeat_index. ``core.fork_rows`` runs an arm's repeats in contiguous
-slices, one per usable CPU (none below ``core.FORK_GRAD_EVALS`` sample-gradient
-evaluations), the first in this process and the others in forked workers;
-each slice steps its repeats in lockstep, and no output depends on the slice
-count. Arms (sgd vs hsgd) share the dataset and the initial point; a
-full-batch arm from that one point steps repeat 0 alone and copies its rows
-to every repeat, since its repeats follow one path bit for bit.
+its metadata file, and works out the run's ``RunPlan``. A run allocates its
+trace blocks from the plan before any compute, fills them in its arms, then
+writes every file. Repeats use per-repeat PRNG streams seeded by master_seed
+XOR repeat_index; the arms (sgd vs hsgd) share the dataset and initial point.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +159,7 @@ VALUE_RULES = {
     "optimizer.n": _INT_POSITIVE,
     "optimizer.schedule": ('"constant", "exponential" or "explicit"',
                            lambda v: v in ("constant", "exponential", "explicit")),
-    "optimizer.eta": _REAL_NONNEGATIVE,
+    "optimizer.eta": ('a finite number >= 0, read only by "exponential"', _REAL_NONNEGATIVE[1]),
     "optimizer.sgd_budget_factor": _REAL_POSITIVE,
     "optimizer.explicit": ("a list of finite numbers > 0",
                            lambda v: isinstance(v, list) and all(map(_is_positive, v))),
@@ -177,8 +173,24 @@ VALUE_RULES = {
 }
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """What a judged config fixes: the schedule, the epoch length, and each arm's (method's)
+    step total and epoch count; an arm records its start and one row per epoch."""
+
+    schedule: core.Schedule
+    record_every: int
+    steps: dict
+    epochs: dict
+
+    def allocate(self, method, repeats):
+        """One arm's empty (lambdas, objectives, aux) blocks of epochs + 1 columns."""
+        columns = self.epochs[method] + 1
+        return np.empty(columns), np.empty((repeats, columns)), np.empty((repeats, columns))
+
+
 def _check_values(cfg):
-    """Reject a bad value, schedule (``make_schedule``) or arm step count, before any compute."""
+    """The config's RunPlan; a bad value, schedule or arm count raises, before any compute."""
     values = {name: getattr(cfg, name) for name in VALUE_RULES if "." not in name}
     for section in ("dataset", "optimizer", "problem"):
         values.update((f"{section}.{key}", v) for key, v in getattr(cfg, section).items())
@@ -193,10 +205,20 @@ def _check_values(cfg):
     if opt["schedule"] != "explicit" and "explicit" in opt:
         raise ConfigurationError(f'optimizer.explicit is read only under schedule "explicit", '
                                  f"not {opt['schedule']!r}")
-    for method in ("sgd", "hsgd") if cfg.method == "both" else (cfg.method,):
-        _sgd_total_steps(opt["k"], opt["n"], opt["sgd_budget_factor"] if method == "sgd" else 1)
-    make_schedule(opt["schedule"], opt["n"], eta=opt["eta"], explicit=opt.get("explicit"))
+    steps = {method: _sgd_total_steps(opt["k"], opt["n"],
+                                      opt["sgd_budget_factor"] if method == "sgd" else 1)
+             for method in (("sgd", "hsgd") if cfg.method == "both" else (cfg.method,))}
+    every = steps_per_epoch(n_samples, opt["minibatch"])  # N is every family's sample count
+    epochs = {method: total // every for method, total in steps.items()}
+    # numpy refuses an array beyond its index range (intp bytes) with a ValueError.
+    most, columns = np.iinfo(np.intp).max // 8, max(epochs.values()) + 1
+    sizes = {"dataset.N": 2 * n_samples, "optimizer.n": opt["n"], "repeats": cfg.repeats * columns}
+    if beyond := [name for name, size in sizes.items() if size > most]:
+        raise ConfigurationError(f"{' and '.join(beyond)} would size an array beyond numpy's "
+                                 f"index range of {most} float64 values")
+    schedule = make_schedule(opt["schedule"], opt["n"], eta=opt["eta"], explicit=opt.get("explicit"))
     EXPERIMENTS[cfg.experiment].check(cfg)
+    return RunPlan(schedule, every, steps, epochs)
 
 
 def _check_keys(raw, experiment):
@@ -227,6 +249,7 @@ class ExperimentConfig:
     repeats: int = 100
     master_seed: int = 20240
     out_dir: str = "runs"
+    plan = None  # from_dict's RunPlan: not a field, so to_dict and metadata.json never hold it
 
     @classmethod
     def from_dict(cls, raw, out_dir=None, repeats=None, master_seed=None):
@@ -274,7 +297,7 @@ class ExperimentConfig:
                 f"threshold_metric {cfg.threshold_metric!r} is unavailable for {experiment}; "
                 f"expected one of {metrics}"
             )
-        _check_values(cfg)
+        cfg.plan = _check_values(cfg)
         # The seeds a config leaves out, from a master_seed now known to be valid.
         for (section, key), salt in record.seed_salts.items():
             getattr(cfg, section).setdefault(key, cfg.master_seed ^ salt)
@@ -333,67 +356,68 @@ def _sgd_total_steps(k, n, budget_factor=1):
     return steps
 
 
-def _run_arm(problem, w0, method, schedule, cfg_sgd, seeds, budget_factor=1, stage_hook=None):
-    """Every repeat of one arm; returns (lambdas, objectives, aux) per epoch.
+def _run_arm(problem, w0, method, plan, cfg_sgd, seeds, block, stage_hook=None):
+    """Every repeat of one arm, into its ``block`` (lambdas, objectives, aux); returns the block.
 
-    ``w0`` is the start point of every repeat, or an (R, d) block of one
-    start row per repeat. ``core.fork_rows`` runs the repeats in slices of
-    ``_run_slice``; slice 0 holds repeat 0, and so every ``stage_hook``
-    call, and runs in this process. A repeat's row does not depend on its
-    slice, so the result does not depend on the slice count.
+    ``block`` comes from ``plan.allocate``; aux is returned as None for a
+    family whose second metric is None. ``w0`` is the start point of every
+    repeat, or an (R, d) block of one start row per repeat. ``core.fork_rows``
+    runs the repeats in slices of ``_run_slice``; slice 0 holds repeat 0, and
+    so every ``stage_hook`` call, and runs in this process. A repeat's row
+    does not depend on its slice, so the result does not depend on the slice
+    count.
 
     A full-batch arm (M = N) from one start point runs repeat 0 alone and
-    repeats its rows R times: a full batch draws nothing from the repeats'
-    streams, so every repeat follows repeat 0's path bit for bit, and a
-    diverging one fails first at repeat 0. An (R, d) start block always
-    steps every repeat.
+    broadcasts its rows to every repeat: a full batch draws nothing from the
+    repeats' streams, so every repeat follows repeat 0's path bit for bit,
+    and a diverging one fails first at repeat 0. An (R, d) start block
+    always steps every repeat.
     """
-    copies = 1
-    if np.ndim(w0) == 1 and cfg_sgd.minibatch == problem.sample_count:
-        seeds, copies = seeds[:1], len(seeds)
-    W0 = np.array(np.broadcast_to(w0, (len(seeds), problem.dimension)), dtype=float)
-    total_steps = _sgd_total_steps(cfg_sgd.steps, schedule.n, budget_factor if method == "sgd" else 1)
+    lambdas, objectives, aux = block
+    rows = 1 if np.ndim(w0) == 1 and cfg_sgd.minibatch == problem.sample_count else len(seeds)
+    W0 = np.array(np.broadcast_to(w0, (rows, problem.dimension)), dtype=float)
 
-    def run(part):
-        return _run_slice(problem, W0[part], method, schedule, cfg_sgd, [seeds[r] for r in part],
-                          total_steps, stage_hook=stage_hook if part[0] == 0 else None)
-    lambdas, objectives, aux = zip(*core.fork_rows(run, len(seeds), total_steps, cfg_sgd.minibatch))
+    def run(part):  # a forked slice fills its own copy of the block and sends back its rows
+        at = slice(part[0], part[-1] + 1)  # W0[part] is a copy: a row view of W0 gave other bits
+        return _run_slice(problem, W0[part], method, plan, cfg_sgd, seeds[at],
+                          (lambdas, objectives[at], aux[at]), stage_hook if at.start == 0 else None)
+    objs, auxs = zip(*core.fork_rows(run, rows, plan.steps[method], cfg_sgd.minibatch))
+    aux = None if auxs[0] is None else aux
+    for parts, filled in ((objs, objectives), (auxs, aux)):
+        if filled is not None:
+            np.concatenate(parts, out=filled[:rows])
+            filled[rows:] = filled[0]  # a full batch: every repeat is repeat 0
+    return lambdas, objectives, aux
 
-    def rows(blocks):
-        return np.repeat(np.concatenate(blocks), copies, axis=0)
-    return lambdas[0], rows(objectives), None if aux[0] is None else rows(aux)
 
+def _run_slice(problem, W0, method, plan, cfg_sgd, seeds, block, stage_hook=None):
+    """Step the repeats with start rows W0 of one arm in lockstep, recording into ``block``.
 
-def _run_slice(problem, W0, method, schedule, cfg_sgd, seeds, total_steps, stage_hook=None):
-    """Repeats with start rows W0 of one arm in lockstep; returns (lambdas, objectives, aux).
-
-    Each repeat takes ``total_steps`` steps; repeat r runs on the stream
-    seeded by ``seeds[r]``. objectives and aux are (R, epochs + 1), from
-    ``problem.epoch_metrics``, which evaluates a few rows at a time; aux is
-    None for a family whose second metric is None.
+    ``block`` is (lambdas, objectives, aux), objectives and aux with one row
+    per repeat; repeat r runs on the stream seeded by ``seeds[r]`` and takes
+    ``plan.steps[method]`` steps. The rows come from ``problem.epoch_metrics``,
+    which evaluates a few rows at a time. Returns (objectives, aux), aux None
+    for a family whose second metric is None.
     """
+    lambdas, objectives, aux = block
     rngs = [make_rng(seed) for seed in seeds]
     every = cfg_sgd.record_every
     lam0 = 0.0 if method == "hsgd" else 1.0
     first = problem.epoch_metrics(W0, lam0)
-    lambdas = np.empty(total_steps // every + 1)
-    objectives = np.empty((len(seeds), lambdas.size))
-    aux = None if first[1] is None else np.empty_like(objectives)
 
     def sink(step, lam, W, metrics):
         e = step // every
         lambdas[e] = lam
         objectives[:, e] = metrics[0]
-        if aux is not None:
+        if metrics[1] is not None:
             aux[:, e] = metrics[1]
 
     sink(0, lam0, W0, first)
     if method == "hsgd":
-        hsgd_run(W0, schedule, cfg_sgd, problem, rngs, sink=sink, stage_hook=stage_hook)
+        hsgd_run(W0, plan.schedule, cfg_sgd, problem, rngs, sink=sink, stage_hook=stage_hook)
     else:
-        flat = SgdConfig(cfg_sgd.alpha, total_steps, cfg_sgd.minibatch, record_every=every)
-        sgd_run(W0, flat, problem, 1.0, rngs, sink=sink)
-    return lambdas, objectives, aux
+        sgd_run(W0, replace(cfg_sgd, steps=plan.steps[method]), problem, 1.0, rngs, sink=sink)
+    return objectives, None if first[1] is None else aux
 
 
 def write_trace_csv(path, epochs, lambdas, mean_obj, std_obj, mean_gap, grad_evals):
@@ -456,56 +480,46 @@ def epochs_to_threshold(curve, threshold):
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Execute all repeats per arm, write CSVs + metadata, return the report."""
-    opt = cfg.optimizer
-    schedule = make_schedule(opt["schedule"], opt["n"],
-                             eta=opt["eta"], explicit=opt.get("explicit"))
+    """Allocate every arm's blocks from ``cfg.plan`` (a run that cannot hold its traces raises
+    MemoryError here), then the seeds; compute the dataset, problem, L_tilde, out dir, f* table
+    and arms; then write every file (``_write_run``). Returns (arms, report)."""
+    plan = cfg.plan
+    blocks = {method: plan.allocate(method, cfg.repeats) for method in plan.steps}
+    seeds = [stream_seed(cfg.master_seed, rep) for rep in range(cfg.repeats)]
     dataset = build_dataset(cfg)
     problem, w0 = build_problem(cfg, dataset)
     alpha, L_tilde = resolve_alpha(cfg, problem)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    minibatch = opt["minibatch"]
-    every = steps_per_epoch(problem.sample_count, minibatch)
-    cfg_sgd = SgdConfig(alpha, opt["k"], minibatch, record_every=every)
+    cfg_sgd = SgdConfig(alpha, cfg.optimizer["k"], cfg.optimizer["minibatch"],
+                        record_every=plan.record_every)
     cfg_sgd.warn_if_out_of_range(L_tilde)
-    budget_factor = float(opt["sgd_budget_factor"])
     record = EXPERIMENTS[cfg.experiment]
-    fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], schedule.lambdas(), [1.0]]))
+    fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], plan.schedule.lambdas(), [1.0]]))
 
-    methods = ["sgd", "hsgd"] if cfg.method == "both" else [cfg.method]
-    seeds = [stream_seed(cfg.master_seed, rep) for rep in range(cfg.repeats)]
-    arms = {}
-    for method in methods:
+    arms, snapshots = {}, []
+    for method, block in blocks.items():
         # Per-homotopy-iteration snapshots of repeat 0, from the engine's stage hook.
-        snapshots = []
         stage_hook = None
         if method == "hsgd" and record.snapshots:
             def stage_hook(i, lam, W):
                 snapshots.append((i, lam, problem.full_objective(W[0], lam), W[0].copy()))
         try:
-            lambdas, objs, auxs = _run_arm(problem, w0, method, schedule, cfg_sgd, seeds,
-                                           budget_factor, stage_hook)
+            lambdas, objs, auxs = _run_arm(problem, w0, method, plan, cfg_sgd, seeds, block,
+                                           stage_hook)
         except NonFiniteError as exc:  # a diverged arm leaves other arms unaffected
             arms[method] = ArmResult(failure=str(exc))
+            snapshots.clear()  # and writes no file
             continue
         epochs = np.arange(objs.shape[1])
         mean_obj = objs.mean(axis=0)
-        std_obj = objs.std(axis=0)
         mean_aux = None if auxs is None else auxs.mean(axis=0)
         mean_err, mean_gap = ((mean_aux, None) if record.second_metric == "error"
                               else (None, mean_aux))
         if fstar is not None:
             mean_gap = mean_obj - np.array([fstar[float(l)] for l in lambdas])
-        grad_evals = epochs * every * minibatch
-        arms[method] = ArmResult(epochs, mean_obj, std_obj, mean_gap, mean_err, grad_evals)
-        write_trace_csv(out / f"trace_{method}.csv", epochs, lambdas, mean_obj,
-                        std_obj, mean_gap, grad_evals)
-        if mean_err is not None:
-            write_trace_csv(out / f"trace_{method}_error.csv", epochs, lambdas,
-                            mean_err, auxs.std(axis=0), None, grad_evals)
-        if snapshots:
-            _write_snapshots(out / "hsgd_snapshots.csv", snapshots)
+        arms[method] = ArmResult(epochs, mean_obj, objs.std(axis=0), mean_gap, mean_err,
+                                 epochs * plan.record_every * cfg_sgd.minibatch)
 
     arm_summaries = {method: arm.summary(cfg.threshold, cfg.threshold_metric)
                      for method, arm in arms.items()}
@@ -534,15 +548,29 @@ def run_experiment(cfg: ExperimentConfig):
         "sampler": SAMPLER,
         "L_tilde": L_tilde,
         "alpha_resolved": alpha,
-        "steps_per_epoch": every,
+        "steps_per_epoch": plan.record_every,
         "repeat_seeds": seeds,
-        "schedule_increments": [float(h) for h in schedule.increments],
+        "schedule_increments": [float(h) for h in plan.schedule.increments],
     }
-    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+    _write_run(out, arms, blocks, snapshots, metadata, report)
     return arms, report
+
+
+def _write_run(out, arms, blocks, snapshots, metadata, report):
+    """Write each arm's trace CSVs (its lambdas and aux from ``blocks``), the snapshots, then the JSON."""
+    for method, arm in arms.items():
+        lambdas, _, aux = blocks[method]
+        if not arm.failed:
+            write_trace_csv(out / f"trace_{method}.csv", arm.epochs, lambdas, arm.mean_objective,
+                            arm.std_objective, arm.mean_gap, arm.grad_evals)
+        if arm.mean_error is not None:
+            write_trace_csv(out / f"trace_{method}_error.csv", arm.epochs, lambdas,
+                            arm.mean_error, aux.std(axis=0), None, arm.grad_evals)
+    if snapshots:
+        _write_snapshots(out / "hsgd_snapshots.csv", snapshots)
+    for name, payload in (("metadata.json", metadata), ("report.json", report.to_dict())):
+        with open(out / name, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _write_snapshots(path, rows):

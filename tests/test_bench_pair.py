@@ -86,5 +86,29 @@ def test_table_prints_each_workloads_cells_and_ops():
     ]
 
 
+def test_a_parent_spread_beyond_the_bound_is_unresolved():
+    # Quartiles 0.8 and 1.2 around a median of 1.0: a 40% spread, above the 0.25 bound.
+    parent = [0.8, 1.2, 0.8, 1.2, 1.0, 0.8, 1.2, 1.0, 0.8, 1.2]
+    overlapping = bench_pair.compare(pairs(parent, [1.1] * 10), SPEC)["run_s"]
+    assert overlapping["parent"] == {"median": 1.0, "q1": 0.8, "q3": 1.2}
+    assert overlapping["unresolved"] is True and overlapping["worse_than_bound"] is False
+    # Every change run below every parent run resolves it, in either direction of better.
+    assert bench_pair.compare(pairs(parent, [0.7] * 10), SPEC)["run_s"]["unresolved"] is False
+    higher = bench_pair.compare(pairs(parent, [1.3] * 10, "steps_per_s"), SPEC)["steps_per_s"]
+    assert higher["unresolved"] is False
+    # A spread within the bound is resolved whatever the change's runs.
+    tight = bench_pair.compare(pairs([1.0, 1.1] * 5, [1.2, 0.9] * 5), SPEC)["run_s"]
+    assert tight["unresolved"] is False
+    report = {"workloads": {"erf-fstar": {
+        "metrics": {"run_s": overlapping}, "pairs": [{}] * 10,
+        "failed_ops": {"parent": [[8, 0]] * 10, "change": [[8, 0]] * 10}}}}
+    assert bench_pair.table(report).splitlines()[2] == (
+        "| erf-fstar (10) | 1.000 [0.800, 1.200] → 1.100 [1.100, 1.100], 4/10 (unresolved)"
+        " | (8, 0) → (8, 0) |")
+    # A file written before the key existed reads as resolved.
+    del overlapping["unresolved"]
+    assert "(unresolved)" not in bench_pair.table(report)
+
+
 def test_figures_by_magnitude():
     assert [bench_pair.figure(v) for v in (0.0612, 117.66, 625344.4)] == ["0.061", "117.7", "625k"]

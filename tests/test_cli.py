@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import homotopy_opt
-from homotopy_opt import cli, harness
+from homotopy_opt import cli, core, harness
 from homotopy_opt.core import SAMPLER
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -77,14 +78,14 @@ def test_run_nonfinite_exit_code(tmp_path):
     assert code == cli.EXIT_RUNTIME
 
 
-def cli_process(args, setup=""):
+def cli_process(args, setup="", timeout=300, preexec_fn=None):
     """``homotopy-opt args`` in a fresh interpreter, after the statements ``setup``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     script = f"import os, sys\nfrom homotopy_opt import cli, core, harness\n{setup}\n" \
              "sys.exit(cli.main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=env, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def test_scipy_is_imported_only_by_the_erf_family():
@@ -227,6 +228,84 @@ def test_unrunnable_config_is_config_error_on_every_command(tmp_path, capsys, ca
     assert err.startswith("configuration error: ") and err.count("\n") == 1 and message in err
     assert not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+def cap_address_space(limit=4 * 2**30):
+    """Cap this process's own address space at ``limit`` bytes (a ``preexec_fn``).
+
+    An allocation beyond it fails at once whatever the host's overcommit
+    setting, and a run that would grow without bound stops at the cap.
+    """
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("raw, shape", [
+    ({"optimizer": {"k": 10**12}}, "(2500000000001,)"),    # the lambda column: 18.2 TiB
+    ({"repeats": 10**10}, "(10000000000, 126)"),           # a trace block: 9.17 TiB
+])
+def test_run_that_cannot_hold_its_traces_fails_before_its_dataset(tmp_path, raw, shape):
+    # Each arm's trace blocks are allocated from the plan before the dataset is
+    # built and before the per-repeat seeds are listed, so such a run exits 4
+    # with one line, builds nothing and leaves no directory.
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq", **raw})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    proc = cli_process(["run", "--config", cfg, "--out", str(out)],
+                       "def build_dataset(cfg):\n    raise SystemExit('the dataset was built')\n"
+                       "harness.build_dataset = build_dataset",
+                       timeout=30, preexec_fn=cap_address_space)
+    assert time.perf_counter() - start < 30
+    assert proc.returncode == cli.EXIT_RUNTIME, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("runtime failure: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1 and shape in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])
+def test_each_command_builds_the_schedule_once(tmp_path, monkeypatch, command):
+    # from_dict builds the schedule while it judges the config, and a run
+    # reads it from the plan.
+    calls, real = [], core.make_schedule
+
+    def make_schedule(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "make_schedule", make_schedule)
+    monkeypatch.setattr(harness, "make_schedule", make_schedule)
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq", "repeats": 2,
+                                             "optimizer": {"k": 4, "n": 2}})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert calls == [("constant", 2)]
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])
+@pytest.mark.parametrize("raw, named", [
+    ({"dataset": {"N": 2**62}}, "dataset.N would size"),
+    ({"optimizer": {"k": 1, "n": 2**61}}, "optimizer.n and repeats would size"),
+    ({"repeats": 2**60}, "repeats would size"),
+])
+def test_count_beyond_numpys_index_range_is_config_error(tmp_path, capsys, command, raw, named):
+    # numpy refuses such an array with a ValueError, which every command met as exit 1.
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq", **raw})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+def test_L_pairs_beyond_numpys_index_range_is_an_estimate_error(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq",
+                                             "problem": {"L_pairs": 2**62}})
+    why = "4611686018427387904 pairs of 1 values exceed numpy's index range"
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: cannot estimate L_tilde at "
+                                       f"lambda = 1: {why}\n")
+    assert not (tmp_path / "run").exists()
+    assert cli.main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == cli.EXIT_OK
+    assert f"error.L_hat = {why}" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])

@@ -411,6 +411,14 @@ POINT_AUX = {
 }
 
 
+def arm_plan(sched, cfg_sgd, budget_factor=1):
+    """The RunPlan of an sgd and an hsgd arm on ``sched`` with ``cfg_sgd``'s k and epoch length."""
+    steps = {method: _sgd_total_steps(cfg_sgd.steps, sched.n, budget_factor if method == "sgd" else 1)
+             for method in ("sgd", "hsgd")}
+    every = cfg_sgd.record_every
+    return harness.RunPlan(sched, every, steps, {m: total // every for m, total in steps.items()})
+
+
 def sequential_arm(problem, w0, method, sched, cfg_sgd, seed, aux_fn, budget_factor):
     """One repeat through the single-point sgd_run / hsgd_run, recorded like an arm."""
     lam0 = 0.0 if method == "hsgd" else 1.0
@@ -446,9 +454,10 @@ def test_lockstep_engine_matches_single_repeat_runs(tmp_path, experiment):
     sched = make_schedule("exponential", 4, eta=0.5)
     point_aux = POINT_AUX[experiment](problem) if experiment in POINT_AUX else None
     seeds = [11, 12, 13]
+    plan = arm_plan(sched, cfg_sgd, budget_factor=2)
     for method in ("sgd", "hsgd"):
-        lam_b, obj_b, aux_b = _run_arm(problem, w0, method, sched, cfg_sgd, seeds,
-                                       budget_factor=2)
+        lam_b, obj_b, aux_b = _run_arm(problem, w0, method, plan, cfg_sgd, seeds,
+                                       plan.allocate(method, len(seeds)))
         assert (aux_b is None) == (point_aux is None)
         for r, seed in enumerate(seeds):
             lam_s, obj_s, aux_s = sequential_arm(problem, w0, method, sched, cfg_sgd, seed,
@@ -492,12 +501,13 @@ def test_full_batch_arm_steps_one_repeat(tmp_path, slice_starts, experiment):
     cfg_sgd = SgdConfig(alpha, 6, problem.sample_count, record_every=1)
     sched = make_schedule("exponential", 3, eta=0.5)
     seeds = [11, 12, 13, 14, 15]
+    plan = arm_plan(sched, cfg_sgd, budget_factor=2)
     for method in ("sgd", "hsgd"):
         slice_starts.clear()
-        point = _run_arm(problem, w0, method, sched, cfg_sgd, seeds, budget_factor=2)
+        point = _run_arm(problem, w0, method, plan, cfg_sgd, seeds, plan.allocate(method, 5))
         assert slice_starts == [(1, problem.dimension)]
-        block = _run_arm(problem, np.tile(w0, (5, 1)), method, sched, cfg_sgd, seeds,
-                         budget_factor=2)
+        block = _run_arm(problem, np.tile(w0, (5, 1)), method, plan, cfg_sgd, seeds,
+                         plan.allocate(method, 5))
         assert slice_starts[1:] == [(5, problem.dimension)]
         assert np.array_equal(point[0], block[0]) and np.array_equal(point[1], block[1])
         assert point[1].shape == (5, point[0].size)
@@ -511,11 +521,12 @@ def test_diverging_full_batch_arm_fails_as_every_repeat_would(tmp_path, slice_st
     cfg = tiny_config(tmp_path, "sine-mlp", **FULL_BATCH_CASES["sine-mlp"])
     problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
     cfg_sgd = SgdConfig(1e150, 6, problem.sample_count, record_every=1)
-    sched = make_schedule("exponential", 3, eta=0.5)
+    plan = arm_plan(make_schedule("exponential", 3, eta=0.5), cfg_sgd)
     messages = []
     for start in (w0, np.tile(w0, (5, 1))):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
-            _run_arm(problem, start, "hsgd", sched, cfg_sgd, [1, 2, 3, 4, 5])
+            _run_arm(problem, start, "hsgd", plan, cfg_sgd, [1, 2, 3, 4, 5],
+                     plan.allocate("hsgd", 5))
         messages.append(str(err.value))
     assert slice_starts == [(1, problem.dimension), (5, problem.dimension)]
     assert messages[0] == messages[1] and "(repeat 0, " in messages[0]
@@ -650,11 +661,11 @@ def test_fork_rule_at_two_cpus(monkeypatch, case):
     monkeypatch.setattr(core, "_slice_count", slice_count)
     with pytest.raises(Sliced) as sliced:
         if what in ("sgd", "hsgd"):
-            opt = cfg.optimizer
-            cfg_sgd = SgdConfig(0.01, opt["k"], opt["minibatch"], record_every=1)
-            schedule = make_schedule(opt["schedule"], opt["n"], eta=opt["eta"])
+            plan = cfg.plan
+            cfg_sgd = SgdConfig(0.01, cfg.optimizer["k"], cfg.optimizer["minibatch"],
+                                record_every=plan.record_every)
             seeds = [core.stream_seed(cfg.master_seed, r) for r in range(cfg.repeats)]
-            _run_arm(problem, w0, what, schedule, cfg_sgd, seeds, opt["sgd_budget_factor"])
+            _run_arm(problem, w0, what, plan, cfg_sgd, seeds, plan.allocate(what, cfg.repeats))
         else:  # run_diagnose's spec, or the given restarts and steps
             sizes = {"restarts": 10, "steps": 1500} if what == "multistart" else what
             diagnostics.estimate_fstar(problem, 1.0, {"kind": "multistart", **sizes,
@@ -693,8 +704,9 @@ def lq_arm(rows, alpha=0.1):
     for r, value in rows.items():
         W0[r] = value
     cfg_sgd = SgdConfig(alpha, 10, 8, record_every=8)
-    return lambda: _run_arm(problem, W0, "hsgd", make_schedule("constant", 3), cfg_sgd,
-                            [20 + r for r in range(5)])
+    plan = arm_plan(make_schedule("constant", 3), cfg_sgd)
+    return lambda: _run_arm(problem, W0, "hsgd", plan, cfg_sgd, [20 + r for r in range(5)],
+                            plan.allocate("hsgd", 5))
 
 
 @pytest.mark.parametrize("rows, expected", [
@@ -808,8 +820,9 @@ def test_runs_leave_the_problem_unmutated(tmp_path, experiment):
     before = pickle.dumps(vars(problem))
     cfg_sgd = SgdConfig(0.05, 6, int(cfg.optimizer["minibatch"]), record_every=1)
     sched = make_schedule("constant", 2)
+    plan = arm_plan(sched, cfg_sgd)
     for method in ("sgd", "hsgd"):
-        _run_arm(problem, w0, method, sched, cfg_sgd, [1, 2])
+        _run_arm(problem, w0, method, plan, cfg_sgd, [1, 2], plan.allocate(method, 2))
     hsgd_run(w0, sched, cfg_sgd, problem, make_rng(3), sink=lambda *_: None)
     diagnostics.estimate_sigma2(problem, 0.5, [w0], cfg_sgd.minibatch, 5, make_rng(4))
     assert pickle.dumps(vars(problem)) == before
@@ -923,9 +936,10 @@ def test_every_evaluation_holds_the_row_chunk_bound(experiment):
     problem, W0 = full_batch_problem(experiment, 300)
     problem = chunk_recording(problem)
     seeds = list(range(len(W0)))
-    _run_slice(problem, W0, "hsgd", make_schedule("constant", 2),
-               SgdConfig(0.01, 3, 100, record_every=1), seeds, 6)
-    _run_slice(problem, W0, "sgd", None, SgdConfig(0.01, 3, 90, record_every=1), seeds, 6)
+    for method, minibatch in (("hsgd", 100), ("sgd", 90)):
+        cfg = SgdConfig(0.01, 3, minibatch, record_every=1)
+        plan = arm_plan(make_schedule("constant", 2), cfg)
+        _run_slice(problem, W0, method, plan, cfg, seeds, plan.allocate(method, len(W0)))
     rng = make_rng(3)
     diagnostics.estimate_L(problem, 0.5, 200, 1.0, rng)
     diagnostics.estimate_sigma2(problem, 0.5, W0[:5], 90, 60, rng)

@@ -19,13 +19,17 @@ failed) op counts and ``correct``; per end-to-end metric and side, the
 median and quartiles; the pairs each side won (ties count for neither); the
 change's median relative to the parent's, whether it is worse by more than
 the metric's bound, and whether it is a gain: won in at least nine of ten
-pairs, with medians apart by more than the parent's quartile spread. The
+pairs, with medians apart by more than the parent's quartile spread. A
+metric is "unresolved" when the parent's quartile spread, relative to its
+median, exceeds the metric's bound, unless every change run beats every
+parent run: its pairs cannot tell a move within the bound from noise. The
 environment is each side's ``env`` block from its first run.
 
 ``--table`` prints a written file as a Markdown table, one row per
 workload: each metric's cell is "parent median [q1, q3] → change median
-[q1, q3], pairs the change won/pairs", and the last column gives the
-(attempted, failed) ops of each side.
+[q1, q3], pairs the change won/pairs", with "(unresolved)" after an
+unresolved metric's, and the last column gives the (attempted, failed) ops
+of each side.
 """
 
 from __future__ import annotations
@@ -90,17 +94,21 @@ def compare(pairs, spec):
                   for p in pairs if all(name in p[side].get("metrics", {}) for side in SIDES)]
         if not values:
             continue
-        parent, change = spread([a for a, _ in values]), spread([b for _, b in values])
+        before, after = [a for a, _ in values], [b for _, b in values]
+        parent, change = spread(before), spread(after)
         won = {"parent": sum(a < b if lower else a > b for a, b in values),
                "change": sum(b < a if lower else b > a for a, b in values)}
         relative = change["median"] / parent["median"] - 1 if parent["median"] else None
         worse = None if relative is None else (relative if lower else -relative) > entry["bound"]
+        noisy = parent["q3"] - parent["q1"] > entry["bound"] * abs(parent["median"])
+        beats = max(after) < min(before) if lower else min(after) > max(before)
         out[name] = {
             "unit": entry["unit"], "better": entry["better"], "bound": entry["bound"],
             "pairs": len(values), "parent": parent, "change": change, "won": won,
             "relative_change": relative, "worse_than_bound": worse,
             "gain": (10 * won["change"] >= 9 * len(values)
                      and abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]),
+            "unresolved": noisy and not beats,
         }
     return out
 
@@ -116,7 +124,8 @@ def cell(metric):
     """``parent median [q1, q3] → change median [q1, q3], won/pairs`` of one compared metric."""
     side = [f"{figure(s['median'])} [{figure(s['q1'])}, {figure(s['q3'])}]"
             for s in (metric["parent"], metric["change"])]
-    return f"{side[0]} → {side[1]}, {metric['won']['change']}/{metric['pairs']}"
+    unresolved = " (unresolved)" if metric.get("unresolved") else ""  # absent in older files
+    return f"{side[0]} → {side[1]}, {metric['won']['change']}/{metric['pairs']}{unresolved}"
 
 
 def table(report):
