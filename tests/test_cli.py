@@ -236,7 +236,9 @@ def cap_address_space(limit=4 * 2**30):
     An allocation beyond it fails at once whatever the host's overcommit
     setting, and a run that would grow without bound stops at the cap.
     """
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
 @pytest.mark.parametrize("raw, shape", [
