@@ -181,7 +181,10 @@ class RunPlan:
     schedule: core.Schedule
     record_every: int
     steps: dict
-    epochs: dict
+
+    @property
+    def epochs(self):
+        return {method: steps // self.record_every for method, steps in self.steps.items()}
 
     def allocate(self, method, repeats):
         """One arm's empty (lambdas, objectives, aux) blocks of epochs + 1 columns."""
@@ -209,16 +212,15 @@ def _check_values(cfg):
                                       opt["sgd_budget_factor"] if method == "sgd" else 1)
              for method in (("sgd", "hsgd") if cfg.method == "both" else (cfg.method,))}
     every = steps_per_epoch(n_samples, opt["minibatch"])  # N is every family's sample count
-    epochs = {method: total // every for method, total in steps.items()}
     # numpy refuses an array beyond its index range (intp bytes) with a ValueError.
-    most, columns = np.iinfo(np.intp).max // 8, max(epochs.values()) + 1
+    most, columns = np.iinfo(np.intp).max // 8, max(steps.values()) // every + 1
     sizes = {"dataset.N": 2 * n_samples, "optimizer.n": opt["n"], "repeats": cfg.repeats * columns}
     if beyond := [name for name, size in sizes.items() if size > most]:
         raise ConfigurationError(f"{' and '.join(beyond)} would size an array beyond numpy's "
                                  f"index range of {most} float64 values")
     schedule = make_schedule(opt["schedule"], opt["n"], eta=opt["eta"], explicit=opt.get("explicit"))
     EXPERIMENTS[cfg.experiment].check(cfg)
-    return RunPlan(schedule, every, steps, epochs)
+    return RunPlan(schedule, every, steps)
 
 
 def _check_keys(raw, experiment):

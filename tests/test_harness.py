@@ -413,10 +413,9 @@ POINT_AUX = {
 
 def arm_plan(sched, cfg_sgd, budget_factor=1):
     """The RunPlan of an sgd and an hsgd arm on ``sched`` with ``cfg_sgd``'s k and epoch length."""
-    steps = {method: _sgd_total_steps(cfg_sgd.steps, sched.n, budget_factor if method == "sgd" else 1)
-             for method in ("sgd", "hsgd")}
-    every = cfg_sgd.record_every
-    return harness.RunPlan(sched, every, steps, {m: total // every for m, total in steps.items()})
+    return harness.RunPlan(sched, cfg_sgd.record_every, {
+        method: _sgd_total_steps(cfg_sgd.steps, sched.n, budget_factor if method == "sgd" else 1)
+        for method in ("sgd", "hsgd")})
 
 
 def sequential_arm(problem, w0, method, sched, cfg_sgd, seed, aux_fn, budget_factor):
