@@ -2,9 +2,10 @@
 
 The optimizer minimizes a parametric family f(w, lambda) exposed through the
 ``HomotopyProblem`` interface: the inner loop is plain constant-step SGD on
-f(., lambda), the outer loop increases lambda from 0 to 1 according to a
-schedule whose increments sum to one, warm-starting each inner solve from the
-previous approximate solution. ``fork_rows`` runs a block of rows in forked slices.
+f(., lambda), the outer loop steps lambda from 0 to 1 along the lambda path
+that a ``Schedule`` computes once from its increments, warm-starting each
+inner solve from the previous approximate solution. ``fork_rows`` runs a
+block of rows in forked slices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 import traceback
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,20 +41,6 @@ SAMPLER_BLOCK_ELEMENTS = 128_000
 # the sine-mlp hsgd arm at k = 100 (1,000,000) and the default moons-logistic
 # and sine-mlp arms and multistarts (15,000,000 and 7,500,000) fork.
 FORK_GRAD_EVALS = 1_000_000
-
-
-def clamp_lambda(lam):
-    """Snap an accumulated homotopy parameter onto [0, 1].
-
-    Left-to-right summation of valid increments can overshoot the endpoints
-    by a few ulps; anything further out than SUM_TOL is a real error and is
-    left alone for the callers' range checks to reject.
-    """
-    if 1.0 < lam <= 1.0 + SUM_TOL:
-        return 1.0
-    if -SUM_TOL <= lam < 0.0:
-        return 0.0
-    return lam
 
 
 class ConfigurationError(ValueError):
@@ -125,19 +112,40 @@ class SgdConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Homotopy increments h(1..n) in (0, 1] whose lambda path (``lambdas``) ends at 1."""
+    """Homotopy increments h(1..n) in (0, 1] whose lambda path ``lambdas`` ends at 1.
+
+    Both arrays are read-only copies, and the path is computed once, here.
+    It is the path the outer loop visits: the increments summed left to
+    right, the first partial sum in (1, 1 + SUM_TOL] snapped to 1, and each
+    later 1 + h snapped again while it stays within SUM_TOL of 1; from the
+    first 1 + h beyond that the sum runs on unsnapped. Its last point must
+    lie within SUM_TOL of 1.
+    """
 
     increments: np.ndarray
+    lambdas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
+        inc = np.array(self.increments, dtype=float)
+        inc.flags.writeable = False
         object.__setattr__(self, "increments", inc)
         if inc.ndim != 1 or inc.size == 0:
             raise ConfigurationError(f"increments must be a non-empty 1-D array, got shape {inc.shape}")
         if not np.all((inc > 0) & (inc <= 1)):  # false for a NaN increment too
             raise ConfigurationError("schedule increments must lie in (0, 1]")
-        # The path the outer loop visits, not numpy's pairwise sum; its last point is its largest.
-        last = float(self.lambdas()[-1])
+        # numpy's 1-D accumulate adds left to right, as the outer loop does.
+        path = np.cumsum(inc)
+        first = int(np.argmax(path > 1.0))
+        if 1.0 < path[first] <= 1.0 + SUM_TOL:
+            path[first:] = 1.0
+            beyond = 1.0 + inc[first + 1:] > 1.0 + SUM_TOL
+            if beyond.any():
+                restart = first + 1 + int(beyond.argmax())
+                path[restart:] = np.cumsum(np.concatenate([[1.0], inc[restart:]]))[1:]
+        path.flags.writeable = False
+        object.__setattr__(self, "lambdas", path)
+        # The path never falls, so its last point is its largest.
+        last = float(path[-1])
         if abs(last - 1.0) > SUM_TOL:
             raise ConfigurationError(f"schedule increments summed left to right reach {last!r} "
                                      f"at n = {inc.size}, expected 1")
@@ -145,19 +153,6 @@ class Schedule:
     @property
     def n(self):
         return self.increments.size
-
-    def lambdas(self):
-        """The lambda values the outer loop (``hsgd_run``) visits.
-
-        The increments are summed left to right and each partial sum is
-        snapped onto [0, 1] by ``clamp_lambda``.
-        """
-        out = np.empty(self.n)
-        lam = 0.0
-        for i, h in enumerate(self.increments):
-            lam = clamp_lambda(lam + h)
-            out[i] = lam
-        return out
 
 
 def make_schedule(kind, n, eta=None, explicit=None):
@@ -370,7 +365,7 @@ def hsgd_run(w0, schedule, cfg, problem, rng, sink=None, stage_hook=None):
     """
     w = w0
     step_offset = 0
-    for i, lam in enumerate(schedule.lambdas().tolist(), start=1):
+    for i, lam in enumerate(schedule.lambdas.tolist(), start=1):
         w = sgd_run(
             w, cfg, problem, lam, rng,
             sink=sink, step_offset=step_offset, homotopy_iteration=i,

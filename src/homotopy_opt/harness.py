@@ -497,7 +497,7 @@ def run_experiment(cfg: ExperimentConfig):
                         record_every=plan.record_every)
     cfg_sgd.warn_if_out_of_range(L_tilde)
     record = EXPERIMENTS[cfg.experiment]
-    fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], plan.schedule.lambdas(), [1.0]]))
+    fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], plan.schedule.lambdas, [1.0]]))
 
     arms, snapshots = {}, []
     for method, block in blocks.items():

@@ -321,7 +321,7 @@ def run_lq_homotopy(problem, schedule, cfg_sgd, repeats=200):
     sup_dev = 0.0
     rngs = [make_rng(stream_seed(MASTER, rep)) for rep in range(repeats)]
     W = np.ones((repeats, 1))
-    for i, lam in enumerate(schedule.lambdas().tolist()):
+    for i, lam in enumerate(schedule.lambdas.tolist()):
         sup_dev = max(sup_dev, float(np.abs(W[:, 0] - lam).max()))
         W = sgd_run(W, cfg_sgd, problem, lam, rngs)
         sup_dev = max(sup_dev, float(np.abs(W[:, 0] - lam).max()))

@@ -112,3 +112,24 @@ def test_a_parent_spread_beyond_the_bound_is_unresolved():
 
 def test_figures_by_magnitude():
     assert [bench_pair.figure(v) for v in (0.0612, 117.66, 625344.4)] == ["0.061", "117.7", "625k"]
+
+
+def test_src_lines_counts_each_trees_python_sources(tmp_path):
+    trees = {}
+    for side, files in (("parent", {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/b.py": "z = 3\n"}),
+                        ("change", {"src/pkg/a.py": "x = 1\n", "src/pkg/data.txt": "1\n2\n",
+                                    "tests/test_a.py": "assert True\n"})):
+        for name, text in files.items():
+            path = tmp_path / side / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        trees[side] = bench_pair.src_lines(tmp_path / side)
+    assert trees == {"parent": 3, "change": 1}
+    moons = pairs([2.0] * 4, [2.5] * 4)
+    report = {"src_lines": {"parent": 2523, "change": 2498}, "workloads": {
+        "moons-seq": {"metrics": bench_pair.compare(moons, SPEC), "pairs": moons,
+                      "failed_ops": {"parent": [[5, 0]] * 4, "change": [[5, 0]] * 4}}}}
+    assert bench_pair.table(report).splitlines()[-2:] == ["", "`src/` lines: 2,523 → 2,498"]
+    # A file written before the key existed prints the table alone.
+    del report["src_lines"]
+    assert bench_pair.table(report).splitlines()[-1].startswith("| moons-seq (4) |")

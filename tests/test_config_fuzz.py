@@ -29,9 +29,13 @@ BASES = {
     "moons-logistic": {"dataset": {"N": 20}, "optimizer": {"minibatch": 5, "k": 5, "n": 4}},
     "synthetic-lq": {"dataset": {"N": 16}, "optimizer": {"minibatch": 4, "k": 5, "n": 4}},
 }
-# The integer edges up to 10^19. None lies between 64 and 2^60, where an
-# accepted optimizer.n would make from_dict build a schedule of gigabytes.
+# The integer edges up to 10^19, and 10^6 for optimizer.n alone. None lies
+# above 10^6 and below 2^60, for the memory an n-entry schedule needs: from_dict
+# peaks at about 33 bytes per entry while it builds one, 33 MB at n = 10^6 and
+# 33 GB at 10^9. No other key draws 10^6: an L_pairs of 10^6 in a small plan
+# would make run draw 2 * 10^6 points of up to 141 coordinates.
 INTS = st.one_of(st.integers(-2, 64), st.sampled_from([2**60, 2**63 - 1, 2**63, 10**19]))
+STAGES = st.one_of(INTS, st.just(10**6))
 OTHERS = st.sampled_from([
     0.0, 0.5, 1.0, -1.0, 1e-308, 5e-324, 1e308, -1e308, True, False, None, "", "x", "auto",
     "sgd", "hsgd", "both", "constant", "exponential", "explicit", "objective", [], [0], [1, 2],
@@ -58,7 +62,8 @@ def configs(draw):
     for key in draw(st.lists(st.sampled_from(fuzz_keys(experiment)), min_size=1, max_size=3,
                              unique=True)):
         section, _, name = key.rpartition(".")
-        (raw.setdefault(section, {}) if section else raw)[name] = draw(st.one_of(INTS, OTHERS))
+        ints = STAGES if key == "optimizer.n" else INTS
+        (raw.setdefault(section, {}) if section else raw)[name] = draw(st.one_of(ints, OTHERS))
     return raw
 
 

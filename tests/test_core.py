@@ -224,7 +224,7 @@ def test_homotopy_tracking_on_toy_problem(toy_problem):
         float(lam): diagnostics.estimate_fstar(
             toy_problem, float(lam), {"kind": "grid", "lo": -10.0, "hi": 10.0, "step": 1e-2}
         ).value
-        for lam in sched.lambdas()
+        for lam in sched.lambdas
     }
     repeats = 100
     before = np.zeros(sched.n)
@@ -233,7 +233,7 @@ def test_homotopy_tracking_on_toy_problem(toy_problem):
     # over the repeats in repeat order.
     rngs = [make_rng(stream_seed(20240, rep)) for rep in range(repeats)]
     W = np.full((repeats, 1), -4.0)
-    for i, lam in enumerate(sched.lambdas().tolist()):
+    for i, lam in enumerate(sched.lambdas.tolist()):
         before[i] = sum((toy_problem.objective(W, lam) - fstar[lam]).tolist())
         W = sgd_run(W, cfg, toy_problem, lam, rngs)
         after[i] = sum((toy_problem.objective(W, lam) - fstar[lam]).tolist())

@@ -234,6 +234,17 @@ def test_salted_streams_are_pinned():
         assert getattr(make_rng(20240 ^ salt), draw)(*args) == first, hex(salt)
 
 
+def test_config_judges_a_ten_million_stage_schedule_in_time():
+    # The judge builds the schedule, whose lambda path is one numpy pass; a
+    # Python loop over its 10^7 stages took 3.5-3.8 s.
+    raw = {"experiment": "synthetic-lq",
+           "optimizer": {"k": 1, "n": 10**7, "schedule": "exponential", "eta": 1e-7}}
+    start = time.perf_counter()
+    cfg = ExperimentConfig.from_dict(raw)
+    assert time.perf_counter() - start < 1.5
+    assert cfg.plan.schedule.lambdas.size == 10**7
+
+
 def test_config_accepts_metadata_wrapper():
     meta = {"config": {"experiment": "synthetic-lq", "repeats": 7}, "library_version": "x",
             "sampler": SAMPLER}
@@ -984,7 +995,7 @@ def test_fstar_coarse_grid_equals_fine_grid():
     problem, _ = harness.build_problem(cfg, harness.build_dataset(cfg))
     opt = cfg.optimizer
     sched = make_schedule(opt["schedule"], int(opt["n"]), eta=opt["eta"])
-    lambdas = np.concatenate([[0.0], sched.lambdas(), [1.0]])
+    lambdas = np.concatenate([[0.0], sched.lambdas, [1.0]])
     coarse_table = _fstar_table(cfg, problem, lambdas)
     fine_table = _fstar_table(fine, problem, lambdas)
     assert len(coarse_table) == len(set(lambdas.tolist()))

@@ -7,9 +7,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homotopy_opt.core import ConfigurationError, Schedule, clamp_lambda, make_schedule
+from homotopy_opt.core import ConfigurationError, Schedule, make_schedule
 
 SUM_TOL = 1e-12
+
+
+def loop_path(increments):
+    """The reference lambda path: each partial sum of a Python loop, snapped onto [0, 1].
+
+    Returns the path and the ConfigurationError text a schedule with these
+    increments raises, or None when its path ends within SUM_TOL of 1.
+    """
+    path, lam = [], 0.0
+    for h in increments.tolist():
+        lam = lam + h
+        if 1.0 < lam <= 1.0 + SUM_TOL:
+            lam = 1.0
+        elif -SUM_TOL <= lam < 0.0:
+            lam = 0.0
+        path.append(lam)
+    last = path[-1]
+    error = None if abs(last - 1.0) <= SUM_TOL else (
+        f"schedule increments summed left to right reach {last!r} "
+        f"at n = {increments.size}, expected 1")
+    return np.array(path), error
 
 
 def test_constant_schedule_is_uniform():
@@ -73,7 +94,7 @@ def test_schedule_type_validates_sum_and_range():
 def test_schedule_length_is_its_increment_count():
     sched = Schedule(np.array([0.25, 0.75]))
     assert sched.n == 2
-    assert sched.lambdas().tolist() == [0.25, 1.0]
+    assert sched.lambdas.tolist() == [0.25, 1.0]
 
 
 @pytest.mark.parametrize("increments", [np.array([]), np.array([[0.5, 0.5]]), np.array(1.0)])
@@ -84,15 +105,83 @@ def test_schedule_rejects_increments_that_are_not_a_nonempty_vector(increments):
 
 def test_lambdas_accumulate_to_one():
     sched = make_schedule("constant", 4)
-    assert np.allclose(sched.lambdas(), [0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-15)
-    assert sched.lambdas()[-1] == 1.0
+    assert np.allclose(sched.lambdas, [0.25, 0.5, 0.75, 1.0], rtol=0, atol=1e-15)
+    assert sched.lambdas[-1] == 1.0
 
 
-def test_clamp_lambda_snaps_ulp_overshoot_only():
-    assert clamp_lambda(1.0 + 5e-13) == 1.0
-    assert clamp_lambda(-5e-13) == 0.0
-    assert clamp_lambda(1.0 + 1e-11) != 1.0
-    assert clamp_lambda(0.7) == 0.7
+def test_a_schedule_shares_no_writable_array():
+    inc = np.array([0.25, 0.75])
+    sched = Schedule(inc)
+    inc[0] = 0.9
+    assert sched.increments.tolist() == [0.25, 0.75] and sched.lambdas.tolist() == [0.25, 1.0]
+    sched = make_schedule("constant", 4)
+    for array in (sched.increments, sched.lambdas):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0.9
+    assert sched.lambdas.tolist() == [0.25, 0.5, 0.75, 1.0]
+
+
+def check_against_loop(increments):
+    """The schedule's verdict, error text and path bits are the reference loop's."""
+    path, error = loop_path(increments)
+    if error is None:
+        assert Schedule(increments).lambdas.tobytes() == path.tobytes()
+    else:
+        with pytest.raises(ConfigurationError) as raised:
+            Schedule(increments)
+        assert str(raised.value) == error
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "exponential", "explicit"]),
+    n=st.integers(min_value=1, max_value=3000),
+    eta=st.floats(min_value=0.0, max_value=0.2, allow_nan=False),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_lambda_path_is_the_loops(kind, n, eta, seed):
+    # The increments as make_schedule builds them, before the schedule judges them.
+    if kind == "constant":
+        increments = np.full(n, 1.0 / n)
+    elif kind == "exponential":
+        weights = np.exp(-eta * np.arange(1, n + 1, dtype=float))  # eta * n <= 600: no underflow
+        increments = weights / weights.sum()
+    else:
+        entries = np.random.Generator(np.random.PCG64(seed)).uniform(0.1, 2.0, n)
+        increments = entries / entries.sum()
+    check_against_loop(increments)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    head=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=7),
+    tail_exponent=st.floats(min_value=3.0, max_value=5.0),
+    exponent=st.floats(min_value=-15.0, max_value=-10.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_lambda_path_is_the_loops_past_one(head, tail_exponent, exponent, seed):
+    # A few large entries, then 10^3 to 10^5 tiny ones: the left-to-right sum
+    # may pass 1 before its end, and each later 1 + h is snapped back, or,
+    # once an h exceeds SUM_TOL, runs on past 1.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    tail = rng.uniform(0.1, 1.0, round(10**tail_exponent)) * 10**exponent
+    entries = np.concatenate([head, tail])
+    check_against_loop(entries / entries.sum())
+
+
+@pytest.mark.parametrize("increments, error", [
+    ([0.5, 0.5 + 5e-13, 1e-11, 0.2], "reach 1.20000000001 at n = 4"),
+    ([0.9, 0.1 + 1e-16, 2e-12, 3e-12], "reach 1.000000000005 at n = 4"),
+    ([0.5, 0.5 + 1e-13] + [1e-13] * 50, None),
+])
+def test_lambda_path_snaps_to_one_until_an_increment_exceeds_the_tolerance(increments, error):
+    increments = np.array(increments)
+    if error is None:
+        assert Schedule(increments).lambdas.tolist() == [0.5] + [1.0] * 51
+    else:
+        with pytest.raises(ConfigurationError, match=error):
+            Schedule(increments)
+    check_against_loop(increments)
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,7 +203,7 @@ def test_schedule_contract_properties(kind, n, eta, seed):
     inc = sched.increments
     assert abs(inc.sum() - 1.0) <= SUM_TOL
     assert np.all(inc > 0.0)
-    lams = sched.lambdas()
+    lams = sched.lambdas
     # Strict increase can be lost to rounding once increments shrink below
     # one ulp of the running sum (large eta), so only require nondecreasing.
     assert np.all(np.diff(lams) >= 0)

@@ -23,13 +23,15 @@ pairs, with medians apart by more than the parent's quartile spread. A
 metric is "unresolved" when the parent's quartile spread, relative to its
 median, exceeds the metric's bound, unless every change run beats every
 parent run: its pairs cannot tell a move within the bound from noise. The
-environment is each side's ``env`` block from its first run.
+environment is each side's ``env`` block from its first run. ``src_lines``
+gives the line count of each side's ``src/**/*.py``.
 
 ``--table`` prints a written file as a Markdown table, one row per
 workload: each metric's cell is "parent median [q1, q3] → change median
 [q1, q3], pairs the change won/pairs", with "(unresolved)" after an
 unresolved metric's, and the last column gives the (attempted, failed) ops
-of each side.
+of each side. A line after the table gives the ``src/`` line counts, in a
+file that has them.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ def export(source, into):
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tree, filter="data")
     return tree
+
+
+def src_lines(tree):
+    """The line count of the ``src/**/*.py`` files of ``tree``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in Path(tree).glob("src/**/*.py"))
 
 
 def run_once(command, tree, workload, seed):
@@ -142,6 +150,8 @@ def table(report):
                for side in SIDES]
         lines.append(f"| {workload} ({len(w['pairs'])}) | " + " | ".join(cells)
                      + f" | {ops[0]} → {ops[1]} |")
+    if "src_lines" in report:  # absent in older files
+        lines += ["", "`src/` lines: {parent:,} → {change:,}".format(**report["src_lines"])]
     return "\n".join(lines)
 
 
@@ -166,7 +176,9 @@ def main(argv=None):
         trees = dict(zip(SIDES, (export(args.parent, scratch), export(args.change, scratch))))
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         report = {"parent": args.parent, "change": args.change, "seconds": SECONDS,
-                  "first_seed": args.seed, "workloads": {}}
+                  "first_seed": args.seed,
+                  "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+                  "workloads": {}}
         for workload in args.workloads:
             pairs = []
             for i in range(1, args.pairs + 1):
