@@ -81,14 +81,14 @@ class NonFiniteError(RuntimeError):
 class SgdConfig:
     """Constant step-size SGD configuration.
 
-    ``record_every`` controls how often (in steps) the trace sink is invoked;
-    None disables recording even when a sink is supplied.
+    ``record_every`` is how often (in steps) a run calls its trace sink; a
+    run records only when it is given a sink.
     """
 
     alpha: float
     steps: int
     minibatch: int
-    record_every: int | None = None
+    record_every: int = 1
 
     def __post_init__(self):
         if not (self.alpha > 0):
@@ -97,8 +97,8 @@ class SgdConfig:
             raise ConfigurationError(f"step count must be >= 1, got {self.steps}")
         if self.minibatch < 1:
             raise ConfigurationError(f"minibatch size must be >= 1, got {self.minibatch}")
-        if self.record_every is not None and self.record_every < 1:
-            raise ConfigurationError("record_every must be >= 1 when set")
+        if self.record_every < 1:
+            raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
 
     def warn_if_out_of_range(self, smoothness_estimate):
         """Warn unless alpha <= 1/L_tilde, the range the convergence analysis covers."""
@@ -110,7 +110,7 @@ class SgdConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: arrays have no truth value to compare by
 class Schedule:
     """Homotopy increments h(1..n) in (0, 1] whose lambda path ``lambdas`` ends at 1.
 
@@ -123,7 +123,7 @@ class Schedule:
     """
 
     increments: np.ndarray
-    lambdas: np.ndarray = field(init=False, repr=False, compare=False)
+    lambdas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         inc = np.array(self.increments, dtype=float)
@@ -321,7 +321,6 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
     block_steps = max(1, SAMPLER_BLOCK_ELEMENTS // (repeats * cfg.minibatch))
     w = w0
     alpha = cfg.alpha
-    record = sink is not None and cfg.record_every is not None
     # A full-batch block defers a record before the call's last step: the
     # next gradient pass, at the same point and lambda, also gives it.
     defer = not single and cfg.minibatch == problem.sample_count
@@ -346,7 +345,7 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
             # threaded BLAS.
             if not math.isfinite(w.sum()):
                 _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam)
-            if record and step % cfg.record_every == 0:
+            if sink is not None and step % cfg.record_every == 0:
                 if defer and step < last:
                     pending = step
                 else:

@@ -35,6 +35,7 @@ from .core import ConfigurationError, _draw_minibatch, make_rng
 LEAST_NORMAL = np.finfo(float).tiny
 # A norm below this has a sum of squares under LEAST_NORMAL, which loses bits or reads 0.
 SQUARES_UNDERFLOW = np.sqrt(LEAST_NORMAL)
+PL_GAP_FLOOR = 1e-12  # at a gap f - f* at or below it, the PL modulus is undefined
 
 
 class EstimationError(RuntimeError):
@@ -73,7 +74,6 @@ def estimate_L(problem, lam, num_pairs, radius, rng):
     dim = problem.dimension
     if 2 * num_pairs * dim > np.iinfo(np.intp).max // 8:  # numpy would refuse the block
         raise EstimationError(f"{num_pairs} pairs of {dim} values exceed numpy's index range")
-    center = np.zeros(dim)
     # Pair i is rows 2i and 2i + 1; a coincident pair is evaluated but not
     # used. A zero direction (a sum of squares reads 0; min, as all() buffers a
     # cast that raises the peak memory) reruns the loop from the saved state,
@@ -90,10 +90,9 @@ def estimate_L(problem, lam, num_pairs, radius, rng):
         if sq.min() > 0.0:
             break
         rng.bit_generator.state = state
-    # center + scale * direction / ||direction||, row by row.
+    # scale * direction / ||direction||, row by row.
     W *= scale[:, None]
     W /= np.sqrt(sq)[:, None]
-    W += center
     gaps = np.sqrt(_row_dots(W[0::2] - W[1::2]))
     if np.max(gaps) < 1e-14:
         raise EstimationError("all sampled pairs were coincident")
@@ -116,20 +115,20 @@ def _norms(V):
     return norms
 
 
-def estimate_mu(problem, lam, w, fstar_lambda, tol=1e-12):
-    """Pointwise PL modulus ||grad f||^2 / (2 (f - f*)); undefined at the optimum."""
-    mu, gap = pl_moduli(problem, lam, np.asarray(w, dtype=float).reshape(1, -1), fstar_lambda, tol)
-    if gap[0] <= tol:
+def estimate_mu(problem, lam, w, fstar_lambda):
+    """Pointwise PL modulus ||grad f||^2 / (2 (f - f*)); undefined at a gap <= PL_GAP_FLOOR."""
+    mu, gap = pl_moduli(problem, lam, np.asarray(w, dtype=float).reshape(1, -1), fstar_lambda)
+    if gap[0] <= PL_GAP_FLOOR:
         raise EstimationError(f"objective gap {gap[0]} is below tolerance; mu is undefined at the optimum")
     return float(mu[0])
 
 
-def pl_moduli(problem, lam, W, fstar_lambda, tol=1e-12):
-    """``estimate_mu`` at each row of W, and each row's gap f - f*; mu is NaN where gap <= tol."""
+def pl_moduli(problem, lam, W, fstar_lambda):
+    """``estimate_mu`` at each row of W, and each row's gap f - f*; mu is NaN at gap <= PL_GAP_FLOOR."""
     gaps = problem.objective(W, lam) - fstar_lambda
     grads = problem.gradient(W, lam)
     mu = np.full(len(W), np.nan)
-    rows = gaps > tol
+    rows = gaps > PL_GAP_FLOOR
     mu[rows] = _row_dots(grads)[rows] / (2.0 * gaps[rows])
     return mu, gaps
 
@@ -162,7 +161,7 @@ class FstarEstimate:
     upper_bound_only: bool = False
 
 
-def _grid_fstar(problem, lams, lo, hi, step):
+def _grid_fstar(problem, lams, spec):
     """The grid f* at each lambda of ``lams``: the first grid minimum, then a bisection refine.
 
     One pass over the grid, in row chunks: ``problem.objectives`` gives a
@@ -172,6 +171,7 @@ def _grid_fstar(problem, lams, lo, hi, step):
     ``np.argmin`` over the whole grid picks, a tie or a NaN (the first NaN
     wins) included.
     """
+    lo, hi, step = spec["lo"], spec["hi"], spec["step"]
     grid = np.arange(lo, hi + step / 2, step)
     if grid.size == 0:
         raise ConfigurationError("empty search grid")
@@ -217,17 +217,19 @@ def _bisect_refine(problem, lams, best_vals, best_ws, step):
     return [FstarEstimate(v, np.array([w])) for v, w in zip(best_vals, best_ws)]
 
 
-def _multistart_fstar(problem, lam, restarts, steps, alpha, seed, init_center=None):
+def _multistart_fstar(problem, lam, spec):
     """The first least objective over ``restarts`` full-batch descents from init_center + N(0, I).
 
     Each slice of ``core.fork_rows`` descends as one block, which a restart
     leaves at its first non-finite iterate. A row's descent does not depend
     on the rows beside it, so the joined rows do not depend on the slice count.
     """
+    restarts, steps, alpha, seed = spec["restarts"], spec["steps"], spec["alpha"], spec["seed"]
     if restarts < 1:
         raise ConfigurationError("need at least one restart")
     rng = make_rng(seed)
-    center = np.zeros(problem.dimension) if init_center is None else np.asarray(init_center, float)
+    center = spec.get("init_center")
+    center = np.zeros(problem.dimension) if center is None else np.asarray(center, float)
     W = center + rng.standard_normal((restarts, problem.dimension))
 
     def descend(part):
@@ -265,18 +267,10 @@ def estimate_fstar(problem, lam, search_spec):
     if kind == "grid":
         if problem.dimension != 1:
             raise ConfigurationError("grid search requires a 1-D problem")
-        estimates = _grid_fstar(problem, np.atleast_1d(lam).tolist(), search_spec["lo"],
-                                search_spec["hi"], search_spec["step"])
+        estimates = _grid_fstar(problem, np.atleast_1d(lam).tolist(), search_spec)
         return estimates if np.ndim(lam) else estimates[0]
     if kind == "multistart":
-        return _multistart_fstar(
-            problem, lam,
-            restarts=search_spec["restarts"],
-            steps=search_spec["steps"],
-            alpha=search_spec["alpha"],
-            seed=search_spec["seed"],
-            init_center=search_spec.get("init_center"),
-        )
+        return _multistart_fstar(problem, lam, search_spec)
     raise ConfigurationError(f"unknown search kind {kind!r}")
 
 

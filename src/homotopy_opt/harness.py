@@ -173,7 +173,7 @@ VALUE_RULES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity, as its Schedule's arrays have no truth value
 class RunPlan:
     """What a judged config fixes: the schedule, the epoch length, and each arm's (method's)
     step total and epoch count; an arm records its start and one row per epoch."""
@@ -181,6 +181,7 @@ class RunPlan:
     schedule: core.Schedule
     record_every: int
     steps: dict
+    config: dict | None = None  # the judged config, as to_dict gives it
 
     @property
     def epochs(self):
@@ -299,10 +300,11 @@ class ExperimentConfig:
                 f"threshold_metric {cfg.threshold_metric!r} is unavailable for {experiment}; "
                 f"expected one of {metrics}"
             )
-        cfg.plan = _check_values(cfg)
+        plan = _check_values(cfg)
         # The seeds a config leaves out, from a master_seed now known to be valid.
         for (section, key), salt in record.seed_salts.items():
             getattr(cfg, section).setdefault(key, cfg.master_seed ^ salt)
+        cfg.plan = replace(plan, config=cfg.to_dict())
         return cfg
 
     to_dict = asdict
@@ -486,6 +488,10 @@ def run_experiment(cfg: ExperimentConfig):
     MemoryError here), then the seeds; compute the dataset, problem, L_tilde, out dir, f* table
     and arms; then write every file (``_write_run``). Returns (arms, report)."""
     plan = cfg.plan
+    # Its blocks would be sized for other values; repr, since 8.0 == 8 but only 8 was judged.
+    if plan is None or repr(plan.config) != repr(cfg.to_dict()):
+        raise ConfigurationError(f"{cfg.experiment}: a run needs its config as from_dict judged "
+                                 "it, and this one was changed since or never judged")
     blocks = {method: plan.allocate(method, cfg.repeats) for method in plan.steps}
     seeds = [stream_seed(cfg.master_seed, rep) for rep in range(cfg.repeats)]
     dataset = build_dataset(cfg)
@@ -545,7 +551,7 @@ def run_experiment(cfg: ExperimentConfig):
     report = ComparisonReport(cfg.experiment, cfg.threshold, cfg.threshold_metric,
                               arm_summaries, speedup, note)
     metadata = {
-        "config": cfg.to_dict(),
+        "config": plan.config,
         "library_version": __version__,
         "sampler": SAMPLER,
         "L_tilde": L_tilde,

@@ -110,6 +110,29 @@ def test_a_parent_spread_beyond_the_bound_is_unresolved():
     assert "(unresolved)" not in bench_pair.table(report)
 
 
+def test_a_metric_worse_than_its_bound_is_marked_worse():
+    # 0.184 -> 0.240 s is +30%, beyond the 0.25 bound; 0.184 -> 0.220 s is within it.
+    worse = bench_pair.compare(pairs([0.184] * 10, [0.240] * 10), SPEC)["run_s"]
+    assert worse["relative_change"] == pytest.approx(0.3043, abs=1e-4)
+    assert worse["worse_than_bound"] is True and worse["unresolved"] is False
+    within = bench_pair.compare(pairs([0.184] * 10, [0.220] * 10), SPEC)["run_s"]
+    assert within["worse_than_bound"] is False
+    # Worse and unresolved at once: a 40% parent spread, and a median 30% above it.
+    noisy = bench_pair.compare(pairs([0.8, 1.2, 0.8, 1.2, 1.0] * 2, [1.3] * 10), SPEC)["run_s"]
+    assert noisy["worse_than_bound"] is True and noisy["unresolved"] is True
+    assert bench_pair.cell(within) == "0.184 [0.184, 0.184] → 0.220 [0.220, 0.220], 0/10"
+    report = {"workloads": {workload: {
+        "metrics": {"run_s": metric}, "pairs": [{}] * 10,
+        "failed_ops": {"parent": [[5, 0]] * 10, "change": [[5, 0]] * 10}}
+        for workload, metric in (("moons-seq", worse), ("erf-fstar", noisy))}}
+    assert bench_pair.table(report).splitlines()[2:] == [
+        "| moons-seq (10) | 0.184 [0.184, 0.184] → 0.240 [0.240, 0.240], 0/10 (worse)"
+        " | (5, 0) → (5, 0) |",
+        "| erf-fstar (10) | 1.000 [0.800, 1.200] → 1.300 [1.300, 1.300], 0/10 (worse) (unresolved)"
+        " | (5, 0) → (5, 0) |",
+    ]
+
+
 def test_figures_by_magnitude():
     assert [bench_pair.figure(v) for v in (0.0612, 117.66, 625344.4)] == ["0.061", "117.7", "625k"]
 

@@ -199,10 +199,23 @@ def test_sink_called_at_record_multiples():
     sgd_run(np.array([1.0]), SgdConfig(0.1, 10, 4, record_every=3), prob, 0.0,
             make_rng(0), sink=sink)
     assert steps_seen == [3, 6, 9]
-    # record_every=None disables recording even when a sink is passed.
-    steps_seen.clear()
+
+
+def test_a_sink_alone_switches_recording_on_at_every_step():
+    # record_every defaults to 1: a run given a sink records each step, one
+    # point or a block of repeats.
+    prob = NoiselessQuadratic()
+    steps_seen = []
+
+    def sink(step, lam, w, fval):
+        steps_seen.append(step)
+
     sgd_run(np.array([1.0]), SgdConfig(0.1, 10, 4), prob, 0.0, make_rng(0), sink=sink)
-    assert steps_seen == []
+    assert steps_seen == list(range(1, 11))
+    steps_seen.clear()
+    sgd_run(np.ones((2, 1)), SgdConfig(0.1, 10, 3), prob, 0.0, [make_rng(0), make_rng(1)],
+            sink=sink)
+    assert steps_seen == list(range(1, 11))
 
 
 def test_stream_seed_and_epoch_helpers():

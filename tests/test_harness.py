@@ -245,6 +245,48 @@ def test_config_judges_a_ten_million_stage_schedule_in_time():
     assert cfg.plan.schedule.lambdas.size == 10**7
 
 
+@pytest.mark.parametrize("experiment, raw, k", [
+    # Ran to the end on a 4-step plan: trace row 1 read uninitialized memory.
+    ("moons-logistic", {"dataset": {"N": 40}, "optimizer": {"k": 8, "n": 2, "minibatch": 4}}, 4),
+    # Raised KeyError in the f* lookup, on a lambda read from uninitialized memory.
+    ("synthetic-lq", {"optimizer": {"k": 16, "n": 4}}, 8),
+    # Raised IndexError past the end of the blocks.
+    ("synthetic-lq", {"optimizer": {"k": 16, "n": 4}}, 32),
+    # Equal to the judged 8, but a float the judge rejects: raised TypeError.
+    ("synthetic-lq", {"optimizer": {"k": 8, "n": 4}}, 8.0),
+])
+def test_a_config_changed_after_judging_does_not_run(tmp_path, experiment, raw, k):
+    cfg = tiny_config(tmp_path, experiment, repeats=2, **raw)
+    cfg.optimizer["k"] = k
+    with pytest.raises(ConfigurationError, match="changed since or never judged"):
+        run_experiment(cfg)
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_config_that_was_never_judged_does_not_run(tmp_path):
+    judged = tiny_config(tmp_path, "synthetic-lq", repeats=2)
+    cfg = ExperimentConfig(**{f.name: getattr(judged, f.name)
+                              for f in dataclasses.fields(ExperimentConfig)})
+    assert cfg.to_dict() == judged.to_dict() and cfg.plan is None
+    with pytest.raises(ConfigurationError, match="changed since or never judged"):
+        run_experiment(cfg)
+    assert not (tmp_path / "run").exists()
+    # Equal values set again, and a value set back, run on the plan.
+    judged.repeats = 2
+    judged.optimizer["k"] = 7
+    judged.optimizer["k"] = 50
+    run_experiment(judged)
+    assert (tmp_path / "run" / "trace_hsgd.csv").exists()
+
+
+def test_run_plans_compare_and_hash_by_identity(tmp_path):
+    # The generated __eq__ compared the schedules' arrays, which have no truth value.
+    plans = [tiny_config(tmp_path, "synthetic-lq").plan for _ in range(2)]
+    assert plans[0] == plans[0] and plans[0] != plans[1]
+    assert hash(plans[0]) == hash(plans[0])
+    assert plans[0] in set(plans[:1]) and plans[1] not in set(plans[:1])
+
+
 def test_config_accepts_metadata_wrapper():
     meta = {"config": {"experiment": "synthetic-lq", "repeats": 7}, "library_version": "x",
             "sampler": SAMPLER}

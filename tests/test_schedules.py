@@ -109,6 +109,14 @@ def test_lambdas_accumulate_to_one():
     assert sched.lambdas[-1] == 1.0
 
 
+def test_schedules_compare_and_hash_by_identity():
+    # The generated __eq__ compared the arrays, which have no truth value.
+    a, b = make_schedule("constant", 4), make_schedule("constant", 4)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert a in {a} and b not in {a}
+
+
 def test_a_schedule_shares_no_writable_array():
     inc = np.array([0.25, 0.75])
     sched = Schedule(inc)

@@ -28,8 +28,9 @@ gives the line count of each side's ``src/**/*.py``.
 
 ``--table`` prints a written file as a Markdown table, one row per
 workload: each metric's cell is "parent median [q1, q3] → change median
-[q1, q3], pairs the change won/pairs", with "(unresolved)" after an
-unresolved metric's, and the last column gives the (attempted, failed) ops
+[q1, q3], pairs the change won/pairs", with "(worse)" after the cell of a
+metric worse than its bound and "(unresolved)" after an unresolved
+metric's, and the last column gives the (attempted, failed) ops
 of each side. A line after the table gives the ``src/`` line counts, in a
 file that has them.
 """
@@ -132,8 +133,10 @@ def cell(metric):
     """``parent median [q1, q3] → change median [q1, q3], won/pairs`` of one compared metric."""
     side = [f"{figure(s['median'])} [{figure(s['q1'])}, {figure(s['q3'])}]"
             for s in (metric["parent"], metric["change"])]
-    unresolved = " (unresolved)" if metric.get("unresolved") else ""  # absent in older files
-    return f"{side[0]} → {side[1]}, {metric['won']['change']}/{metric['pairs']}{unresolved}"
+    marks = "".join(f" ({mark})" for key, mark in (("worse_than_bound", "worse"),
+                                                   ("unresolved", "unresolved"))
+                    if metric.get(key))  # unresolved is absent in older files
+    return f"{side[0]} → {side[1]}, {metric['won']['change']}/{metric['pairs']}{marks}"
 
 
 def table(report):
