@@ -483,15 +483,19 @@ def epochs_to_threshold(curve, threshold):
     return int(hit[0]) if hit.size else None
 
 
+def _judged_plan(cfg):
+    """``cfg.plan`` if ``from_dict`` judged ``cfg`` as it is now (by repr: 8.0 == 8, but 8 was judged)."""
+    if cfg.plan is None or repr(cfg.plan.config) != repr(cfg.to_dict()):
+        raise ConfigurationError(f"{cfg.experiment}: a run needs its config as from_dict judged "
+                                 "it, and this one was changed since or never judged")
+    return cfg.plan
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Allocate every arm's blocks from ``cfg.plan`` (a run that cannot hold its traces raises
     MemoryError here), then the seeds; compute the dataset, problem, L_tilde, out dir, f* table
     and arms; then write every file (``_write_run``). Returns (arms, report)."""
-    plan = cfg.plan
-    # Its blocks would be sized for other values; repr, since 8.0 == 8 but only 8 was judged.
-    if plan is None or repr(plan.config) != repr(cfg.to_dict()):
-        raise ConfigurationError(f"{cfg.experiment}: a run needs its config as from_dict judged "
-                                 "it, and this one was changed since or never judged")
+    plan = _judged_plan(cfg)
     blocks = {method: plan.allocate(method, cfg.repeats) for method in plan.steps}
     seeds = [stream_seed(cfg.master_seed, rep) for rep in range(cfg.repeats)]
     dataset = build_dataset(cfg)
@@ -595,6 +599,7 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
     whose L, sigma^2 or delta estimate is not finite, leaves an
     ``error.<key>`` line in the report; any other error propagates.
     """
+    _judged_plan(cfg)
     problems._check_lambda(lam)
     problem, w0 = build_problem(cfg, build_dataset(cfg))
     out = Path(cfg.out_dir)

@@ -148,7 +148,8 @@ class LabelInterpolationProblem(HomotopyProblem):
     The labels at lambda are y_lam = lambda * y_target + (1 - lambda) *
     y_source and the objective is f(w, lambda) = mean((o(w) - y_lam)^2); a
     family supplies the lambda-free model output o(w) (``outputs``) and its
-    ``_gradient``, and ``metrics`` turns outputs into ``_epoch_metrics`` (or a minibatch's).
+    ``_gradient``, and ``loss`` turns outputs into objectives. A model pass
+    forms its residual once, and ``_gradient`` takes its metrics from it.
     """
 
     def __init__(self, xs, ys_target, ys_source):
@@ -165,21 +166,20 @@ class LabelInterpolationProblem(HomotopyProblem):
         """Labels at lambda, of every sample or of the samples ``idx`` (any index shape).
 
         A column ``lam`` gives an (R, N) block, or idx's (R, M) shape, one row per lambda.
+        The result is read-only (an endpoint's labels at idx=None) or fresh: write into neither.
         """
+        # An endpoint gathers only its own side: the blend's bytes at a third of its
+        # cost on a minibatch. A column's endpoint rows copy, so both keep the same bits.
+        if not isinstance(lam, np.ndarray) and lam in (0.0, 1.0):
+            y = self.y_source if lam == 0.0 else self.y_target
+            return y if idx is None else y[idx]
         yt = self.y_target if idx is None else self.y_target[idx]
         ys = self.y_source if idx is None else self.y_source[idx]
+        y = lam * yt + (1.0 - lam) * ys
         if isinstance(lam, np.ndarray):
-            y = lam * yt + (1.0 - lam) * ys
             np.copyto(y, ys, where=lam == 0.0)
             np.copyto(y, yt, where=lam == 1.0)
-            return y
-        # The endpoint copies give the blend's bytes at a third of its cost on a
-        # minibatch; a column's endpoint rows copy too, so both keep the same bits.
-        if lam == 0.0:
-            return ys.copy()
-        if lam == 1.0:
-            return yt.copy()
-        return lam * yt + (1.0 - lam) * ys
+        return y
 
     @abstractmethod
     def outputs(self, W):
@@ -187,11 +187,12 @@ class LabelInterpolationProblem(HomotopyProblem):
 
     def loss(self, outputs, lam, idx=None):
         """Each row's objective at lam from its ``outputs`` (at the samples idx), for any lambda."""
-        return np.mean((outputs - self.labels(lam, idx)) ** 2, axis=1)
+        return self.mse(outputs - self.labels(lam, idx))
 
-    def metrics(self, outputs, lam, idx=None):
-        """The objective from ``outputs`` (at the samples idx) and no second metric."""
-        return self.loss(outputs, lam, idx), None
+    @staticmethod
+    def mse(res):
+        """Each row's mean squared residual, squaring ``res`` in place."""
+        return np.mean(np.square(res, out=res), axis=1)
 
     def objectives(self, W, lams):
         """One model pass over the whole block W: the caller bounds its rows."""
@@ -200,7 +201,7 @@ class LabelInterpolationProblem(HomotopyProblem):
         return np.array([self.loss(out, lam) for lam in lams])
 
     def _epoch_metrics(self, W, lam):
-        return self.metrics(self.outputs(W), lam)
+        return self.loss(self.outputs(W), lam), None
 
 
 class ErfRegressionProblem(LabelInterpolationProblem):
@@ -223,10 +224,14 @@ class ErfRegressionProblem(LabelInterpolationProblem):
     def _gradient(self, W, lam, idx=None, with_metrics=False):
         x = self.xs if idx is None else self.xs[idx]
         u = W[:, :1] * x
-        out = self.erf(u)
-        res = out - self.labels(lam, idx)
-        grad = np.mean(res * (2.0 * TWO_OVER_SQRT_PI) * np.exp(-(u**2)) * x, axis=1, keepdims=True)
-        return (self.metrics(out, lam, idx), grad) if with_metrics else grad
+        res = self.erf(u)
+        res -= self.labels(lam, idx)
+        # res * c * e^(-u^2) * x, left to right, in place: res's buffer unless metrics need res.
+        g = np.multiply(res, 2.0 * TWO_OVER_SQRT_PI, out=None if with_metrics else res)
+        g *= np.exp(np.negative(np.square(u, out=u), out=u), out=u)
+        g *= x
+        grad = np.mean(g, axis=1, keepdims=True)
+        return ((self.mse(res), None), grad) if with_metrics else grad
 
 
 # Fixed MLP architecture: 1 - 10 - 10 - 1, tanh hidden units, identity output.
@@ -282,15 +287,17 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         a2 = a1 @ W2.transpose(0, 2, 1)
         a2 += b2[:, None, :]
         np.tanh(a2, out=a2)
-        out = (a2 @ W3[:, 0, :, None])[:, :, 0] + b3
+        out = (a2 @ W3[:, 0, :, None])[:, :, 0]
+        out += b3
         return a1, a2, out
 
     def outputs(self, W):
         return self._forward(self.unpack(W), self.xs)[2]
 
-    def metrics(self, outputs, lam, idx=None):
+    def _epoch_metrics(self, W, lam):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
-        return self.loss(outputs, lam, idx), self.loss(outputs, 1.0, idx)
+        out = self.outputs(W)
+        return self.loss(out, lam), self.loss(out, 1.0)
 
     def _gradient(self, W, lam, idx=None, with_metrics=False):
         # Sums over the sample axis go through einsum: the same sequential
@@ -300,8 +307,9 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         a1, a2, out = self._forward(layers, x)
         W2, w3 = layers[2], layers[4][:, 0, :]
         res = out - self.labels(lam, idx)                      # (R, m)
-        # MSE backprop: dL/dout = 2 res / m
-        d_out = (2.0 / res.shape[1]) * res
+        raw = self.loss(out, 1.0, idx) if with_metrics else None
+        # MSE backprop: dL/dout = 2 res / m, in the output buffer
+        d_out = np.multiply(2.0 / res.shape[1], res, out=out)
         # Once its weight gradient is taken, each activation block is
         # overwritten by tanh' = 1 - tanh^2 and each delta block is dropped,
         # so at most three (R, m, 10) blocks are live at once: the
@@ -326,7 +334,7 @@ class MlpRegressionProblem(LabelInterpolationProblem):
             gW2, gb2, gW3,
             d_out.sum(axis=1, keepdims=True),                  # gb3
         ], axis=1)
-        return (self.metrics(out, lam, idx), grad) if with_metrics else grad
+        return ((self.mse(res), raw), grad) if with_metrics else grad
 
 
 # The design terms of CubicLogisticProblem that lambda gates: the six nonlinear ones.

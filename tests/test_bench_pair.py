@@ -156,3 +156,38 @@ def test_src_lines_counts_each_trees_python_sources(tmp_path):
     # A file written before the key existed prints the table alone.
     del report["src_lines"]
     assert bench_pair.table(report).splitlines()[-1].startswith("| moons-seq (4) |")
+
+
+def test_a_verdict_must_hold_in_both_blocks_or_it_is_drift():
+    # Odd pairs (indices 0, 2, ...) and even pairs form the blocks.
+    steady = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    both = bench_pair.compare(pairs(steady, [0.8] * 10), SPEC)["run_s"]
+    assert both["gain"] is True and both["drift"] is False
+    assert [b["pairs"] for b in both["blocks"]] == [5, 5]
+    assert [b["median_ratio"] for b in both["blocks"]] == [pytest.approx(0.8)] * 2
+    assert [b["won"] for b in both["blocks"]] == [{"parent": 0, "change": 5}] * 2
+    # The change wins all ten pairs and the medians 1.0 -> 0.8 clear the whole
+    # run's spread, but the even block's 1.0 -> 0.99 is inside its own.
+    parent = [1.0, 1.0, 1.0, 1.4, 1.0, 0.7, 1.0, 1.2, 1.0, 0.9]
+    change = [0.8, 0.99, 0.8, 1.39, 0.8, 0.69, 0.8, 1.19, 0.8, 0.89]
+    split = bench_pair.compare(pairs(parent, change), SPEC)["run_s"]
+    assert split["won"]["change"] == 10 and split["relative_change"] == pytest.approx(-0.2)
+    assert [b["gain"] for b in split["blocks"]] == [True, False]
+    assert split["gain"] is False and split["drift"] is True
+    # +40% in all pairs and in the odd block, +10% in the even one.
+    slower = [1.4, 1.1, 1.4, 1.1, 1.4, 1.4, 1.4, 1.1, 1.4, 1.4]
+    worse = bench_pair.compare(pairs(steady, slower), SPEC)["run_s"]
+    assert worse["relative_change"] == pytest.approx(0.4)
+    assert [b["worse_than_bound"] for b in worse["blocks"]] == [True, False]
+    assert worse["worse_than_bound"] is False and worse["drift"] is True
+    # No verdict at all is no drift.
+    assert bench_pair.compare(pairs(steady, [1.05] * 10), SPEC)["run_s"]["drift"] is False
+    report = {"workloads": {"moons-seq": {
+        "metrics": {"run_s": worse}, "pairs": [{}] * 10,
+        "failed_ops": {"parent": [[5, 0]] * 10, "change": [[5, 0]] * 10}}}}
+    assert bench_pair.table(report).splitlines()[2] == (
+        "| moons-seq (10) | 1.000 [1.000, 1.000] → 1.400 [1.175, 1.400], 0/10 (drift)"
+        " | (5, 0) → (5, 0) |")
+    # A file written before the key existed marks no drift.
+    del worse["drift"]
+    assert "(drift)" not in bench_pair.table(report)

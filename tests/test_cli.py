@@ -310,6 +310,39 @@ def test_L_pairs_beyond_numpys_index_range_is_an_estimate_error(tmp_path, capsys
     assert f"error.L_hat = {why}" in capsys.readouterr().out.splitlines()
 
 
+# A library caller that changes a judged config: each value raised TypeError
+# in diagnose, after its out dir existed.
+STALE = [("optimizer", "minibatch", 4.0), ("problem", "L_radius", "3")]
+
+
+@pytest.mark.parametrize("section, key, value", STALE)
+def test_a_config_changed_after_judging_does_not_diagnose(tmp_path, section, key, value):
+    cfg = harness.ExperimentConfig.from_dict({"experiment": "synthetic-lq",
+                                              "out_dir": str(tmp_path / "d")})
+    getattr(cfg, section)[key] = value
+    with pytest.raises(core.ConfigurationError, match="changed since or never judged"):
+        harness.run_diagnose(cfg)
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("section, key, value", STALE)
+def test_cli_diagnose_refuses_a_config_changed_after_judging(tmp_path, capsys, monkeypatch,
+                                                              section, key, value):
+    load = cli._load_config
+
+    def changed(args, repeats=None):
+        cfg = load(args, repeats)
+        getattr(cfg, section)[key] = value
+        return cfg
+
+    monkeypatch.setattr(cli, "_load_config", changed)
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq"})
+    out = tmp_path / "d"
+    assert cli.main(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "changed since or never judged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "diagnose", "gen-data"])
 def test_memory_error_is_runtime_failure(tmp_path, capsys, monkeypatch, command):
     def build_dataset(cfg):

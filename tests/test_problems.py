@@ -440,6 +440,68 @@ def test_column_labels_copy_the_endpoints():
     assert np.signbit(column[0, 0]) and np.signbit(column[2, 1])
 
 
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_the_oracle_never_writes_into_its_inputs(experiment, chunk_budget):
+    # A write into a read-only input raises; one into a writable copy shows in its bytes.
+    problem = small_family(experiment)
+    rng = make_rng(47)
+    W = read_only(0.5 * rng.standard_normal((len(COLUMN_LAMBDAS), problem.dimension)))
+    idx = read_only(core._draw_minibatch(rng, problem.sample_count, 25, len(W)))
+    column = read_only(np.array(COLUMN_LAMBDAS)[:, None])
+    inputs = (W, idx, column)
+    before = [a.tobytes() for a in inputs]
+    for lam in (column, 0.0, 0.37, 1.0):
+        for samples in (None, idx):
+            for with_metrics in (False, True):
+                problem.gradient(W, lam, samples, with_metrics=with_metrics)
+        problem.epoch_metrics(W, lam)
+    problem.objectives(W, [0.0, 0.37, 1.0])
+    writable = [a.copy() for a in inputs]
+    problem.gradient(writable[0], writable[2], writable[1], with_metrics=True)
+    problem.gradient(writable[0], writable[2], with_metrics=True)
+    problem.epoch_metrics(writable[0], writable[2])
+    problem.objectives(writable[0], [0.0, 0.37, 1.0])
+    assert [a.tobytes() for a in inputs] == before == [a.tobytes() for a in writable]
+
+
+@pytest.mark.parametrize("experiment", ["toy-erf", "sine-mlp"])
+def test_label_gradient_metrics_are_the_loss_at_its_samples(experiment, chunk_budget):
+    # The gradient pass takes its objective from the residual it uses; ``loss``
+    # forms its own from the outputs. Both give the same bits.
+    problem = small_family(experiment)
+    rng = make_rng(48)
+    W = 0.5 * rng.standard_normal((len(COLUMN_LAMBDAS), problem.dimension))
+    idx = core._draw_minibatch(rng, problem.sample_count, 25, len(W))
+    at_idx = label_minibatch_outputs(problem, W, idx)
+    for lam in (np.array(COLUMN_LAMBDAS)[:, None], 0.0, 0.37, 1.0):
+        for samples, out in ((None, problem.outputs(W)), (idx, at_idx)):
+            (value, aux), _ = problem.gradient(W, lam, samples, with_metrics=True)
+            assert value.tobytes() == problem.loss(out, lam, samples).tobytes()
+            raw = None if experiment == "toy-erf" else problem.loss(out, 1.0, samples)
+            assert (aux is None) if raw is None else aux.tobytes() == raw.tobytes()
+
+
+def test_labels_are_read_only_or_fresh():
+    problem = small_family("toy-erf")
+    ys = (problem.y_source, problem.y_target)
+    idx = core._draw_minibatch(make_rng(49), problem.sample_count, 5, 4)
+    for lam, side in zip((0.0, 1.0), ys):
+        whole, gathered = problem.labels(lam), problem.labels(lam, idx)
+        assert not whole.flags.writeable and np.array_equal(whole, side)
+        assert gathered.flags.writeable and np.array_equal(gathered, side[idx])
+        assert not any(np.shares_memory(gathered, y) for y in ys)
+    for lam in (0.37, np.array([[0.0], [1.0], [0.37], [1.0]])):
+        for samples in (None, idx):
+            labels = problem.labels(lam, samples)
+            assert labels.flags.writeable and not any(np.shares_memory(labels, y) for y in ys)
+
+
 class PairOnly(HomotopyProblem):
     """f(w, lam) = (w - lam)^2 written to the pair contract alone: it judges no lambda."""
 

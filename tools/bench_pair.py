@@ -19,7 +19,11 @@ failed) op counts and ``correct``; per end-to-end metric and side, the
 median and quartiles; the pairs each side won (ties count for neither); the
 change's median relative to the parent's, whether it is worse by more than
 the metric's bound, and whether it is a gain: won in at least nine of ten
-pairs, with medians apart by more than the parent's quartile spread. A
+pairs, with medians apart by more than the parent's quartile spread. The
+pairs split into two blocks, odd and even pair index, with disjoint seeds,
+and a verdict holds only when each block's medians give it too (``compare``):
+``blocks`` gives each block's spreads, median ratio, pairs won and
+verdicts, and a verdict that a block does not give is "drift" instead. A
 metric is "unresolved" when the parent's quartile spread, relative to its
 median, exceeds the metric's bound, unless every change run beats every
 parent run: its pairs cannot tell a move within the bound from noise. The
@@ -29,10 +33,10 @@ gives the line count of each side's ``src/**/*.py``.
 ``--table`` prints a written file as a Markdown table, one row per
 workload: each metric's cell is "parent median [q1, q3] → change median
 [q1, q3], pairs the change won/pairs", with "(worse)" after the cell of a
-metric worse than its bound and "(unresolved)" after an unresolved
-metric's, and the last column gives the (attempted, failed) ops
-of each side. A line after the table gives the ``src/`` line counts, in a
-file that has them.
+metric worse than its bound, "(drift)" after a metric's whose blocks do
+not agree on its verdict and "(unresolved)" after an unresolved metric's,
+and the last column gives the (attempted, failed) ops of each side. A line
+after the table gives the ``src/`` line counts, in a file that has them.
 """
 
 from __future__ import annotations
@@ -90,33 +94,66 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def judge(values, entry):
+    """Each side's spread, the pairs each won, the median ratio and the verdicts of ``values``.
+
+    "gain" is a change median better than the parent's by more than the
+    parent's quartile spread; "worse_than_bound" a median ratio beyond the
+    bound on the wrong side of 1.
+    """
+    lower = entry["better"] == "lower"
+    before, after = [a for a, _ in values], [b for _, b in values]
+    parent, change = spread(before), spread(after)
+    won = {"parent": sum(a < b if lower else a > b for a, b in values),
+           "change": sum(b < a if lower else b > a for a, b in values)}
+    ratio = change["median"] / parent["median"] if parent["median"] else None
+    return {"parent": parent, "change": change, "won": won, "median_ratio": ratio,
+            "gain": (change["median"] - parent["median"]) * (-1 if lower else 1)
+            > parent["q3"] - parent["q1"],
+            "worse_than_bound": None if ratio is None
+            else (ratio - 1 if lower else 1 - ratio) > entry["bound"]}
+
+
 def compare(pairs, spec):
     """Per end-to-end metric of ``spec``, each side's spread, pairs won and the verdicts.
 
     ``pairs`` is a list of {"parent": result, "change": result}; a run with
-    an error or without the metric leaves its pair out of that metric.
+    an error or without the metric leaves its pair out of that metric. The
+    pairs also split into two blocks, odd and even pair index (disjoint
+    seeds), each judged alone (``judge``). A gain needs the change to win at
+    least nine in ten of all pairs, and ``judge``'s gain on all of them and on
+    each block; worse needs ``judge``'s worse on all and on each block. A
+    verdict of all the pairs that a block does not give is "drift".
     """
     out = {}
     for entry in spec:
         name, lower = entry["name"], entry["better"] == "lower"
         values = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
-                  for p in pairs if all(name in p[side].get("metrics", {}) for side in SIDES)]
+                  if all(name in p[side].get("metrics", {}) for side in SIDES) else None
+                  for p in pairs]
+        blocks = [[v for v in values[start::2] if v] for start in (0, 1)]
+        values = [v for v in values if v]
         if not values:
             continue
+        whole = judge(values, entry)
+        whole["gain"] = whole["gain"] and 10 * whole["won"]["change"] >= 9 * len(values)
+        # Blocks of fewer than two pairs have no quartiles; they agree with no verdict.
+        parts = [{"pairs": len(b), **judge(b, entry)} if len(b) > 1 else None for b in blocks]
+        held = {key: bool(whole[key]) and all(p and p[key] for p in parts)
+                for key in ("gain", "worse_than_bound")}
         before, after = [a for a, _ in values], [b for _, b in values]
-        parent, change = spread(before), spread(after)
-        won = {"parent": sum(a < b if lower else a > b for a, b in values),
-               "change": sum(b < a if lower else b > a for a, b in values)}
-        relative = change["median"] / parent["median"] - 1 if parent["median"] else None
-        worse = None if relative is None else (relative if lower else -relative) > entry["bound"]
+        parent = whole["parent"]
         noisy = parent["q3"] - parent["q1"] > entry["bound"] * abs(parent["median"])
         beats = max(after) < min(before) if lower else min(after) > max(before)
         out[name] = {
             "unit": entry["unit"], "better": entry["better"], "bound": entry["bound"],
-            "pairs": len(values), "parent": parent, "change": change, "won": won,
-            "relative_change": relative, "worse_than_bound": worse,
-            "gain": (10 * won["change"] >= 9 * len(values)
-                     and abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]),
+            "pairs": len(values), "parent": parent, "change": whole["change"],
+            "won": whole["won"],
+            "relative_change": None if whole["median_ratio"] is None else whole["median_ratio"] - 1,
+            "worse_than_bound": None if whole["median_ratio"] is None else held["worse_than_bound"],
+            "gain": held["gain"],
+            "drift": any(bool(whole[key]) and not held[key] for key in held),
+            "blocks": parts,
             "unresolved": noisy and not beats,
         }
     return out
@@ -134,8 +171,9 @@ def cell(metric):
     side = [f"{figure(s['median'])} [{figure(s['q1'])}, {figure(s['q3'])}]"
             for s in (metric["parent"], metric["change"])]
     marks = "".join(f" ({mark})" for key, mark in (("worse_than_bound", "worse"),
+                                                   ("drift", "drift"),
                                                    ("unresolved", "unresolved"))
-                    if metric.get(key))  # unresolved is absent in older files
+                    if metric.get(key))  # drift and unresolved are absent in older files
     return f"{side[0]} → {side[1]}, {metric['won']['change']}/{metric['pairs']}{marks}"
 
 
