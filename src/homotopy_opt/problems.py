@@ -192,7 +192,8 @@ class LabelInterpolationProblem(HomotopyProblem):
     @staticmethod
     def mse(res):
         """Each row's mean squared residual, squaring ``res`` in place."""
-        return np.mean(np.square(res, out=res), axis=1)
+        # np.mean's arithmetic (a sum, then one division), without its ~5 µs Python wrapper.
+        return np.add.reduce(np.square(res, out=res), axis=1) / res.shape[1]
 
     def objectives(self, W, lams):
         """One model pass over the whole block W: the caller bounds its rows."""
@@ -230,7 +231,7 @@ class ErfRegressionProblem(LabelInterpolationProblem):
         g = np.multiply(res, 2.0 * TWO_OVER_SQRT_PI, out=None if with_metrics else res)
         g *= np.exp(np.negative(np.square(u, out=u), out=u), out=u)
         g *= x
-        grad = np.mean(g, axis=1, keepdims=True)
+        grad = np.add.reduce(g, axis=1, keepdims=True) / g.shape[1]  # np.mean, as in ``mse``
         return ((self.mse(res), None), grad) if with_metrics else grad
 
 
