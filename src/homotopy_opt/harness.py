@@ -3,19 +3,21 @@
 Each experiment is one ``Experiment`` record of ``EXPERIMENTS``, and a JSON
 config names one and drives everything; ``from_dict`` resolves every value a
 run reads and the metadata records it, so a run replays bit-identically from
-its metadata file, and works out the run's ``RunPlan``. A run allocates its
-trace blocks from the plan before any compute, fills them in its arms, then
-writes every file. Repeats use per-repeat PRNG streams seeded by master_seed
-XOR repeat_index; the arms (sgd vs hsgd) share the dataset and initial point.
+its metadata file. Constructing an ``ExperimentConfig`` judges it and works out
+its ``RunPlan``, and the config is read-only: a changed value needs a new one,
+from ``dataclasses.replace`` or ``from_dict``. A run allocates its trace blocks
+from the plan before any compute, fills them in its arms, then writes every
+file. Repeats use per-repeat PRNG streams seeded by master_seed XOR
+repeat_index; the arms (sgd vs hsgd) share the dataset and initial point.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,7 +128,7 @@ def _is_positive(v):
 
 
 def _is_grid(v):
-    return (isinstance(v, dict) and set(v) == {"lo", "hi", "step"}
+    return (isinstance(v, Mapping) and set(v) == {"lo", "hi", "step"}
             and all(map(_is_real, v.values())) and float(v["lo"]) < float(v["hi"])
             and v["step"] > 0 and v["hi"] - v["lo"] <= FSTAR_GRID_CELLS * v["step"]
             and _is_real(v["hi"] + v["step"]))
@@ -162,7 +164,7 @@ VALUE_RULES = {
     "optimizer.eta": ('a finite number >= 0, read only by "exponential"', _REAL_NONNEGATIVE[1]),
     "optimizer.sgd_budget_factor": _REAL_POSITIVE,
     "optimizer.explicit": ("a list of finite numbers > 0",
-                           lambda v: isinstance(v, list) and all(map(_is_positive, v))),
+                           lambda v: isinstance(v, (list, tuple)) and all(map(_is_positive, v))),
     "problem.w0": _REAL,
     "problem.L_radius": _REAL_POSITIVE,
     "problem.L_pairs": _INT_POSITIVE,
@@ -171,6 +173,7 @@ VALUE_RULES = {
     "problem.fstar_grid": ("an object of finite numbers lo < hi and step > 0, with "
                            f"(hi - lo) / step <= {FSTAR_GRID_CELLS:,}", _is_grid),
 }
+SECTIONS = ("dataset", "optimizer", "problem")  # the config's mappings of their own keys
 
 
 @dataclass(frozen=True, eq=False)  # identity, as its Schedule's arrays have no truth value
@@ -181,7 +184,6 @@ class RunPlan:
     schedule: core.Schedule
     record_every: int
     steps: dict
-    config: dict | None = None  # the judged config, as to_dict gives it
 
     @property
     def epochs(self):
@@ -196,7 +198,7 @@ class RunPlan:
 def _check_values(cfg):
     """The config's RunPlan; a bad value, schedule or arm count raises, before any compute."""
     values = {name: getattr(cfg, name) for name in VALUE_RULES if "." not in name}
-    for section in ("dataset", "optimizer", "problem"):
+    for section in SECTIONS:
         values.update((f"{section}.{key}", v) for key, v in getattr(cfg, section).items())
     bad = [f"{name} = {values[name]!r} (expected {what})"
            for name, (what, ok) in VALUE_RULES.items() if name in values and not ok(values[name])]
@@ -225,14 +227,16 @@ def _check_values(cfg):
 
 
 def _check_keys(raw, experiment):
-    """Reject a key nothing reads: a misspelt one would silently run on defaults."""
+    """Reject an unknown experiment or a key nothing reads: a misspelt key would run on defaults."""
+    if experiment not in (names := tuple(EXPERIMENTS)):
+        raise ConfigurationError(f"unknown experiment {experiment!r}; expected one of {names}")
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
     record = EXPERIMENTS[experiment]
-    # Beyond the defaults: the seeds from_dict derives, and optimizer.explicit.
+    # Beyond the defaults: the seeds the judge derives, and optimizer.explicit.
     extra = [*record.seed_salts, ("optimizer", "explicit")]
-    for section in ("dataset", "optimizer", "problem"):
+    for section in SECTIONS:
         given = raw.get(section, {})
-        if not isinstance(given, dict):
+        if not isinstance(given, Mapping):
             raise ConfigurationError(f"config section {section!r} must be an object")
         allowed = set(record.defaults[section]) | {key for where, key in extra if where == section}
         unknown += [f"{section}.{key}" for key in sorted(set(given) - allowed)]
@@ -240,19 +244,53 @@ def _check_keys(raw, experiment):
         raise ConfigurationError(f"unknown config keys for {experiment}: {', '.join(unknown)}")
 
 
-@dataclass
+def _nested(value, mapping, sequence):
+    """``value`` with its mappings rebuilt as ``mapping`` and its lists and tuples as ``sequence``."""
+    if isinstance(value, Mapping):
+        return mapping({key: _nested(v, mapping, sequence) for key, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return sequence(_nested(v, mapping, sequence) for v in value)
+    return value
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A judged config: constructing one judges it and works out its ``plan``, before any compute.
+
+    It is read-only, its sections (``fstar_grid`` too) and ``optimizer.explicit`` included;
+    ``dataclasses.replace`` and ``from_dict`` build a new, re-judged config.
+    """
+
     experiment: str
     threshold: float | None
     threshold_metric: str
     method: str = "both"
-    dataset: dict = field(default_factory=dict)
-    optimizer: dict = field(default_factory=dict)
-    problem: dict = field(default_factory=dict)
+    dataset: Mapping = field(default_factory=dict)
+    optimizer: Mapping = field(default_factory=dict)
+    problem: Mapping = field(default_factory=dict)
     repeats: int = 100
     master_seed: int = 20240
     out_dir: str = "runs"
-    plan = None  # from_dict's RunPlan: not a field, so to_dict and metadata.json never hold it
+
+    def __post_init__(self):
+        _check_keys({section: getattr(self, section) for section in SECTIONS}, self.experiment)
+        record = EXPERIMENTS[self.experiment]
+        # Every run has its mean objective; "gap" needs an f* oracle (the sine-mlp
+        # gap column holds its raw target loss) and "error" a classifier.
+        metrics = ("objective", record.second_metric)
+        if self.threshold_metric not in metrics:
+            raise ConfigurationError(
+                f"threshold_metric {self.threshold_metric!r} is unavailable for "
+                f"{self.experiment}; expected one of {metrics}"
+            )
+        plan = _check_values(self)
+        # Read-only copies, with the seeds the config leaves out from a master_seed now known valid.
+        sections = {section: dict(getattr(self, section)) for section in SECTIONS}
+        for (section, key), salt in record.seed_salts.items():
+            sections[section].setdefault(key, self.master_seed ^ salt)
+        for section, values in sections.items():
+            object.__setattr__(self, section, _nested(values, MappingProxyType, tuple))
+        object.__setattr__(self, "plan", plan)  # not a field: to_dict and metadata.json omit it
 
     @classmethod
     def from_dict(cls, raw, out_dir=None, repeats=None, master_seed=None):
@@ -281,33 +319,17 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"a config must be a JSON object, got {type(raw).__name__}")
         overrides = {"out_dir": out_dir, "repeats": repeats, "master_seed": master_seed}
-        raw = {**copy.deepcopy(raw), **{k: v for k, v in overrides.items() if v is not None}}
-        experiment, names = raw.get("experiment"), tuple(EXPERIMENTS)
-        if experiment not in names:
-            raise ConfigurationError(f"unknown experiment {experiment!r}; expected one of {names}")
-        _check_keys(raw, experiment)
-        record = EXPERIMENTS[experiment]
+        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+        _check_keys(raw, raw.get("experiment"))
+        record = EXPERIMENTS[raw["experiment"]]
         # The experiment's defaults under the given values, section by section;
         # a top-level key in neither takes the field's default.
-        defaults = {**copy.deepcopy(record.defaults), "threshold_metric": record.second_metric}
-        cfg = cls(**{**defaults, **raw, **{section: {**defaults[section], **raw.get(section, {})}
-                                           for section in ("dataset", "optimizer", "problem")}})
-        # Every run has its mean objective; "gap" needs an f* oracle (the sine-mlp
-        # gap column holds its raw target loss) and "error" a classifier.
-        metrics = ("objective", record.second_metric)
-        if cfg.threshold_metric not in metrics:
-            raise ConfigurationError(
-                f"threshold_metric {cfg.threshold_metric!r} is unavailable for {experiment}; "
-                f"expected one of {metrics}"
-            )
-        plan = _check_values(cfg)
-        # The seeds a config leaves out, from a master_seed now known to be valid.
-        for (section, key), salt in record.seed_salts.items():
-            getattr(cfg, section).setdefault(key, cfg.master_seed ^ salt)
-        cfg.plan = replace(plan, config=cfg.to_dict())
-        return cfg
+        defaults = {**record.defaults, "threshold_metric": record.second_metric}
+        return cls(**{**defaults, **raw, **{section: {**defaults[section], **raw.get(section, {})}
+                                            for section in SECTIONS}})
 
-    to_dict = asdict
+    def to_dict(self):
+        return {f.name: _nested(getattr(self, f.name), dict, list) for f in fields(self)}
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -456,7 +478,7 @@ class ArmResult:
             "epochs": int(self.epochs[-1]),
         }
         if threshold is not None:
-            # from_dict admits only "objective" and the experiment's default
+            # The judge admits only "objective" and the experiment's default
             # threshold metric, which every arm of the run has.
             hit = epochs_to_threshold(getattr(self, f"mean_{metric}"), threshold)
             summary["epochs_to_threshold"] = hit
@@ -483,19 +505,11 @@ def epochs_to_threshold(curve, threshold):
     return int(hit[0]) if hit.size else None
 
 
-def _judged_plan(cfg):
-    """``cfg.plan`` if ``from_dict`` judged ``cfg`` as it is now (by repr: 8.0 == 8, but 8 was judged)."""
-    if cfg.plan is None or repr(cfg.plan.config) != repr(cfg.to_dict()):
-        raise ConfigurationError(f"{cfg.experiment}: a run needs its config as from_dict judged "
-                                 "it, and this one was changed since or never judged")
-    return cfg.plan
-
-
 def run_experiment(cfg: ExperimentConfig):
     """Allocate every arm's blocks from ``cfg.plan`` (a run that cannot hold its traces raises
     MemoryError here), then the seeds; compute the dataset, problem, L_tilde, out dir, f* table
     and arms; then write every file (``_write_run``). Returns (arms, report)."""
-    plan = _judged_plan(cfg)
+    plan = cfg.plan
     blocks = {method: plan.allocate(method, cfg.repeats) for method in plan.steps}
     seeds = [stream_seed(cfg.master_seed, rep) for rep in range(cfg.repeats)]
     dataset = build_dataset(cfg)
@@ -555,7 +569,7 @@ def run_experiment(cfg: ExperimentConfig):
     report = ComparisonReport(cfg.experiment, cfg.threshold, cfg.threshold_metric,
                               arm_summaries, speedup, note)
     metadata = {
-        "config": plan.config,
+        "config": cfg.to_dict(),
         "library_version": __version__,
         "sampler": SAMPLER,
         "L_tilde": L_tilde,
@@ -599,7 +613,6 @@ def run_diagnose(cfg: ExperimentConfig, lam=1.0):
     whose L, sigma^2 or delta estimate is not finite, leaves an
     ``error.<key>`` line in the report; any other error propagates.
     """
-    _judged_plan(cfg)
     problems._check_lambda(lam)
     problem, w0 = build_problem(cfg, build_dataset(cfg))
     out = Path(cfg.out_dir)

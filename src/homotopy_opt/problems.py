@@ -382,7 +382,9 @@ class CubicLogisticProblem(HomotopyProblem):
     @staticmethod
     def _metrics(z, y):
         """Objective and 0/1 classification error of each row of the scores z under the labels y."""
-        return np.mean(np.logaddexp(0.0, z) - y * z, axis=1), np.mean((z >= 0.0) != (y == 1.0), axis=1)
+        # np.mean's arithmetic, as in ``mse``; the error's sum is an exact count, as np.mean's is.
+        return (np.add.reduce(np.logaddexp(0.0, z) - y * z, axis=1) / z.shape[1],
+                np.add.reduce((z >= 0.0) != (y == 1.0), axis=1) / z.shape[1])
 
     def _epoch_metrics(self, W, lam):
         """Objective and 0/1 classification error of each row, from one pass over the scores."""
@@ -423,7 +425,8 @@ class QuadraticTrackingProblem(HomotopyProblem):
 
     def _gradient(self, W, lam, idx=None, with_metrics=False):
         d = W[:, :1] - lam
-        b = np.mean(self.offsets if idx is None else self.offsets[idx], axis=-1, keepdims=True)
+        b = self.offsets if idx is None else self.offsets[idx]
+        b = np.add.reduce(b, axis=-1, keepdims=True) / b.shape[-1]  # np.mean, as in ``mse``
         grad = self.mu * d + self.mu * b
         if not with_metrics:
             return grad

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands and exit codes."""
 
 import ast
+import dataclasses
 import json
 import os
 import resource
@@ -311,17 +312,24 @@ def test_L_pairs_beyond_numpys_index_range_is_an_estimate_error(tmp_path, capsys
 
 
 # A library caller that changes a judged config: each value raised TypeError
-# in diagnose, after its out dir existed.
+# in diagnose, after its out dir existed. Now the write itself raises, and a
+# config rebuilt with the value is judged, and refused, before any compute.
 STALE = [("optimizer", "minibatch", 4.0), ("problem", "L_radius", "3")]
+
+
+def changed(cfg, section, key, value):
+    """``cfg`` rebuilt with ``section.key`` = ``value``, once a write of the value has raised."""
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        getattr(cfg, section)[key] = value
+    return dataclasses.replace(cfg, **{section: {**getattr(cfg, section), key: value}})
 
 
 @pytest.mark.parametrize("section, key, value", STALE)
 def test_a_config_changed_after_judging_does_not_diagnose(tmp_path, section, key, value):
     cfg = harness.ExperimentConfig.from_dict({"experiment": "synthetic-lq",
                                               "out_dir": str(tmp_path / "d")})
-    getattr(cfg, section)[key] = value
-    with pytest.raises(core.ConfigurationError, match="changed since or never judged"):
-        harness.run_diagnose(cfg)
+    with pytest.raises(core.ConfigurationError, match=f"{section}.{key} = {value!r}"):
+        harness.run_diagnose(changed(cfg, section, key, value))
     assert not (tmp_path / "d").exists()
 
 
@@ -329,17 +337,14 @@ def test_a_config_changed_after_judging_does_not_diagnose(tmp_path, section, key
 def test_cli_diagnose_refuses_a_config_changed_after_judging(tmp_path, capsys, monkeypatch,
                                                               section, key, value):
     load = cli._load_config
-
-    def changed(args, repeats=None):
-        cfg = load(args, repeats)
-        getattr(cfg, section)[key] = value
-        return cfg
-
-    monkeypatch.setattr(cli, "_load_config", changed)
+    monkeypatch.setattr(cli, "_load_config", lambda args, repeats=None: changed(
+        load(args, repeats), section, key, value))
     cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq"})
     out = tmp_path / "d"
     assert cli.main(["diagnose", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "changed since or never judged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid config values for synthetic-lq: ")
+    assert f"{section}.{key} = {value!r}" in err
     assert not out.exists()
 
 

@@ -4,11 +4,13 @@ A config that ``from_dict`` rejects makes ``run``, ``diagnose`` and
 ``gen-data`` exit 2 with one line and no output; one it accepts with a small
 plan makes ``run`` exit 0, or 4 on a diverged arm or a MemoryError. The only
 exit 2 of an accepted config is the L_tilde estimate's, which needs the
-problem (README, "Reproducibility").
+problem (README, "Reproducibility"). A config it accepts is read-only, and
+rebuilds to the same values and plan.
 """
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import tempfile
@@ -16,6 +18,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -128,3 +131,41 @@ def test_fuzzed_config_verdict_holds_on_every_command(raw):
             failures = [arm.get("failure") for arm in json.loads(stdout)["arms"].values()]
             assert (code == cli.EXIT_RUNTIME) == any(failures)
             assert all(f is None or f.startswith("non-finite ") for f in failures), failures
+
+
+EXPLICIT = {"experiment": "synthetic-lq", "repeats": 2, "problem": {"L_pairs": 20},
+            "dataset": {"N": 16}, "optimizer": {"minibatch": 4, "k": 5, "n": 4,
+                                                "schedule": "explicit", "explicit": [1, 2, 3, 4]}}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(configs())
+@example(EXPLICIT)
+def test_an_accepted_config_is_read_only_and_rebuilds_to_its_plan(raw):
+    with np.errstate(all="ignore"):
+        try:
+            cfg = harness.ExperimentConfig.from_dict(raw)
+        except ConfigurationError:
+            return
+        rebuilt = [harness.ExperimentConfig.from_dict(cfg.to_dict()), dataclasses.replace(cfg)]
+    plain = cfg.to_dict()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.repeats = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.plan = None
+    for section in (getattr(cfg, name) for name in harness.SECTIONS):
+        with pytest.raises(TypeError):
+            section[next(iter(section))] = 1
+    if "fstar_grid" in cfg.problem:
+        with pytest.raises(TypeError):
+            cfg.problem["fstar_grid"]["step"] = 1.0
+    if "explicit" in cfg.optimizer:
+        with pytest.raises(TypeError):
+            cfg.optimizer["explicit"][0] = 1.0
+    # Plain dicts and lists, as metadata.json records them, and nothing was written.
+    assert json.loads(json.dumps(plain)) == plain == cfg.to_dict()
+    for other in rebuilt:
+        assert repr(other.to_dict()) == repr(plain)  # by repr: 8.0 == 8
+        assert (other.plan.steps, other.plan.record_every) == (cfg.plan.steps,
+                                                               cfg.plan.record_every)
+        assert other.plan.schedule.lambdas.tobytes() == cfg.plan.schedule.lambdas.tobytes()

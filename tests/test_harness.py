@@ -245,38 +245,53 @@ def test_config_judges_a_ten_million_stage_schedule_in_time():
     assert cfg.plan.schedule.lambdas.size == 10**7
 
 
+def same_plan(a, b):
+    """Whether two plans fix the same step totals, epoch length and lambda path bytes."""
+    return ((a.steps, a.record_every) == (b.steps, b.record_every)
+            and a.schedule.lambdas.tobytes() == b.schedule.lambdas.tobytes())
+
+
 @pytest.mark.parametrize("experiment, raw, k", [
-    # Ran to the end on a 4-step plan: trace row 1 read uninitialized memory.
+    # Each change ran on the plan judged for the old k. It ran to the end on
+    # a 4-step plan (trace row 1 read uninitialized memory), raised KeyError
+    # in the f* lookup, or raised IndexError past the end of the blocks.
     ("moons-logistic", {"dataset": {"N": 40}, "optimizer": {"k": 8, "n": 2, "minibatch": 4}}, 4),
-    # Raised KeyError in the f* lookup, on a lambda read from uninitialized memory.
     ("synthetic-lq", {"optimizer": {"k": 16, "n": 4}}, 8),
-    # Raised IndexError past the end of the blocks.
     ("synthetic-lq", {"optimizer": {"k": 16, "n": 4}}, 32),
     # Equal to the judged 8, but a float the judge rejects: raised TypeError.
     ("synthetic-lq", {"optimizer": {"k": 8, "n": 4}}, 8.0),
 ])
 def test_a_config_changed_after_judging_does_not_run(tmp_path, experiment, raw, k):
+    # The write raises; a config rebuilt with the value is judged anew.
     cfg = tiny_config(tmp_path, experiment, repeats=2, **raw)
-    cfg.optimizer["k"] = k
-    with pytest.raises(ConfigurationError, match="changed since or never judged"):
-        run_experiment(cfg)
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        cfg.optimizer["k"] = k
+    optimizer = {**cfg.optimizer, "k": k}
+    if isinstance(k, float):
+        with pytest.raises(ConfigurationError, match="optimizer.k = 8.0"):
+            dataclasses.replace(cfg, optimizer=optimizer)
+    else:
+        rebuilt = dataclasses.replace(cfg, optimizer=optimizer)
+        judged = tiny_config(tmp_path, experiment, repeats=2, **{**raw, "optimizer": optimizer})
+        assert rebuilt.to_dict() == judged.to_dict() and same_plan(rebuilt.plan, judged.plan)
+        assert rebuilt.plan.steps["hsgd"] == k * raw["optimizer"]["n"]
+    assert cfg.optimizer["k"] == raw["optimizer"]["k"]
     assert not (tmp_path / "run").exists()
 
 
-def test_a_config_that_was_never_judged_does_not_run(tmp_path):
-    judged = tiny_config(tmp_path, "synthetic-lq", repeats=2)
-    cfg = ExperimentConfig(**{f.name: getattr(judged, f.name)
-                              for f in dataclasses.fields(ExperimentConfig)})
-    assert cfg.to_dict() == judged.to_dict() and cfg.plan is None
-    with pytest.raises(ConfigurationError, match="changed since or never judged"):
-        run_experiment(cfg)
+def test_constructing_a_config_judges_it(tmp_path):
+    judged = tiny_config(tmp_path, "sine-mlp", repeats=2)
+    values = {f.name: getattr(judged, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    plain = {**values, **{section: dict(values[section]) for section in harness.SECTIONS}}
+    for cfg in (ExperimentConfig(**values), ExperimentConfig(**plain)):
+        assert cfg.to_dict() == judged.to_dict() and same_plan(cfg.plan, judged.plan)
+    bad = [({"repeats": 0}, "repeats = 0"), ({"experiment": "ridge"}, "unknown experiment"),
+           ({"threshold_metric": "error"}, "threshold_metric 'error' is unavailable"),
+           ({"optimizer": {**values["optimizer"], "K": 5}}, "unknown config keys")]
+    for change, named in bad:
+        with pytest.raises(ConfigurationError, match=named):
+            ExperimentConfig(**{**values, **change})
     assert not (tmp_path / "run").exists()
-    # Equal values set again, and a value set back, run on the plan.
-    judged.repeats = 2
-    judged.optimizer["k"] = 7
-    judged.optimizer["k"] = 50
-    run_experiment(judged)
-    assert (tmp_path / "run" / "trace_hsgd.csv").exists()
 
 
 def test_run_plans_compare_and_hash_by_identity(tmp_path):
@@ -422,8 +437,8 @@ def test_no_read_supplies_its_own_default(tmp_path, experiment, monkeypatch):
     # records it; only the explicit schedule's list is read when present.
     absent = []
     cfg = tiny_config(tmp_path, experiment, repeats=2, **TINY_RUNS[experiment])
-    for section in ("dataset", "optimizer", "problem"):
-        setattr(cfg, section, recording(section, absent)(getattr(cfg, section)))
+    for section in harness.SECTIONS:  # past the frozen dataclass, in this test only
+        object.__setattr__(cfg, section, recording(section, absent)(getattr(cfg, section)))
     fstar = diagnostics.estimate_fstar
     monkeypatch.setattr(diagnostics, "estimate_fstar", lambda problem, lam, spec: fstar(
         problem, lam, recording("fstar_spec", absent)(spec)))
@@ -1118,7 +1133,6 @@ def test_toy_run_emits_snapshots(tmp_path):
 def test_threshold_censoring_note(tmp_path):
     cfg = tiny_config(tmp_path, "toy-erf", repeats=2,
                       optimizer={"k": 2, "n": 3}, threshold=1e-9, threshold_metric="gap")
-    cfg.threshold = 1e-9
     arms, report = run_experiment(cfg)
     assert report.speedup is None
     assert report.speedup_note != ""
