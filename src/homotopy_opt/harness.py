@@ -275,6 +275,9 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_keys({section: getattr(self, section) for section in SECTIONS}, self.experiment)
         record = EXPERIMENTS[self.experiment]
+        if missing := [f"{s}.{key}" for s in SECTIONS for key in record.defaults[s]
+                       if key not in getattr(self, s)]:
+            raise ConfigurationError(f"missing config keys for {self.experiment}: {', '.join(missing)}")
         # Every run has its mean objective; "gap" needs an f* oracle (the sine-mlp
         # gap column holds its raw target loss) and "error" a classifier.
         metrics = ("objective", record.second_metric)

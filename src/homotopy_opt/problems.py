@@ -298,7 +298,8 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     def _epoch_metrics(self, W, lam):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
         out = self.outputs(W)
-        return self.loss(out, lam), self.loss(out, 1.0)
+        value = self.loss(out, lam)  # at a float lambda of 1, the target loss bit for bit
+        return value, value.copy() if np.ndim(lam) == 0 and lam == 1.0 else self.loss(out, 1.0)
 
     def _gradient(self, W, lam, idx=None, with_metrics=False):
         # Sums over the sample axis go through einsum: the same sequential
@@ -308,7 +309,8 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         a1, a2, out = self._forward(layers, x)
         W2, w3 = layers[2], layers[4][:, 0, :]
         res = out - self.labels(lam, idx)                      # (R, m)
-        raw = self.loss(out, 1.0, idx) if with_metrics else None
+        at_target = np.ndim(lam) == 0 and lam == 1.0  # there ``mse(res)`` is the target loss too
+        raw = self.loss(out, 1.0, idx) if with_metrics and not at_target else None
         # MSE backprop: dL/dout = 2 res / m, in the output buffer
         d_out = np.multiply(2.0 / res.shape[1], res, out=out)
         # Once its weight gradient is taken, each activation block is
@@ -335,7 +337,8 @@ class MlpRegressionProblem(LabelInterpolationProblem):
             gW2, gb2, gW3,
             d_out.sum(axis=1, keepdims=True),                  # gb3
         ], axis=1)
-        return ((self.mse(res), raw), grad) if with_metrics else grad
+        value = self.mse(res) if with_metrics else None
+        return ((value, value.copy() if at_target else raw), grad) if with_metrics else grad
 
 
 # The design terms of CubicLogisticProblem that lambda gates: the six nonlinear ones.
@@ -346,8 +349,8 @@ class CubicLogisticProblem(HomotopyProblem):
     """Binary cross-entropy of sigmoid(score) for the lambda-gated cubic model.
 
     The loss uses the log-sum-exp form log(1 + e^z) - y z, which is stable for
-    large |z|. Products over the design matrix go through ``einsum``, which
-    never calls the threaded BLAS.
+    large |z|. Products over the design matrix are one BLAS gemv per block row, whatever its
+    neighbours; OpenBLAS may thread one of m >= 1,024 samples, its bytes checked equal.
     """
 
     def __init__(self, features, labels01):
@@ -373,7 +376,7 @@ class CubicLogisticProblem(HomotopyProblem):
     @staticmethod
     def _scores(phi, gated):
         """Scores of the design rows phi under the gated coefficients, one row per block row."""
-        return np.einsum("...k,...k->...", phi, gated[..., None, :])
+        return (phi @ gated[..., :, None])[..., 0]
 
     def scores(self, w, lam):
         """Scores of every sample: (N,) under one point w, (R, N) under an (R, 9) block."""
@@ -382,8 +385,12 @@ class CubicLogisticProblem(HomotopyProblem):
     @staticmethod
     def _metrics(z, y):
         """Objective and 0/1 classification error of each row of the scores z under the labels y."""
+        # np.logaddexp(0, z)'s split, max(z, 0) + log1p(e^-|z|), on the vector exp and log1p.
+        loss = np.abs(z)
+        np.log1p(np.exp(np.negative(loss, out=loss), out=loss), out=loss)
+        loss += np.maximum(z, 0.0)
         # np.mean's arithmetic, as in ``mse``; the error's sum is an exact count, as np.mean's is.
-        return (np.add.reduce(np.logaddexp(0.0, z) - y * z, axis=1) / z.shape[1],
+        return (np.add.reduce(np.subtract(loss, y * z, out=loss), axis=1) / z.shape[1],
                 np.add.reduce((z >= 0.0) != (y == 1.0), axis=1) / z.shape[1])
 
     def _epoch_metrics(self, W, lam):
@@ -397,7 +404,7 @@ class CubicLogisticProblem(HomotopyProblem):
         gate = self._gate(lam)
         z = self._scores(phi, W * gate)
         d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
-        grad = np.einsum("...m,...mk->...k", d, phi) * gate
+        grad = (d[:, None, :] @ phi)[:, 0, :] * gate
         return (self._metrics(z, y), grad) if with_metrics else grad
 
 

@@ -294,6 +294,25 @@ def test_constructing_a_config_judges_it(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_a_config_missing_a_section_key_is_refused(tmp_path):
+    # from_dict merges the defaults; replace and direct construction do not, so the judge
+    # names each missing key rather than failing later with a KeyError.
+    judged = tiny_config(tmp_path, "synthetic-lq")
+    values = {f.name: getattr(judged, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    cases = [({"optimizer": {"k": 4}}, "optimizer.alpha, optimizer.minibatch, optimizer.n, "
+                                       "optimizer.schedule, optimizer.eta, "
+                                       "optimizer.sgd_budget_factor"),
+             ({"problem": {}}, "problem.mu, problem.w0, problem.L_radius, problem.L_pairs"),
+             ({"dataset": {"offset_std": 1.0}}, "dataset.N")]
+    for change, named in cases:
+        for build in (lambda: dataclasses.replace(judged, **change),
+                      lambda: ExperimentConfig(**{**values, **change})):
+            with pytest.raises(ConfigurationError, match=f"missing config keys for synthetic-lq: "
+                                                         f"{named}$"):
+                build()
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_plans_compare_and_hash_by_identity(tmp_path):
     # The generated __eq__ compared the schedules' arrays, which have no truth value.
     plans = [tiny_config(tmp_path, "synthetic-lq").plan for _ in range(2)]

@@ -3,6 +3,9 @@
 import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -221,6 +224,76 @@ def test_cubic_loss_stable_for_large_scores(small_moons):
     assert np.isfinite(value)
 
 
+def test_cubic_loss_is_np_logaddexp_within_two_ulp():
+    # The loss is np.logaddexp(0, z)'s own split on numpy's vector exp and log1p, where
+    # np.logaddexp runs a scalar libm loop: the two differ by at most 2 ulp (both lie
+    # within about 1.5 ulp of an extended-precision reference), never in NaN or inf.
+    # A one-sample row's objective at label 0 is the loss itself (it subtracts 0 * z = +-0).
+    tiny = np.finfo(float).smallest_subnormal
+    z = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
+                        [tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308]])
+    objective, _ = CubicLogisticProblem._metrics(z[:, None], np.zeros((len(z), 1)))
+    reference = np.logaddexp(0.0, z)
+    assert np.all(np.isfinite(objective)) and np.array_equal(objective[:1], [0.0])
+    ulps = np.abs(objective.view(np.int64) - reference.view(np.int64))
+    assert ulps.max() <= 2 and np.mean(ulps > 0) < 0.05
+    # At 0, -0, +-inf and NaN the objective is np.logaddexp(0, z) - y z's (a NaN's sign apart).
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        for y in (0.0, 1.0):
+            labels = np.full((len(special), 1), y)
+            objective, _ = CubicLogisticProblem._metrics(special[:, None], labels)
+            old = np.logaddexp(0.0, special) - y * special
+            assert np.array_equal(objective, old, equal_nan=True)
+
+
+# A moons oracle on N = 20,000 samples: every gemv is over 9,216 elements, so
+# OpenBLAS may thread it.
+BLAS_THREAD_SCRIPT = """
+import hashlib, numpy as np
+from homotopy_opt import core, datasets, problems
+data = datasets.gen_moons(20_000, 0.1, 5)
+problem = problems.CubicLogisticProblem(data.inputs, data.targets)
+rng = core.make_rng(51)
+W = rng.standard_normal((3, 9))
+idx = core._draw_minibatch(rng, problem.sample_count, 2_000, 3)
+column = np.array([[0.0], [0.37], [1.0]])
+parts = [problem.epoch_metrics(W, 0.37), problem.epoch_metrics(W, column),
+         problem.gradient(W, 0.37, with_metrics=True), problem.gradient(W, column, idx, True)]
+flat = lambda x: b"".join(map(flat, x)) if isinstance(x, tuple) else x.tobytes()
+print(hashlib.sha256(b"".join(map(flat, parts))).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_a_row_does_not_depend_on_the_layout_of_its_block(experiment):
+    # A strided view of a Fortran-ordered block and a C-ordered copy of the same rows
+    # give the same bytes: no family's arithmetic may depend on its operands' layout.
+    problem = small_family(experiment)
+    rng = make_rng(52)
+    W = np.asfortranarray(rng.standard_normal((10, problem.dimension)))
+    idx = core._draw_minibatch(rng, problem.sample_count, 20, len(W))
+    results = []
+    for rows, at in ((W[::2], idx[::2]), (np.ascontiguousarray(W[::2]), idx[::2].copy())):
+        (value, aux), grad = problem.gradient(rows, 0.37, at, with_metrics=True)
+        arrays = [*problem.epoch_metrics(rows, 0.37), problem.gradient(rows, 0.37), value, aux]
+        results.append([None if a is None else a.tobytes() for a in [*arrays, grad]])
+    assert results[0] == results[1]
+
+
+def test_cubic_oracle_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREAD_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
+
+
 # ------------------------------------------------------- quadratic tracking
 
 
@@ -342,9 +415,11 @@ def mlp_minibatch_metrics(problem, W, lam, idx):
 
 
 def moons_minibatch_metrics(problem, W, lam, idx):
+    # A row's scores are one gemv per row, so the full batch's scores at idx are its minibatch's.
     z = np.take_along_axis(problem.scores(W, lam), idx, axis=1)
     y = problem.labels01[idx]
-    return np.mean(np.logaddexp(0.0, z) - y * z, axis=1), np.mean((z >= 0.0) != (y == 1.0), axis=1)
+    loss = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))  # np.logaddexp(0, z)'s split
+    return np.mean(loss - y * z, axis=1), np.mean((z >= 0.0) != (y == 1.0), axis=1)
 
 
 def quadratic_minibatch_metrics(problem, W, lam, idx):
@@ -407,7 +482,7 @@ def cubic_fancy_index_gradient(problem, W, lam, idx, with_metrics):
         gate = np.array([lam] * 6 + [1.0] * 3)
     z = problem._scores(phi, W * gate)
     d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
-    grad = np.einsum("...m,...mk->...k", d, phi) * gate
+    grad = np.matmul(d[:, None, :], phi)[:, 0, :] * gate
     return (problem._metrics(z, y), grad) if with_metrics else grad
 
 
@@ -485,6 +560,23 @@ def test_label_gradient_metrics_are_the_loss_at_its_samples(experiment, chunk_bu
             assert value.tobytes() == problem.loss(out, lam, samples).tobytes()
             raw = None if experiment == "toy-erf" else problem.loss(out, 1.0, samples)
             assert (aux is None) if raw is None else aux.tobytes() == raw.tobytes()
+
+
+@pytest.mark.parametrize("lam", [1.0, np.float64(1.0)])
+def test_mlp_target_loss_at_lambda_one_is_a_copy_of_its_objective(lam, chunk_budget):
+    # At a float lambda of 1 the objective is the target loss, so one loss gives both.
+    problem = small_family("sine-mlp")
+    rng = make_rng(50)
+    W = 0.5 * rng.standard_normal((9, problem.dimension))
+    idx = core._draw_minibatch(rng, problem.sample_count, 25, len(W))
+    at_idx = label_minibatch_outputs(problem, W, idx)
+    for samples, out in ((None, problem.outputs(W)), (idx, at_idx)):
+        metrics = [problem.gradient(W, lam, samples, with_metrics=True)[0]]
+        if samples is None:
+            metrics.append(problem.epoch_metrics(W, lam))
+        for value, raw in metrics:
+            assert value.tobytes() == raw.tobytes() == problem.loss(out, 1.0, samples).tobytes()
+            assert not np.shares_memory(value, raw)
 
 
 def test_labels_are_read_only_or_fresh():
