@@ -349,8 +349,10 @@ class CubicLogisticProblem(HomotopyProblem):
     """Binary cross-entropy of sigmoid(score) for the lambda-gated cubic model.
 
     The loss uses the log-sum-exp form log(1 + e^z) - y z, which is stable for
-    large |z|. Products over the design matrix are one BLAS gemv per block row, whatever its
-    neighbours; OpenBLAS may thread one of m >= 1,024 samples, its bytes checked equal.
+    large |z|. The design matrix is stored once, feature-major (9, N), and both products
+    run along the sample axis as one BLAS gemv per block row, whatever its neighbours: a
+    sample's bits may depend on its position within its row, never on other rows.
+    OpenBLAS may thread a gemv of m >= 1,024 samples, its bytes checked equal.
     """
 
     def __init__(self, features, labels01):
@@ -361,9 +363,9 @@ class CubicLogisticProblem(HomotopyProblem):
         if y.shape != (X.shape[0],) or not np.all(np.isin(y, (0.0, 1.0))):
             raise ConfigurationError("labels must be 0/1 with one entry per sample")
         x1, x2 = X[:, 0], X[:, 1]
-        # Design matrix: the six nonlinear terms carry the lambda gate, the linear part does not.
-        self.phi = _frozen(np.column_stack([x1**3, x2**3, x1**2, x2**2, x1**2 * x2,
-                                            x1 * x2**2, x1, x2, np.ones_like(x1)]))
+        # Design matrix, one row per term: the six nonlinear terms carry the lambda gate.
+        self.phiT = _frozen(np.stack([x1**3, x2**3, x1**2, x2**2, x1**2 * x2,
+                                      x1 * x2**2, x1, x2, np.ones_like(x1)]))
         self.labels01 = _frozen(y)
         self.dimension = 9
         self.sample_count = X.shape[0]
@@ -374,13 +376,13 @@ class CubicLogisticProblem(HomotopyProblem):
         return np.where(GATED_MASK, lam, 1.0)
 
     @staticmethod
-    def _scores(phi, gated):
-        """Scores of the design rows phi under the gated coefficients, one row per block row."""
-        return (phi @ gated[..., :, None])[..., 0]
+    def _scores(phiT, gated):
+        """Scores of the design columns phiT under the gated coefficients, one row per block row."""
+        return (gated[..., None, :] @ phiT)[..., 0, :]
 
     def scores(self, w, lam):
         """Scores of every sample: (N,) under one point w, (R, N) under an (R, 9) block."""
-        return self._scores(self.phi, np.asarray(w, dtype=float) * self._gate(lam))
+        return self._scores(self.phiT, np.asarray(w, dtype=float) * self._gate(lam))
 
     @staticmethod
     def _metrics(z, y):
@@ -398,13 +400,17 @@ class CubicLogisticProblem(HomotopyProblem):
         return self._metrics(self.scores(W, lam), self.labels01)
 
     def _gradient(self, W, lam, idx=None, with_metrics=False):
-        # ``take`` gathers the same C-contiguous block as fancy indexing, at a third of the cost.
-        phi = self.phi if idx is None else self.phi.take(idx, axis=0)
+        # Each row's (9, M) columns at a row stride of R x M: the full batch's orientation.
+        phiT = self.phiT if idx is None else self.phiT.take(idx, axis=1).transpose(1, 0, 2)
         y = self.labels01 if idx is None else self.labels01.take(idx)
         gate = self._gate(lam)
-        z = self._scores(phi, W * gate)
-        d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
-        grad = (d[:, None, :] @ phi)[:, 0, :] * gate
+        z = self._scores(phiT, W * gate)
+        # The sigmoid residual (1 / (1 + e^-z) - y) / m, in one buffer.
+        d = np.negative(z)
+        np.divide(1.0, np.add(1.0, np.exp(d, out=d), out=d), out=d)
+        d -= y
+        d /= z.shape[1]
+        grad = (phiT @ d[..., :, None])[..., 0] * gate
         return (self._metrics(z, y), grad) if with_metrics else grad
 
 

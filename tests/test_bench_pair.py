@@ -1,6 +1,7 @@
 """The pair driver's statistics and verdicts on canned results; no benchmark runs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,30 @@ def test_src_lines_counts_each_trees_python_sources(tmp_path):
     # A file written before the key existed prints the table alone.
     del report["src_lines"]
     assert bench_pair.table(report).splitlines()[-1].startswith("| moons-seq (4) |")
+
+
+def test_bytecode_writes_are_recorded_per_side_and_printed_on_the_src_line(tmp_path, monkeypatch):
+    command = [sys.executable, "benchmarks/run.py"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pair.bytecode(command, tmp_path) == {"PYTHONDONTWRITEBYTECODE": "1",
+                                                      "dont_write_bytecode": True}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pair.bytecode(command, tmp_path) == {"PYTHONDONTWRITEBYTECODE": None,
+                                                      "dont_write_bytecode": False}
+    assert bench_pair.bytecode([sys.executable, "-B", "run.py"], tmp_path)["dont_write_bytecode"]
+    moons = pairs([2.0] * 4, [2.5] * 4)
+    report = {"src_lines": {"parent": 2557, "change": 2567},
+              "bytecode": {"parent": {"PYTHONDONTWRITEBYTECODE": "1", "dont_write_bytecode": True},
+                           "change": {"PYTHONDONTWRITEBYTECODE": None,
+                                      "dont_write_bytecode": False}},
+              "workloads": {"moons-seq": {
+                  "metrics": bench_pair.compare(moons, SPEC), "pairs": moons,
+                  "failed_ops": {"parent": [[5, 0]] * 4, "change": [[5, 0]] * 4}}}}
+    assert bench_pair.table(report).splitlines()[-1] == (
+        "`src/` lines: 2,557 → 2,567; bytecode writes: off → on")
+    # A file written before the key existed prints the line counts alone.
+    del report["bytecode"]
+    assert bench_pair.table(report).splitlines()[-1] == "`src/` lines: 2,557 → 2,567"
 
 
 def test_a_verdict_must_hold_in_both_blocks_or_it_is_drift():

@@ -14,7 +14,7 @@ import pytest
 from scipy.special import erf
 
 from conftest import small_family
-from homotopy_opt import core, harness, problems
+from homotopy_opt import core, datasets, harness, problems
 from homotopy_opt.core import ConfigurationError, make_rng
 from homotopy_opt.problems import (
     MLP_DIMENSION,
@@ -388,7 +388,7 @@ def test_endpoint_consistency(small_erf, small_mlp, small_moons):
     for _ in range(20):
         w = rng.standard_normal(9)
         z0 = small_moons.scores(w, 0.0)
-        lin = small_moons.phi[:, 6:] @ w[6:]
+        lin = w[6:] @ small_moons.phiT[6:]
         assert np.allclose(z0, lin, rtol=0, atol=1e-15)
 
 
@@ -415,8 +415,11 @@ def mlp_minibatch_metrics(problem, W, lam, idx):
 
 
 def moons_minibatch_metrics(problem, W, lam, idx):
-    # A row's scores are one gemv per row, so the full batch's scores at idx are its minibatch's.
-    z = np.take_along_axis(problem.scores(W, lam), idx, axis=1)
+    # A sample's score bits may depend on its position in the gemv's sample vector,
+    # so each row's scores come from a family built on its own samples, in order.
+    z = np.concatenate([CubicLogisticProblem(problem.phiT[6:8, i].T, problem.labels01[i])
+                        .scores(W[r:r + 1], lam[r:r + 1] if np.ndim(lam) else lam)
+                        for r, i in enumerate(idx)])
     y = problem.labels01[idx]
     loss = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))  # np.logaddexp(0, z)'s split
     return np.mean(loss - y * z, axis=1), np.mean((z >= 0.0) != (y == 1.0), axis=1)
@@ -475,14 +478,17 @@ def test_column_lambda_equals_float_calls_row_for_row(experiment, chunk_budget):
 
 def cubic_fancy_index_gradient(problem, W, lam, idx, with_metrics):
     """``CubicLogisticProblem._gradient`` with a fancy-index gather and a branch per gate shape."""
-    phi, y = problem.phi[idx], problem.labels01[idx]
+    # A slice-plus-fancy index lays (9, R, M) out sample-major: the copy is feature-major,
+    # the layout ``take`` gives, so BLAS runs the same kernel.
+    phiT = np.ascontiguousarray(problem.phiT[:, idx]).transpose(1, 0, 2)
+    y = problem.labels01[idx]
     if isinstance(lam, np.ndarray):
         gate = np.concatenate([np.repeat(lam, 6, axis=1), np.ones((len(lam), 3))], axis=1)
     else:
         gate = np.array([lam] * 6 + [1.0] * 3)
-    z = problem._scores(phi, W * gate)
+    z = problem._scores(phiT, W * gate)
     d = (1.0 / (1.0 + np.exp(-z)) - y) / z.shape[1]
-    grad = np.matmul(d[:, None, :], phi)[:, 0, :] * gate
+    grad = np.matmul(phiT, d[:, :, None])[:, :, 0] * gate
     return (problem._metrics(z, y), grad) if with_metrics else grad
 
 
@@ -502,6 +508,27 @@ def test_cubic_minibatch_oracle_equals_a_fancy_index_gather(column, with_metrics
         assert got_value.tobytes() == ref_value.tobytes()
         assert got_error.tobytes() == ref_error.tobytes()
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("samples", [30, 1_000])
+def test_cubic_all_indices_in_order_are_the_full_batch_bit_for_bit(samples, chunk_budget):
+    # The sampler gives no indices at M = N and the engine and sigma^2 take the full
+    # batch instead: a row's gradient and metrics over all N indices in order must be
+    # its full-batch ones, in a block, in one row and under a column lambda.
+    data = datasets.gen_moons(samples, 0.1, 5)
+    problem = CubicLogisticProblem(data.inputs, data.targets)
+    rng = make_rng(53)
+    W = rng.standard_normal((len(COLUMN_LAMBDAS), problem.dimension))
+    idx = np.tile(np.arange(samples), (len(W), 1))
+    for lam in (np.array(COLUMN_LAMBDAS)[:, None], 0.0, 0.37, 1.0):
+        for rows in (slice(None), slice(4, 5)):
+            lam_rows = lam[rows] if isinstance(lam, np.ndarray) else lam
+            (value, error), grad = problem.gradient(W[rows], lam_rows, idx[rows], True)
+            (full_value, full_error), full_grad = problem.gradient(W[rows], lam_rows,
+                                                                   with_metrics=True)
+            assert value.tobytes() == full_value.tobytes()
+            assert error.tobytes() == full_error.tobytes()
+            assert grad.tobytes() == full_grad.tobytes()
 
 
 def test_column_labels_copy_the_endpoints():
@@ -623,7 +650,7 @@ def test_column_lambda_outside_unit_interval_is_rejected(experiment, bad):
 FAMILY_ARRAYS = {
     "erf": ("xs", "y_target", "y_source"),
     "mlp": ("xs", "y_target", "y_source"),
-    "moons": ("phi", "labels01"),
+    "moons": ("phiT", "labels01"),
     "quadratic": ("offsets",),
 }
 

@@ -28,7 +28,11 @@ metric is "unresolved" when the parent's quartile spread, relative to its
 median, exceeds the metric's bound, unless every change run beats every
 parent run: its pairs cannot tell a move within the bound from noise. The
 environment is each side's ``env`` block from its first run. ``src_lines``
-gives the line count of each side's ``src/**/*.py``.
+gives the line count of each side's ``src/**/*.py``, and ``bytecode`` whether
+each side's interpreter ran with bytecode writes off: the
+``PYTHONDONTWRITEBYTECODE`` it inherited and its ``sys.flags.dont_write_bytecode``
+(``-B`` or that variable). Without bytecode every run compiles its sources,
+so ``peak_rss_mb`` and ``setup_s`` then move with the size of ``src/``.
 
 ``--table`` prints a written file as a Markdown table, one row per
 workload: each metric's cell is "parent median [q1, q3] → change median
@@ -36,7 +40,8 @@ workload: each metric's cell is "parent median [q1, q3] → change median
 metric worse than its bound, "(drift)" after a metric's whose blocks do
 not agree on its verdict and "(unresolved)" after an unresolved metric's,
 and the last column gives the (attempted, failed) ops of each side. A line
-after the table gives the ``src/`` line counts, in a file that has them.
+after the table gives the ``src/`` line counts, in a file that has them, and
+whether each side wrote bytecode ("on") or not ("off"), in a file that has that.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -73,6 +79,15 @@ def src_lines(tree):
     """The line count of the ``src/**/*.py`` files of ``tree``."""
     return sum(len(path.read_text(encoding="utf-8").splitlines())
                for path in Path(tree).glob("src/**/*.py"))
+
+
+def bytecode(command, tree):
+    """The inherited ``PYTHONDONTWRITEBYTECODE`` and the ``dont_write_bytecode`` flag of
+    ``command``'s interpreter (the command less its script), run in ``tree``."""
+    probe = [*command[:-1], "-c", "import sys; print(bool(sys.flags.dont_write_bytecode))"]
+    flag = subprocess.run(probe, cwd=tree, capture_output=True, text=True, check=True).stdout
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": flag.strip() == "True"}
 
 
 def run_once(command, tree, workload, seed):
@@ -191,8 +206,12 @@ def table(report):
                for side in SIDES]
         lines.append(f"| {workload} ({len(w['pairs'])}) | " + " | ".join(cells)
                      + f" | {ops[0]} → {ops[1]} |")
-    if "src_lines" in report:  # absent in older files
-        lines += ["", "`src/` lines: {parent:,} → {change:,}".format(**report["src_lines"])]
+    if "src_lines" in report:  # absent in older files, as is "bytecode"
+        line = "`src/` lines: {parent:,} → {change:,}".format(**report["src_lines"])
+        if "bytecode" in report:
+            line += "; bytecode writes: " + " → ".join(
+                "off" if report["bytecode"][side]["dont_write_bytecode"] else "on" for side in SIDES)
+        lines += ["", line]
     return "\n".join(lines)
 
 
@@ -219,6 +238,7 @@ def main(argv=None):
         report = {"parent": args.parent, "change": args.change, "seconds": SECONDS,
                   "first_seed": args.seed,
                   "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+                  "bytecode": {side: bytecode(spec["command"], tree) for side, tree in trees.items()},
                   "workloads": {}}
         for workload in args.workloads:
             pairs = []
