@@ -36,10 +36,10 @@ import numpy as np
 from .core import ConfigurationError, make_rng
 
 TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
-# Elements of the widest per-sample temporary (rows x samples x ``sample_width``)
+# Elements of the widest per-sample temporary (rows x ``sample_width`` x samples)
 # one family evaluation works on: a block goes max(1, EPOCH_CHUNK_ELEMENTS //
 # (m * sample_width)) rows at a time, m = N or the minibatch, as a whole block's
-# temporaries (sine-mlp: R x m x 10) would spill out of cache and set the peak
+# temporaries (sine-mlp: R x 10 x m) would spill out of cache and set the peak
 # memory. No row's bits depend on its chunk (``in_row_chunks``).
 EPOCH_CHUNK_ELEMENTS = 25_000
 
@@ -245,16 +245,23 @@ class MlpRegressionProblem(LabelInterpolationProblem):
 
     Parameters are packed as [W1 (10x1), b1 (10), W2 (10x10), b2 (10),
     W3 (1x10), b3 (1)] into a flat vector of length 141. It has no f*
-    oracle, so runs record its raw target-problem loss instead.
+    oracle, so runs record its raw target-problem loss instead. Its hidden blocks are (R, 10, m),
+    hidden-major, at a full batch and a minibatch alike, and each product is one gemm or gemv
+    per block row: a sample's bits may depend on its position within its row, never on other rows.
     """
 
     dimension = MLP_DIMENSION
-    sample_width = MLP_HIDDEN  # the (R, m, 10) hidden activation and delta blocks
+    sample_width = MLP_HIDDEN  # the (R, 10, m) hidden activation and delta blocks
+
+    def __init__(self, *arrays):
+        super().__init__(*arrays)
+        self.xs1 = _frozen(np.stack([self.xs, np.ones_like(self.xs)]))  # [x; 1], (2, N)
 
     @staticmethod
     def unpack(w):
         """Views of the six parameter arrays in w, keeping any leading block axes."""
         h = MLP_HIDDEN
+        w = np.ascontiguousarray(w)  # a strided block's matmuls would leave BLAS, bits and all
         lead = w.shape[:-1]
         o = 0
         W1 = w[..., o:o + h].reshape(*lead, h, 1); o += h
@@ -278,22 +285,21 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         W3 = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), (1, h))
         return self.pack(W1, np.zeros(h), W2, np.zeros(h), W3, np.zeros(1))
 
-    def _forward(self, layers, x):
-        """Hidden activations and output of each block row's layers at inputs x, (N,) or (R, M)."""
+    def _forward(self, layers, X1):
+        """Each row's activations (R, 10, m) and outputs (R, m) at [x; 1], (2, N) or (R, 2, M)."""
         W1, b1, W2, b2, W3, b3 = layers
-        # Input dimension is 1, so the first layer is a broadcast, not a matmul.
-        a1 = x[..., None] * W1[:, None, :, 0]
-        a1 += b1[:, None, :]
+        # Input dimension is 1: the first layer is one K = 2 gemm, [W1 b1] @ [x; 1].
+        a1 = np.concatenate([W1, b1[..., None]], axis=-1) @ X1
         np.tanh(a1, out=a1)
-        a2 = a1 @ W2.transpose(0, 2, 1)
-        a2 += b2[:, None, :]
+        a2 = W2 @ a1
+        a2 += b2[..., None]
         np.tanh(a2, out=a2)
-        out = (a2 @ W3[:, 0, :, None])[:, :, 0]
+        out = (W3 @ a2)[:, 0]
         out += b3
         return a1, a2, out
 
     def outputs(self, W):
-        return self._forward(self.unpack(W), self.xs)[2]
+        return self._forward(self.unpack(W), self.xs1)[2]
 
     def _epoch_metrics(self, W, lam):
         """Objective at lam and the raw target-problem (lambda = 1) loss, from one forward pass."""
@@ -302,41 +308,35 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         return value, value.copy() if np.ndim(lam) == 0 and lam == 1.0 else self.loss(out, 1.0)
 
     def _gradient(self, W, lam, idx=None, with_metrics=False):
-        # Sums over the sample axis go through einsum: the same sequential
-        # order as ndarray.sum(axis=1), without its per-row loop overhead.
-        x = self.xs[None] if idx is None else self.xs[idx]
-        layers = self.unpack(W)
-        a1, a2, out = self._forward(layers, x)
-        W2, w3 = layers[2], layers[4][:, 0, :]
+        X1 = self.xs1 if idx is None else self.xs1.take(idx, axis=1).transpose(1, 0, 2)
+        _, _, W2, _, W3, _ = layers = self.unpack(W)
+        a1, a2, out = self._forward(layers, X1)
         res = out - self.labels(lam, idx)                      # (R, m)
         at_target = np.ndim(lam) == 0 and lam == 1.0  # there ``mse(res)`` is the target loss too
         raw = self.loss(out, 1.0, idx) if with_metrics and not at_target else None
         # MSE backprop: dL/dout = 2 res / m, in the output buffer
         d_out = np.multiply(2.0 / res.shape[1], res, out=out)
-        # Once its weight gradient is taken, each activation block is
-        # overwritten by tanh' = 1 - tanh^2 and each delta block is dropped,
-        # so at most three (R, m, 10) blocks are live at once: the
-        # estimators' full-batch blocks (m = N) would otherwise set a run's
-        # peak memory.
-        gW3 = (d_out[:, None, :] @ a2)[:, 0, :]
-        d_a2 = d_out[:, :, None] * w3[:, None, :]
+        # Each weight gradient goes into its slice of ``grad``; sample sums go through
+        # einsum, without ndarray.sum's per-row loop. Once its weight gradient is taken,
+        # each activation block is overwritten by tanh' = 1 - tanh^2 and d_a1 takes a2's
+        # buffer, so at most three (R, 10, m) blocks are live at once: the estimators'
+        # full-batch blocks (m = N) would otherwise set a run's peak memory.
+        grad = np.empty((len(W), self.dimension))
+        gW1, gb1, gW2, gb2, gW3, gb3 = self.unpack(grad)
+        np.einsum("rkm,rm->rk", a2, d_out, out=gW3[:, 0])
+        d_a2 = W3.transpose(0, 2, 1) * d_out[:, None, :]
         np.multiply(a2, a2, out=a2)
         np.subtract(1.0, a2, out=a2)
-        d_a2 *= a2                                             # (R, m, 10)
-        del a2
-        gW2 = (d_a2.transpose(0, 2, 1) @ a1).reshape(len(W), -1)
-        gb2 = np.einsum("rmk->rk", d_a2)
-        d_a1 = d_a2 @ W2
-        del d_a2
+        d_a2 *= a2                                             # (R, 10, m)
+        np.matmul(d_a2, a1.transpose(0, 2, 1), out=gW2)
+        np.einsum("rkm->rk", d_a2, out=gb2)
+        d_a1 = np.matmul(W2.transpose(0, 2, 1), d_a2, out=a2)
         np.multiply(a1, a1, out=a1)
         np.subtract(1.0, a1, out=a1)
-        d_a1 *= a1                                             # (R, m, 10)
-        grad = np.concatenate([
-            (x[:, None, :] @ d_a1)[:, 0, :],                   # gW1
-            np.einsum("rmk->rk", d_a1),                        # gb1
-            gW2, gb2, gW3,
-            d_out.sum(axis=1, keepdims=True),                  # gb3
-        ], axis=1)
+        d_a1 *= a1                                             # (R, 10, m)
+        np.einsum("...km,...m->...k", d_a1, X1[..., 0, :], out=gW1[..., 0])
+        np.einsum("rkm->rk", d_a1, out=gb1)
+        np.add.reduce(d_out, axis=1, keepdims=True, out=gb3)
         value = self.mse(res) if with_metrics else None
         return ((value, value.copy() if at_target else raw), grad) if with_metrics else grad
 

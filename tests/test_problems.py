@@ -247,22 +247,39 @@ def test_cubic_loss_is_np_logaddexp_within_two_ulp():
             assert np.array_equal(objective, old, equal_nan=True)
 
 
-# A moons oracle on N = 20,000 samples: every gemv is over 9,216 elements, so
-# OpenBLAS may thread it.
+# A family's oracle under one OPENBLAS_NUM_THREADS setting: the digest of its
+# full-batch and minibatch results, in a 3-row block at a float and a column lambda.
 BLAS_THREAD_SCRIPT = """
 import hashlib, numpy as np
 from homotopy_opt import core, datasets, problems
-data = datasets.gen_moons(20_000, 0.1, 5)
-problem = problems.CubicLogisticProblem(data.inputs, data.targets)
+{build}
 rng = core.make_rng(51)
-W = rng.standard_normal((3, 9))
-idx = core._draw_minibatch(rng, problem.sample_count, 2_000, 3)
+W = rng.standard_normal((3, problem.dimension))
+idx = {draw}
 column = np.array([[0.0], [0.37], [1.0]])
 parts = [problem.epoch_metrics(W, 0.37), problem.epoch_metrics(W, column),
          problem.gradient(W, 0.37, with_metrics=True), problem.gradient(W, column, idx, True)]
 flat = lambda x: b"".join(map(flat, x)) if isinstance(x, tuple) else x.tobytes()
 print(hashlib.sha256(b"".join(map(flat, parts))).hexdigest())
 """
+
+
+def blas_thread_digests(build, draw):
+    """The digests of BLAS_THREAD_SCRIPT under OPENBLAS_NUM_THREADS 1 and 2.
+
+    ``build`` makes ``problem``; ``draw`` is the expression of its (3, M) minibatch indices.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = BLAS_THREAD_SCRIPT.format(build=build, draw=draw)
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    return digests
 
 
 @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
@@ -282,16 +299,25 @@ def test_a_row_does_not_depend_on_the_layout_of_its_block(experiment):
 
 
 def test_cubic_oracle_bytes_do_not_depend_on_blas_threads():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = set()
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", BLAS_THREAD_SCRIPT], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.add(proc.stdout)
-    assert len(digests) == 1
+    # A moons oracle on N = 20,000 samples: every gemv is over 9,216 elements, so
+    # OpenBLAS may thread it.
+    build = ("data = datasets.gen_moons(20_000, 0.1, 5)\n"
+             "problem = problems.CubicLogisticProblem(data.inputs, data.targets)")
+    draw = "core._draw_minibatch(rng, problem.sample_count, 2_000, 3)"
+    assert len(blas_thread_digests(build, draw)) == 1
+
+
+def test_mlp_oracle_bytes_do_not_depend_on_blas_threads():
+    # An MLP oracle on N = 100,000 samples and minibatches of 60,000. On 2 CPUs,
+    # OpenBLAS 0.3.31 threaded the hidden layer's gemms (W2 @ a1, W2^T @ d_a2) from about
+    # m = 10,000, the output gemv (W3 @ a2, 10 x m elements) from m = 46,080 and the first
+    # layer's K = 2 gemm from about m = 50,000; a gemv that sums over m would split its
+    # sum at the same size, so the oracle sums over the samples in einsum.
+    build = ("data = datasets.gen_sine(100_000, 10.0, 0.3, 5)\n"
+             "problem = problems.MlpRegressionProblem(data.inputs[:, 0], data.targets,"
+             " data.source_targets)")
+    draw = "np.stack([rng.permutation(problem.sample_count)[:60_000] for _ in range(3)])"
+    assert len(blas_thread_digests(build, draw)) == 1
 
 
 # ------------------------------------------------------- quadratic tracking
@@ -528,6 +554,27 @@ def test_cubic_all_indices_in_order_are_the_full_batch_bit_for_bit(samples, chun
                                                                    with_metrics=True)
             assert value.tobytes() == full_value.tobytes()
             assert error.tobytes() == full_error.tobytes()
+            assert grad.tobytes() == full_grad.tobytes()
+
+
+@pytest.mark.parametrize("samples", [30, 500])
+def test_mlp_all_indices_in_order_are_the_full_batch_bit_for_bit(samples, chunk_budget):
+    # As for moons: the engine and sigma^2 take M = N as the full batch, so a row's
+    # gradient, objective and target loss over all N indices in order must be its
+    # full-batch ones, in a block, in one row and under a column lambda.
+    data = datasets.gen_sine(samples, 10.0, 0.3, 5)
+    problem = MlpRegressionProblem(data.inputs[:, 0], data.targets, data.source_targets)
+    rng = make_rng(54)
+    W = 0.5 * rng.standard_normal((len(COLUMN_LAMBDAS), problem.dimension))
+    idx = np.tile(np.arange(samples), (len(W), 1))
+    for lam in (np.array(COLUMN_LAMBDAS)[:, None], 0.0, 0.37, 1.0):
+        for rows in (slice(None), slice(4, 5)):
+            lam_rows = lam[rows] if isinstance(lam, np.ndarray) else lam
+            (value, raw), grad = problem.gradient(W[rows], lam_rows, idx[rows], True)
+            (full_value, full_raw), full_grad = problem.gradient(W[rows], lam_rows,
+                                                                 with_metrics=True)
+            assert value.tobytes() == full_value.tobytes()
+            assert raw.tobytes() == full_raw.tobytes()
             assert grad.tobytes() == full_grad.tobytes()
 
 
@@ -779,7 +826,7 @@ def default_problem(experiment):
 
 
 # Rows per full-batch call at each experiment's default N: 25,000 elements of
-# its widest per-sample temporary, N wide on every family but the MLP (N x 10).
+# its widest per-sample temporary, N wide on every family but the MLP (10 x N).
 FULL_BATCH_CHUNK_ROWS = {"toy-erf": 250, "sine-mlp": 5, "moons-logistic": 25, "synthetic-lq": 390}
 
 
