@@ -246,8 +246,8 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     Parameters are packed as [W1 (10x1), b1 (10), W2 (10x10), b2 (10),
     W3 (1x10), b3 (1)] into a flat vector of length 141. It has no f*
     oracle, so runs record its raw target-problem loss instead. Its hidden blocks are (R, 10, m),
-    hidden-major, at a full batch and a minibatch alike, and each product is one gemm or gemv
-    per block row: a sample's bits may depend on its position within its row, never on other rows.
+    hidden-major, at a full batch and a minibatch alike; each matmul runs one block row at a
+    time, and a sample's bits may depend on its position within its row, never on other rows.
     """
 
     dimension = MLP_DIMENSION
@@ -255,13 +255,14 @@ class MlpRegressionProblem(LabelInterpolationProblem):
 
     def __init__(self, *arrays):
         super().__init__(*arrays)
-        self.xs1 = _frozen(np.stack([self.xs, np.ones_like(self.xs)]))  # [x; 1], (2, N)
+        # [x; 1], (2, N): with one input, the first layer is one K = 2 gemm, [W1 b1] @ [x; 1].
+        self.xs1 = _frozen(np.stack([self.xs, np.ones_like(self.xs)]))
 
     @staticmethod
     def unpack(w):
         """Views of the six parameter arrays in w, keeping any leading block axes."""
         h = MLP_HIDDEN
-        w = np.ascontiguousarray(w)  # a strided block's matmuls would leave BLAS, bits and all
+        w = np.ascontiguousarray(w)  # else numpy's non-BLAS matmul loop changes the bits
         lead = w.shape[:-1]
         o = 0
         W1 = w[..., o:o + h].reshape(*lead, h, 1); o += h
@@ -288,7 +289,6 @@ class MlpRegressionProblem(LabelInterpolationProblem):
     def _forward(self, layers, X1):
         """Each row's activations (R, 10, m) and outputs (R, m) at [x; 1], (2, N) or (R, 2, M)."""
         W1, b1, W2, b2, W3, b3 = layers
-        # Input dimension is 1: the first layer is one K = 2 gemm, [W1 b1] @ [x; 1].
         a1 = np.concatenate([W1, b1[..., None]], axis=-1) @ X1
         np.tanh(a1, out=a1)
         a2 = W2 @ a1
@@ -316,11 +316,11 @@ class MlpRegressionProblem(LabelInterpolationProblem):
         raw = self.loss(out, 1.0, idx) if with_metrics and not at_target else None
         # MSE backprop: dL/dout = 2 res / m, in the output buffer
         d_out = np.multiply(2.0 / res.shape[1], res, out=out)
-        # Each weight gradient goes into its slice of ``grad``; sample sums go through
-        # einsum, without ndarray.sum's per-row loop. Once its weight gradient is taken,
-        # each activation block is overwritten by tanh' = 1 - tanh^2 and d_a1 takes a2's
-        # buffer, so at most three (R, 10, m) blocks are live at once: the estimators'
-        # full-batch blocks (m = N) would otherwise set a run's peak memory.
+        # Each weight gradient goes into its slice of ``grad``; sample sums run in einsum,
+        # since a threaded gemv splits its sum over m and its bits then move with the thread
+        # count. Each activation block, once its weight gradient is taken, becomes tanh' =
+        # 1 - tanh^2 and d_a1 takes a2's buffer: at most three (R, 10, m) blocks are live
+        # at once, where the estimators' full-batch blocks (m = N) would set the peak memory.
         grad = np.empty((len(W), self.dimension))
         gW1, gb1, gW2, gb2, gW3, gb3 = self.unpack(grad)
         np.einsum("rkm,rm->rk", a2, d_out, out=gW3[:, 0])
@@ -352,7 +352,7 @@ class CubicLogisticProblem(HomotopyProblem):
     large |z|. The design matrix is stored once, feature-major (9, N), and both products
     run along the sample axis as one BLAS gemv per block row, whatever its neighbours: a
     sample's bits may depend on its position within its row, never on other rows.
-    OpenBLAS may thread a gemv of m >= 1,024 samples, its bytes checked equal.
+    OpenBLAS threads a gemv from 9 m >= 460,800 elements, and then the gradient's bits move.
     """
 
     def __init__(self, features, labels01):

@@ -299,8 +299,9 @@ def test_a_row_does_not_depend_on_the_layout_of_its_block(experiment):
 
 
 def test_cubic_oracle_bytes_do_not_depend_on_blas_threads():
-    # A moons oracle on N = 20,000 samples: every gemv is over 9,216 elements, so
-    # OpenBLAS may thread it.
+    # A moons oracle on N = 20,000 samples. OpenBLAS 0.3.31 threads a gemv only from
+    # 460,800 elements (9 x m, m >= 51,200), so it threads none of these; at N = 200,000
+    # the gradient gemv splits its sum over m between threads and its bytes move.
     build = ("data = datasets.gen_moons(20_000, 0.1, 5)\n"
              "problem = problems.CubicLogisticProblem(data.inputs, data.targets)")
     draw = "core._draw_minibatch(rng, problem.sample_count, 2_000, 3)"
