@@ -26,20 +26,22 @@ SUM_TOL = 1e-12
 # The minibatch stream contract recorded in every run's metadata; a replay
 # under another contract would silently produce different traces.
 SAMPLER = "floyd-block-v1"
-# Index elements (steps x repeats x minibatch) drawn in one sampler call: a
+# Index elements (steps x rows x minibatch) drawn in one sampler call: a
 # run draws the minibatches of B = max(1, SAMPLER_BLOCK_ELEMENTS // (R * M))
-# steps at once, clipped to the stage. Not part of the contract: the indices
-# do not depend on B. 128,000 int64 elements are 1 MB, the block of 64 steps
-# of moons-logistic (R = 100, M = 20); sine-mlp (M = 5) gets 256 steps.
-SAMPLER_BLOCK_ELEMENTS = 128_000
+# steps at once, R the rows of the block, clipped to the stage. Not part of
+# the contract: the indices do not depend on B. 256,000 int64 elements are
+# 2 MB, the block of 128 steps of moons-logistic (M = 20) at R = 100, a
+# slice of 50 repeats of both arms; sine-mlp (M = 5) gets 512 steps.
+SAMPLER_BLOCK_ELEMENTS = 256_000
 # Sample-gradient evaluations (rows x steps x samples per step, the unit of
-# the grad_evals column) from which ``_slice_count`` cuts a block of rows, an
-# arm's repeats at M samples or a multistart's restarts at N, into one slice
-# per usable CPU. Not part of the contract: no output depends on the slice
-# count. A fork and its pipe cost about 15 ms on 2 CPUs, so synthetic-lq's
-# default arm (800,000) and toy-erf's one-repeat arm (40,000) stay in process;
-# the sine-mlp hsgd arm at k = 100 (1,000,000) and the default moons-logistic
-# and sine-mlp arms and multistarts (15,000,000 and 7,500,000) fork.
+# the grad_evals column) from which ``_slice_count`` cuts a block of rows, a
+# run's repeats over the steps of all its arms at M samples or a
+# multistart's restarts at N, into one slice per usable CPU. Not part of the
+# contract: no output depends on the slice count. A fork and its pipe cost
+# about 15 ms on 2 CPUs, so toy-erf's one-repeat run (80,000) stays in
+# process; synthetic-lq's default run (1,600,000), both benchmark runs at
+# k = 100 and the default moons-logistic and sine-mlp runs and multistarts
+# fork.
 FORK_GRAD_EVALS = 1_000_000
 
 
@@ -257,14 +259,11 @@ def _raise_if_nonfinite(grad, w, step, homotopy_iteration, lam):
 
 
 def _block_error(failures):
-    """The error one block of all rows raises, from (first row, error) per failing slice.
+    """The NonFiniteError one block of all rows raises, from (first row, error) per failing slice.
 
-    That is any error but a NonFiniteError, as it is; else the NonFiniteError
-    ``_raise_if_nonfinite`` meets first (step, gradient before iterate, row).
+    That is the error ``_raise_if_nonfinite`` meets first: the smallest step,
+    a gradient before an iterate, then the smallest row.
     """
-    for _, exc in failures:
-        if not isinstance(exc, NonFiniteError):
-            return exc
     errors = [NonFiniteError(e.what, e.step, first + e.repeat, e.homotopy_iteration, e.lam)
               for first, e in failures]
     return min(errors, key=lambda e: (e.step, e.what != "gradient", e.repeat))
@@ -275,7 +274,8 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
 
     The SGD engine. ``w0`` is one start point of shape (d,) with its
     generator ``rng``, or an (R, d) block of R repeats with a sequence of R
-    generators, all stepped in lockstep. Every B steps (see
+    generators, all stepped in lockstep; ``lam`` is a float, or for a block
+    an (R, 1) column giving each row its own lambda. Every B steps (see
     SAMPLER_BLOCK_ELEMENTS), each repeat draws the next block of minibatches
     (cfg.minibatch distinct sample indices per step) from its own stream, in
     repeat order, so a repeat's trajectory does not depend on R; a full
@@ -406,9 +406,10 @@ def fork_rows(run, rows, steps, samples):
     """``run(part)`` of each contiguous slice ``part`` of ``range(rows)``, in row order.
 
     ``_slice_count`` sets the slice count. Slice 0 runs here and each other
-    in a forked ``_part_worker``; no worker outlives the call. A failing slice
-    raises what one block of all rows would raise (``_block_error``), and a
-    worker that exits without a result a RuntimeError naming its first row.
+    in a forked ``_part_worker``; no worker outlives the call. An error in
+    this process's slice is raised at once; else the first worker error in
+    row order is raised, and a worker that exits without a result raises a
+    RuntimeError naming its first row.
     """
     parts = np.array_split(np.arange(rows), _slice_count(rows, steps, samples))
     fork = multiprocessing.get_context("fork") if len(parts) > 1 else None
@@ -420,10 +421,7 @@ def fork_rows(run, rows, steps, samples):
             worker.start()
             send.close()
             workers.append((int(part[0]), receive, worker))
-        try:
-            outcomes = [(True, run(parts[0]))]
-        except NonFiniteError as exc:
-            outcomes = [(False, exc)]
+        outcomes = [(True, run(parts[0]))]
         for first, receive, worker in workers:
             try:
                 outcomes.append(receive.recv())
@@ -437,9 +435,9 @@ def fork_rows(run, rows, steps, samples):
                 worker.terminate()
                 worker.join()
             receive.close()
-    failures = [(int(part[0]), exc) for part, (ok, exc) in zip(parts, outcomes) if not ok]
-    if failures:
-        raise _block_error(failures)
+    for ok, result in outcomes:
+        if not ok:
+            raise result
     return [result for _, result in outcomes]
 
 

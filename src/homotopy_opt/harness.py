@@ -29,7 +29,6 @@ from .core import (
     SgdConfig,
     _is_int,
     _is_real,
-    hsgd_run,
     make_rng,
     make_schedule,
     sgd_run,
@@ -385,68 +384,132 @@ def _sgd_total_steps(k, n, budget_factor=1):
     return steps
 
 
-def _run_arm(problem, w0, method, plan, cfg_sgd, seeds, block, stage_hook=None):
-    """Every repeat of one arm, into its ``block`` (lambdas, objectives, aux); returns the block.
+def _run_arms(problem, w0, plan, cfg_sgd, seeds, blocks, stage_hook=None):
+    """Every repeat of each arm of ``blocks`` ({method: (lambdas, objectives, aux)}) in one block.
 
-    ``block`` comes from ``plan.allocate``; aux is returned as None for a
-    family whose second metric is None. ``w0`` is the start point of every
-    repeat, or an (R, d) block of one start row per repeat. ``core.fork_rows``
-    runs the repeats in slices of ``_run_slice``; slice 0 holds repeat 0, and
-    so every ``stage_hook`` call, and runs in this process. A repeat's row
-    does not depend on its slice, so the result does not depend on the slice
-    count.
+    Returns {method: its filled block, aux None for a family whose second
+    metric is None, or the NonFiniteError the arm raises alone}, in the order
+    of ``blocks``. Each block comes from ``plan.allocate``. ``w0`` is the
+    start point of every repeat, or an (R, d) block of one start row per
+    repeat. One ``core.fork_rows`` call runs the repeats in slices of
+    ``_run_slice``, each slice the same repeat range of every arm; slice 0
+    holds repeat 0, and so every ``stage_hook`` call, and runs in this
+    process. A repeat's row does not depend on its slice nor on the arms
+    beside it, so the result does not depend on the slice count.
 
-    A full-batch arm (M = N) from one start point runs repeat 0 alone and
-    broadcasts its rows to every repeat: a full batch draws nothing from the
-    repeats' streams, so every repeat follows repeat 0's path bit for bit,
-    and a diverging one fails first at repeat 0. An (R, d) start block
-    always steps every repeat.
+    A full-batch run (M = N) from one start point runs repeat 0 of each arm
+    alone and broadcasts its rows to every repeat: a full batch draws
+    nothing from the repeats' streams, so every repeat follows repeat 0's
+    path bit for bit, and a diverging arm fails first at repeat 0. An (R, d)
+    start block always steps every repeat.
     """
-    lambdas, objectives, aux = block
+    # H-SGD rows first: row 0 of slice 0's block is then the snapshots' repeat 0.
+    methods = sorted(blocks, key=lambda method: method != "hsgd")
     rows = 1 if np.ndim(w0) == 1 and cfg_sgd.minibatch == problem.sample_count else len(seeds)
     W0 = np.array(np.broadcast_to(w0, (rows, problem.dimension)), dtype=float)
 
-    def run(part):  # a forked slice fills its own copy of the block and sends back its rows
+    def run(part):  # a forked slice fills its own copy of the blocks and sends back its rows
         at = slice(part[0], part[-1] + 1)  # W0[part] is a copy: a row view of W0 gave other bits
-        return _run_slice(problem, W0[part], method, plan, cfg_sgd, seeds[at],
-                          (lambdas, objectives[at], aux[at]), stage_hook if at.start == 0 else None)
-    objs, auxs = zip(*core.fork_rows(run, rows, plan.steps[method], cfg_sgd.minibatch))
-    aux = None if auxs[0] is None else aux
-    for parts, filled in ((objs, objectives), (auxs, aux)):
-        if filled is not None:
-            np.concatenate(parts, out=filled[:rows])
-            filled[rows:] = filled[0]  # a full batch: every repeat is repeat 0
-    return lambdas, objectives, aux
+        parts = {method: (lambdas, objectives[at], aux[at])
+                 for method, (lambdas, objectives, aux) in blocks.items()}
+        return int(part[0]), _run_slice(problem, W0[part], methods, plan, cfg_sgd, seeds[at],
+                                        parts, stage_hook if at.start == 0 else None)
+    slices = core.fork_rows(run, rows, sum(plan.steps[m] for m in methods), cfg_sgd.minibatch)
+    outcomes = {}
+    for method, (lambdas, objectives, aux) in blocks.items():
+        if failures := [(first, out[method]) for first, out in slices
+                        if isinstance(out[method], NonFiniteError)]:
+            outcomes[method] = core._block_error(failures)
+            continue
+        objs, auxs = zip(*(out[method] for _, out in slices))
+        aux = None if auxs[0] is None else aux
+        for parts, filled in ((objs, objectives), (auxs, aux)):
+            if filled is not None:
+                np.concatenate(parts, out=filled[:rows])
+                filled[rows:] = filled[0]  # a full batch: every repeat is repeat 0
+        outcomes[method] = lambdas, objectives, aux
+    return outcomes
 
 
-def _run_slice(problem, W0, method, plan, cfg_sgd, seeds, block, stage_hook=None):
-    """Step the repeats with start rows W0 of one arm in lockstep, recording into ``block``.
+def _run_arm(problem, w0, method, plan, cfg_sgd, seeds, block, stage_hook=None):
+    """One arm alone through ``_run_arms``: its filled block, or its NonFiniteError raised."""
+    outcome = _run_arms(problem, w0, plan, cfg_sgd, seeds, {method: block}, stage_hook)[method]
+    if isinstance(outcome, NonFiniteError):
+        raise outcome
+    return outcome
 
-    ``block`` is (lambdas, objectives, aux), objectives and aux with one row
-    per repeat; repeat r runs on the stream seeded by ``seeds[r]`` and takes
-    ``plan.steps[method]`` steps. The rows come from ``problem.epoch_metrics``,
-    which evaluates a few rows at a time. Returns (objectives, aux), aux None
-    for a family whose second metric is None.
+
+def _run_slice(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=None):
+    """Each arm's outcome on the start rows W0: {method: (objectives, aux) or its NonFiniteError}.
+
+    The arms step as one block (``_step_arms``). When that block raises a
+    NonFiniteError, each arm steps again alone, so each arm gets the
+    outcome it has alone, and a diverged arm leaves the others' rows as
+    they are.
     """
-    lambdas, objectives, aux = block
-    rngs = [make_rng(seed) for seed in seeds]
+    try:
+        return _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook)
+    except NonFiniteError as exc:
+        if len(methods) == 1:
+            return {methods[0]: exc}
+    return {method: _run_slice(problem, W0, [method], plan, cfg_sgd, seeds, blocks,
+                               stage_hook)[method] for method in methods}
+
+
+def _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=None):
+    """Step the start rows W0 of each arm of ``methods`` in one lockstep block, into ``blocks``.
+
+    ``blocks[method]`` is (lambdas, objectives, aux), objectives and aux with
+    one row per repeat; each arm's repeat r runs on its own stream seeded by
+    ``seeds[r]`` and takes ``plan.steps[method]`` steps. The block holds the
+    rows of every arm still stepping, in the order of ``methods``, H-SGD
+    first. Each homotopy stage is one ``sgd_run`` call, with an (R, 1)
+    lambda column where the arms' lambdas differ (H-SGD rows at the stage's
+    lambda, SGD rows at 1); an arm leaves the block after its last step, and
+    an SGD budget beyond the schedule's runs on alone. The rows come from
+    ``problem.epoch_metrics``, which evaluates a few rows at a time.
+    Returns {method: (objectives, aux)}, aux None for a family whose second
+    metric is None.
+    """
+    n, k, path = len(W0), cfg_sgd.steps, plan.schedule.lambdas.tolist()
+    rngs = {method: [make_rng(seed) for seed in seeds] for method in methods}
     every = cfg_sgd.record_every
-    lam0 = 0.0 if method == "hsgd" else 1.0
-    first = problem.epoch_metrics(W0, lam0)
+    # Where each arm's calls end: every stage of the schedule, or the SGD budget.
+    stops = sorted({stop for method in methods for stop in (
+        range(k, plan.steps[method] + 1, k) if method == "hsgd" else [plan.steps[method]])})
+    active, lams = list(methods), [0.0 if method == "hsgd" else 1.0 for method in methods]
+
+    def lam_of():  # one float where the block's arms share a lambda, else a column
+        return lams[0] if len(set(lams)) == 1 else np.repeat(lams, n)[:, None]
 
     def sink(step, lam, W, metrics):
         e = step // every
-        lambdas[e] = lam
-        objectives[:, e] = metrics[0]
-        if metrics[1] is not None:
-            aux[:, e] = metrics[1]
+        for j, method in enumerate(active):
+            lambdas, objectives, aux = blocks[method]
+            lambdas[e] = lams[j]
+            objectives[:, e] = metrics[0][j * n:(j + 1) * n]
+            if metrics[1] is not None:
+                aux[:, e] = metrics[1][j * n:(j + 1) * n]
 
-    sink(0, lam0, W0, first)
-    if method == "hsgd":
-        hsgd_run(W0, plan.schedule, cfg_sgd, problem, rngs, sink=sink, stage_hook=stage_hook)
-    else:
-        sgd_run(W0, replace(cfg_sgd, steps=plan.steps[method]), problem, 1.0, rngs, sink=sink)
-    return objectives, None if first[1] is None else aux
+    W = np.concatenate([W0] * len(methods))
+    first = problem.epoch_metrics(W, lam_of())
+    sink(0, None, W, first)
+    done = 0
+    for stop in stops:
+        kept = [j for j, method in enumerate(active) if plan.steps[method] >= stop]
+        if len(kept) < len(active):
+            W = np.concatenate([W[j * n:(j + 1) * n] for j in kept])
+            active = [active[j] for j in kept]
+        stage = -(-stop // k)  # the homotopy iteration the H-SGD rows are in
+        lams = [1.0 if method == "sgd" else path[stage - 1] for method in active]
+        W = sgd_run(W, replace(cfg_sgd, steps=stop - done), problem, lam_of(),
+                    [rng for method in active for rng in rngs[method]], sink=sink,
+                    step_offset=done, homotopy_iteration=stage if "hsgd" in active else None)
+        done = stop
+        if stage_hook is not None and "hsgd" in active and stop == stage * k:
+            stage_hook(stage, lams[0], W[:n])  # the H-SGD rows come first
+    return {method: (blocks[method][1], None if first[1] is None else blocks[method][2])
+            for method in methods}
 
 
 def write_trace_csv(path, epochs, lambdas, mean_obj, std_obj, mean_gap, grad_evals):
@@ -526,20 +589,20 @@ def run_experiment(cfg: ExperimentConfig):
     record = EXPERIMENTS[cfg.experiment]
     fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], plan.schedule.lambdas, [1.0]]))
 
-    arms, snapshots = {}, []
-    for method, block in blocks.items():
-        # Per-homotopy-iteration snapshots of repeat 0, from the engine's stage hook.
-        stage_hook = None
-        if method == "hsgd" and record.snapshots:
-            def stage_hook(i, lam, W):
-                snapshots.append((i, lam, problem.full_objective(W[0], lam), W[0].copy()))
-        try:
-            lambdas, objs, auxs = _run_arm(problem, w0, method, plan, cfg_sgd, seeds, block,
-                                           stage_hook)
-        except NonFiniteError as exc:  # a diverged arm leaves other arms unaffected
-            arms[method] = ArmResult(failure=str(exc))
-            snapshots.clear()  # and writes no file
+    # Per-homotopy-iteration snapshots of repeat 0, from the engine's stage
+    # hook; an H-SGD arm stepped again alone writes the same ones again.
+    snapshots, stage_hook = {}, None
+    if "hsgd" in blocks and record.snapshots:
+        def stage_hook(i, lam, W):
+            snapshots[i] = (i, lam, problem.full_objective(W[0], lam), W[0].copy())
+    arms = {}
+    for method, outcome in _run_arms(problem, w0, plan, cfg_sgd, seeds, blocks, stage_hook).items():
+        if isinstance(outcome, NonFiniteError):  # a diverged arm leaves other arms unaffected
+            arms[method] = ArmResult(failure=str(outcome))
+            if method == "hsgd":
+                snapshots.clear()  # and writes no file
             continue
+        lambdas, objs, auxs = outcome
         epochs = np.arange(objs.shape[1])
         mean_obj = objs.mean(axis=0)
         mean_aux = None if auxs is None else auxs.mean(axis=0)
@@ -581,7 +644,7 @@ def run_experiment(cfg: ExperimentConfig):
         "repeat_seeds": seeds,
         "schedule_increments": [float(h) for h in plan.schedule.increments],
     }
-    _write_run(out, arms, blocks, snapshots, metadata, report)
+    _write_run(out, arms, blocks, list(snapshots.values()), metadata, report)
     return arms, report
 
 

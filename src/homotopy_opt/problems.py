@@ -343,6 +343,11 @@ class MlpRegressionProblem(LabelInterpolationProblem):
 
 # The design terms of CubicLogisticProblem that lambda gates: the six nonlinear ones.
 GATED_MASK = np.array([True] * 6 + [False] * 3)
+# Samples per gemv of the moons gradient's sum over samples. OpenBLAS 0.3.31 threads
+# a gemv from 9 x 51,200 elements and then splits its sum between the threads, so a
+# longer row sums chunks of this many samples, added in order: its bits do not depend
+# on the thread count. Every default N fits in one chunk, a single gemv.
+GEMV_CHUNK_SAMPLES = 32_768
 
 
 class CubicLogisticProblem(HomotopyProblem):
@@ -351,8 +356,9 @@ class CubicLogisticProblem(HomotopyProblem):
     The loss uses the log-sum-exp form log(1 + e^z) - y z, which is stable for
     large |z|. The design matrix is stored once, feature-major (9, N), and both products
     run along the sample axis as one BLAS gemv per block row, whatever its neighbours: a
-    sample's bits may depend on its position within its row, never on other rows.
-    OpenBLAS threads a gemv from 9 m >= 460,800 elements, and then the gradient's bits move.
+    sample's bits may depend on its position within its row, never on other rows. The
+    gradient's sum over samples takes one gemv per GEMV_CHUNK_SAMPLES samples, none of
+    them large enough for OpenBLAS to thread, so its bits do not move with the thread count.
     """
 
     def __init__(self, features, labels01):
@@ -410,7 +416,11 @@ class CubicLogisticProblem(HomotopyProblem):
         np.divide(1.0, np.add(1.0, np.exp(d, out=d), out=d), out=d)
         d -= y
         d /= z.shape[1]
-        grad = (phiT @ d[..., :, None])[..., 0] * gate
+        d, chunk = d[..., :, None], GEMV_CHUNK_SAMPLES
+        sums = phiT[..., :chunk] @ d[..., :chunk, :]
+        for c in range(chunk, z.shape[1], chunk):
+            sums += phiT[..., c:c + chunk] @ d[..., c:c + chunk, :]
+        grad = sums[..., 0] * gate
         return (self._metrics(z, y), grad) if with_metrics else grad
 
 

@@ -668,8 +668,8 @@ def test_split_outputs_are_byte_identical(tmp_path, slices, case):
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the diverging step size is out of range
             run_experiment(cfg)
-        arms = 1 if cfg.method == "hsgd" else 2
-        assert len(started) == (arms * (count - 1) if forks else 0)
+        # One block of every arm per run: one worker per slice after the first.
+        assert len(started) == (count - 1 if forks else 0)
         meta = json.loads((tmp_path / str(count) / "metadata.json").read_text(encoding="utf-8"))
         meta["config"]["out_dir"] = None
         outputs[count] = meta, {p.name: p.read_bytes() for p in (tmp_path / str(count)).iterdir()
@@ -683,6 +683,104 @@ def test_split_outputs_are_byte_identical(tmp_path, slices, case):
         assert ("hsgd_snapshots.csv" in names) == (case != "moons-logistic")
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
     assert multiprocessing.active_children() == []
+
+
+# Tiny runs of each family whose budget factors of 0.5 end the SGD rows at a
+# stage boundary (toy-erf, sine-mlp) or within a stage (moons, synthetic-lq).
+ARMS_CASES = {
+    "toy-erf": {"optimizer": {"k": 4, "n": 6}},  # M = N: one row per arm
+    "toy-erf minibatch": {"experiment": "toy-erf", "dataset": {"N": 40},
+                          "optimizer": {"minibatch": 10, "k": 4, "n": 6}},
+    "sine-mlp": {"dataset": {"N": 40}, "optimizer": {"k": 16, "n": 2}},
+    "moons-logistic": {"dataset": {"N": 100}, "optimizer": {"k": 6, "n": 3}},
+    "synthetic-lq": {"optimizer": {"k": 5, "n": 3}},
+}
+TRACE_FILES = ("trace_sgd.csv", "trace_hsgd.csv", "trace_sgd_error.csv", "trace_hsgd_error.csv",
+               "hsgd_snapshots.csv")
+
+
+def run_files(tmp_path, raw, name):
+    """The trace and snapshot files of a run of the config ``raw``, by name."""
+    run_experiment(ExperimentConfig.from_dict({**raw, "out_dir": str(tmp_path / name)}))
+    return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.name in TRACE_FILES}
+
+
+@pytest.mark.parametrize("case", sorted(ARMS_CASES))
+def test_both_arms_write_the_bytes_of_each_arm_alone(tmp_path, slices, case):
+    # Both arms step as one block per slice; each arm's files are the ones
+    # it writes alone, at every slice count and SGD budget factor.
+    raw = {"experiment": case, "repeats": 5, **ARMS_CASES[case]}
+    slices(1)
+    hsgd = run_files(tmp_path, {**raw, "method": "hsgd"}, "hsgd")
+    for factor in (0.5, 1, 2):
+        with_factor = {**raw, "optimizer": {**raw["optimizer"], "sgd_budget_factor": factor}}
+        slices(1)
+        alone = {**hsgd, **run_files(tmp_path, {**with_factor, "method": "sgd"}, f"sgd{factor}")}
+        assert "trace_sgd.csv" in alone and "trace_hsgd.csv" in alone
+        for count in (1, 2, 3):
+            slices(count)
+            both = run_files(tmp_path, {**with_factor, "method": "both"}, f"both{factor}-{count}")
+            assert both == alone, (factor, count)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_diverging_hsgd_arm_leaves_the_sgd_rows_as_they_are(tmp_path, slices, monkeypatch):
+    # A gradient that is NaN on every row whose lambda is below 1 fails the
+    # H-SGD rows of a block at their first step and no SGD row: each arm's
+    # outcome is the one it has alone.
+    real = problems.MlpRegressionProblem._gradient
+
+    def gradient(self, W, lam, idx=None, with_metrics=False):
+        out = real(self, W, lam, idx, with_metrics)
+        grad = out[1] if with_metrics else out
+        grad[np.broadcast_to(np.asarray(lam) < 1.0, (len(W), 1))[:, 0]] = np.nan
+        return out
+
+    monkeypatch.setattr(problems.MlpRegressionProblem, "_gradient", gradient)
+    raw = {"experiment": "sine-mlp", "repeats": 5, **ARMS_CASES["sine-mlp"]}
+    reports = {}
+    for method in ("sgd", "hsgd", "both"):
+        for count in (1, 2, 3):
+            slices(count)
+            out = tmp_path / f"{method}{count}"
+            with np.errstate(all="ignore"):
+                run_experiment(ExperimentConfig.from_dict({**raw, "method": method,
+                                                           "out_dir": str(out)}))
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name in TRACE_FILES}
+            reports[method, count] = files, json.loads((out / "report.json").read_bytes())["arms"]
+    for count in (1, 2, 3):
+        files, arms = reports["both", count]
+        assert files == {"trace_sgd.csv": reports["sgd", 1][0]["trace_sgd.csv"]}
+        assert arms == {**reports["sgd", 1][1], **reports["hsgd", 1][1]}
+    assert arms["hsgd"]["failure"].startswith(
+        "non-finite gradient at step 1 (repeat 0, homotopy iteration 1, lambda=0.")
+    assert multiprocessing.active_children() == []
+
+
+def test_both_arms_call_the_oracle_for_the_longer_arm_steps_only(tmp_path):
+    # sine-mlp, k = 16, n = 2 and factor 2: the H-SGD arm takes 32 steps and
+    # the SGD arm 64. Alone they make 96 gradient calls; in one block 64, 32
+    # of them with both arms' rows. Records go through epoch_metrics.
+    cfg = tiny_config(tmp_path, "sine-mlp", repeats=5, **ARMS_CASES["sine-mlp"])
+    problem, w0 = harness.build_problem(cfg, harness.build_dataset(cfg))
+    calls, real = [], problem.gradient
+
+    def gradient(W, *args, **kwargs):
+        calls.append(len(W))
+        return real(W, *args, **kwargs)
+
+    problem.gradient = gradient
+    plan = cfg.plan
+    cfg_sgd = SgdConfig(0.05, 16, 5, record_every=plan.record_every)
+    seeds = [core.stream_seed(cfg.master_seed, r) for r in range(5)]
+    assert plan.steps == {"sgd": 64, "hsgd": 32}
+    for method in plan.steps:
+        _run_arm(problem, w0, method, plan, cfg_sgd, seeds, plan.allocate(method, 5))
+    assert len(calls) == 96 and set(calls) == {5}
+    calls.clear()
+    harness._run_arms(problem, w0, plan, cfg_sgd, seeds,
+                      {method: plan.allocate(method, 5) for method in plan.steps})
+    assert calls == [10] * 32 + [5] * 32
 
 
 def test_one_cpu_or_a_small_arm_starts_no_process(tmp_path, monkeypatch):
@@ -707,24 +805,25 @@ class Sliced(Exception):
     """Raised by a wrapped ``core._slice_count`` with the slice count it returned."""
 
 
-# (config, what: an arm's method or "multistart", slices at 2 usable CPUs):
-# every default arm, both arms of the moons-seq and mlp-batched benchmark
-# workloads (k = 100), the diagnose multistarts of the families without an
-# f* oracle, and a multistart of the largest size a unit test runs.
+def fork_cases(name, raw, arm, both):
+    """FORK_RULE's rows of the config ``raw``: each arm alone (``arm`` slices), then both."""
+    return {**{f"{name} {method}": ({**raw, "method": method}, "run", arm)
+               for method in ("sgd", "hsgd")}, f"{name} run": (raw, "run", both)}
+
+
+# (config, what: "run" or "multistart", slices at 2 usable CPUs): each arm
+# alone and both arms of every default run and of the moons-seq and
+# mlp-batched benchmark runs (k = 100), the diagnose multistarts of the
+# families without an f* oracle, and a multistart of the largest size a
+# unit test runs. A run counts the steps of every arm it steps.
 FORK_RULE = {
-    "toy-erf sgd": ({"experiment": "toy-erf"}, "sgd", 1),  # full batch: 1 x 400 x 100
-    "toy-erf hsgd": ({"experiment": "toy-erf"}, "hsgd", 1),
-    "synthetic-lq sgd": ({"experiment": "synthetic-lq"}, "sgd", 1),  # 100 x 1000 x 8
-    "synthetic-lq hsgd": ({"experiment": "synthetic-lq"}, "hsgd", 1),
-    "moons-logistic sgd": ({"experiment": "moons-logistic"}, "sgd", 2),
-    "moons-logistic hsgd": ({"experiment": "moons-logistic"}, "hsgd", 2),
-    "sine-mlp sgd": ({"experiment": "sine-mlp"}, "sgd", 2),
-    "sine-mlp hsgd": ({"experiment": "sine-mlp"}, "hsgd", 2),
-    "moons-seq sgd": ({"experiment": "moons-logistic", "optimizer": {"k": 100}}, "sgd", 2),
-    "moons-seq hsgd": ({"experiment": "moons-logistic", "optimizer": {"k": 100}}, "hsgd", 2),
-    "mlp-batched sgd": ({"experiment": "sine-mlp", "optimizer": {"k": 100}}, "sgd", 2),
-    # 100 x 2000 x 5: exactly the constant.
-    "mlp-batched hsgd": ({"experiment": "sine-mlp", "optimizer": {"k": 100}}, "hsgd", 2),
+    **fork_cases("toy-erf", {"experiment": "toy-erf"}, 1, 1),  # full batch: 1 x (400 + 400) x 100
+    **fork_cases("synthetic-lq", {"experiment": "synthetic-lq"}, 1, 2),  # 100 x (1000 + 1000) x 8
+    **fork_cases("moons-logistic", {"experiment": "moons-logistic"}, 2, 2),
+    **fork_cases("sine-mlp", {"experiment": "sine-mlp"}, 2, 2),
+    **fork_cases("moons-seq", {"experiment": "moons-logistic", "optimizer": {"k": 100}}, 2, 2),
+    # The hsgd arm alone: 100 x 2000 x 5, exactly the constant.
+    **fork_cases("mlp-batched", {"experiment": "sine-mlp", "optimizer": {"k": 100}}, 2, 2),
     "moons-logistic multistart": ({"experiment": "moons-logistic"}, "multistart", 2),  # 10 x 1500 x 1000
     "sine-mlp multistart": ({"experiment": "sine-mlp"}, "multistart", 2),  # 10 x 1500 x 500
     "unit-test multistart": ({"experiment": "sine-mlp", "dataset": {"N": 100}},
@@ -746,12 +845,13 @@ def test_fork_rule_at_two_cpus(monkeypatch, case):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(core, "_slice_count", slice_count)
     with pytest.raises(Sliced) as sliced:
-        if what in ("sgd", "hsgd"):
+        if what == "run":
             plan = cfg.plan
             cfg_sgd = SgdConfig(0.01, cfg.optimizer["k"], cfg.optimizer["minibatch"],
                                 record_every=plan.record_every)
             seeds = [core.stream_seed(cfg.master_seed, r) for r in range(cfg.repeats)]
-            _run_arm(problem, w0, what, plan, cfg_sgd, seeds, plan.allocate(what, cfg.repeats))
+            harness._run_arms(problem, w0, plan, cfg_sgd, seeds,
+                              {method: plan.allocate(method, cfg.repeats) for method in plan.steps})
         else:  # run_diagnose's spec, or the given restarts and steps
             sizes = {"restarts": 10, "steps": 1500} if what == "multistart" else what
             diagnostics.estimate_fstar(problem, 1.0, {"kind": "multistart", **sizes,
@@ -1025,7 +1125,8 @@ def test_every_evaluation_holds_the_row_chunk_bound(experiment):
     for method, minibatch in (("hsgd", 100), ("sgd", 90)):
         cfg = SgdConfig(0.01, 3, minibatch, record_every=1)
         plan = arm_plan(make_schedule("constant", 2), cfg)
-        _run_slice(problem, W0, method, plan, cfg, seeds, plan.allocate(method, len(W0)))
+        _run_slice(problem, W0, [method], plan, cfg, seeds,
+                   {method: plan.allocate(method, len(W0))})
     rng = make_rng(3)
     diagnostics.estimate_L(problem, 0.5, 200, 1.0, rng)
     diagnostics.estimate_sigma2(problem, 0.5, W0[:5], 90, 60, rng)
@@ -1113,14 +1214,12 @@ def test_failed_arms_void_the_comparison(tmp_path):
 
 
 def test_one_failed_arm_voids_the_comparison(tmp_path, monkeypatch):
-    real = harness._run_arm
+    real = harness._run_slice
 
-    def run_arm(problem, w0, method, *args):
-        if method == "sgd":
-            raise NonFiniteError("iterate", 3, 1)
-        return real(problem, w0, method, *args)
+    def run_slice(*args, **kwargs):  # the sgd arm fails in its only slice
+        return {**real(*args, **kwargs), "sgd": NonFiniteError("iterate", 3, 1)}
 
-    monkeypatch.setattr(harness, "_run_arm", run_arm)
+    monkeypatch.setattr(harness, "_run_slice", run_slice)
     # Every hsgd epoch is below this threshold, the first one included.
     cfg = tiny_config(tmp_path, "toy-erf", repeats=2, optimizer={"k": 4, "n": 3},
                       threshold=1e9)

@@ -69,3 +69,9 @@ def test_configs_are_names_files_or_inline_objects(tmp_path):
         "moons-logistic-k100", {"experiment": "moons-logistic", "optimizer": {"k": 100}})
     assert [out for out, _, _ in output_diff.commands()] == [
         "run", "diagnose-0", "diagnose-0.5", "diagnose-1"]
+
+
+def test_default_configs_are_the_experiments_and_the_benchmark_runs():
+    labels = [output_diff.parse_config(spec)[0] for spec in output_diff.DEFAULT_CONFIGS]
+    assert labels == ["toy-erf", "sine-mlp", "moons-logistic", "synthetic-lq",
+                      "moons-logistic-k100", "sine-mlp-k100"]

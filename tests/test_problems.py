@@ -300,11 +300,22 @@ def test_a_row_does_not_depend_on_the_layout_of_its_block(experiment):
 
 def test_cubic_oracle_bytes_do_not_depend_on_blas_threads():
     # A moons oracle on N = 20,000 samples. OpenBLAS 0.3.31 threads a gemv only from
-    # 460,800 elements (9 x m, m >= 51,200), so it threads none of these; at N = 200,000
-    # the gradient gemv splits its sum over m between threads and its bytes move.
+    # 460,800 elements (9 x m, m >= 51,200), so it threads none of these; the next test
+    # takes the sizes at which one gemv would be threaded.
     build = ("data = datasets.gen_moons(20_000, 0.1, 5)\n"
              "problem = problems.CubicLogisticProblem(data.inputs, data.targets)")
     draw = "core._draw_minibatch(rng, problem.sample_count, 2_000, 3)"
+    assert len(blas_thread_digests(build, draw)) == 1
+
+
+def test_cubic_oracle_bytes_do_not_depend_on_blas_threads_beyond_one_gemv():
+    # A moons oracle on N = 60,000 samples and minibatches of 55,000, from permutation
+    # prefixes (the Floyd sampler is quadratic in M). One gemv over m >= 51,200 samples
+    # is threaded, and its bytes moved with the thread count; the gradient sums its
+    # rows in chunks of problems.GEMV_CHUNK_SAMPLES, none threaded.
+    build = ("data = datasets.gen_moons(60_000, 0.1, 5)\n"
+             "problem = problems.CubicLogisticProblem(data.inputs, data.targets)")
+    draw = "np.stack([rng.permutation(problem.sample_count)[:55_000] for _ in range(3)])"
     assert len(blas_thread_digests(build, draw)) == 1
 
 

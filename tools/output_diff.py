@@ -5,7 +5,9 @@
 PARENT and CHANGE are each a git revision of this repository or the path of
 a source tree, exported as ``tools/bench_pair.py`` exports them. A CONFIG is
 an experiment name (its default config), a JSON config file or an inline
-JSON object; the default is every experiment's default config. Per config
+JSON object; the default is every experiment's default config, then the
+moons-logistic and sine-mlp configs at ``optimizer.k`` 100 that the
+benchmark's moons-seq and mlp-batched workloads run. Per config
 and side, ``homotopy-opt run`` and ``homotopy-opt diagnose
 --homotopy-parameter LAM`` at LAM = 0, 0.5 and 1 run in subprocesses on
 the side's ``src``, each into its own relative out dir (so
@@ -36,6 +38,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pair import SIDES, export  # noqa: E402
 
 EXPERIMENTS = ("toy-erf", "sine-mlp", "moons-logistic", "synthetic-lq")
+# Every experiment's default config, then the configs of the benchmark's
+# moons-seq and mlp-batched workloads.
+DEFAULT_CONFIGS = (*EXPERIMENTS, *(json.dumps({"experiment": experiment, "optimizer": {"k": 100}})
+                                   for experiment in ("moons-logistic", "sine-mlp")))
 LAMBDAS = (0.0, 0.5, 1.0)
 
 
@@ -142,7 +148,7 @@ def main(argv=None):
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--configs", nargs="+", default=list(EXPERIMENTS))
+    parser.add_argument("--configs", nargs="+", default=list(DEFAULT_CONFIGS))
     args = parser.parse_args(argv)
     equal = True
     with tempfile.TemporaryDirectory() as scratch:
