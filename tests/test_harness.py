@@ -738,22 +738,20 @@ def test_a_diverging_hsgd_arm_leaves_the_sgd_rows_as_they_are(tmp_path, slices, 
 
     monkeypatch.setattr(problems.MlpRegressionProblem, "_gradient", gradient)
     raw = {"experiment": "sine-mlp", "repeats": 5, **ARMS_CASES["sine-mlp"]}
-    reports = {}
-    for method in ("sgd", "hsgd", "both"):
-        for count in (1, 2, 3):
-            slices(count)
-            out = tmp_path / f"{method}{count}"
-            with np.errstate(all="ignore"):
-                run_experiment(ExperimentConfig.from_dict({**raw, "method": method,
-                                                           "out_dir": str(out)}))
-            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name in TRACE_FILES}
-            reports[method, count] = files, json.loads((out / "report.json").read_bytes())["arms"]
-    for count in (1, 2, 3):
-        files, arms = reports["both", count]
-        assert files == {"trace_sgd.csv": reports["sgd", 1][0]["trace_sgd.csv"]}
-        assert arms == {**reports["sgd", 1][1], **reports["hsgd", 1][1]}
-    assert arms["hsgd"]["failure"].startswith(
+
+    def run(method, count):  # the run's trace files and report arms
+        slices(count)
+        name = f"{method}{count}"
+        with np.errstate(all="ignore"):
+            files = run_files(tmp_path, {**raw, "method": method}, name)
+        return files, json.loads((tmp_path / name / "report.json").read_bytes())["arms"]
+
+    (sgd_files, sgd), (hsgd_files, hsgd) = run("sgd", 1), run("hsgd", 1)
+    assert list(sgd_files) == ["trace_sgd.csv"] and hsgd_files == {}
+    assert hsgd["hsgd"]["failure"].startswith(
         "non-finite gradient at step 1 (repeat 0, homotopy iteration 1, lambda=0.")
+    for count in (1, 2, 3):
+        assert run("both", count) == (sgd_files, {**sgd, **hsgd})
     assert multiprocessing.active_children() == []
 
 
