@@ -353,25 +353,20 @@ def sgd_run(w0, cfg, problem, lam, rng, sink=None, step_offset=0, homotopy_itera
     return w
 
 
-def hsgd_run(w0, schedule, cfg, problem, rng, sink=None, stage_hook=None):
+def hsgd_run(w0, schedule, cfg, problem, rng, sink=None):
     """Outer homotopy loop: lambda_0 = 0, lambda_i += h(i), warm-started SGD.
 
     Returns w_n, the approximate solution of the lambda = 1 problem. ``w0``
     and ``rng`` are one point and its generator, or a block and one
     generator per repeat, as for sgd_run; each continuing stream feeds all
-    inner solves of its repeat. ``stage_hook(i, lam, w)``, when present, is
-    called with the iterate(s) at the end of homotopy iteration i.
+    inner solves of its repeat.
     """
     w = w0
-    step_offset = 0
     for i, lam in enumerate(schedule.lambdas.tolist(), start=1):
         w = sgd_run(
             w, cfg, problem, lam, rng,
-            sink=sink, step_offset=step_offset, homotopy_iteration=i,
+            sink=sink, step_offset=(i - 1) * cfg.steps, homotopy_iteration=i,
         )
-        step_offset += cfg.steps
-        if stage_hook is not None:
-            stage_hook(i, lam, w)
     return w
 
 
@@ -406,8 +401,9 @@ def fork_rows(run, rows, steps, samples):
     """``run(part)`` of each contiguous slice ``part`` of ``range(rows)``, in row order.
 
     ``_slice_count`` sets the slice count. Slice 0 runs here and each other
-    in a forked ``_part_worker``; no worker outlives the call. An error in
-    this process's slice is raised at once; else the first worker error in
+    in a forked ``_part_worker``; no worker outlives the call, and a caller
+    reads only what ``run`` returns, never what a slice leaves here. An error
+    in this process's slice is raised at once; else the first worker error in
     row order is raised, and a worker that exits without a result raises a
     RuntimeError naming its first row.
     """

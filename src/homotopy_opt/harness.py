@@ -384,18 +384,18 @@ def _sgd_total_steps(k, n, budget_factor=1):
     return steps
 
 
-def _run_arms(problem, w0, plan, cfg_sgd, seeds, blocks, stage_hook=None):
+def _run_arms(problem, w0, plan, cfg_sgd, seeds, blocks):
     """Every repeat of each arm of ``blocks`` ({method: (lambdas, objectives, aux)}) in one block.
 
-    Returns {method: its filled block, aux None for a family whose second
-    metric is None, or the NonFiniteError the arm raises alone}, in the order
-    of ``blocks``. Each block comes from ``plan.allocate``. ``w0`` is the
-    start point of every repeat, or an (R, d) block of one start row per
+    Returns {method: its outcome as ``_step_arms`` gives it, for all repeats
+    (ends are repeat 0's), or the NonFiniteError the arm raises alone}, in the
+    order of ``blocks``. Each block comes from ``plan.allocate``. ``w0`` is
+    the start point of every repeat, or an (R, d) block of one start row per
     repeat. One ``core.fork_rows`` call runs the repeats in slices of
-    ``_run_slice``, each slice the same repeat range of every arm; slice 0
-    holds repeat 0, and so every ``stage_hook`` call, and runs in this
-    process. A repeat's row does not depend on its slice nor on the arms
-    beside it, so the result does not depend on the slice count.
+    ``_run_slice``, each slice the same repeat range of every arm, and the
+    result is built only from what the slices return. A repeat's row does not
+    depend on its slice nor on the arms beside it, so the result does not
+    depend on the slice count nor on which process steps a slice.
 
     A full-batch run (M = N) from one start point runs repeat 0 of each arm
     alone and broadcasts its rows to every repeat: a full batch draws
@@ -403,44 +403,35 @@ def _run_arms(problem, w0, plan, cfg_sgd, seeds, blocks, stage_hook=None):
     path bit for bit, and a diverging arm fails first at repeat 0. An (R, d)
     start block always steps every repeat.
     """
-    # H-SGD rows first: row 0 of slice 0's block is then the snapshots' repeat 0.
+    # H-SGD rows first: a slice's row 0 is then its first H-SGD repeat.
     methods = sorted(blocks, key=lambda method: method != "hsgd")
     rows = 1 if np.ndim(w0) == 1 and cfg_sgd.minibatch == problem.sample_count else len(seeds)
     W0 = np.array(np.broadcast_to(w0, (rows, problem.dimension)), dtype=float)
 
-    def run(part):  # a forked slice fills its own copy of the blocks and sends back its rows
+    def run(part):  # a slice fills its rows of the blocks (a worker, its own copy) and returns them
         at = slice(part[0], part[-1] + 1)  # W0[part] is a copy: a row view of W0 gave other bits
         parts = {method: (lambdas, objectives[at], aux[at])
                  for method, (lambdas, objectives, aux) in blocks.items()}
-        return int(part[0]), _run_slice(problem, W0[part], methods, plan, cfg_sgd, seeds[at],
-                                        parts, stage_hook if at.start == 0 else None)
+        return int(part[0]), _run_slice(problem, W0[part], methods, plan, cfg_sgd, seeds[at], parts)
     slices = core.fork_rows(run, rows, sum(plan.steps[m] for m in methods), cfg_sgd.minibatch)
     outcomes = {}
-    for method, (lambdas, objectives, aux) in blocks.items():
+    for method, (_, objectives, aux) in blocks.items():
         if failures := [(first, out[method]) for first, out in slices
                         if isinstance(out[method], NonFiniteError)]:
             outcomes[method] = core._block_error(failures)
             continue
-        objs, auxs = zip(*(out[method] for _, out in slices))
+        lambdas, objs, auxs, ends = zip(*(out[method] for _, out in slices))
         aux = None if auxs[0] is None else aux
         for parts, filled in ((objs, objectives), (auxs, aux)):
             if filled is not None:
                 np.concatenate(parts, out=filled[:rows])
                 filled[rows:] = filled[0]  # a full batch: every repeat is repeat 0
-        outcomes[method] = lambdas, objectives, aux
+        outcomes[method] = lambdas[0], objectives, aux, ends[0]  # slice 0 holds repeat 0
     return outcomes
 
 
-def _run_arm(problem, w0, method, plan, cfg_sgd, seeds, block, stage_hook=None):
-    """One arm alone through ``_run_arms``: its filled block, or its NonFiniteError raised."""
-    outcome = _run_arms(problem, w0, plan, cfg_sgd, seeds, {method: block}, stage_hook)[method]
-    if isinstance(outcome, NonFiniteError):
-        raise outcome
-    return outcome
-
-
-def _run_slice(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=None):
-    """Each arm's outcome on the start rows W0: {method: (objectives, aux) or its NonFiniteError}.
+def _run_slice(problem, W0, methods, plan, cfg_sgd, seeds, blocks):
+    """Each arm's outcome on the start rows W0, as ``_step_arms`` returns it, or its NonFiniteError.
 
     The arms step as one block (``_step_arms``). When that block raises a
     NonFiniteError, each arm steps again alone, so each arm gets the
@@ -448,15 +439,15 @@ def _run_slice(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=No
     they are.
     """
     try:
-        return _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook)
+        return _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks)
     except NonFiniteError as exc:
         if len(methods) == 1:
             return {methods[0]: exc}
-    return {method: _run_slice(problem, W0, [method], plan, cfg_sgd, seeds, blocks,
-                               stage_hook)[method] for method in methods}
+    return {method: _run_slice(problem, W0, [method], plan, cfg_sgd, seeds, blocks)[method]
+            for method in methods}
 
 
-def _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=None):
+def _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks):
     """Step the start rows W0 of each arm of ``methods`` in one lockstep block, into ``blocks``.
 
     ``blocks[method]`` is (lambdas, objectives, aux), objectives and aux with
@@ -468,8 +459,9 @@ def _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=No
     lambda, SGD rows at 1); an arm leaves the block after its last step, and
     an SGD budget beyond the schedule's runs on alone. The rows come from
     ``problem.epoch_metrics``, which evaluates a few rows at a time.
-    Returns {method: (objectives, aux)}, aux None for a family whose second
-    metric is None.
+    Returns {method: (lambdas, objectives, aux, ends)}, aux None for a family
+    whose second metric is None, and ends, for H-SGD only, row 0's (n, d)
+    iterates at the end of each homotopy stage.
     """
     n, k, path = len(W0), cfg_sgd.steps, plan.schedule.lambdas.tolist()
     rngs = {method: [make_rng(seed) for seed in seeds] for method in methods}
@@ -478,6 +470,7 @@ def _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=No
     stops = sorted({stop for method in methods for stop in (
         range(k, plan.steps[method] + 1, k) if method == "hsgd" else [plan.steps[method]])})
     active, lams = list(methods), [0.0 if method == "hsgd" else 1.0 for method in methods]
+    ends = np.empty((len(path), W0.shape[1])) if "hsgd" in methods else None
 
     def lam_of():  # one float where the block's arms share a lambda, else a column
         return lams[0] if len(set(lams)) == 1 else np.repeat(lams, n)[:, None]
@@ -506,10 +499,10 @@ def _step_arms(problem, W0, methods, plan, cfg_sgd, seeds, blocks, stage_hook=No
                     [rng for method in active for rng in rngs[method]], sink=sink,
                     step_offset=done, homotopy_iteration=stage if "hsgd" in active else None)
         done = stop
-        if stage_hook is not None and "hsgd" in active and stop == stage * k:
-            stage_hook(stage, lams[0], W[:n])  # the H-SGD rows come first
-    return {method: (blocks[method][1], None if first[1] is None else blocks[method][2])
-            for method in methods}
+        if "hsgd" in active and stop == stage * k:
+            ends[stage - 1] = W[0]  # the H-SGD rows come first
+    return {method: (*blocks[method][:2], None if first[1] is None else blocks[method][2],
+                     ends if method == "hsgd" else None) for method in methods}
 
 
 def write_trace_csv(path, epochs, lambdas, mean_obj, std_obj, mean_gap, grad_evals):
@@ -589,20 +582,12 @@ def run_experiment(cfg: ExperimentConfig):
     record = EXPERIMENTS[cfg.experiment]
     fstar = _fstar_table(cfg, problem, np.concatenate([[0.0], plan.schedule.lambdas, [1.0]]))
 
-    # Per-homotopy-iteration snapshots of repeat 0, from the engine's stage
-    # hook; an H-SGD arm stepped again alone writes the same ones again.
-    snapshots, stage_hook = {}, None
-    if "hsgd" in blocks and record.snapshots:
-        def stage_hook(i, lam, W):
-            snapshots[i] = (i, lam, problem.full_objective(W[0], lam), W[0].copy())
-    arms = {}
-    for method, outcome in _run_arms(problem, w0, plan, cfg_sgd, seeds, blocks, stage_hook).items():
+    arms, snapshots, outcomes = {}, [], _run_arms(problem, w0, plan, cfg_sgd, seeds, blocks)
+    for method, outcome in outcomes.items():
         if isinstance(outcome, NonFiniteError):  # a diverged arm leaves other arms unaffected
             arms[method] = ArmResult(failure=str(outcome))
-            if method == "hsgd":
-                snapshots.clear()  # and writes no file
             continue
-        lambdas, objs, auxs = outcome
+        lambdas, objs, auxs, ends = outcome
         epochs = np.arange(objs.shape[1])
         mean_obj = objs.mean(axis=0)
         mean_aux = None if auxs is None else auxs.mean(axis=0)
@@ -612,6 +597,9 @@ def run_experiment(cfg: ExperimentConfig):
             mean_gap = mean_obj - np.array([fstar[float(l)] for l in lambdas])
         arms[method] = ArmResult(epochs, mean_obj, objs.std(axis=0), mean_gap, mean_err,
                                  epochs * plan.record_every * cfg_sgd.minibatch)
+        if method == "hsgd" and record.snapshots:  # repeat 0's iterate at the end of each stage
+            snapshots = [(i, lam, problem.full_objective(w, lam), w) for i, (lam, w)
+                         in enumerate(zip(plan.schedule.lambdas.tolist(), ends), start=1)]
 
     arm_summaries = {method: arm.summary(cfg.threshold, cfg.threshold_metric)
                      for method, arm in arms.items()}
@@ -644,17 +632,18 @@ def run_experiment(cfg: ExperimentConfig):
         "repeat_seeds": seeds,
         "schedule_increments": [float(h) for h in plan.schedule.increments],
     }
-    _write_run(out, arms, blocks, list(snapshots.values()), metadata, report)
+    _write_run(out, arms, outcomes, snapshots, metadata, report)
     return arms, report
 
 
-def _write_run(out, arms, blocks, snapshots, metadata, report):
-    """Write each arm's trace CSVs (its lambdas and aux from ``blocks``), the snapshots, then the JSON."""
+def _write_run(out, arms, outcomes, snapshots, metadata, report):
+    """Write each arm's trace CSVs (lambdas and aux from its outcome), the snapshots, then the JSON."""
     for method, arm in arms.items():
-        lambdas, _, aux = blocks[method]
-        if not arm.failed:
-            write_trace_csv(out / f"trace_{method}.csv", arm.epochs, lambdas, arm.mean_objective,
-                            arm.std_objective, arm.mean_gap, arm.grad_evals)
+        if arm.failed:
+            continue
+        lambdas, _, aux, _ = outcomes[method]
+        write_trace_csv(out / f"trace_{method}.csv", arm.epochs, lambdas, arm.mean_objective,
+                        arm.std_objective, arm.mean_gap, arm.grad_evals)
         if arm.mean_error is not None:
             write_trace_csv(out / f"trace_{method}_error.csv", arm.epochs, lambdas,
                             arm.mean_error, aux.std(axis=0), None, arm.grad_evals)

@@ -10,6 +10,7 @@ exactly as in the defining formulas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .core import ConfigurationError, _is_int, _is_real
@@ -78,6 +79,9 @@ class TheoryConstants:
         if bad:
             raise ConfigurationError(f"invalid constants (k and n take integers >= 1, the others "
                                      f"finite numbers): {', '.join(bad)}")
+        if data["k"] * data["n"] > sys.maxsize or data["n"] > sys.maxsize // 8:  # a run's bounds
+            raise ConfigurationError(f"k * n = {data['k']} * {data['n']} steps exceed {sys.maxsize}, "
+                                     f"or n exceeds {sys.maxsize // 8}, as in a run config")
         if "eta" in given and data["eta"] < 0:  # the rule make_schedule applies to a run
             raise ConfigurationError(f"eta must be >= 0, got {data['eta']!r}")
         return cls(**data)
@@ -267,17 +271,26 @@ def linear_rate_schedule_params(rho, k, rho_tilde, epsilon0, delta, gamma, sigma
 
     if rho == 0.0:
         branch_floor = -math.inf
-    else:
-        branch_floor = _log_base(rho_tilde, rho) - _log_base(1.0 + (delta + gamma) / epsilon0, rho)
+    else:  # once the ratio overflows, log(1 + ratio) is taken in parts
+        ratio = (delta + gamma) / epsilon0
+        log_term = (math.log(1.0 + ratio) if ratio < math.inf
+                    else math.log(delta + gamma) - math.log(epsilon0))
+        branch_floor = _log_base(rho_tilde, rho) - log_term / math.log(rho)
     if k >= branch_floor:
         C = 1.0
+    elif rho_k == 0.0:  # rho^k underflows: C < 1 in logs, with rho_tilde - rho^k = rho_tilde
+        log_C = math.log(rho_tilde) - k * math.log(rho) + math.log(epsilon0) - math.log(delta + gamma)
+        log_C_rho_tilde = log_C + math.log(rho_tilde)
+        return ScheduleParams(math.exp(log_C), -log_C_rho_tilde, log_C_rho_tilde, k_min, eps1, report)
     else:
         C = (rho_tilde - rho_k) / rho_k * epsilon0 / (delta + gamma)
     if C <= 0.0:
         report.add("C_rho_tilde", "C_rho_tilde > 0 (requires rho^k < rho_tilde)", C, False)
         return ScheduleParams(C, math.inf, -math.inf, k_min, eps1, report)
-    eta_min = -math.log(C * rho_tilde)
-    return ScheduleParams(C, eta_min, math.log(C * rho_tilde), k_min, eps1, report)
+    # C * rho_tilde can underflow where C > 0: its log is then taken in parts.
+    log_C_rho_tilde = (math.log(C * rho_tilde) if C * rho_tilde > 0.0
+                       else math.log(C) + math.log(rho_tilde))
+    return ScheduleParams(C, -log_C_rho_tilde, log_C_rho_tilde, k_min, eps1, report)
 
 
 def schedule_caps(n, eta, eps1):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import math
 import os
 import resource
 import subprocess
@@ -409,6 +410,11 @@ def test_theory_subcommand_infeasible_B(tmp_path, capsys):
     assert "eps1" in out
 
 
+def theory_lines(out):
+    """The ``theory`` report's lines as {key: value}."""
+    return dict(line.rsplit(None, 1) for line in out.splitlines() if line and "[" not in line)
+
+
 def test_theory_noise_free_degenerate(tmp_path, capsys):
     constants = dict(LQ_CONSTANTS)
     constants["sigma2"] = 0.0
@@ -416,11 +422,9 @@ def test_theory_noise_free_degenerate(tmp_path, capsys):
     code = cli.main(["theory", "--constants", path])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
-    lines = dict(
-        (l.split(None, 1)[0], l.split(None, 1)[1].strip()) for l in out.splitlines() if l)
+    lines = theory_lines(out)
     assert lines["kmax_tracking"] == "0"
     assert float(lines["noise_floor"]) == 0.0
-    import math
     assert abs(float(lines["eta_min"]) - (-math.log(0.8))) < 1e-10
 
 
@@ -476,6 +480,44 @@ def test_theory_infeasible_constant_set_is_reported(tmp_path, capsys, changed, f
     assert out.startswith("rho ")
     payload = json.loads(out[out.index("\n{") + 1:])
     assert payload["failures"] and any(f.startswith(failure) for f in payload["failures"])
+
+
+# rho = 1 - alpha is about 1e-10, so rho^40 underflows to 0, and (delta + gamma) / epsilon0
+# overflows: C_rho_tilde and eta_min come from logs.
+UNDERFLOW_CONSTANTS = {"L": 1, "mu": 1, "sigma2": 0, "delta": 1e300, "gamma": 1e300, "B": 1,
+                       "r": 0.5, "alpha": 0.9999999999, "k": 40, "n": 3, "rho_tilde": 0.5,
+                       "epsilon0": 1e-300}
+
+
+def test_theory_underflowing_rho_k_takes_the_schedule_in_logs(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", UNDERFLOW_CONSTANTS)
+    assert cli.main(["theory", "--constants", path]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    rho = 1 - UNDERFLOW_CONSTANTS["alpha"]
+    log_C = math.log(0.5) - 40 * math.log(rho) + math.log(1e-300) - math.log(2e300)
+    lines = theory_lines(out)
+    assert float(lines["eta_min"]) == pytest.approx(-(log_C + math.log(0.5)), rel=1e-11)
+    assert float(lines["C_rho_tilde"]) == pytest.approx(math.exp(log_C), rel=1e-11)
+
+
+def test_theory_k_beyond_a_run_configs_bound_is_config_error(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", {**UNDERFLOW_CONSTANTS, "k": 10**400})
+    assert cli.main(["theory", "--constants", path]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("configuration error: k * n = 1000") and "steps exceed" in err
+
+
+def test_theory_underflowing_C_times_rho_tilde_takes_eta_min_in_logs(tmp_path, capsys):
+    # C_rho_tilde is the smallest subnormal, and C * rho_tilde rounds to 0.
+    path = write_json(tmp_path / "c.json", {**UNDERFLOW_CONSTANTS, "delta": 4e7, "gamma": 0,
+                                            "alpha": 0.7, "k": 1, "rho_tilde": 0.3000000000000001})
+    assert cli.main(["theory", "--constants", path]) == cli.EXIT_OK
+    lines = theory_lines(capsys.readouterr().out)
+    assert float(lines["C_rho_tilde"]) == 5e-324
+    expected = -(math.log(5e-324) + math.log(0.3000000000000001))
+    assert float(lines["eta_min"]) == pytest.approx(expected, rel=1e-11)
 
 
 @pytest.mark.parametrize("command", ["diagnose", "gen-data"])

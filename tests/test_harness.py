@@ -30,7 +30,7 @@ from homotopy_opt.harness import (
     CSV_HEADER,
     ExperimentConfig,
     _fstar_table,
-    _run_arm,
+    _run_arms,
     _run_slice,
     _sgd_total_steps,
     epochs_to_threshold,
@@ -542,8 +542,8 @@ def test_lockstep_engine_matches_single_repeat_runs(tmp_path, experiment):
     seeds = [11, 12, 13]
     plan = arm_plan(sched, cfg_sgd, budget_factor=2)
     for method in ("sgd", "hsgd"):
-        lam_b, obj_b, aux_b = _run_arm(problem, w0, method, plan, cfg_sgd, seeds,
-                                       plan.allocate(method, len(seeds)))
+        lam_b, obj_b, aux_b, _ = _run_arms(problem, w0, plan, cfg_sgd, seeds,
+                                           {method: plan.allocate(method, len(seeds))})[method]
         assert (aux_b is None) == (point_aux is None)
         for r, seed in enumerate(seeds):
             lam_s, obj_s, aux_s = sequential_arm(problem, w0, method, sched, cfg_sgd, seed,
@@ -590,10 +590,11 @@ def test_full_batch_arm_steps_one_repeat(tmp_path, slice_starts, experiment):
     plan = arm_plan(sched, cfg_sgd, budget_factor=2)
     for method in ("sgd", "hsgd"):
         slice_starts.clear()
-        point = _run_arm(problem, w0, method, plan, cfg_sgd, seeds, plan.allocate(method, 5))
+        point = _run_arms(problem, w0, plan, cfg_sgd, seeds,
+                          {method: plan.allocate(method, 5)})[method]
         assert slice_starts == [(1, problem.dimension)]
-        block = _run_arm(problem, np.tile(w0, (5, 1)), method, plan, cfg_sgd, seeds,
-                         plan.allocate(method, 5))
+        block = _run_arms(problem, np.tile(w0, (5, 1)), plan, cfg_sgd, seeds,
+                          {method: plan.allocate(method, 5)})[method]
         assert slice_starts[1:] == [(5, problem.dimension)]
         assert np.array_equal(point[0], block[0]) and np.array_equal(point[1], block[1])
         assert point[1].shape == (5, point[0].size)
@@ -610,10 +611,11 @@ def test_diverging_full_batch_arm_fails_as_every_repeat_would(tmp_path, slice_st
     plan = arm_plan(make_schedule("exponential", 3, eta=0.5), cfg_sgd)
     messages = []
     for start in (w0, np.tile(w0, (5, 1))):
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
-            _run_arm(problem, start, "hsgd", plan, cfg_sgd, [1, 2, 3, 4, 5],
-                     plan.allocate("hsgd", 5))
-        messages.append(str(err.value))
+        with np.errstate(all="ignore"):
+            outcome = _run_arms(problem, start, plan, cfg_sgd, [1, 2, 3, 4, 5],
+                                {"hsgd": plan.allocate("hsgd", 5)})["hsgd"]
+        assert isinstance(outcome, NonFiniteError)
+        messages.append(str(outcome))
     assert slice_starts == [(1, problem.dimension), (5, problem.dimension)]
     assert messages[0] == messages[1] and "(repeat 0, " in messages[0]
 
@@ -724,6 +726,72 @@ def test_both_arms_write_the_bytes_of_each_arm_alone(tmp_path, slices, case):
     assert multiprocessing.active_children() == []
 
 
+def fork_every_slice(run, rows, steps, samples):
+    """``core.fork_rows`` with every slice, slice 0 included, stepped in a forked worker."""
+    fork, results = multiprocessing.get_context("fork"), []
+    for part in np.array_split(np.arange(rows), core._slice_count(rows, steps, samples)):
+        receive, send = fork.Pipe(duplex=False)
+        worker = fork.Process(target=core._part_worker, args=(send, run, part), daemon=True)
+        worker.start()
+        send.close()
+        ok, result = receive.recv()
+        worker.join()
+        if not ok:
+            raise result
+        results.append(result)
+    return results
+
+
+@pytest.mark.parametrize("case", ["toy-erf minibatch", "sine-mlp"])
+def test_no_output_depends_on_which_process_steps_a_slice(tmp_path, slices, monkeypatch, case):
+    # Both arms at a minibatch, so that every slice steps its own repeats.
+    raw = {"experiment": case, "repeats": 5, **ARMS_CASES[case]}
+    outputs = {}
+    for name in ("in-process", "all-forked"):
+        started = slices(1 if name == "in-process" else 2)
+        if name == "all-forked":
+            monkeypatch.setattr(core, "fork_rows", fork_every_slice)
+        run_experiment(ExperimentConfig.from_dict({**raw, "out_dir": str(tmp_path / name)}))
+        assert len(started) == (0 if name == "in-process" else 2)
+        meta = json.loads((tmp_path / name / "metadata.json").read_text(encoding="utf-8"))
+        meta["config"]["out_dir"] = None
+        outputs[name] = meta, {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                               if p.name != "metadata.json"}
+    assert {"trace_sgd.csv", "trace_hsgd.csv", "hsgd_snapshots.csv"} <= set(outputs["in-process"][1])
+    assert outputs["all-forked"] == outputs["in-process"]
+    assert multiprocessing.active_children() == []
+
+
+def test_an_hsgd_arm_diverging_in_a_worker_slice_writes_no_snapshots(tmp_path, slices,
+                                                                     monkeypatch):
+    # Repeat 4 starts at NaN: at 2 slices only the worker's slice (repeats 3
+    # and 4) diverges, while slice 0 ends every stage, and the arm fails as
+    # it does in one slice.
+    real = harness.build_problem
+
+    def build_problem(cfg, dataset):
+        problem, w0 = real(cfg, dataset)
+        W0 = np.tile(w0, (cfg.repeats, 1))
+        W0[4] = np.nan
+        return problem, W0
+
+    monkeypatch.setattr(harness, "build_problem", build_problem)
+    raw = {"experiment": "sine-mlp", "method": "hsgd", "repeats": 5, **ARMS_CASES["sine-mlp"]}
+    failures = []
+    for count in (1, 2):
+        started = slices(count)
+        with np.errstate(all="ignore"):
+            arms, _ = run_experiment(ExperimentConfig.from_dict(
+                {**raw, "out_dir": str(tmp_path / str(count))}))
+        assert len(started) == count - 1
+        assert sorted(p.name for p in (tmp_path / str(count)).iterdir()) == \
+            ["metadata.json", "report.json"]
+        failures.append(arms["hsgd"].failure)
+    assert failures[0].startswith("non-finite gradient at step 1 (repeat 4, homotopy iteration 1")
+    assert failures[1] == failures[0]
+    assert multiprocessing.active_children() == []
+
+
 def test_a_diverging_hsgd_arm_leaves_the_sgd_rows_as_they_are(tmp_path, slices, monkeypatch):
     # A gradient that is NaN on every row whose lambda is below 1 fails the
     # H-SGD rows of a block at their first step and no SGD row: each arm's
@@ -773,7 +841,7 @@ def test_both_arms_call_the_oracle_for_the_longer_arm_steps_only(tmp_path):
     seeds = [core.stream_seed(cfg.master_seed, r) for r in range(5)]
     assert plan.steps == {"sgd": 64, "hsgd": 32}
     for method in plan.steps:
-        _run_arm(problem, w0, method, plan, cfg_sgd, seeds, plan.allocate(method, 5))
+        _run_arms(problem, w0, plan, cfg_sgd, seeds, {method: plan.allocate(method, 5)})
     assert len(calls) == 96 and set(calls) == {5}
     calls.clear()
     harness._run_arms(problem, w0, plan, cfg_sgd, seeds,
@@ -889,8 +957,14 @@ def lq_arm(rows, alpha=0.1):
         W0[r] = value
     cfg_sgd = SgdConfig(alpha, 10, 8, record_every=8)
     plan = arm_plan(make_schedule("constant", 3), cfg_sgd)
-    return lambda: _run_arm(problem, W0, "hsgd", plan, cfg_sgd, [20 + r for r in range(5)],
-                            plan.allocate("hsgd", 5))
+
+    def arm():  # the arm's outcome, its NonFiniteError raised
+        outcome = _run_arms(problem, W0, plan, cfg_sgd, [20 + r for r in range(5)],
+                            {"hsgd": plan.allocate("hsgd", 5)})["hsgd"]
+        if isinstance(outcome, NonFiniteError):
+            raise outcome
+        return outcome
+    return arm
 
 
 @pytest.mark.parametrize("rows, expected", [
@@ -1006,7 +1080,7 @@ def test_runs_leave_the_problem_unmutated(tmp_path, experiment):
     sched = make_schedule("constant", 2)
     plan = arm_plan(sched, cfg_sgd)
     for method in ("sgd", "hsgd"):
-        _run_arm(problem, w0, method, plan, cfg_sgd, [1, 2], plan.allocate(method, 2))
+        _run_arms(problem, w0, plan, cfg_sgd, [1, 2], {method: plan.allocate(method, 2)})
     hsgd_run(w0, sched, cfg_sgd, problem, make_rng(3), sink=lambda *_: None)
     diagnostics.estimate_sigma2(problem, 0.5, [w0], cfg_sgd.minibatch, 5, make_rng(4))
     assert pickle.dumps(vars(problem)) == before
