@@ -1,13 +1,15 @@
 """Command-line front end: run experiments, evaluate theory bounds, diagnose.
 
 Exit codes: 0 success, 2 configuration error, 3 feasibility failure,
-4 runtime failure (a diverged arm, a forked worker that died, or memory ran out).
+4 runtime failure (a diverged arm, a forked worker that died, memory ran out,
+or stdout's reader was gone).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -92,10 +94,10 @@ def cmd_theory(args):
         if params is not None:
             emit("C_rho_tilde", f"{params.C_rho_tilde:.12g}")
             emit("eta_min", f"{params.eta_min:.12g}")
-            emit("eta_min_main_text_sign", f"{params.eta_min_main_text:.12g}")
+            emit("eta_min_main_text_sign", f"{-params.eta_min:.12g}")
             emit("k_min", params.k_min)
-            for check in params.report.checks:
-                status = "pass" if check.passed else ("info-fail" if "informational" in check.note else "FAIL")
+            for check in params.checks:
+                status = "pass" if check.passed else ("FAIL" if check.binding else "info-fail")
                 emit(f"check {check.key}", f"{status}  [{check.requirement}] value={check.value:.12g}")
                 if status == "FAIL":
                     failures.append(check.key)
@@ -169,13 +171,18 @@ def main(argv=None):
     try:
         # A NaN/Inf is reported as an error, not as numpy's warnings; forked workers inherit this.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.fn(args)
+            code = args.fn(args)
+        print(end="", flush=True)  # a reader that is gone fails here, not in the interpreter's exit
+        return code
+    except (RuntimeError, MemoryError, BrokenPipeError) as exc:  # NonFiniteError, a dead worker
+        if isinstance(exc, BrokenPipeError):  # stdout's reader is gone: the exit flushes to /dev/null
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)  # bare MemoryError
+        return EXIT_RUNTIME
     except (ConfigurationError, theory.InfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, MemoryError) as exc:  # NonFiniteError, EstimationError, a dead worker
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Closed-form bound and threshold calculators for the convergence analysis.
 
 Every calculator is a pure total function on its feasibility domain;
-infeasible inputs raise :class:`InfeasibleError` or come back flagged inside a
-structured report, with NaN in the fields that are undefined. Logs are
+infeasible inputs raise :class:`InfeasibleError` or come back flagged, with
+NaN in the fields that are undefined. The schedule design reports its
+feasibility as a plain list of :class:`FeasibilityCheck` records. Logs are
 natural-base with explicit conversion; ceilings are applied outermost,
 exactly as in the defining formulas.
 """
@@ -93,15 +94,7 @@ class FeasibilityCheck:
     requirement: str
     value: float
     passed: bool
-    note: str = ""
-
-
-@dataclass
-class FeasibilityReport:
-    checks: list = field(default_factory=list)
-
-    def add(self, key, requirement, value, passed, note=""):
-        self.checks.append(FeasibilityCheck(key, requirement, float(value), bool(passed), note))
+    binding: bool = True  # a check that does not bind is reported, but a failure of it fails nothing
 
 
 def _log_base(value, base):
@@ -218,56 +211,54 @@ def gamma_from_kappas(delta, kappa1, kappa2):
 class ScheduleParams:
     C_rho_tilde: float
     eta_min: float
-    eta_min_main_text: float
     k_min: int
     eps1: float
-    report: FeasibilityReport = field(default_factory=FeasibilityReport)
+    checks: list[FeasibilityCheck] = field(default_factory=list)
 
 
 def linear_rate_schedule_params(rho, k, rho_tilde, epsilon0, delta, gamma, sigma2, mu, B, r):
     """Exponential-schedule design constants for the linear outer rate.
 
     Returns C_rho_tilde via the case split on k, the decay floor
-    eta_min = -ln(C * rho_tilde) (the consistent sign; the alternative
-    +ln(C * rho_tilde) is reported alongside), k_min = ceil(log_rho rho_tilde)
-    and a machine-readable feasibility report. The constraint linking
-    rho_tilde to the noise floor is enforced in the direction the gap
-    recursion actually needs, rho_tilde <= 1 - sigma^2/(2 mu B); the opposite
-    open-interval reading is reported informationally.
+    eta_min = -ln(C * rho_tilde) (the consistent sign; the main text's
+    +ln(C * rho_tilde) is its negation), k_min = ceil(log_rho rho_tilde)
+    and the feasibility report as a list of checks. The constraint linking
+    rho_tilde to the noise floor binds in the direction the gap recursion
+    actually needs, rho_tilde <= 1 - sigma^2/(2 mu B); the opposite
+    open-interval reading is a check with ``binding=False``.
     """
     if mu <= 0 or delta + gamma <= 0:
         raise InfeasibleError("mu and delta+gamma must be positive")
     if epsilon0 is None or epsilon0 < 0:
         raise InfeasibleError("epsilon0 must be a nonnegative real")
-    report = FeasibilityReport()
-    report.add("rho", "0 <= rho < 1", rho, 0.0 <= rho < 1.0)
-    report.add("rho_tilde", "0 < rho_tilde < 1", rho_tilde, 0.0 < rho_tilde < 1.0)
+    checks = []
+
+    def check(key, requirement, value, passed, binding=True):
+        checks.append(FeasibilityCheck(key, requirement, float(value), bool(passed), binding))
+
+    check("rho", "0 <= rho < 1", rho, 0.0 <= rho < 1.0)
+    check("rho_tilde", "0 < rho_tilde < 1", rho_tilde, 0.0 < rho_tilde < 1.0)
     noise_floor = sigma2 / (2.0 * mu)
     rho_tilde_cap = 1.0 - noise_floor / B if B > 0 else -math.inf
-    report.add(
-        "rho_tilde_noise_cap", "rho_tilde <= 1 - sigma^2/(2 mu B)",
-        rho_tilde, rho_tilde <= rho_tilde_cap,
-        note="binding form used by the gap recursion",
-    )
-    report.add(
-        "rho_tilde_open_interval", "rho_tilde in (1 - sigma^2/(2 mu B), 1)",
-        rho_tilde, rho_tilde_cap < rho_tilde < 1.0,
-        note="informational; inconsistent with the noise-floor requirement on r when sigma^2 > 0",
-    )
+    check("rho_tilde_noise_cap", "rho_tilde <= 1 - sigma^2/(2 mu B)",
+          rho_tilde, rho_tilde <= rho_tilde_cap)
+    # Inconsistent with the noise-floor requirement on r when sigma^2 > 0.
+    check("rho_tilde_open_interval", "rho_tilde in (1 - sigma^2/(2 mu B), 1)",
+          rho_tilde, rho_tilde_cap < rho_tilde < 1.0, binding=False)
     r_floor = noise_floor / (1.0 - rho_tilde) if rho_tilde < 1.0 else math.inf
-    report.add("r", "sigma^2/(2 mu (1 - rho_tilde)) <= r <= B", r, r_floor <= r <= B)
+    check("r", "sigma^2/(2 mu (1 - rho_tilde)) <= r <= B", r, r_floor <= r <= B)
     if not (0.0 <= rho < 1.0) or not (0.0 < rho_tilde < 1.0):
-        return ScheduleParams(math.nan, math.nan, math.nan, 0, math.nan, report)
+        return ScheduleParams(math.nan, math.nan, 0, math.nan, checks)
 
     k_min = 0 if rho == 0.0 else math.ceil(_log_base(rho_tilde, rho))
-    report.add("k", f"k >= ceil(log_rho(rho_tilde)) = {k_min}", k, k >= k_min)
+    check("k", f"k >= ceil(log_rho(rho_tilde)) = {k_min}", k, k >= k_min)
     eps1 = (B - r) / (delta + gamma)
     rho_k = rho**k
 
     if epsilon0 == 0.0:
-        report.add("epsilon0", "epsilon0 > 0 for a finite eta_min", 0.0, False,
-                   note="zero initial gap degenerates the schedule constant")
-        return ScheduleParams(0.0, math.inf, -math.inf, k_min, eps1, report)
+        # A zero initial gap degenerates the schedule constant.
+        check("epsilon0", "epsilon0 > 0 for a finite eta_min", 0.0, False)
+        return ScheduleParams(0.0, math.inf, k_min, eps1, checks)
 
     if rho == 0.0:
         branch_floor = -math.inf
@@ -281,16 +272,16 @@ def linear_rate_schedule_params(rho, k, rho_tilde, epsilon0, delta, gamma, sigma
     elif rho_k == 0.0:  # rho^k underflows: C < 1 in logs, with rho_tilde - rho^k = rho_tilde
         log_C = math.log(rho_tilde) - k * math.log(rho) + math.log(epsilon0) - math.log(delta + gamma)
         log_C_rho_tilde = log_C + math.log(rho_tilde)
-        return ScheduleParams(math.exp(log_C), -log_C_rho_tilde, log_C_rho_tilde, k_min, eps1, report)
+        return ScheduleParams(math.exp(log_C), -log_C_rho_tilde, k_min, eps1, checks)
     else:
         C = (rho_tilde - rho_k) / rho_k * epsilon0 / (delta + gamma)
     if C <= 0.0:
-        report.add("C_rho_tilde", "C_rho_tilde > 0 (requires rho^k < rho_tilde)", C, False)
-        return ScheduleParams(C, math.inf, -math.inf, k_min, eps1, report)
+        check("C_rho_tilde", "C_rho_tilde > 0 (requires rho^k < rho_tilde)", C, False)
+        return ScheduleParams(C, math.inf, k_min, eps1, checks)
     # C * rho_tilde can underflow where C > 0: its log is then taken in parts.
     log_C_rho_tilde = (math.log(C * rho_tilde) if C * rho_tilde > 0.0
                        else math.log(C) + math.log(rho_tilde))
-    return ScheduleParams(C, -log_C_rho_tilde, log_C_rho_tilde, k_min, eps1, report)
+    return ScheduleParams(C, -log_C_rho_tilde, k_min, eps1, checks)
 
 
 def schedule_caps(n, eta, eps1):

@@ -359,7 +359,7 @@ def test_criterion_10_linear_rate_end_to_end(lq_setup):
     eps0 = problem.full_objective(np.array([1.0]), 0.0)
     params = theory.linear_rate_schedule_params(
         rho, k, rho_tilde, eps0, delta, gamma, sigma2, mu, B, r)
-    binding = [c for c in params.report.checks if "informational" not in c.note]
+    binding = [c for c in params.checks if c.binding]
     assert all(c.passed for c in binding)
     n = 20
     schedule = make_schedule("exponential", n, eta=params.eta_min)

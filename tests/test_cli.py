@@ -98,9 +98,10 @@ def test_scipy_is_imported_only_by_the_erf_family():
                            "    harness.build_problem(cfg, harness.build_dataset(cfg))\n"
                            "    return 'scipy' in sys.modules\n"
                            "print('scipy' in sys.modules, builds_scipy('moons-logistic'),"
+                           " builds_scipy('sine-mlp'), builds_scipy('synthetic-lq'),"
                            " builds_scipy('toy-erf'))\n"
                            "sys.exit(0)")
-    assert (proc.returncode, proc.stdout.split()) == (0, ["False", "False", "True"]), proc.stderr
+    assert (proc.returncode, proc.stdout.split()) == (0, ["False"] * 4 + ["True"]), proc.stderr
 
 
 def test_diverged_arm_writes_no_numpy_warning(tmp_path):
@@ -359,6 +360,41 @@ def test_memory_error_is_runtime_failure(tmp_path, capsys, monkeypatch, command)
     assert capsys.readouterr().err == "runtime failure: Unable to allocate 18.2 TiB for an array\n"
 
 
+def test_error_without_text_prints_its_class_name(tmp_path, capsys, monkeypatch):
+    def schedule_caps(n, eta, eps1):
+        raise MemoryError()
+    monkeypatch.setattr(cli.theory, "schedule_caps", schedule_caps)
+    path = write_json(tmp_path / "c.json", LQ_CONSTANTS)
+    assert cli.main(["theory", "--constants", path]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime failure: MemoryError\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_a_runtime_failure(tmp_path, flags):
+    # The report is lost whether the write fails in the command (unbuffered)
+    # or in main's flush after it; the interpreter's exit adds nothing.
+    cfg = write_json(tmp_path / "cfg.json", {"experiment": "synthetic-lq", "repeats": 3})
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *flags, "-m", "homotopy_opt.cli", "run", "--config", cfg,
+                               "--out", str(tmp_path / "out")], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_RUNTIME, "runtime failure: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_no_stdout_at_all_is_not_an_error(tmp_path):
+    # Started with descriptor 1 closed, the interpreter has no sys.stdout and print writes nothing.
+    path = write_json(tmp_path / "c.json", LQ_CONSTANTS)
+    proc = cli_process(["theory", "--constants", path], preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+
+
 def test_schedule_path_missing_one_is_config_error_before_compute(tmp_path, capsys):
     # 100,000 constant increments summed left to right stop 1.9e-12 short of 1,
     # so the run must refuse the schedule before any arm trains.
@@ -518,6 +554,17 @@ def test_theory_underflowing_C_times_rho_tilde_takes_eta_min_in_logs(tmp_path, c
     assert float(lines["C_rho_tilde"]) == 5e-324
     expected = -(math.log(5e-324) + math.log(0.3000000000000001))
     assert float(lines["eta_min"]) == pytest.approx(expected, rel=1e-11)
+
+
+@pytest.mark.parametrize("name, constants", [("lq", LQ_CONSTANTS), ("underflow", UNDERFLOW_CONSTANTS)])
+@pytest.mark.parametrize("flags, suffix", [([], "txt"), (["--json"], "json.txt")])
+def test_theory_output_bytes_are_pinned(tmp_path, capsys, name, constants, flags, suffix):
+    # The whole report, as text and with --json, byte for byte.
+    path = write_json(tmp_path / "c.json", constants)
+    assert cli.main(["theory", "--constants", path, *flags]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode() == (Path(__file__).with_name("theory_output") / f"{name}.{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["diagnose", "gen-data"])

@@ -211,7 +211,6 @@ def test_schedule_params_first_branch():
     p = theory.linear_rate_schedule_params(0.9, 500, 0.5, 1.0, 0.5, 0.5, 0.0, 1.0, 1.0, 0.5)
     assert p.C_rho_tilde == 1.0
     assert abs(p.eta_min - (-math.log(0.5))) < 1e-15
-    assert p.eta_min_main_text == -p.eta_min
     assert p.k_min == brute_force_kmax(lambda k: 0.9**k <= 0.5)
 
 
@@ -232,18 +231,19 @@ def test_schedule_params_degenerate_boundary():
 def test_schedule_params_zero_initial_gap():
     p = theory.linear_rate_schedule_params(0.9, 10, 0.5, 0.0, 0.5, 0.5, 0.0, 1.0, 1.0, 0.5)
     assert p.eta_min == math.inf
-    assert not all(c.passed for c in p.report.checks)
+    assert not all(c.passed for c in p.checks)
 
 
 def test_schedule_params_feasibility_report():
     p = theory.linear_rate_schedule_params(0.9, 50, 0.8, 0.5, 1.0, 1.0, 0.11746318454690335,
                                            1.0, 1.0, 0.5)
-    by_key = {c.key: c for c in p.report.checks}
+    by_key = {c.key: c for c in p.checks}
     assert by_key["rho"].passed
     assert by_key["rho_tilde"].passed
     assert by_key["rho_tilde_noise_cap"].passed
     assert not by_key["rho_tilde_open_interval"].passed
-    assert "informational" in by_key["rho_tilde_open_interval"].note
+    assert not by_key["rho_tilde_open_interval"].binding
+    assert all(c.binding for key, c in by_key.items() if key != "rho_tilde_open_interval")
     assert by_key["r"].passed
     assert by_key["k"].passed
 
